@@ -34,7 +34,6 @@ from .complex_structures import (
     standard_quaternion_structure,
 )
 from .curvature import (
-    CurvatureTensor,
     check_gray_identity,
     check_J_invariance,
     check_symmetries,
@@ -49,9 +48,9 @@ from .jordan_ip import (
     SpectrumSpec,
     build_complex_pair_tensor,
     build_quaternionic_tensor,
+    check_almost_complex,
     check_jordan_ip,
     check_jordan_ip_real,
-    curvature_operator,
     sample_complex_lines,
     solve_constants,
     spectrum_of_JR,
@@ -60,37 +59,20 @@ from .pseudo_linalg import BilinearSpace, JordanInvariants
 
 SCHEMA_VERSION = 1
 
-GENERATOR_BUILTINS = (
-    "identity",
-    "standard_J",
-    "quat_i",
-    "quat_j",
-    "quat_k",
-    "nilpotent_null_pair",
-    "nilpotent_null_pair_partner",
-)
-
-CHECK_NAMES = (
-    "symmetries",
-    "almost_complex",
-    "gray",
-    "jordan_ip_complex",
-    "jordan_ip_real",
-    "spectrum",
-    "admissible",
-    "admissible_pair",
-    "solve_constants",
-)
-
-CHECKS_NEEDING_J = {
-    "almost_complex",
-    "gray",
-    "jordan_ip_complex",
-    "spectrum",
-    "admissible",
-    "admissible_pair",
-    "solve_constants",
+# builtin -> (structure it needs, or None; builder from (space, J, quat)).
+_GENERATORS = {
+    "identity": (None, lambda space, J, quat: np.eye(space.m)),
+    "standard_J": ("complex or quaternion", lambda space, J, quat: J.J),
+    "quat_i": ("quaternion", lambda space, J, quat: quat.i),
+    "quat_j": ("quaternion", lambda space, J, quat: quat.j),
+    "quat_k": ("quaternion", lambda space, J, quat: quat.k),
+    "nilpotent_null_pair": (None, lambda space, J, quat: nilpotent_null_pair(space)),
+    "nilpotent_null_pair_partner": (
+        None,
+        lambda space, J, quat: nilpotent_null_pair_partner(space),
+    ),
 }
+GENERATOR_BUILTINS = tuple(_GENERATORS)
 
 
 class ConfigError(Exception):
@@ -144,27 +126,15 @@ def _build_generator(
         raise ConfigError(f"{where}: expected an object")
     if "builtin" in spec:
         builtin = spec["builtin"]
-        if builtin == "identity":
-            return np.eye(space.m)
-        if builtin == "standard_J":
-            if J is None:
-                raise ConfigError(f"{where}: standard_J needs structure complex or quaternion")
-            return J.J
-        if builtin in ("quat_i", "quat_j", "quat_k"):
-            if quat is None:
-                raise ConfigError(f"{where}: {builtin} needs structure quaternion")
-            return getattr(quat, builtin[-1])
-        if builtin in ("nilpotent_null_pair", "nilpotent_null_pair_partner"):
-            build = (
-                nilpotent_null_pair
-                if builtin == "nilpotent_null_pair"
-                else nilpotent_null_pair_partner
-            )
-            try:
-                return build(space)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-        raise ConfigError(f"{where}: unknown builtin '{builtin}'")
+        if not isinstance(builtin, str) or builtin not in _GENERATORS:
+            raise ConfigError(f"{where}: unknown builtin '{builtin}'")
+        needs, build = _GENERATORS[builtin]
+        if needs is not None and (quat if needs == "quaternion" else J) is None:
+            raise ConfigError(f"{where}: {builtin} needs structure {needs}")
+        try:
+            return build(space, J, quat)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     if "matrix" in spec:
         mat = np.asarray(spec["matrix"], dtype=float)
         if mat.shape != (space.m, space.m):
@@ -194,183 +164,184 @@ def _json_spectrum(spec: SpectrumSpec) -> list[dict]:
     return [{"eigenvalue": lam, "multiplicity": mu} for lam, mu in spec.eigenvalues]
 
 
-def _run_check(
-    name: str,
-    tensor: CurvatureTensor,
-    generators: dict[str, np.ndarray],
-    tensor_generator_names: list[str],
-    pair_names: list[str] | None,
-    J: ComplexStructure | None,
-    space: BilinearSpace,
-    samples: int,
-    seed: int,
-    tol: float,
-) -> dict:
-    if name in CHECKS_NEEDING_J and J is None:
-        raise ConfigError(f"config.checks: '{name}' needs structure complex or quaternion")
+def _symmetries(tensor, tol, **_) -> dict:
+    report = check_symmetries(tensor)
+    return {
+        "pass": report.passed(tol),
+        "max_violation": report.max_violation,
+        "witness": {
+            "antisymmetry": list(report.antisymmetry_witness),
+            "pair_symmetry": list(report.pair_symmetry_witness),
+            "bianchi": list(report.bianchi_witness),
+        },
+    }
 
-    if name == "symmetries":
-        report = check_symmetries(tensor)
-        return {
-            "pass": report.passed(tol),
-            "max_violation": report.max_violation,
-            "witness": {
-                "antisymmetry": list(report.antisymmetry_witness),
-                "pair_symmetry": list(report.pair_symmetry_witness),
-                "bianchi": list(report.bianchi_witness),
-            },
+
+def _almost_complex(tensor, J, samples, seed, tol, **_) -> dict:
+    tensor_report = check_J_invariance(tensor, J, tol)
+    # At tol 0 the witness is the line of the largest commutator; the report
+    # names it whenever the check fails, also when only the tensor identity does.
+    lines = check_almost_complex(
+        tensor, J, sample_complex_lines(J, PlaneClass.SPACELIKE, samples, seed), tol=0.0
+    )
+    worst = lines.max_commutator
+    passed = tensor_report.passed and worst <= tol
+    out = {
+        "pass": passed,
+        "max_violation": max(tensor_report.max_violation, worst),
+        "tensor_identity_violation": tensor_report.max_violation,
+        "max_line_commutator": worst,
+    }
+    if not passed:
+        out["witness"] = {
+            "quadruple": list(tensor_report.witness),
+            "line": _json_plane(lines.witness) if lines.witness is not None else None,
         }
+    return out
 
-    if name == "almost_complex":
-        tensor_report = check_J_invariance(tensor, J, tol)
-        planes = sample_complex_lines(J, PlaneClass.SPACELIKE, samples, seed)
-        worst = 0.0
-        witness = None
-        for plane in planes:
-            op = curvature_operator(tensor, plane)
-            comm = float(np.max(np.abs(J.J @ op - op @ J.J)))
-            if comm > worst:
-                worst, witness = comm, plane
-        passed = tensor_report.passed and worst <= tol
-        out = {
-            "pass": passed,
-            "max_violation": max(tensor_report.max_violation, worst),
-            "tensor_identity_violation": tensor_report.max_violation,
-            "max_line_commutator": worst,
+
+def _gray(tensor, J, tol, **_) -> dict:
+    report = check_gray_identity(tensor, J, tol)
+    out = {"pass": report.passed, "max_violation": report.max_violation}
+    if not report.passed:
+        out["witness"] = {"quadruple": list(report.witness)}
+    return out
+
+
+def _jordan_ip_complex(tensor, J, samples, seed, tol, **_) -> dict:
+    report = check_jordan_ip(tensor, J, n=samples, seed=seed, tol=max(tol, OPERATOR_TOL))
+    out = {
+        "pass": report.constant,
+        "constant": report.constant,
+        "rank": report.rank,
+        "invariants_by_type": {
+            cls.value: _json_invariants(inv) for cls, inv in report.invariants_by_type.items()
+        },
+        "seed": report.seed,
+    }
+    if report.witness is not None:
+        out["witness"] = {
+            "anchor": _json_plane(report.witness[0]),
+            "offender": _json_plane(report.witness[1]),
         }
-        if not passed:
-            out["witness"] = {
-                "quadruple": list(tensor_report.witness),
-                "line": _json_plane(witness) if witness is not None else None,
-            }
-        return out
+    return out
 
-    if name == "gray":
-        report = check_gray_identity(tensor, J, tol)
-        out = {"pass": report.passed, "max_violation": report.max_violation}
-        if not report.passed:
-            out["witness"] = {"quadruple": list(report.witness)}
-        return out
 
-    if name == "jordan_ip_complex":
-        report = check_jordan_ip(tensor, J, n=samples, seed=seed, tol=max(tol, OPERATOR_TOL))
-        out = {
-            "pass": report.constant,
-            "constant": report.constant,
-            "rank": report.rank,
-            "invariants_by_type": {
-                cls.value: _json_invariants(inv) for cls, inv in report.invariants_by_type.items()
-            },
-            "seed": report.seed,
+def _jordan_ip_real(tensor, samples, seed, tol, **_) -> dict:
+    report = check_jordan_ip_real(tensor, n=samples, seed=seed, tol=max(tol, OPERATOR_TOL))
+    out = {
+        "pass": report.constant and report.rank_type_independent,
+        "constant_by_type": {cls.value: ok for cls, ok in report.constant_by_type.items()},
+        "rank_by_type": {cls.value: r for cls, r in report.rank_by_type.items()},
+        "rank_type_independent": report.rank_type_independent,
+        "invariants_by_type": {
+            cls.value: _json_invariants(inv) for cls, inv in report.invariants_by_type.items()
+        },
+        "seed": report.seed,
+    }
+    if report.witnesses:
+        out["witness"] = {
+            cls.value: {"anchor": _json_plane(a), "offender": _json_plane(b)}
+            for cls, (a, b) in report.witnesses.items()
         }
-        if report.witness is not None:
-            out["witness"] = {
-                "anchor": _json_plane(report.witness[0]),
-                "offender": _json_plane(report.witness[1]),
-            }
-        return out
+    return out
 
-    if name == "jordan_ip_real":
-        report = check_jordan_ip_real(tensor, n=samples, seed=seed, tol=max(tol, OPERATOR_TOL))
-        out = {
-            "pass": report.constant and report.rank_type_independent,
-            "constant_by_type": {cls.value: ok for cls, ok in report.constant_by_type.items()},
-            "rank_by_type": {cls.value: r for cls, r in report.rank_by_type.items()},
-            "rank_type_independent": report.rank_type_independent,
-            "invariants_by_type": {
-                cls.value: _json_invariants(inv) for cls, inv in report.invariants_by_type.items()
-            },
-            "seed": report.seed,
-        }
-        if report.witnesses:
-            out["witness"] = {
-                cls.value: {"anchor": _json_plane(a), "offender": _json_plane(b)}
-                for cls, (a, b) in report.witnesses.items()
-            }
-        return out
 
-    if name == "spectrum":
-        planes = sample_complex_lines(J, PlaneClass.SPACELIKE, samples, seed)
-        try:
-            spectra = [spectrum_of_JR(tensor, J, plane) for plane in planes]
-        except Exception as exc:
-            return {"pass": False, "error": str(exc)}
-        anchor = spectra[0]
-        consistent = all(anchor.matches(s, max(tol, 1e-8)) for s in spectra[1:])
-        return {
-            "pass": consistent,
-            "consistent": consistent,
-            "spectrum": _json_spectrum(anchor),
-            "seed": seed,
-        }
+def _spectrum(tensor, J, samples, seed, tol, **_) -> dict:
+    planes = sample_complex_lines(J, PlaneClass.SPACELIKE, samples, seed)
+    try:
+        spectra = [spectrum_of_JR(tensor, J, plane) for plane in planes]
+    except ValueError as exc:
+        return {"pass": False, "error": str(exc)}
+    anchor = spectra[0]
+    consistent = all(anchor.matches(s, max(tol, 1e-8)) for s in spectra[1:])
+    return {
+        "pass": consistent,
+        "consistent": consistent,
+        "spectrum": _json_spectrum(anchor),
+        "seed": seed,
+    }
 
-    if name == "admissible":
-        results = {}
-        all_ok = True
-        for gen_name, phi in generators.items():
-            report = check_admissible(phi, J, tol)
-            results[gen_name] = {
-                "admissible": report.admissible,
-                "class": report.admissible_class.value,
-                "square_type": report.square_type.value,
-                "residuals": report.residuals,
-            }
-            all_ok = all_ok and report.admissible
-        return {"pass": all_ok, "generators": results}
 
-    if name == "admissible_pair":
-        names = pair_names or []
-        if not names:
-            seen: list[str] = []
-            for gen_name in tensor_generator_names:
-                if gen_name not in seen:
-                    seen.append(gen_name)
-            names = seen[:2]
-        if len(names) != 2:
-            raise ConfigError(
-                "config.pair: admissible_pair needs two generators, either via 'pair' "
-                "or at least two distinct generators in 'tensor'"
-            )
-        try:
-            report = check_admissible_pair(
-                generators[names[0]], generators[names[1]], J, n_lines=samples, seed=seed, tol=tol
-            )
-        except ValueError as exc:
-            return {"pass": False, "pair": names, "error": str(exc)}
-        return {
-            "pass": report.admissible,
-            "pair": names,
+def _admissible(generators, J, tol, **_) -> dict:
+    results = {}
+    all_ok = True
+    for gen_name, phi in generators.items():
+        report = check_admissible(phi, J, tol)
+        results[gen_name] = {
+            "admissible": report.admissible,
+            "class": report.admissible_class.value,
+            "square_type": report.square_type.value,
             "residuals": report.residuals,
-            "min_line_rank": report.min_line_rank,
-            "seed": report.seed,
         }
+        all_ok = all_ok and report.admissible
+    return {"pass": all_ok, "generators": results}
 
-    if name == "solve_constants":
-        plane = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed)[0]
-        try:
-            measured = spectrum_of_JR(tensor, J, plane)
-            if space.m % 4 == 0 and space.p % 4 == 0:
-                model = SpectrumModel.QUATERNIONIC
-                structures = standard_quaternion_structure(space)
-                coeffs = solve_constants(measured, model)
-                rebuilt = build_quaternionic_tensor(structures, *coeffs)
-            else:
-                model = SpectrumModel.COMPLEX_PAIR
-                coeffs = solve_constants(measured, model)
-                rebuilt = build_complex_pair_tensor(J, *coeffs)
-            round_trip = spectrum_of_JR(rebuilt, J, plane)
-            passed = measured.matches(round_trip, max(tol, 1e-8))
-        except ValueError as exc:
-            return {"pass": False, "error": str(exc)}
-        return {
-            "pass": passed,
-            "model": model.value,
-            "constants": [float(c) for c in coeffs],
-            "spectrum": _json_spectrum(measured),
-            "round_trip_spectrum": _json_spectrum(round_trip),
-        }
 
-    raise ConfigError(f"config.checks: unknown check '{name}'")
+def _admissible_pair(
+    generators, tensor_generator_names, pair_names, J, samples, seed, tol, **_
+) -> dict:
+    names = pair_names or list(dict.fromkeys(tensor_generator_names))[:2]
+    if len(names) != 2:
+        raise ConfigError(
+            "config.pair: admissible_pair needs two generators, either via 'pair' "
+            "or at least two distinct generators in 'tensor'"
+        )
+    try:
+        report = check_admissible_pair(
+            generators[names[0]], generators[names[1]], J, n_lines=samples, seed=seed, tol=tol
+        )
+    except ValueError as exc:
+        return {"pass": False, "pair": names, "error": str(exc)}
+    return {
+        "pass": report.admissible,
+        "pair": names,
+        "residuals": report.residuals,
+        "min_line_rank": report.min_line_rank,
+        "seed": report.seed,
+    }
+
+
+def _solve_constants(tensor, J, space, seed, tol, **_) -> dict:
+    plane = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed)[0]
+    try:
+        measured = spectrum_of_JR(tensor, J, plane)
+        if space.m % 4 == 0 and space.p % 4 == 0:
+            model = SpectrumModel.QUATERNIONIC
+            structures = standard_quaternion_structure(space)
+            coeffs = solve_constants(measured, model)
+            rebuilt = build_quaternionic_tensor(structures, *coeffs)
+        else:
+            model = SpectrumModel.COMPLEX_PAIR
+            coeffs = solve_constants(measured, model)
+            rebuilt = build_complex_pair_tensor(J, *coeffs)
+        round_trip = spectrum_of_JR(rebuilt, J, plane)
+        passed = measured.matches(round_trip, max(tol, 1e-8))
+    except ValueError as exc:
+        return {"pass": False, "error": str(exc)}
+    return {
+        "pass": passed,
+        "model": model.value,
+        "constants": [float(c) for c in coeffs],
+        "spectrum": _json_spectrum(measured),
+        "round_trip_spectrum": _json_spectrum(round_trip),
+    }
+
+
+# check name -> (needs a complex structure, report builder).  Builders take the
+# run's context as keywords and return the report dict of that check.
+CHECKS = {
+    "symmetries": (False, _symmetries),
+    "almost_complex": (True, _almost_complex),
+    "gray": (True, _gray),
+    "jordan_ip_complex": (True, _jordan_ip_complex),
+    "jordan_ip_real": (False, _jordan_ip_real),
+    "spectrum": (True, _spectrum),
+    "admissible": (True, _admissible),
+    "admissible_pair": (True, _admissible_pair),
+    "solve_constants": (True, _solve_constants),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
@@ -454,20 +425,16 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
             if n not in generators:
                 raise ConfigError(f"config.pair: '{n}' is not declared in generators")
 
+    context = dict(
+        tensor=tensor, generators=generators, tensor_generator_names=tensor_generator_names,
+        pair_names=pair_names, J=J, space=space, samples=samples, seed=seed, tol=tol,
+    )
     checks = {}
     for name in check_names:
-        checks[name] = _run_check(
-            name,
-            tensor,
-            generators,
-            tensor_generator_names,
-            pair_names,
-            J,
-            space,
-            samples,
-            seed,
-            tol,
-        )
+        needs_J, build_report = CHECKS[name]
+        if needs_J and J is None:
+            raise ConfigError(f"config.checks: '{name}' needs structure complex or quaternion")
+        checks[name] = build_report(**context)
 
     all_pass = all(result["pass"] for result in checks.values())
     report = {

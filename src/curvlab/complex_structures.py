@@ -19,8 +19,9 @@ import numpy as np
 from .pseudo_linalg import (
     BilinearSpace,
     _check_matrix,
+    _rejection_sample,
+    _unit_nonnull,
     adjoint,
-    inner,
     numeric_rank,
 )
 
@@ -324,8 +325,8 @@ def check_admissible_pair(
     phi2 = _check_matrix(space, phi2, "phi2")
     scale = max(1.0, _max_abs(phi1), _max_abs(phi2))
     residuals = {
-        "phi1_commute_J": _max_abs(phi1 @ J.J - J.J @ phi1),
-        "phi2_anticommute_J": _max_abs(phi2 @ J.J + J.J @ phi2),
+        "phi1_commute_J": rep1.residuals["commute_J"],
+        "phi2_anticommute_J": rep2.residuals["anticommute_J"],
         "cross_adjoint": _max_abs(
             adjoint(space, phi1) @ phi2 + adjoint(space, phi2) @ phi1
         ),
@@ -340,23 +341,17 @@ def check_admissible_pair(
     )
     if both_nilpotent:
         used_seed = seed
-        rng = np.random.default_rng(seed)
-        found = 0
-        draws = 0
+        lines = _rejection_sample(
+            n_lines,
+            seed,
+            lambda rng: _unit_nonnull(space, rng.standard_normal(space.m)),
+            "while sampling complex lines",
+        )
         min_rank = 4
-        while found < n_lines:
-            draws += 1
-            if draws > 1000 * n_lines:
-                raise RuntimeError("rejection budget exceeded while sampling complex lines")
-            x = rng.standard_normal(space.m)
-            t = inner(space, x, x)
-            if abs(t) <= space.tol * float(x @ x):
-                continue
-            x = x / np.sqrt(abs(t))
+        for x in lines:
             jx = J.J @ x
             stacked = np.column_stack([phi1 @ x, phi1 @ jx, phi2 @ x, phi2 @ jx])
             min_rank = min(min_rank, numeric_rank(stacked, tol))
-            found += 1
         ok = ok and min_rank == 4
 
     return PairReport(admissible=ok, residuals=residuals, min_line_rank=min_rank, seed=used_seed)

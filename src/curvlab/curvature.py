@@ -16,8 +16,9 @@ Both are exact in floating point once phi is exactly (skew-)self-adjoint,
 because every product reappears with the same rounding wherever a symmetry
 demands cancellation.
 
-Coefficients are stored as a dense m^4 array with no symmetry compression:
-m <= 16 in all use cases, so transparency beats cleverness here.
+Coefficients are stored as a dense m^4 array with no symmetry compression,
+which keeps every entry inspectable; at m = 32, the largest size audited so
+far, one tensor takes 8 MB.
 """
 
 from __future__ import annotations
@@ -61,6 +62,18 @@ def _bilinear_matrix(space: BilinearSpace, phi: np.ndarray) -> np.ndarray:
     return phi.T * space.signs[None, :]
 
 
+def _checked_generator(space: BilinearSpace, phi: np.ndarray, sign: int) -> np.ndarray:
+    """phi as a float matrix, after checking phi* = sign * phi to tolerance."""
+    phi = _check_matrix(space, phi, "phi")
+    worst, where = _argmax_entry(phi - sign * adjoint(space, phi))
+    if worst > space.tol * max(1.0, float(np.max(np.abs(phi)))):
+        kind, op = ("self", "-") if sign > 0 else ("skew", "+")
+        raise ValueError(
+            f"phi is not {kind}-adjoint: |phi {op} phi*| = {worst:.3e} at entry {where}"
+        )
+    return phi
+
+
 def from_self_adjoint(space: BilinearSpace, phi: np.ndarray) -> CurvatureTensor:
     """Curvature tensor (phi y, z)(phi x, w) - (phi x, z)(phi y, w).
 
@@ -68,28 +81,14 @@ def from_self_adjoint(space: BilinearSpace, phi: np.ndarray) -> CurvatureTensor:
     pseudo-sphere; more generally this is the Gauss-equation tensor of a
     hypersurface with shape operator phi.
     """
-    phi = _check_matrix(space, phi, "phi")
-    residual = phi - adjoint(space, phi)
-    worst, where = _argmax_entry(residual)
-    if worst > space.tol * max(1.0, float(np.max(np.abs(phi)))):
-        raise ValueError(
-            f"phi is not self-adjoint: |phi - phi*| = {worst:.3e} at entry {where}"
-        )
-    b = _bilinear_matrix(space, phi)
+    b = _bilinear_matrix(space, _checked_generator(space, phi, 1))
     coeffs = np.einsum("bc,ad->abcd", b, b) - np.einsum("ac,bd->abcd", b, b)
     return CurvatureTensor(space, coeffs)
 
 
 def from_skew_adjoint(space: BilinearSpace, phi: np.ndarray) -> CurvatureTensor:
     """Curvature tensor (phi y, z)(phi x, w) - (phi x, z)(phi y, w) - 2 (phi x, y)(phi z, w)."""
-    phi = _check_matrix(space, phi, "phi")
-    residual = phi + adjoint(space, phi)
-    worst, where = _argmax_entry(residual)
-    if worst > space.tol * max(1.0, float(np.max(np.abs(phi)))):
-        raise ValueError(
-            f"phi is not skew-adjoint: |phi + phi*| = {worst:.3e} at entry {where}"
-        )
-    b = _bilinear_matrix(space, phi)
+    b = _bilinear_matrix(space, _checked_generator(space, phi, -1))
     coeffs = (
         np.einsum("bc,ad->abcd", b, b)
         - np.einsum("ac,bd->abcd", b, b)

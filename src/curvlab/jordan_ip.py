@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -26,11 +27,13 @@ from .pseudo_linalg import (
     JordanInvariants,
     PlaneClass,
     _check_vector,
+    _cluster_eigenvalues,
+    _rejection_sample,
+    _unit_nonnull,
     classify_plane,
     inner,
     jordan_equivalent,
     jordan_invariants,
-    numeric_rank,
 )
 
 # Eigenvalue clouds of nilpotent Jordan blocks scatter like sqrt(machine eps)
@@ -95,18 +98,15 @@ def sample_real_planes(
         raise ValueError(
             f"no {causal_type.value} 2-plane exists in signature ({space.p}, {space.q})"
         )
-    rng = np.random.default_rng(seed)
-    planes: list[OrientedPlane] = []
-    draws = 0
-    while len(planes) < n:
-        draws += 1
-        if draws > 1000 * n:
-            raise RuntimeError(f"rejection budget exceeded sampling {causal_type.value} planes")
+
+    def draw(rng: np.random.Generator) -> OrientedPlane | None:
         x = rng.standard_normal(space.m)
         y = rng.standard_normal(space.m)
-        if classify_plane(space, x, y) is causal_type:
-            planes.append(OrientedPlane(x, y, causal_type))
-    return planes
+        if classify_plane(space, x, y) is not causal_type:
+            return None
+        return OrientedPlane(x, y, causal_type)
+
+    return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} planes")
 
 
 def sample_complex_lines(
@@ -124,30 +124,19 @@ def sample_complex_lines(
     if n < 1:
         raise ValueError("sample count must be at least 1")
     space = J.space
-    if causal_type is PlaneClass.SPACELIKE:
-        realizable = space.q >= 2
-    elif causal_type is PlaneClass.TIMELIKE:
-        realizable = space.p >= 2
-    else:
+    if causal_type not in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE):
         raise ValueError(f"complex lines are never {causal_type.value}")
-    if not realizable:
+    if not _real_plane_realizable(space, causal_type):
         raise ValueError(
             f"no {causal_type.value} complex line exists in signature ({space.p}, {space.q})"
         )
-    want_positive = causal_type is PlaneClass.SPACELIKE
-    rng = np.random.default_rng(seed)
-    planes: list[OrientedPlane] = []
-    draws = 0
-    while len(planes) < n:
-        draws += 1
-        if draws > 1000 * n:
-            raise RuntimeError(f"rejection budget exceeded sampling {causal_type.value} lines")
-        x = rng.standard_normal(space.m)
-        t = inner(space, x, x)
-        if abs(t) <= space.tol * float(x @ x) or (t > 0) != want_positive:
-            continue
-        planes.append(complex_line(J, x / np.sqrt(abs(t))))
-    return planes
+    positive = causal_type is PlaneClass.SPACELIKE
+
+    def draw(rng: np.random.Generator) -> OrientedPlane | None:
+        x = _unit_nonnull(space, rng.standard_normal(space.m), positive)
+        return None if x is None else complex_line(J, x)
+
+    return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} lines")
 
 
 def curvature_operator(tensor: CurvatureTensor, plane: OrientedPlane) -> np.ndarray:
@@ -191,6 +180,27 @@ def check_almost_complex(
     return AlmostComplexReport(worst <= tol, worst, witness if worst > tol else None)
 
 
+def _anchored_fingerprints(
+    tensor: CurvatureTensor, planes: list[OrientedPlane], tol: float
+) -> Iterator[tuple[OrientedPlane, JordanInvariants, OrientedPlane | None]]:
+    """Fingerprint R(pi) on each plane in order, lazily.
+
+    Each fingerprint is compared with the first plane's until one differs;
+    every item carries that first offending plane once found, None before.
+    Equivalence is transitive, so agreement with the anchor is agreement
+    with every other plane.
+    """
+    anchor: JordanInvariants | None = None
+    offender: OrientedPlane | None = None
+    for plane in planes:
+        inv = jordan_invariants(curvature_operator(tensor, plane), tol)
+        if anchor is None:
+            anchor = inv
+        elif offender is None and not jordan_equivalent(anchor, inv, tol):
+            offender = plane
+        yield plane, inv, offender
+
+
 @dataclass(frozen=True)
 class JordanIPReport:
     """Constancy verdict for R(pi) over sampled non-degenerate complex lines."""
@@ -213,30 +223,23 @@ def check_jordan_ip(
     """Sample complex lines (spacelike, plus timelike when p >= 2) and test
     whether all curvature operators share one Jordan normal form.
 
-    Comparisons are anchored to the first sampled line; equivalence is
-    transitive, so pairwise agreement follows.
+    Every line is fingerprinted, also after a mismatch, so that
+    invariants_by_type holds the first line of each causal type.
     """
-    space = tensor.space
     planes = sample_complex_lines(J, PlaneClass.SPACELIKE, n, seed)
-    if space.p >= 2:
+    if tensor.space.p >= 2:
         planes += sample_complex_lines(J, PlaneClass.TIMELIKE, n, seed + 1)
 
-    anchor_plane = planes[0]
-    anchor = jordan_invariants(curvature_operator(tensor, anchor_plane), tol)
-    invariants_by_type: dict[PlaneClass, JordanInvariants] = {anchor_plane.plane_class: anchor}
-    constant = True
-    witness: tuple[OrientedPlane, OrientedPlane] | None = None
-    for plane in planes[1:]:
-        inv = jordan_invariants(curvature_operator(tensor, plane), tol)
+    invariants_by_type: dict[PlaneClass, JordanInvariants] = {}
+    offender = None
+    for plane, inv, offender in _anchored_fingerprints(tensor, planes, tol):
         invariants_by_type.setdefault(plane.plane_class, inv)
-        if constant and not jordan_equivalent(anchor, inv, tol):
-            constant = False
-            witness = (anchor_plane, plane)
+    constant = offender is None
     return JordanIPReport(
         constant=constant,
-        rank=anchor.total_rank if constant else None,
+        rank=invariants_by_type[planes[0].plane_class].total_rank if constant else None,
         invariants_by_type=invariants_by_type,
-        witness=witness,
+        witness=None if constant else (planes[0], offender),
         seed=seed,
         samples_per_type=n,
     )
@@ -284,17 +287,14 @@ def check_jordan_ip_real(
     witnesses: dict[PlaneClass, tuple[OrientedPlane, OrientedPlane]] = {}
     for offset, causal_type in enumerate(types):
         planes = sample_real_planes(space, causal_type, n, seed + offset)
-        anchor = jordan_invariants(curvature_operator(tensor, planes[0]), tol)
+        fingerprints = _anchored_fingerprints(tensor, planes, tol)
+        _, anchor, _ = next(fingerprints)
         invariants_by_type[causal_type] = anchor
         rank_by_type[causal_type] = anchor.total_rank
-        constant = True
-        for plane in planes[1:]:
-            inv = jordan_invariants(curvature_operator(tensor, plane), tol)
-            if not jordan_equivalent(anchor, inv, tol):
-                constant = False
-                witnesses[causal_type] = (planes[0], plane)
-                break
-        constant_by_type[causal_type] = constant
+        offender = next((off for _, _, off in fingerprints if off is not None), None)
+        constant_by_type[causal_type] = offender is None
+        if offender is not None:
+            witnesses[causal_type] = (planes[0], offender)
     return RealJordanIPReport(
         constant_by_type=constant_by_type,
         rank_by_type=rank_by_type,
@@ -386,18 +386,10 @@ def spectrum_of_JR(
     if worst_imag > threshold:
         raise SpectrumStructureError(f"non-real eigenvalue of J R(pi), imaginary part {worst_imag:.3e}")
 
-    reals = np.sort(evals.real)
-    clusters: list[list[float]] = [[float(reals[0])]]
-    for v in reals[1:]:
-        if v - clusters[-1][-1] <= threshold:
-            clusters[-1].append(float(v))
-        else:
-            clusters.append([float(v)])
-
     pairs: list[tuple[float, int]] = []
-    for group in clusters:
+    for group in _cluster_eigenvalues(np.sort(evals.real), threshold):
         lam = float(np.mean(group))
-        mult = len(group)
+        mult = int(group.size)
         if mult % 2 != 0:
             raise SpectrumStructureError(
                 f"eigenvalue {lam:.6g} has odd real multiplicity {mult}"

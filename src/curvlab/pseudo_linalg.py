@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
 
@@ -116,17 +117,48 @@ def classify_plane(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> PlaneC
     return PlaneClass.SPACELIKE if xx + yy > 0 else PlaneClass.TIMELIKE
 
 
-def numeric_rank(a: np.ndarray, tol: float) -> int:
-    """Number of singular values above tol times the largest one; 0 for the zero map."""
+def _rank_from_singular_values(s: np.ndarray, tol: float) -> int:
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
+
+
+def numeric_rank(a: np.ndarray, tol: float) -> int:
+    """Number of singular values above tol times the largest one; 0 for the zero map."""
+    a = np.asarray(a)
+    s = np.linalg.svd(a, compute_uv=False) if a.size else np.empty(0)
+    return _rank_from_singular_values(s, tol)
+
+
+def _unit_nonnull(
+    space: BilinearSpace, x: np.ndarray, positive: bool | None = None
+) -> np.ndarray | None:
+    """x rescaled to |(x, x)| = 1; None when x is null to tolerance, or when
+    positive is given and the sign of (x, x) disagrees with it."""
+    t = inner(space, x, x)
+    if abs(t) <= space.tol * float(x @ x) or (positive is not None and (t > 0) != positive):
+        return None
+    return x / np.sqrt(abs(t))
+
+
+def _rejection_sample(
+    n: int, seed: int, draw: Callable[[np.random.Generator], Any], what: str
+) -> list:
+    """n samples by seeded rejection: draw(rng) returns a sample, or None to
+    reject the draw.  Raises RuntimeError after 1000 n draws."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    draws = 0
+    while len(samples) < n:
+        draws += 1
+        if draws > 1000 * n:
+            raise RuntimeError(f"rejection budget exceeded {what}")
+        sample = draw(rng)
+        if sample is not None:
+            samples.append(sample)
+    return samples
 
 
 @dataclass(frozen=True)
@@ -222,7 +254,7 @@ def jordan_invariants(a: np.ndarray, tol: float = DEFAULT_TOL) -> JordanInvarian
         dimension=m,
         clusters=tuple(clusters[i] for i in order),
         rank_sequences=tuple(rank_sequences[i] for i in order),
-        total_rank=numeric_rank(a, tol),
+        total_rank=_rank_from_singular_values(svals, tol),
         clustering_ambiguous=ambiguous,
     )
 

@@ -198,6 +198,17 @@ class TestChecks:
         assert result["max_violation"] == pytest.approx(12.0)
         assert result["witness"]["quadruple"] is not None
 
+    def test_spectrum_error_outside_valueerror_propagates(self, tmp_path, monkeypatch):
+        # Only ValueErrors (structure errors, degenerate planes, LinAlgError)
+        # become a failed check with an "error" field; anything else is a bug.
+        def broken(*args, **kwargs):
+            raise TypeError("not a spectrum error")
+
+        monkeypatch.setattr("curvlab.cli.spectrum_of_JR", broken)
+        config = write_config(tmp_path, "cfg.json", quaternionic_config(checks=["spectrum"]))
+        with pytest.raises(TypeError, match="not a spectrum error"):
+            main(["run", config, "--quiet"])
+
     def test_nilpotent_pair_builtins(self, tmp_path):
         cfg = {
             "signature": [4, 4],

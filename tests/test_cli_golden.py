@@ -159,6 +159,10 @@ CASES = [
      _config((0, 4), "none", {"x": {"builtin": "quat_l"}}, [(1, "x", "self_adjoint")],
              ["symmetries"], 5, 0, 1e-10),
      [], 2),
+    ("builtin_not_a_string",
+     _config((0, 4), "none", {"x": {"builtin": ["identity"]}}, [(1, "x", "self_adjoint")],
+             ["symmetries"], 5, 0, 1e-10),
+     [], 2),
     ("unknown_check",
      _config((0, 4), "none", IDENTITY, ID_TERM, ["symmetries", "ricci"], 5, 0, 1e-10), [], 2),
     ("admissible_pair_needs_two",
