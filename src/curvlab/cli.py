@@ -278,24 +278,15 @@ def _admissible(generators, J, tol, **_) -> dict:
     return {"pass": all_ok, "generators": results}
 
 
-def _admissible_pair(
-    generators, tensor_generator_names, pair_names, J, samples, seed, tol, **_
-) -> dict:
-    names = pair_names or list(dict.fromkeys(tensor_generator_names))[:2]
-    if len(names) != 2:
-        raise ConfigError(
-            "config.pair: admissible_pair needs two generators, either via 'pair' "
-            "or at least two distinct generators in 'tensor'"
-        )
+def _admissible_pair(generators, pair_names, J, samples, seed, tol, **_) -> dict:
+    phi1, phi2 = (generators[name] for name in pair_names)
     try:
-        report = check_admissible_pair(
-            generators[names[0]], generators[names[1]], J, n_lines=samples, seed=seed, tol=tol
-        )
+        report = check_admissible_pair(phi1, phi2, J, n_lines=samples, seed=seed, tol=tol)
     except ValueError as exc:
-        return {"pass": False, "pair": names, "error": str(exc)}
+        return {"pass": False, "pair": pair_names, "error": str(exc)}
     return {
         "pass": report.admissible,
-        "pair": names,
+        "pair": pair_names,
         "residuals": report.residuals,
         "min_line_rank": report.min_line_rank,
         "seed": report.seed,
@@ -425,16 +416,22 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
             if n not in generators:
                 raise ConfigError(f"config.pair: '{n}' is not declared in generators")
 
-    context = dict(
-        tensor=tensor, generators=generators, tensor_generator_names=tensor_generator_names,
-        pair_names=pair_names, J=J, space=space, samples=samples, seed=seed, tol=tol,
-    )
-    checks = {}
     for name in check_names:
-        needs_J, build_report = CHECKS[name]
-        if needs_J and J is None:
+        if CHECKS[name][0] and J is None:
             raise ConfigError(f"config.checks: '{name}' needs structure complex or quaternion")
-        checks[name] = build_report(**context)
+    if "admissible_pair" in check_names:
+        pair_names = pair_names or list(dict.fromkeys(tensor_generator_names))[:2]
+        if len(pair_names) != 2:
+            raise ConfigError(
+                "config.pair: admissible_pair needs two generators, either via 'pair' "
+                "or at least two distinct generators in 'tensor'"
+            )
+
+    context = dict(
+        tensor=tensor, generators=generators, pair_names=pair_names,
+        J=J, space=space, samples=samples, seed=seed, tol=tol,
+    )
+    checks = {name: CHECKS[name][1](**context) for name in check_names}
 
     all_pass = all(result["pass"] for result in checks.values())
     report = {

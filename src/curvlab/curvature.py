@@ -159,10 +159,18 @@ def apply_pair(tensor: CurvatureTensor, x: np.ndarray, y: np.ndarray) -> np.ndar
 def pullback(tensor: CurvatureTensor, t: np.ndarray) -> CurvatureTensor:
     """(T* R)(x, y, z, w) = R(Tx, Ty, Tz, Tw); preserves the symmetries for any T."""
     t = _check_matrix(tensor.space, t, "T")
-    coeffs = np.einsum(
-        "abcd,ai,bj,ck,dl->ijkl", tensor.coeffs, t, t, t, t, optimize=True
-    )
-    return CurvatureTensor(tensor.space, coeffs)
+    return CurvatureTensor(tensor.space, _pullback(tensor.coeffs, t, (0, 1, 2, 3)))
+
+
+def _pullback(r: np.ndarray, t: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
+    """Apply T to the given argument slots of r only, e.g. (0, 1) gives R(Tx, Ty, z, w)."""
+    # Each contraction of the leading axis is one matrix product and appends the
+    # new axis last; a contiguous result is cheaper to sum than strided views.
+    k = len(slots)
+    r = np.moveaxis(r, slots, range(k))
+    for _ in slots:
+        r = np.tensordot(r, t, axes=(0, 0))
+    return np.ascontiguousarray(np.moveaxis(r, range(4 - k, 4), slots))
 
 
 @dataclass(frozen=True)
@@ -187,17 +195,6 @@ def check_J_invariance(
     return InvarianceReport(worst <= tol, worst, where)
 
 
-def _partial_pullback(r: np.ndarray, j: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-    """Apply J to the given argument slots only, e.g. (0, 1) gives R(Jx, Jy, z, w)."""
-    out = r
-    letters = "abcd"
-    for slot in slots:
-        src = letters[slot]
-        spec = f"{letters.replace(src, 'z')},z{src}->{letters}"
-        out = np.einsum(spec, out, j)
-    return out
-
-
 def check_gray_identity(
     tensor: CurvatureTensor, J: ComplexStructure, tol: float = 1e-10
 ) -> InvarianceReport:
@@ -207,11 +204,9 @@ def check_gray_identity(
                                       + R(x,Jy,Jz,w) + R(x,Jy,z,Jw) + R(x,y,Jz,Jw)
     """
     r = tensor.coeffs
-    j = J.J
-    lhs = r + _partial_pullback(r, j, (0, 1, 2, 3))
+    lhs = r + _pullback(r, J.J, (0, 1, 2, 3))
     rhs = sum(
-        _partial_pullback(r, j, slots)
-        for slots in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        _pullback(r, J.J, slots) for slots in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     )
     worst, where = _argmax_entry(lhs - rhs)
     return InvarianceReport(worst <= tol, worst, where)

@@ -28,10 +28,11 @@ from .pseudo_linalg import (
     PlaneClass,
     _check_vector,
     _cluster_eigenvalues,
+    _plane_gram,
     _rejection_sample,
+    _self_inner,
     _unit_nonnull,
     classify_plane,
-    inner,
     jordan_equivalent,
     jordan_invariants,
 )
@@ -67,8 +68,8 @@ def complex_line(J: ComplexStructure, x: np.ndarray) -> OrientedPlane:
     according to the sign of (x, x)."""
     space = J.space
     x = _check_vector(space, x, "x")
-    t = inner(space, x, x)
-    if abs(t) <= space.tol * float(x @ x):
+    t, null = _self_inner(space, x)
+    if null:
         raise ValueError(f"x is null to tolerance ((x,x) = {t:.3e}); the span would be degenerate")
     cls = PlaneClass.SPACELIKE if t > 0 else PlaneClass.TIMELIKE
     return OrientedPlane(x, J.J @ x, cls, is_complex_line=True)
@@ -92,8 +93,6 @@ def sample_real_planes(
 ) -> list[OrientedPlane]:
     """n oriented 2-planes of the requested causal type, by seeded rejection
     sampling of standard-normal spanning pairs."""
-    if n < 1:
-        raise ValueError("sample count must be at least 1")
     if not _real_plane_realizable(space, causal_type):
         raise ValueError(
             f"no {causal_type.value} 2-plane exists in signature ({space.p}, {space.q})"
@@ -121,8 +120,6 @@ def sample_complex_lines(
     not exist: (Jx, Jx) = (x, x), so a complex line inherits the causal type
     of x.
     """
-    if n < 1:
-        raise ValueError("sample count must be at least 1")
     space = J.space
     if causal_type not in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE):
         raise ValueError(f"complex lines are never {causal_type.value}")
@@ -142,13 +139,10 @@ def sample_complex_lines(
 def curvature_operator(tensor: CurvatureTensor, plane: OrientedPlane) -> np.ndarray:
     """R(pi): the pair contraction R(x, y) normalized by the plane's Gram determinant."""
     space = tensor.space
-    x, y = plane.x, plane.y
-    xx = inner(space, x, x)
-    xy = inner(space, x, y)
-    yy = inner(space, y, y)
-    det = xx * yy - xy * xy
-    scale = float(x @ x) * float(y @ y)
-    if abs(det) <= space.tol * scale:
+    x = _check_vector(space, plane.x, "x")
+    y = _check_vector(space, plane.y, "y")
+    det, plane_class = _plane_gram(space, x, y)
+    if plane_class is PlaneClass.DEGENERATE:
         raise ValueError(f"degenerate plane: restricted Gram determinant {det:.3e}")
     return apply_pair(tensor, x, y) / np.sqrt(abs(det))
 
@@ -430,40 +424,38 @@ def solve_constants(spec: SpectrumSpec, model: SpectrumModel) -> tuple[float, ..
     differ).
     """
     ev = spec.eigenvalues
+    mu = [m for _, m in ev]
     if model is SpectrumModel.COMPLEX_PAIR:
         if len(ev) != 2:
             raise ValueError(f"complex pair spectra have exactly two eigenvalues, got {len(ev)}")
-        (lam0, _), (lam1, mu1) = ev
-        if mu1 != 1:
-            raise ValueError(f"the low-multiplicity eigenvalue must have mu = 1, got {mu1}")
-        c1 = lam0 / 2.0
-        c0 = lam1 - 3.0 * c1
-        return (c0, c1)
-    if model is SpectrumModel.QUATERNIONIC:
+        if mu[1] != 1:
+            raise ValueError(f"the low-multiplicity eigenvalue must have mu = 1, got {mu[1]}")
+    elif model is SpectrumModel.QUATERNIONIC:
         if spec.dimension % 4 != 0:
             raise ValueError(
                 f"quaternionic spectra need dimension divisible by 4, got {spec.dimension}"
             )
-        if len(ev) == 2:
-            (lam0, _), (lam1, mu1) = ev
-            if mu1 > 2:
-                raise ValueError(f"second multiplicity must be at most 2, got {mu1}")
-            c1 = lam0 / 2.0
-            c0 = lam1 - 3.0 * c1
-            c2 = (2.0 * c1 - lam1) if mu1 == 2 else 0.0
-            return (c0, c1, c2, 0.0)
-        if len(ev) == 3:
-            (lam0, _), (lam1, mu1), (lam2, mu2) = ev
-            if mu1 != 1 or mu2 != 1:
-                raise ValueError(
-                    f"three-eigenvalue spectra need trailing multiplicities 1, got {mu1}, {mu2}"
-                )
-            c1 = lam0 / 2.0
-            c0 = lam1 - 3.0 * c1
-            c2 = 2.0 * c1 - lam2
-            return (c0, c1, c2, 0.0)
-        raise ValueError(f"quaternionic spectra have two or three eigenvalues, got {len(ev)}")
-    raise ValueError(f"unknown model {model!r}")
+        if len(ev) not in (2, 3):
+            raise ValueError(f"quaternionic spectra have two or three eigenvalues, got {len(ev)}")
+        if len(ev) == 2 and mu[1] > 2:
+            raise ValueError(f"second multiplicity must be at most 2, got {mu[1]}")
+        if len(ev) == 3 and (mu[1] != 1 or mu[2] != 1):
+            raise ValueError(
+                f"three-eigenvalue spectra need trailing multiplicities 1, got {mu[1]}, {mu[2]}"
+            )
+    else:
+        raise ValueError(f"unknown model {model!r}")
+
+    (lam0, _), (lam1, _) = ev[:2]
+    c1 = lam0 / 2.0
+    c0 = lam1 - 3.0 * c1
+    if model is SpectrumModel.COMPLEX_PAIR:
+        return (c0, c1)
+    if len(ev) == 3:
+        c2 = 2.0 * c1 - ev[2][0]
+    else:
+        c2 = (2.0 * c1 - lam1) if mu[1] == 2 else 0.0
+    return (c0, c1, c2, 0.0)
 
 
 def build_complex_pair_tensor(

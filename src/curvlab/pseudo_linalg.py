@@ -97,24 +97,24 @@ def adjoint(space: BilinearSpace, a: np.ndarray) -> np.ndarray:
     return space.signs[:, None] * a.T * space.signs[None, :]
 
 
-def classify_plane(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> PlaneClass:
-    """Causal type of span{x, y} from the signature of the restricted Gram matrix.
-
-    Near-zero determinant (relative to the Euclidean scale of x and y) reports
-    DEGENERATE; linear dependence lands there as well.
-    """
-    x = _check_vector(space, x, "x")
-    y = _check_vector(space, y, "y")
-    xx = inner(space, x, x)
-    xy = inner(space, x, y)
-    yy = inner(space, y, y)
+def _plane_gram(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> tuple[float, PlaneClass]:
+    """Restricted Gram determinant of span{x, y} for checked vectors, and the
+    causal type it gives; DEGENERATE when |det| <= tol |x|^2 |y|^2."""
+    xx = float(x @ (space.signs * x))
+    xy = float(x @ (space.signs * y))
+    yy = float(y @ (space.signs * y))
     det = xx * yy - xy * xy
-    scale = float(x @ x) * float(y @ y)
-    if abs(det) <= space.tol * scale:
-        return PlaneClass.DEGENERATE
+    if abs(det) <= space.tol * (float(x @ x) * float(y @ y)):
+        return det, PlaneClass.DEGENERATE
     if det < 0:
-        return PlaneClass.MIXED
-    return PlaneClass.SPACELIKE if xx + yy > 0 else PlaneClass.TIMELIKE
+        return det, PlaneClass.MIXED
+    return det, PlaneClass.SPACELIKE if xx + yy > 0 else PlaneClass.TIMELIKE
+
+
+def classify_plane(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> PlaneClass:
+    """Causal type of span{x, y} from the signature of the restricted Gram matrix;
+    DEGENERATE for a near-zero determinant, linear dependence included."""
+    return _plane_gram(space, _check_vector(space, x, "x"), _check_vector(space, y, "y"))[1]
 
 
 def _rank_from_singular_values(s: np.ndarray, tol: float) -> int:
@@ -132,13 +132,20 @@ def numeric_rank(a: np.ndarray, tol: float) -> int:
     return _rank_from_singular_values(s, tol)
 
 
+def _self_inner(space: BilinearSpace, x: np.ndarray) -> tuple[float, bool]:
+    """(x, x) for a checked vector, and whether x is null to tolerance:
+    |(x, x)| <= tol |x|^2."""
+    t = float(x @ (space.signs * x))
+    return t, abs(t) <= space.tol * float(x @ x)
+
+
 def _unit_nonnull(
     space: BilinearSpace, x: np.ndarray, positive: bool | None = None
 ) -> np.ndarray | None:
     """x rescaled to |(x, x)| = 1; None when x is null to tolerance, or when
     positive is given and the sign of (x, x) disagrees with it."""
-    t = inner(space, x, x)
-    if abs(t) <= space.tol * float(x @ x) or (positive is not None and (t > 0) != positive):
+    t, null = _self_inner(space, x)
+    if null or (positive is not None and (t > 0) != positive):
         return None
     return x / np.sqrt(abs(t))
 
@@ -147,7 +154,10 @@ def _rejection_sample(
     n: int, seed: int, draw: Callable[[np.random.Generator], Any], what: str
 ) -> list:
     """n samples by seeded rejection: draw(rng) returns a sample, or None to
-    reject the draw.  Raises RuntimeError after 1000 n draws."""
+    reject the draw.  Raises ValueError for n < 1 and RuntimeError after
+    1000 n draws."""
+    if n < 1:
+        raise ValueError("sample count must be at least 1")
     rng = np.random.default_rng(seed)
     samples = []
     draws = 0

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvlab import BilinearSpace, adjoint
+from curvlab import BilinearSpace, adjoint, check_symmetries
 from curvlab.cli import list_builtins, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -192,3 +192,24 @@ def test_report_matches_golden(name, config, argv, code, tmp_path, capsys):
 
 def test_list_builtins_matches_golden():
     assert list_builtins() + "\n" == (GOLDEN / "list_builtins.txt").read_text()
+
+
+@pytest.mark.parametrize("name, checks", [
+    ("check_needs_structure", None),
+    ("admissible_pair_needs_two", ["symmetries", "admissible_pair"]),
+])
+def test_config_error_stops_the_run_before_any_check(name, checks, tmp_path, capsys, monkeypatch):
+    """A check that cannot run is a config error raised before the checks
+    listed ahead of it run; the stderr bytes stay those of the golden case."""
+    calls = []
+
+    def spy(tensor):
+        calls.append(tensor)
+        return check_symmetries(tensor)
+
+    monkeypatch.setattr("curvlab.cli.check_symmetries", spy)
+    _, config, argv, code = next(case for case in CASES if case[0] == name)
+    if checks is not None:
+        config = {**config, "checks": checks}
+    assert run_case(config, argv, tmp_path, capsys) == (code, golden_path(name, code).read_bytes())
+    assert calls == []

@@ -14,6 +14,7 @@ from curvlab import (
     classify_square,
     inner,
     nilpotent_null_pair,
+    nilpotent_null_pair_partner,
     standard_complex_structure,
     standard_quaternion_structure,
 )
@@ -291,6 +292,14 @@ class TestCheckAdmissiblePair:
         rep = check_admissible_pair(phi1, phi2, J, n_lines=10, seed=0)
         assert rep.min_line_rank == 2
         assert not rep.admissible
+
+    def test_nilpotent_pair_rejects_zero_line_count(self):
+        # With no line drawn, the line-span condition would pass untested.
+        space = BilinearSpace(4, 4)
+        J = standard_complex_structure(space)
+        phi1, phi2 = nilpotent_null_pair(space), nilpotent_null_pair_partner(space)
+        with pytest.raises(ValueError, match="sample count must be at least 1"):
+            check_admissible_pair(phi1, phi2, J, n_lines=0)
 
     def test_pair_images_pairwise_orthogonal_on_lines(self):
         rng = np.random.default_rng(5)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from curvlab import (
     BilinearSpace,
+    ComplexStructure,
     CurvatureTensor,
     adjoint,
     apply_pair,
@@ -293,3 +294,87 @@ class TestCheckGrayIdentity:
         assert not report.passed
         assert report.max_violation >= 0.1
         assert report.max_violation == pytest.approx(12.0, abs=1e-9)
+
+
+def reference_pullback(r, t):
+    """R(Tx, Ty, Tz, Tw) as one 5-operand einsum."""
+    return np.einsum("abcd,ai,bj,ck,dl->ijkl", r, t, t, t, t, optimize=True)
+
+
+def reference_gray_difference(r, j):
+    """Left side minus right side of the six-term Gray identity, one einsum per term."""
+    pairs = (
+        np.einsum("abkl,ai,bj->ijkl", r, j, j)
+        + np.einsum("ajcl,ai,ck->ijkl", r, j, j)
+        + np.einsum("ajkd,ai,dl->ijkl", r, j, j)
+        + np.einsum("ibcl,bj,ck->ijkl", r, j, j)
+        + np.einsum("ibkd,bj,dl->ijkl", r, j, j)
+        + np.einsum("ijcd,ck,dl->ijkl", r, j, j)
+    )
+    return r + reference_pullback(r, j) - pairs
+
+
+def conjugated_structure(space):
+    """T J T^-1 for the standard J and an isometry T that mixes J's blocks.
+
+    T acts on the planes (1, 2), (3, 4), ...: a rotation where both
+    directions have one causal type, a boost where the plane is mixed, so
+    on (2, 4) T includes a boost; (0, 6) admits none.
+    """
+    t = np.eye(space.m)
+    for k, i in enumerate(range(1, space.m - 1, 2)):
+        a = 0.4 + 0.3 * k
+        if i < space.p <= i + 1:
+            block = [[np.cosh(a), np.sinh(a)], [np.sinh(a), np.cosh(a)]]
+        else:
+            block = [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
+        t[i : i + 2, i : i + 2] = block
+    j = t @ standard_complex_structure(space).J @ adjoint(space, t)
+    return ComplexStructure(space, j)
+
+
+class TestNonPermutationStructure:
+    """pullback, check_J_invariance and check_gray_identity against einsum
+    references for a J that is no signed permutation, so every entry is a
+    sum of several rounded products."""
+
+    @pytest.fixture(params=[(0, 6), (2, 4)], ids=str)
+    def case(self, request):
+        space = BilinearSpace(*request.param)
+        J = conjugated_structure(space)
+        assert np.count_nonzero(np.abs(J.J) % 1.0) > space.m
+        tensors = [
+            random_algebraic_curvature_tensor(space, 18),
+            combine([(1.0, from_self_adjoint(space, np.eye(space.m))),
+                     (2.0, from_skew_adjoint(space, J.J))]),
+        ]
+        return J, tensors
+
+    @staticmethod
+    def scale(r, j):
+        return float(np.max(np.abs(r))) * float(np.max(np.abs(j))) ** 4
+
+    def test_pullback(self, case):
+        J, tensors = case
+        for r in tensors:
+            got = pullback(r, J.J).coeffs
+            want = reference_pullback(r.coeffs, J.J)
+            assert np.max(np.abs(got - want)) <= 1e-12 * self.scale(r.coeffs, J.J)
+
+    def test_check_J_invariance(self, case):
+        J, tensors = case
+        for r in tensors:
+            want = float(np.max(np.abs(reference_pullback(r.coeffs, J.J) - r.coeffs)))
+            got = check_J_invariance(r, J).max_violation
+            assert abs(got - want) <= 1e-12 * self.scale(r.coeffs, J.J)
+        assert not check_J_invariance(tensors[0], J).passed
+        assert check_J_invariance(tensors[1], J).passed
+
+    def test_check_gray_identity(self, case):
+        J, tensors = case
+        for r in tensors:
+            want = float(np.max(np.abs(reference_gray_difference(r.coeffs, J.J))))
+            got = check_gray_identity(r, J).max_violation
+            assert abs(got - want) <= 1e-12 * self.scale(r.coeffs, J.J)
+        assert not check_gray_identity(tensors[0], J).passed
+        assert check_gray_identity(tensors[1], J).passed
