@@ -164,13 +164,13 @@ def pullback(tensor: CurvatureTensor, t: np.ndarray) -> CurvatureTensor:
 
 def _pullback(r: np.ndarray, t: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
     """Apply T to the given argument slots of r only, e.g. (0, 1) gives R(Tx, Ty, z, w)."""
-    # Each contraction of the leading axis is one matrix product and appends the
-    # new axis last; a contiguous result is cheaper to sum than strided views.
-    k = len(slots)
-    r = np.moveaxis(r, slots, range(k))
-    for _ in slots:
-        r = np.tensordot(r, t, axes=(0, 0))
-    return np.ascontiguousarray(np.moveaxis(r, range(4 - k, 4), slots))
+    # One matrix product per slot, with no transposed copy: slot s is the middle
+    # axis of r viewed as (m^s, m, m^(3-s)), and the last slot multiplies from
+    # the right.
+    m = t.shape[0]
+    for s in slots:
+        r = r @ t if s == 3 else (t.T @ r.reshape(m**s, m, -1)).reshape(r.shape)
+    return r
 
 
 @dataclass(frozen=True)
@@ -203,12 +203,24 @@ def check_gray_identity(
         R(x,y,z,w) + R(Jx,Jy,Jz,Jw) =   R(Jx,Jy,z,w) + R(Jx,y,Jz,w) + R(Jx,y,z,Jw)
                                       + R(x,Jy,Jz,w) + R(x,Jy,z,Jw) + R(x,y,Jz,Jw)
     """
-    r = tensor.coeffs
-    lhs = r + _pullback(r, J.J, (0, 1, 2, 3))
-    rhs = sum(
-        _pullback(r, J.J, slots) for slots in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    )
-    worst, where = _argmax_entry(lhs - rhs)
+    r, t = tensor.coeffs, J.J
+    # Eleven single-slot contractions: the pair terms reuse their first slot,
+    # and the full term extends the (0, 1) term.  Sums run in place and each
+    # shared contraction is dropped after its last use, so at most four m^4
+    # arrays are alive at once.
+    r0 = _pullback(r, t, (0,))
+    rhs = _pullback(r0, t, (1,))
+    lhs = r + _pullback(rhs, t, (2, 3))
+    rhs += _pullback(r0, t, (2,))
+    rhs += _pullback(r0, t, (3,))
+    del r0
+    r1 = _pullback(r, t, (1,))
+    rhs += _pullback(r1, t, (2,))
+    rhs += _pullback(r1, t, (3,))
+    del r1
+    rhs += _pullback(r, t, (2, 3))
+    lhs -= rhs
+    worst, where = _argmax_entry(lhs)
     return InvarianceReport(worst <= tol, worst, where)
 
 

@@ -179,7 +179,8 @@ class JordanInvariants:
     multiplicity; rank_sequences[i] holds the numeric ranks of
     (A - lambda_i I)^k for k = 1..multiplicity.  Together these determine the
     Jordan block structure without constructing an (ill-conditioned) Jordan
-    basis.
+    basis.  A sequence is computed only until its rank stops changing or
+    reaches m - multiplicity; the tail repeats that last rank.
     """
 
     dimension: int
@@ -220,6 +221,10 @@ def jordan_invariants(a: np.ndarray, tol: float = DEFAULT_TOL) -> JordanInvarian
     in one cluster: their computed eigenvalues scatter like sqrt(machine eps)
     times the operator norm.  Rank cutoffs for (A - lambda I)^k are anchored
     to sigma_max(A - lambda I)^k for the same reason.
+
+    Powers stop once the rank is at most m - multiplicity or equals the rank
+    of the previous power; in exact arithmetic it is constant from there on,
+    so the rest of the sequence is padded with the last rank.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -248,14 +253,21 @@ def jordan_invariants(a: np.ndarray, tol: float = DEFAULT_TOL) -> JordanInvarian
         lam = complex(np.mean(group))
         mult = int(group.size)
         shifted = a.astype(complex) - lam * np.eye(m)
-        shifted_scale = float(np.linalg.svd(shifted, compute_uv=False)[0])
-        ranks = []
-        power = np.eye(m, dtype=complex)
+        s = np.linalg.svd(shifted, compute_uv=False)
+        shifted_scale = float(s[0])
+        ranks: list[int] = []
+        power = shifted
         for k in range(1, mult + 1):
-            power = power @ shifted
+            if k > 1:
+                power = power @ shifted
+                s = np.linalg.svd(power, compute_uv=False)
             cutoff = tol * shifted_scale**k
-            s = np.linalg.svd(power, compute_uv=False)
             ranks.append(int(np.count_nonzero(s > cutoff)) if cutoff > 0 else 0)
+            # In exact arithmetic the rank is constant from here on: the
+            # generalised eigenspace is exhausted, or the nullity stopped growing.
+            if ranks[-1] <= m - mult or (k > 1 and ranks[-1] == ranks[-2]):
+                break
+        ranks += [ranks[-1]] * (mult - len(ranks))
         clusters.append((lam, mult))
         rank_sequences.append(tuple(ranks))
 

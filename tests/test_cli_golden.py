@@ -3,10 +3,9 @@
 Each case runs one config through ``curvlab run`` and requires the report body
 (or, for a rejected config, the stderr text) to equal its file in
 ``tests/golden/`` byte for byte, together with the exit code.  The files
-freeze present behaviour, known defects included: the complex-line check on
-``c0 R_Id + c1 R_J`` at (4,4) reports a false "not constant".  A change that
-means to alter a report regenerates the affected file on purpose; any other
-change to the CLI or to the library code behind it must leave every byte.
+freeze present behaviour.  A change that means to alter a report regenerates
+the affected file on purpose; any other change to the CLI or to the library
+code behind it must leave every byte.
 """
 
 from __future__ import annotations
@@ -17,7 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvlab import BilinearSpace, adjoint, check_symmetries
+from curvlab import (
+    BilinearSpace,
+    adjoint,
+    check_symmetries,
+    combine,
+    complex_line,
+    curvature_operator,
+    from_self_adjoint,
+    standard_complex_structure,
+)
 from curvlab.cli import list_builtins, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -91,8 +99,8 @@ CASES = [
              [(1, "phi", "self_adjoint")], ["almost_complex"], 25, 0, 1e-10),
      [], 1),
     # The tensor identity fails (violation 1.21e-10) while every sampled line
-    # passes (worst commutator 7.97e-11), against tol 1e-10: the report still
-    # names the line of the largest commutator.
+    # passes (worst commutator 7.97e-11), against tol 1e-10: the witness line
+    # is null.
     ("almost_complex_tensor_only",
      _config((0, 8), "complex", {"id": {"builtin": "identity"},
                                  "phi": {"matrix": _generic_self_adjoint(8)}},
@@ -112,7 +120,7 @@ CASES = [
      [], 0),
     ("jordan_ip_complex_pair_4_4",
      _config((4, 4), "complex", PAIR_GENERATORS, PAIR_TERMS, ["jordan_ip_complex"], 30, 0, 1e-10),
-     [], 1),
+     [], 0),
     ("jordan_ip_real_identity_2_2",
      _config((2, 2), "none", IDENTITY, ID_TERM, ["jordan_ip_real"], 30, 0, 1e-10), [], 0),
     ("jordan_ip_real_diagonal_4_4",
@@ -213,3 +221,35 @@ def test_config_error_stops_the_run_before_any_check(name, checks, tmp_path, cap
         config = {**config, "checks": checks}
     assert run_case(config, argv, tmp_path, capsys) == (code, golden_path(name, code).read_bytes())
     assert calls == []
+
+
+@pytest.mark.parametrize("name, has_line", [
+    ("almost_complex_generic", True),
+    ("almost_complex_tensor_only", False),
+])
+def test_almost_complex_witness_line_violates(name, has_line, tmp_path, capsys):
+    """A witness line replays to a commutator above tol; a run whose sampled
+    lines all pass names no line."""
+    _, config, argv, code = next(case for case in CASES if case[0] == name)
+    assert run_case(config, argv, tmp_path, capsys)[0] == code
+    result = json.loads((tmp_path / "report.json").read_text())["checks"]["almost_complex"]
+    line = result["witness"]["line"]
+    assert (line is not None) == has_line
+    if line is None:
+        assert result["max_line_commutator"] <= config["tol"]
+        return
+    space = BilinearSpace(*config["signature"])
+    J = standard_complex_structure(space)
+    builtins = {"identity": np.eye(space.m)}
+    generators = {
+        g: np.array(spec["matrix"]) if "matrix" in spec else builtins[spec["builtin"]]
+        for g, spec in config["generators"].items()
+    }
+    tensor = combine([
+        (term["coefficient"], from_self_adjoint(space, generators[term["generator"]]))
+        for term in config["tensor"]
+    ])
+    plane = complex_line(J, np.array(line["x"]))
+    assert np.array_equal(plane.y, np.array(line["y"]))
+    op = curvature_operator(tensor, plane)
+    assert float(np.max(np.abs(J.J @ op - op @ J.J))) > config["tol"]

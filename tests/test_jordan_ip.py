@@ -323,6 +323,18 @@ class TestCheckJordanIPReal:
         assert not report.constant
         assert report.witnesses
 
+    @pytest.mark.parametrize("sig", [(2, 2), (4, 4), (2, 6), (6, 2), (8, 8)], ids=str)
+    def test_metric_tensor_constant_on_every_seed(self, sig):
+        # O(p,q) acts transitively on the planes of each causal type and fixes
+        # R_Id, so no seed may report "not constant"; boosted planes near the
+        # null cone are where a fingerprint that collapses numerically fails.
+        s = BilinearSpace(*sig)
+        r = from_self_adjoint(s, np.eye(s.m))
+        failing = [
+            seed for seed in range(30) if not check_jordan_ip_real(r, n=30, seed=seed).constant
+        ]
+        assert failing == []
+
 
 class TestSpectrumOfJR:
     def test_quaternionic_golden_spectrum(self):

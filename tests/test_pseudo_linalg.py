@@ -4,14 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab import (
+    OPERATOR_TOL,
     BilinearSpace,
     PlaneClass,
     adjoint,
+    build_complex_pair_tensor,
     classify_plane,
+    curvature_operator,
+    from_self_adjoint,
     inner,
     jordan_equivalent,
     jordan_invariants,
     numeric_rank,
+    sample_complex_lines,
+    sample_real_planes,
+    standard_complex_structure,
 )
 
 
@@ -274,3 +281,113 @@ class TestJordanEquivalent:
         b = np.zeros((4, 4))
         b[0, 1] = b[1, 2] = 1.0
         assert not jordan_equivalent(jordan_invariants(a), jordan_invariants(b))
+
+
+def explicit_power_rank_sequences(a, inv, tol):
+    """Reference: numeric ranks of the explicit powers (A - lambda I)^k for
+    every k up to the multiplicity, for the clusters of inv, with the cutoff
+    tol * sigma_max(A - lambda I)^k."""
+    m = a.shape[0]
+    sequences = []
+    for lam, mult in inv.clusters:
+        shifted = a.astype(complex) - lam * np.eye(m)
+        scale = np.linalg.svd(shifted, compute_uv=False)[0]
+        power = np.eye(m, dtype=complex)
+        ranks = []
+        for k in range(1, mult + 1):
+            power = power @ shifted
+            cutoff = tol * scale**k
+            s = np.linalg.svd(power, compute_uv=False)
+            ranks.append(int(np.count_nonzero(s > cutoff)) if cutoff > 0 else 0)
+        sequences.append(tuple(ranks))
+    return tuple(sequences)
+
+
+def jordan_block(lam, n):
+    return lam * np.eye(n) + np.eye(n, k=1)
+
+
+def real_jordan_block(a, b, n):
+    """The real form of J_n(a + ib) + J_n(a - ib), of size 2n."""
+    return np.kron(np.eye(n), np.array([[a, -b], [b, a]])) + np.kron(np.eye(n, k=1), np.eye(2))
+
+
+def block_diagonal(*blocks):
+    m = sum(b.shape[0] for b in blocks)
+    out = np.zeros((m, m))
+    i = 0
+    for b in blocks:
+        out[i : i + b.shape[0], i : i + b.shape[0]] = b
+        i += b.shape[0]
+    return out
+
+
+# (Jordan matrix, sorted (multiplicity, rank sequence) per eigenvalue).
+JORDAN_STRUCTURES = {
+    "nilpotent_3_2_1": (
+        block_diagonal(jordan_block(0, 3), jordan_block(0, 2), jordan_block(0, 1)),
+        [(6, (3, 1, 0, 0, 0, 0))],
+    ),
+    "nilpotent_2_2": (block_diagonal(jordan_block(0, 2), jordan_block(0, 2)), [(4, (2, 0, 0, 0))]),
+    "repeated_2_2_1": (
+        block_diagonal(jordan_block(2, 2), jordan_block(2, 2), jordan_block(2, 1),
+                       jordan_block(-1, 1)),
+        [(1, (5,)), (5, (3, 1, 1, 1, 1))],
+    ),
+    "diagonal_repeated": (np.diag([3.0, 3.0, 3.0, 5.0, 5.0]), [(2, (3, 3)), (3, (2, 2, 2))]),
+    "complex_pair_2_1": (
+        block_diagonal(real_jordan_block(1, 2, 2), real_jordan_block(1, 2, 1)),
+        [(3, (4, 3, 3)), (3, (4, 3, 3))],
+    ),
+    "mixed": (
+        block_diagonal(jordan_block(1, 3), jordan_block(0, 2), real_jordan_block(0, 1, 2)),
+        [(2, (8, 7)), (2, (8, 7)), (2, (8, 7)), (3, (8, 7, 6))],
+    ),
+}
+
+
+class TestRankSequenceEarlyStop:
+    @pytest.mark.parametrize("name", JORDAN_STRUCTURES)
+    def test_matches_explicit_powers(self, name):
+        # A block of size n scatters its computed eigenvalues by about
+        # eps^(1/n) times the scale, so blocks of size 3 cluster only at a
+        # tolerance above 1e-5.
+        tol = 1e-4
+        jordan, expected = JORDAN_STRUCTURES[name]
+        for seed in range(10):
+            t = well_conditioned_map(jordan.shape[0], np.random.default_rng(seed))
+            a = t @ jordan @ np.linalg.inv(t)
+            inv = jordan_invariants(a, tol)
+            assert inv.rank_sequences == explicit_power_rank_sequences(a, inv, tol)
+            assert sorted((mult, seq) for (_, mult), seq in
+                          zip(inv.clusters, inv.rank_sequences)) == expected
+
+    @pytest.mark.parametrize("sig", [(0, 16), (8, 8)], ids=str)
+    def test_svd_calls_per_fingerprint_at_m16(self, sig, monkeypatch):
+        # R_Id: clusters 0 (multiplicity 14) and two simple eigenvalues, one
+        # SVD each plus one for the operator scale.  c0 R_Id + c1 R_J on
+        # complex lines: four clusters, each exhausted at k = 1.
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        line_types = [PlaneClass.SPACELIKE] + ([PlaneClass.TIMELIKE] if space.p else [])
+        real_types = line_types + ([PlaneClass.MIXED] if space.p else [])
+        cases = [
+            (from_self_adjoint(space, np.eye(space.m)), 4,
+             [p for c in real_types for p in sample_real_planes(space, c, 5, 0)]),
+            (build_complex_pair_tensor(J, 1.5, 0.75), 5,
+             [p for c in line_types for p in sample_complex_lines(J, c, 5, 0)]),
+        ]
+        svd = np.linalg.svd
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        for tensor, expected, planes in cases:
+            for plane in planes:
+                op = curvature_operator(tensor, plane)
+                calls.clear()
+                jordan_invariants(op, OPERATOR_TOL)
+                assert len(calls) == expected
