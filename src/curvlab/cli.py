@@ -10,7 +10,8 @@ them, and the checks to run.  Reports carry verdicts, max violations, and
 witness data, echo the seed, and contain no timestamps, so identical inputs
 produce byte-identical report bodies.
 
-Exit codes: 0 all checks pass, 1 any check fails, 2 config or usage error.
+Exit codes: 0 all checks pass, 1 any check fails, 2 config or usage error,
+3 internal error (the console script prints the traceback to stderr).
 """
 
 from __future__ import annotations
@@ -490,7 +491,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    except Exception:
+        import traceback  # only on this path, so a clean run pays no import
+        traceback.print_exc()
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .pseudo_linalg import (
     BilinearSpace,
     _check_matrix,
     _rejection_sample,
-    _unit_nonnull,
+    _unit_line,
     adjoint,
     numeric_rank,
 )
@@ -344,12 +344,11 @@ def check_admissible_pair(
         lines = _rejection_sample(
             n_lines,
             seed,
-            lambda rng: _unit_nonnull(space, rng.standard_normal(space.m)),
+            lambda rng: _unit_line(space, J.J, rng.standard_normal(space.m)),
             "while sampling complex lines",
         )
         min_rank = 4
-        for x in lines:
-            jx = J.J @ x
+        for x, jx, _ in lines:
             stacked = np.column_stack([phi1 @ x, phi1 @ jx, phi2 @ x, phi2 @ jx])
             min_rank = min(min_rank, numeric_rank(stacked, tol))
         ok = ok and min_rank == 4

@@ -30,16 +30,15 @@ from .pseudo_linalg import (
     _cluster_eigenvalues,
     _plane_gram,
     _rejection_sample,
-    _self_inner,
-    _unit_nonnull,
+    _unit_line,
     classify_plane,
     jordan_equivalent,
     jordan_invariants,
 )
 
-# Eigenvalue clouds of nilpotent Jordan blocks scatter like sqrt(machine eps)
-# times the operator norm (about 3e-8), while the eigenvalue gaps of interest
-# are order 0.1 and larger, so the operator-level checks cluster at 1e-6.
+# Nilpotent Jordan blocks of size 2 scatter their eigenvalues by about
+# sqrt(machine eps) times the operator norm (3e-8), while the eigenvalue gaps
+# of interest are order 0.1 and larger, so operator-level checks cluster at 1e-6.
 OPERATOR_TOL = 1e-6
 
 
@@ -64,15 +63,14 @@ class OrientedPlane:
 
 
 def complex_line(J: ComplexStructure, x: np.ndarray) -> OrientedPlane:
-    """The plane span{x, Jx}; requires x non-null, and is spacelike or timelike
-    according to the sign of (x, x)."""
-    space = J.space
-    x = _check_vector(space, x, "x")
-    t, null = _self_inner(space, x)
-    if null:
-        raise ValueError(f"x is null to tolerance ((x,x) = {t:.3e}); the span would be degenerate")
-    cls = PlaneClass.SPACELIKE if t > 0 else PlaneClass.TIMELIKE
-    return OrientedPlane(x, J.J @ x, cls, is_complex_line=True)
+    """The plane span{x, Jx}; requires it non-degenerate by curvature_operator's
+    test, and is spacelike or timelike according to the sign of (x, x)."""
+    x = _check_vector(J.space, x, "x")
+    jx = J.J @ x
+    det, plane_class = _plane_gram(J.space, x, jx)
+    if plane_class is PlaneClass.DEGENERATE:
+        raise ValueError(f"x is null to tolerance (Gram determinant {det:.3e}); the span is degenerate")
+    return OrientedPlane(x, jx, plane_class, is_complex_line=True)
 
 
 def _real_plane_realizable(space: BilinearSpace, causal_type: PlaneClass) -> bool:
@@ -116,9 +114,9 @@ def sample_complex_lines(
 ) -> list[OrientedPlane]:
     """n non-degenerate complex lines span{x, Jx} of the requested causal type.
 
-    x is drawn standard-normal and rescaled to |(x, x)| = 1.  Mixed lines do
-    not exist: (Jx, Jx) = (x, x), so a complex line inherits the causal type
-    of x.
+    x is drawn standard-normal and rescaled to |(x, x)| = 1; a line is kept
+    exactly when curvature_operator accepts it.  Mixed lines do not exist:
+    (Jx, Jx) = (x, x), so a complex line inherits the causal type of x.
     """
     space = J.space
     if causal_type not in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE):
@@ -130,8 +128,10 @@ def sample_complex_lines(
     positive = causal_type is PlaneClass.SPACELIKE
 
     def draw(rng: np.random.Generator) -> OrientedPlane | None:
-        x = _unit_nonnull(space, rng.standard_normal(space.m), positive)
-        return None if x is None else complex_line(J, x)
+        line = _unit_line(space, J.J, rng.standard_normal(space.m), positive)
+        if line is None or line[2] is not causal_type:
+            return None
+        return OrientedPlane(*line, is_complex_line=True)
 
     return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} lines")
 
@@ -381,7 +381,7 @@ def spectrum_of_JR(
         raise SpectrumStructureError(f"non-real eigenvalue of J R(pi), imaginary part {worst_imag:.3e}")
 
     pairs: list[tuple[float, int]] = []
-    for group in _cluster_eigenvalues(np.sort(evals.real), threshold):
+    for group in _cluster_eigenvalues(np.sort(evals.real), threshold)[0]:
         lam = float(np.mean(group))
         mult = int(group.size)
         if mult % 2 != 0:

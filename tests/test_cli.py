@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvlab import BilinearSpace, adjoint, standard_complex_structure
-from curvlab.cli import CHECK_NAMES, list_builtins, main
+from curvlab.cli import CHECK_NAMES, entry, list_builtins, main
 
 
 def write_config(tmp_path, name, cfg):
@@ -208,6 +208,21 @@ class TestChecks:
         config = write_config(tmp_path, "cfg.json", quaternionic_config(checks=["spectrum"]))
         with pytest.raises(TypeError, match="not a spectrum error"):
             main(["run", config, "--quiet"])
+
+    def test_internal_error_exits_three_with_traceback(self, tmp_path, monkeypatch, capsys):
+        # main() lets the exception propagate (see above); the console script
+        # turns it into exit code 3, apart from a failed check (1).
+        def broken(*args, **kwargs):
+            raise RuntimeError("internal failure")
+
+        monkeypatch.setattr("curvlab.cli.check_symmetries", broken)
+        config = write_config(tmp_path, "cfg.json", quaternionic_config(checks=["symmetries"]))
+        monkeypatch.setattr("sys.argv", ["curvlab", "run", config, "--quiet"])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: internal failure" in err
 
     def test_nilpotent_pair_builtins(self, tmp_path):
         cfg = {

@@ -30,6 +30,7 @@ from curvlab import (
     standard_complex_structure,
     standard_quaternion_structure,
 )
+from test_curvature import conjugated_structure
 
 
 def e(m, i):
@@ -240,6 +241,30 @@ class TestCheckAlmostComplex:
         plane = plane_of(s, e(4, 0), e(4, 1))
         with pytest.raises(ValueError, match="complex line"):
             check_almost_complex(r, J, [plane])
+
+
+class TestSampledLinesNeverRejected:
+    # The line samplers accept a line exactly when curvature_operator's
+    # plane-Gram test does, so no sampled line may raise "degenerate plane".
+    # Lines near the null cone, |x|^2 >> |(x, x)| = 1, are where a different
+    # test in the sampler would let one through.
+    @staticmethod
+    def assemble_every_line(J, seeds):
+        r = from_self_adjoint(J.space, np.eye(J.space.m))
+        for seed in seeds:
+            for causal_type in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE):
+                for line in sample_complex_lines(J, causal_type, 100, seed):
+                    curvature_operator(r, line)
+
+    @pytest.mark.parametrize("sig", [(2, 2), (4, 4), (2, 6), (6, 2), (8, 8)], ids=str)
+    def test_standard_structure_every_seed(self, sig):
+        self.assemble_every_line(standard_complex_structure(BilinearSpace(*sig)), range(30))
+
+    def test_structure_that_changes_euclidean_length(self):
+        J = conjugated_structure(BilinearSpace(2, 4))
+        x = np.arange(1.0, 7.0)
+        assert abs(np.linalg.norm(J.J @ x) - np.linalg.norm(x)) > 0.1
+        self.assemble_every_line(J, range(30))
 
 
 class TestCheckJordanIP:

@@ -20,6 +20,7 @@ from curvlab import (
     sample_real_planes,
     standard_complex_structure,
 )
+from curvlab.pseudo_linalg import _cluster_eigenvalues
 
 
 def e(m, i):
@@ -391,3 +392,83 @@ class TestRankSequenceEarlyStop:
                 calls.clear()
                 jordan_invariants(op, OPERATOR_TOL)
                 assert len(calls) == expected
+
+
+def union_find_clusters(evals, threshold):
+    """Reference: single-linkage clusters by union-find over every eigenvalue
+    pair, grouped by root in order of first member, and the factor-of-10 band
+    test over every pair."""
+    n = evals.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(evals[i] - evals[j]) <= threshold:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    ambiguous = False
+    if threshold > 0:
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = abs(evals[i] - evals[j])
+                if threshold / 10.0 < d < threshold * 10.0:
+                    ambiguous = True
+    return [evals[idx] for idx in groups.values()], ambiguous
+
+
+def planted_clusters(seed):
+    """Complex eigenvalues jittered by at most 1e-9 around 1 to 5 centres,
+    shuffled, with threshold 1e-6."""
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal(rng.integers(1, 6)) + 1j * rng.standard_normal(1)
+    sizes = rng.integers(1, 5, centres.size)
+    evals = np.repeat(centres, sizes) + 1e-9 * (
+        rng.uniform(-1, 1, sizes.sum()) + 1j * rng.uniform(-1, 1, sizes.sum())
+    )
+    return rng.permutation(evals), 1e-6
+
+
+CLUSTERING_CASES = {
+    **{f"planted_{seed}": planted_clusters(seed) for seed in range(8)},
+    # a-b and b-c within the threshold, a-c beyond it, in every index order.
+    **{f"chain_{order}": (np.array([0.0, 0.9, 1.8])[list(order)].astype(complex), 1.0)
+       for order in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 0, 1))},
+    # A chain of 12 links that needs every squaring, shuffled, plus a stray.
+    "long_chain": (np.append(np.random.default_rng(1).permutation(np.arange(12) * 0.9), 50.0), 1.0),
+    "repeated": (np.array([2.0, 1.0, 2.0, 1.0, 2.0, 3.0]) + 0j, 1e-8),
+    "threshold_zero": (np.array([1.0, 1.0, 1.0 + 1e-15, 2.0, 1.0]) + 0j, 0.0),
+    "single": (np.array([0.5 + 0.5j]), 1e-6),
+    "empty": (np.empty(0, dtype=complex), 1e-6),
+    "band_only": (np.array([1.0, 1.0 + 5e-8, 3.0]), 1e-8),
+    # Sorted real eigenvalues, as spectrum_of_JR passes them.
+    **{f"sorted_real_{seed}": (np.sort(np.random.default_rng(seed).choice(
+        [-4.0, 4.0, 7.0], 12) + 1e-9 * np.random.default_rng(seed).standard_normal(12)), 1e-6)
+       for seed in range(4)},
+}
+
+
+class TestClusterEigenvalues:
+    @pytest.mark.parametrize("name", CLUSTERING_CASES)
+    def test_matches_union_find(self, name):
+        evals, threshold = CLUSTERING_CASES[name]
+        groups, ambiguous = _cluster_eigenvalues(evals, threshold)
+        ref_groups, ref_ambiguous = union_find_clusters(evals, threshold)
+        assert ambiguous == ref_ambiguous
+        assert len(groups) == len(ref_groups)
+        for got, want in zip(groups, ref_groups):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_chain_is_one_cluster(self):
+        groups, ambiguous = _cluster_eigenvalues(np.array([0.0, 1.8, 0.9]), 1.0)
+        assert [g.tolist() for g in groups] == [[0.0, 1.8, 0.9]]
+        assert ambiguous
