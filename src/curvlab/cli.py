@@ -89,11 +89,16 @@ def list_builtins() -> str:
     return "\n".join(lines)
 
 
+def _has_type(value: Any, kind) -> bool:
+    """isinstance, except that no config field takes a bool: JSON true is not 1."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _require(cfg: dict, field: str, kind, where: str = "config") -> Any:
     if field not in cfg:
         raise ConfigError(f"{where}: missing required field '{field}'")
     value = cfg[field]
-    if not isinstance(value, kind):
+    if not _has_type(value, kind):
         wanted = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise ConfigError(f"{where}.{field}: expected {wanted}, got {type(value).__name__}")
     return value
@@ -348,7 +353,7 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
         raise ConfigError("config: top level must be a JSON object")
 
     signature = _require(cfg, "signature", list)
-    if len(signature) != 2 or not all(isinstance(v, int) for v in signature):
+    if len(signature) != 2 or not all(_has_type(v, int) for v in signature):
         raise ConfigError("config.signature: expected [p, q] with integer entries")
     structure = cfg.get("structure", "none")
     if not isinstance(structure, str):
@@ -356,11 +361,11 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
     samples = args.samples if args.samples is not None else cfg.get("samples", 100)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     tol = args.tol if args.tol is not None else cfg.get("tol", 1e-10)
-    if not isinstance(samples, int) or samples < 1:
+    if not _has_type(samples, int) or samples < 1:
         raise ConfigError("config.samples: expected a positive integer")
-    if not isinstance(seed, int):
+    if not _has_type(seed, int):
         raise ConfigError("config.seed: expected an integer")
-    if not isinstance(tol, (int, float)) or not tol > 0:
+    if not _has_type(tol, (int, float)) or not tol > 0:
         raise ConfigError("config.tol: expected a positive number")
     tol = float(tol)
 

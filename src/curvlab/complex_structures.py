@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .pseudo_linalg import (
+    DEFAULT_TOL,
     BilinearSpace,
     _check_matrix,
     _rejection_sample,
@@ -26,6 +27,12 @@ from .pseudo_linalg import (
 )
 
 _ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _block_diagonal(space: BilinearSpace, block: np.ndarray) -> np.ndarray:
+    """Copies of block down the diagonal of an m x m matrix; + 0.0 turns the
+    -0.0 of kron's zero-times-negative products into 0.0."""
+    return np.kron(np.eye(space.m // block.shape[0]), block) + 0.0
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -51,13 +58,12 @@ class ComplexStructure:
                 f"signature ({self.space.p}, {self.space.q}) admits no pseudo-Hermitian "
                 "complex structure; both counts must be even"
             )
-        m = self.space.m
-        tol = self.space.tol
-        square_residual = _max_abs(J @ J + np.eye(m))
-        if square_residual > tol * max(1.0, _max_abs(J) ** 2):
+        bound = DEFAULT_TOL * max(1.0, _max_abs(J) ** 2)
+        square_residual = _max_abs(J @ J + np.eye(self.space.m))
+        if square_residual > bound:
             raise ValueError(f"J^2 != -Id, max residual {square_residual:.3e}")
         isometry_residual = _max_abs(J.T @ self.space.gram @ J - self.space.gram)
-        if isometry_residual > tol * max(1.0, _max_abs(J) ** 2):
+        if isometry_residual > bound:
             raise ValueError(f"J is not an isometry, max residual {isometry_residual:.3e}")
 
 
@@ -79,8 +85,7 @@ class QuaternionStructure:
         for name in ("i", "j", "k"):
             units[name] = _check_matrix(self.space, getattr(self, name), name)
             object.__setattr__(self, name, units[name])
-        m, tol = self.space.m, self.space.tol
-        eye = np.eye(m)
+        eye = np.eye(self.space.m)
         checks = {
             "i^2 = -Id": units["i"] @ units["i"] + eye,
             "j^2 = -Id": units["j"] @ units["j"] + eye,
@@ -95,7 +100,7 @@ class QuaternionStructure:
             checks[f"{name} isometry"] = u.T @ self.space.gram @ u - self.space.gram
         for label, residual in checks.items():
             r = _max_abs(residual)
-            if r > tol * 10:
+            if r > DEFAULT_TOL * 10:
                 raise ValueError(f"quaternion relation {label} fails, max residual {r:.3e}")
 
     @property
@@ -112,10 +117,7 @@ def standard_complex_structure(space: BilinearSpace) -> ComplexStructure:
         raise ValueError(
             f"timelike count p = {space.p} is odd; blocks must pair equal causal types"
         )
-    J = np.zeros((space.m, space.m))
-    for b in range(space.m // 2):
-        J[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = _ROT2
-    return ComplexStructure(space, J)
+    return ComplexStructure(space, _block_diagonal(space, _ROT2))
 
 
 # Left multiplication by the quaternion units on H = span{1, i, j, k}.
@@ -149,13 +151,9 @@ def standard_quaternion_structure(space: BilinearSpace) -> QuaternionStructure:
         raise ValueError(f"dimension {space.m} is not divisible by 4")
     if space.p % 4 != 0:
         raise ValueError(f"timelike count p = {space.p} must be 0 or divisible by 4")
-    mats = {}
-    for name, block in (("i", _LEFT_I), ("j", _LEFT_J), ("k", _LEFT_K)):
-        u = np.zeros((space.m, space.m))
-        for b in range(space.m // 4):
-            u[4 * b : 4 * b + 4, 4 * b : 4 * b + 4] = block
-        mats[name] = u
-    return QuaternionStructure(space, mats["i"], mats["j"], mats["k"])
+    return QuaternionStructure(
+        space, *(_block_diagonal(space, block) for block in (_LEFT_I, _LEFT_J, _LEFT_K))
+    )
 
 
 def nilpotent_null_pair(space: BilinearSpace) -> np.ndarray:
@@ -216,7 +214,7 @@ class SquareType(Enum):
     NONE = "none"
 
 
-def classify_square(phi: np.ndarray, space: BilinearSpace, tol: float | None = None) -> SquareType:
+def classify_square(phi: np.ndarray, space: BilinearSpace, tol: float = DEFAULT_TOL) -> SquareType:
     """Which of phi^2 = +Id, phi^2 = -Id, or phi^2 = 0 with ker = range holds.
 
     The nilpotent verdict additionally requires rank m/2 and that the columns
@@ -224,8 +222,6 @@ def classify_square(phi: np.ndarray, space: BilinearSpace, tol: float | None = N
     kernel and range to coincide.
     """
     phi = _check_matrix(space, phi, "phi")
-    if tol is None:
-        tol = space.tol
     m = space.m
     scale = max(1.0, _max_abs(phi) ** 2)
     square = phi @ phi
@@ -255,13 +251,11 @@ class AdmissibilityReport:
 
 
 def check_admissible(
-    phi: np.ndarray, J: ComplexStructure, tol: float | None = None
+    phi: np.ndarray, J: ComplexStructure, tol: float = DEFAULT_TOL
 ) -> AdmissibilityReport:
     """Classify phi against the adjoint/commutation and square conditions."""
     space = J.space
     phi = _check_matrix(space, phi, "phi")
-    if tol is None:
-        tol = space.tol
     scale = max(1.0, _max_abs(phi))
     star = adjoint(space, phi)
     residuals = {
@@ -300,7 +294,7 @@ def check_admissible_pair(
     J: ComplexStructure,
     n_lines: int = 100,
     seed: int = 0,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> PairReport:
     """Check the pair conditions: phi1 commutes with J, phi2 anti-commutes,
     phi1* phi2 + phi2* phi1 = 0, and (when both squares vanish) the images of
@@ -312,8 +306,6 @@ def check_admissible_pair(
     are rejected before any pair test runs.
     """
     space = J.space
-    if tol is None:
-        tol = space.tol
     rep1 = check_admissible(phi1, J, tol)
     rep2 = check_admissible(phi2, J, tol)
     if not rep1.admissible:

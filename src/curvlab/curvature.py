@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .complex_structures import ComplexStructure
-from .pseudo_linalg import BilinearSpace, _check_matrix, _check_vector, adjoint
+from .pseudo_linalg import DEFAULT_TOL, BilinearSpace, _check_matrix, _check_vector, adjoint
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,21 +57,21 @@ def _argmax_entry(a: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(abs(a[idx])), tuple(int(i) for i in idx)
 
 
-def _bilinear_matrix(space: BilinearSpace, phi: np.ndarray) -> np.ndarray:
-    """B[i, j] = (phi e_i, e_j); symmetric iff phi is self-adjoint."""
-    return phi.T * space.signs[None, :]
-
-
-def _checked_generator(space: BilinearSpace, phi: np.ndarray, sign: int) -> np.ndarray:
-    """phi as a float matrix, after checking phi* = sign * phi to tolerance."""
+def _generator_tensor(space: BilinearSpace, phi: np.ndarray, sign: int) -> CurvatureTensor:
+    """R_phi for phi* = sign * phi, which is checked to DEFAULT_TOL; the skew
+    case subtracts 2 (phi x, y)(phi z, w) last, in place."""
     phi = _check_matrix(space, phi, "phi")
     worst, where = _argmax_entry(phi - sign * adjoint(space, phi))
-    if worst > space.tol * max(1.0, float(np.max(np.abs(phi)))):
+    if worst > DEFAULT_TOL * max(1.0, float(np.max(np.abs(phi)))):
         kind, op = ("self", "-") if sign > 0 else ("skew", "+")
         raise ValueError(
             f"phi is not {kind}-adjoint: |phi {op} phi*| = {worst:.3e} at entry {where}"
         )
-    return phi
+    b = phi.T * space.signs[None, :]  # B[i, j] = (phi e_i, e_j)
+    coeffs = np.einsum("bc,ad->abcd", b, b) - np.einsum("ac,bd->abcd", b, b)
+    if sign < 0:
+        coeffs -= 2.0 * np.einsum("ab,cd->abcd", b, b)
+    return CurvatureTensor(space, coeffs)
 
 
 def from_self_adjoint(space: BilinearSpace, phi: np.ndarray) -> CurvatureTensor:
@@ -81,20 +81,12 @@ def from_self_adjoint(space: BilinearSpace, phi: np.ndarray) -> CurvatureTensor:
     pseudo-sphere; more generally this is the Gauss-equation tensor of a
     hypersurface with shape operator phi.
     """
-    b = _bilinear_matrix(space, _checked_generator(space, phi, 1))
-    coeffs = np.einsum("bc,ad->abcd", b, b) - np.einsum("ac,bd->abcd", b, b)
-    return CurvatureTensor(space, coeffs)
+    return _generator_tensor(space, phi, 1)
 
 
 def from_skew_adjoint(space: BilinearSpace, phi: np.ndarray) -> CurvatureTensor:
     """Curvature tensor (phi y, z)(phi x, w) - (phi x, z)(phi y, w) - 2 (phi x, y)(phi z, w)."""
-    b = _bilinear_matrix(space, _checked_generator(space, phi, -1))
-    coeffs = (
-        np.einsum("bc,ad->abcd", b, b)
-        - np.einsum("ac,bd->abcd", b, b)
-        - 2.0 * np.einsum("ab,cd->abcd", b, b)
-    )
-    return CurvatureTensor(space, coeffs)
+    return _generator_tensor(space, phi, -1)
 
 
 def combine(terms: Iterable[tuple[float, CurvatureTensor]]) -> CurvatureTensor:

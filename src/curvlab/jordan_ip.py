@@ -204,7 +204,6 @@ class JordanIPReport:
     invariants_by_type: dict[PlaneClass, JordanInvariants]
     witness: tuple[OrientedPlane, OrientedPlane] | None
     seed: int
-    samples_per_type: int
 
 
 def check_jordan_ip(
@@ -235,7 +234,6 @@ def check_jordan_ip(
         invariants_by_type=invariants_by_type,
         witness=None if constant else (planes[0], offender),
         seed=seed,
-        samples_per_type=n,
     )
 
 
@@ -253,7 +251,6 @@ class RealJordanIPReport:
     witnesses: dict[PlaneClass, tuple[OrientedPlane, OrientedPlane]]
     rank_type_independent: bool
     seed: int
-    samples_per_type: int
 
     @property
     def constant(self) -> bool:
@@ -296,7 +293,6 @@ def check_jordan_ip_real(
         witnesses=witnesses,
         rank_type_independent=len(set(rank_by_type.values())) == 1,
         seed=seed,
-        samples_per_type=n,
     )
 
 
@@ -389,9 +385,9 @@ def spectrum_of_JR(
                 f"eigenvalue {lam:.6g} has odd real multiplicity {mult}"
             )
         shifted = k - lam * np.eye(m)
-        u, s, vt = np.linalg.svd(shifted)
+        _, s, vt = np.linalg.svd(shifted)
         cutoff = tol * max(1.0, float(s[0]))
-        basis = vt[s <= cutoff].T if np.any(s <= cutoff) else vt[m:].T
+        basis = vt[s <= cutoff].T
         if basis.shape[1] != mult:
             raise SpectrumStructureError(
                 f"eigenvalue {lam:.6g} is defective: eigenspace dimension "
@@ -458,29 +454,25 @@ def solve_constants(spec: SpectrumSpec, model: SpectrumModel) -> tuple[float, ..
     return (c0, c1, c2, 0.0)
 
 
+def _identity_plus_skew(
+    space: BilinearSpace, c0: float, units: list[tuple[float, np.ndarray]]
+) -> CurvatureTensor:
+    """c0 R_Id + sum_i c_i R_{u_i} for skew-adjoint units u_i."""
+    return combine(
+        [(c0, from_self_adjoint(space, np.eye(space.m)))]
+        + [(c, from_skew_adjoint(space, u)) for c, u in units]
+    )
+
+
 def build_complex_pair_tensor(
     J: ComplexStructure, c0: float, c1: float
 ) -> CurvatureTensor:
     """c0 R_Id + c1 R_J over the space carried by J."""
-    space = J.space
-    return combine(
-        [
-            (c0, from_self_adjoint(space, np.eye(space.m))),
-            (c1, from_skew_adjoint(space, J.J)),
-        ]
-    )
+    return _identity_plus_skew(J.space, c0, [(c1, J.J)])
 
 
 def build_quaternionic_tensor(
     quat: QuaternionStructure, c0: float, c1: float, c2: float, c3: float
 ) -> CurvatureTensor:
     """c0 R_Id + c1 R_i + c2 R_j + c3 R_k over the space carried by the structure."""
-    space = quat.space
-    return combine(
-        [
-            (c0, from_self_adjoint(space, np.eye(space.m))),
-            (c1, from_skew_adjoint(space, quat.i)),
-            (c2, from_skew_adjoint(space, quat.j)),
-            (c3, from_skew_adjoint(space, quat.k)),
-        ]
-    )
+    return _identity_plus_skew(quat.space, c0, [(c1, quat.i), (c2, quat.j), (c3, quat.k)])

@@ -1,9 +1,10 @@
 """Inner products of arbitrary signature, adjoints, plane types, and Jordan invariants.
 
-Vectors and linear maps are plain numpy arrays; a :class:`BilinearSpace`
-carries the signature, the diagonal Gram matrix, and the numeric tolerance
-shared by the operations below.  Everything here is a pure function over
-immutable values, so concurrent use needs no locking.
+Vectors and linear maps are plain numpy arrays; a :class:`BilinearSpace` is
+its signature, which fixes the diagonal Gram matrix.  Non-degeneracy and the
+generator and structure checks all use the one constant ``DEFAULT_TOL``.
+Everything here is a pure function over immutable values, so concurrent use
+needs no locking.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -32,20 +33,19 @@ class BilinearSpace:
     """R^(p,q): p timelike directions (inner product -1) then q spacelike (+1).
 
     The Gram matrix is fixed to diag(-1,...,-1,+1,...,+1); this standard model
-    loses no generality and keeps adjoints explicit.
+    loses no generality and keeps adjoints explicit.  ``tol`` is the constant
+    DEFAULT_TOL, so two spaces of one signature are equal.
     """
 
     p: int
     q: int
-    tol: float = DEFAULT_TOL
+    tol: ClassVar[float] = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         if self.p < 0 or self.q < 0:
             raise ValueError(f"signature counts must be nonnegative, got ({self.p}, {self.q})")
         if self.m < 2:
             raise ValueError(f"dimension p + q = {self.m} must be at least 2")
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
 
     @property
     def m(self) -> int:
@@ -99,12 +99,12 @@ def adjoint(space: BilinearSpace, a: np.ndarray) -> np.ndarray:
 
 def _plane_gram(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> tuple[float, PlaneClass]:
     """Restricted Gram determinant of span{x, y} for checked vectors, and the
-    causal type it gives; DEGENERATE when |det| <= tol |x|^2 |y|^2."""
+    causal type it gives; DEGENERATE when |det| <= DEFAULT_TOL |x|^2 |y|^2."""
     # x.dot(y) makes the same BLAS call as x @ y with half the overhead.
     sy = space.signs * y
     xx, xy, yy = float(x.dot(space.signs * x)), float(x.dot(sy)), float(y.dot(sy))
     det = xx * yy - xy * xy
-    if abs(det) <= space.tol * (float(x.dot(x)) * float(y.dot(y))):
+    if abs(det) <= DEFAULT_TOL * (float(x.dot(x)) * float(y.dot(y))):
         return det, PlaneClass.DEGENERATE
     if det < 0:
         return det, PlaneClass.MIXED

@@ -108,6 +108,28 @@ class TestRunExitCodes:
         config = write_config(tmp_path, "cfg.json", cfg)
         assert main(["run", config]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("signature", [True, 3], "config.signature: expected [p, q] with integer entries"),
+            ("signature", [0, True], "config.signature: expected [p, q] with integer entries"),
+            ("samples", True, "config.samples: expected a positive integer"),
+            ("seed", False, "config.seed: expected an integer"),
+            ("tol", True, "config.tol: expected a positive number"),
+            ("coefficient", True, "config.tensor[0].coefficient: expected int/float, got bool"),
+        ],
+    )
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, field, value, message):
+        # bool is a subclass of int, so JSON true would otherwise pass as 1.
+        cfg = quaternionic_config()
+        if field == "coefficient":
+            cfg["tensor"][0]["coefficient"] = value
+        else:
+            cfg[field] = value
+        config = write_config(tmp_path, "cfg.json", cfg)
+        assert main(["run", config]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_constructor_precondition_violation_exits_two(self, tmp_path, capsys):
         cfg = quaternionic_config()
         cfg["tensor"][1]["constructor"] = "self_adjoint"  # quat_i is skew-adjoint

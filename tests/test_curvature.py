@@ -9,6 +9,8 @@ from curvlab import (
     CurvatureTensor,
     adjoint,
     apply_pair,
+    build_complex_pair_tensor,
+    build_quaternionic_tensor,
     check_gray_identity,
     check_J_invariance,
     check_symmetries,
@@ -378,3 +380,81 @@ class TestNonPermutationStructure:
             assert abs(got - want) <= 1e-12 * self.scale(r.coeffs, J.J)
         assert not check_gray_identity(tensors[0], J).passed
         assert check_gray_identity(tensors[1], J).passed
+
+
+# References: each constructor formula written out in full, and each standard
+# structure placed block by block.  The library must match them to the bit, the
+# sign of zeros included.
+def reference_generator_tensor(space, phi, sign):
+    b = phi.T * space.signs[None, :]
+    if sign > 0:
+        return np.einsum("bc,ad->abcd", b, b) - np.einsum("ac,bd->abcd", b, b)
+    return (
+        np.einsum("bc,ad->abcd", b, b)
+        - np.einsum("ac,bd->abcd", b, b)
+        - 2.0 * np.einsum("ab,cd->abcd", b, b)
+    )
+
+
+def reference_blocks(space, block):
+    n = block.shape[0]
+    u = np.zeros((space.m, space.m))
+    for b in range(space.m // n):
+        u[n * b : n * b + n, n * b : n * b + n] = block
+    return u
+
+
+REFERENCE_ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+REFERENCE_QUAT = [
+    np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float),
+    np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float),
+    np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float),
+]
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("sig", [(0, 4), (2, 2), (4, 4), (0, 8), (8, 8), (0, 32)])
+class TestBitwiseReferences:
+    def test_constructors(self, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        rng = np.random.default_rng(sum(sig))
+        for sign, phis in (
+            (1, [np.eye(space.m), self_adjoint_part(space, rng.standard_normal((space.m,) * 2))]),
+            (-1, [J.J, skew_adjoint_part(space, rng.standard_normal((space.m,) * 2))]),
+        ):
+            build = from_self_adjoint if sign > 0 else from_skew_adjoint
+            for phi in phis:
+                want = reference_generator_tensor(space, phi, sign)
+                assert_same_bits(build(space, phi).coeffs, want)
+
+    def test_standard_structures(self, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        assert_same_bits(J.J, reference_blocks(space, REFERENCE_ROT2))
+        if sig[0] % 4 == 0:
+            quat = standard_quaternion_structure(space)
+            for got, block in zip((quat.i, quat.j, quat.k), REFERENCE_QUAT):
+                assert_same_bits(got, reference_blocks(space, block))
+
+    def test_build_tensors(self, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        r_id = CurvatureTensor(space, reference_generator_tensor(space, np.eye(space.m), 1))
+        r_j = CurvatureTensor(space, reference_generator_tensor(space, J.J, -1))
+        for c0, c1 in ((1.5, -0.75), (-2.0, 0.0)):
+            want = combine([(c0, r_id), (c1, r_j)]).coeffs
+            assert_same_bits(build_complex_pair_tensor(J, c0, c1).coeffs, want)
+        if sig[0] % 4 == 0:
+            quat = standard_quaternion_structure(space)
+            units = [
+                CurvatureTensor(space, reference_generator_tensor(space, u, -1))
+                for u in (quat.i, quat.j, quat.k)
+            ]
+            for cs in ((1.0, 2.0, 8.0, 0.0), (-0.5, 0.0, -3.0, 1.25)):
+                want = combine([(cs[0], r_id)] + list(zip(cs[1:], units))).coeffs
+                assert_same_bits(build_quaternionic_tensor(quat, *cs).coeffs, want)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab import (
+    DEFAULT_TOL,
     OPERATOR_TOL,
     BilinearSpace,
     PlaneClass,
@@ -45,9 +48,15 @@ class TestBilinearSpace:
         with pytest.raises(ValueError):
             BilinearSpace(-1, 3)
 
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            BilinearSpace(0, 2, tol=0.0)
+    def test_tolerance_is_a_fixed_constant(self):
+        # A space is its signature: tol is DEFAULT_TOL, not a field.
+        s = BilinearSpace(0, 2)
+        assert s.tol == DEFAULT_TOL == 1e-8
+        assert s == BilinearSpace(0, 2)
+        with pytest.raises(TypeError):
+            BilinearSpace(0, 2, tol=1e-9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.tol = 1e-9
 
 
 class TestInner:
