@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .complex_structures import ComplexStructure, QuaternionStructure
-from .curvature import CurvatureTensor, apply_pair, combine, from_self_adjoint, from_skew_adjoint
+from .curvature import CurvatureTensor, apply_pairs, combine, from_self_adjoint, from_skew_adjoint
 from .pseudo_linalg import (
     BilinearSpace,
     JordanInvariants,
@@ -40,6 +40,11 @@ from .pseudo_linalg import (
 # sqrt(machine eps) times the operator norm (3e-8), while the eigenvalue gaps
 # of interest are order 0.1 and larger, so operator-level checks cluster at 1e-6.
 OPERATOR_TOL = 1e-6
+
+# Planes per matrix product in curvature_operators: large enough that one GEMM
+# amortises the pass over the m^4 coefficients, small enough that a block of
+# operators (2 MB at m = 64) keeps peak memory flat in the sample size.
+_BLOCK = 64
 
 
 class SpectrumStructureError(ValueError):
@@ -136,15 +141,34 @@ def sample_complex_lines(
     return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} lines")
 
 
+def curvature_operators(
+    tensor: CurvatureTensor, planes: Sequence[OrientedPlane]
+) -> Iterator[np.ndarray]:
+    """R(pi) for the planes in order, lazily, as (k, m, m) stacks of at most
+    _BLOCK operators, each stack assembled by one apply_pairs product.
+
+    The planes of a block are checked in order before it is assembled; the
+    first degenerate one raises ValueError.
+    """
+    space = tensor.space
+    for start in range(0, len(planes), _BLOCK):
+        xs, ys, dets = [], [], []
+        for plane in planes[start : start + _BLOCK]:
+            x = _check_vector(space, plane.x, "x")
+            y = _check_vector(space, plane.y, "y")
+            det, plane_class = _plane_gram(space, x, y)
+            if plane_class is PlaneClass.DEGENERATE:
+                raise ValueError(f"degenerate plane: restricted Gram determinant {det:.3e}")
+            xs.append(x)
+            ys.append(y)
+            dets.append(det)
+        ops = apply_pairs(tensor, np.array(xs), np.array(ys))
+        yield ops / np.sqrt(np.abs(dets))[:, None, None]
+
+
 def curvature_operator(tensor: CurvatureTensor, plane: OrientedPlane) -> np.ndarray:
     """R(pi): the pair contraction R(x, y) normalized by the plane's Gram determinant."""
-    space = tensor.space
-    x = _check_vector(space, plane.x, "x")
-    y = _check_vector(space, plane.y, "y")
-    det, plane_class = _plane_gram(space, x, y)
-    if plane_class is PlaneClass.DEGENERATE:
-        raise ValueError(f"degenerate plane: restricted Gram determinant {det:.3e}")
-    return apply_pair(tensor, x, y) / np.sqrt(abs(det))
+    return next(curvature_operators(tensor, [plane]))[0]
 
 
 @dataclass(frozen=True)
@@ -160,24 +184,34 @@ def check_almost_complex(
     planes: list[OrientedPlane],
     tol: float = 1e-10,
 ) -> AlmostComplexReport:
-    """Whether J R(pi) = R(pi) J on every given complex line."""
-    worst = 0.0
-    witness: OrientedPlane | None = None
-    for plane in planes:
-        if not plane.is_complex_line:
-            raise ValueError("check_almost_complex requires complex lines")
-        op = curvature_operator(tensor, plane)
-        comm = float(np.max(np.abs(J.J @ op - op @ J.J)))
-        if comm > worst:
-            worst = comm
-            witness = plane
-    return AlmostComplexReport(worst <= tol, worst, witness if worst > tol else None)
+    """Whether J R(pi) = R(pi) J on every given complex line.
+
+    The witness is the first line of the largest commutator, when that
+    exceeds tol.  A plane that is not a complex line, or a degenerate one,
+    raises ValueError; the first such plane decides which.
+    """
+    j = J.J
+    # Only the planes ahead of the first one that is not a complex line are
+    # assembled; a degenerate plane among them raises first, as it would in a
+    # line-by-line check.
+    bad = next((i for i, plane in enumerate(planes) if not plane.is_complex_line), None)
+    comms = [np.zeros(0)]
+    for ops in curvature_operators(tensor, planes[:bad]):
+        comms.append(np.abs(j @ ops - ops @ j).max(axis=(1, 2)))
+    if bad is not None:
+        raise ValueError("check_almost_complex requires complex lines")
+    comms = np.concatenate(comms)
+    worst = float(comms.max(initial=0.0))
+    witness = planes[int(comms.argmax())] if worst > tol else None
+    return AlmostComplexReport(worst <= tol, worst, witness)
 
 
 def _anchored_fingerprints(
     tensor: CurvatureTensor, planes: list[OrientedPlane], tol: float
 ) -> Iterator[tuple[OrientedPlane, JordanInvariants, OrientedPlane | None]]:
-    """Fingerprint R(pi) on each plane in order, lazily.
+    """Fingerprint R(pi) on each plane in order, lazily; operators are
+    assembled one block at a time, so a consumer that stops early wastes at
+    most one block of assembly.
 
     Each fingerprint is compared with the first plane's until one differs;
     every item carries that first offending plane once found, None before.
@@ -186,8 +220,9 @@ def _anchored_fingerprints(
     """
     anchor: JordanInvariants | None = None
     offender: OrientedPlane | None = None
-    for plane in planes:
-        inv = jordan_invariants(curvature_operator(tensor, plane), tol)
+    ops = (op for block in curvature_operators(tensor, planes) for op in block)
+    for plane, op in zip(planes, ops):
+        inv = jordan_invariants(op, tol)
         if anchor is None:
             anchor = inv
         elif offender is None and not jordan_equivalent(anchor, inv, tol):
@@ -365,7 +400,7 @@ def spectrum_of_JR(
     op_scale = float(svals[0]) if svals.size else 0.0
     threshold = tol * max(1.0, op_scale)
 
-    comm = float(np.max(np.abs(j @ op - op @ j)))
+    comm = float(np.max(np.abs(k - op @ j)))
     if comm > threshold:
         raise SpectrumStructureError(
             f"R(pi) does not commute with J (residual {comm:.3e}); tensor is not almost complex"

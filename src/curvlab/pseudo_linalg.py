@@ -173,7 +173,8 @@ class JordanInvariants:
     """Computable fingerprint of a Jordan normal form.
 
     clusters pairs each eigenvalue representative with its algebraic
-    multiplicity; rank_sequences[i] holds the numeric ranks of
+    multiplicity, ordered by real then imaginary part as rounded to multiples
+    of the clustering threshold; rank_sequences[i] holds the numeric ranks of
     (A - lambda_i I)^k for k = 1..multiplicity.  Together these determine the
     Jordan block structure without constructing an (ill-conditioned) Jordan
     basis.  A sequence is computed only until its rank stops changing or
@@ -249,7 +250,12 @@ def jordan_invariants(a: np.ndarray, tol: float = DEFAULT_TOL) -> JordanInvarian
         clusters.append((lam, mult))
         rank_sequences.append(tuple(ranks))
 
-    order = sorted(range(len(clusters)), key=lambda i: (clusters[i][0].real, clusters[i][0].imag))
+    # Order on both parts rounded to multiples of the clustering threshold, so
+    # that noise far below it, such as the +-1e-16 real parts of a skew
+    # operator's eigenvalues, cannot reorder the clusters; raw values break ties.
+    unit = tol * op_scale or 1.0
+    keys = [(np.rint(z.real / unit), np.rint(z.imag / unit), z.real, z.imag) for z, _ in clusters]
+    order = sorted(range(len(clusters)), key=keys.__getitem__)
     return JordanInvariants(
         dimension=m,
         clusters=tuple(clusters[i] for i in order),
@@ -262,8 +268,8 @@ def jordan_invariants(a: np.ndarray, tol: float = DEFAULT_TOL) -> JordanInvarian
 def jordan_equivalent(a: JordanInvariants, b: JordanInvariants, tol: float = DEFAULT_TOL) -> bool:
     """Whether two invariant fingerprints describe the same Jordan normal form.
 
-    Eigenvalue clusters are paired greedily by nearest neighbour after sorting
-    by (real, imaginary) parts; paired clusters must agree in eigenvalue
+    Eigenvalue clusters are paired greedily by nearest neighbour, in the order
+    jordan_invariants gives them; paired clusters must agree in eigenvalue
     (within tol relative to the spectral scale), multiplicity, and rank
     sequence.
     """

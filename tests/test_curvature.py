@@ -9,6 +9,7 @@ from curvlab import (
     CurvatureTensor,
     adjoint,
     apply_pair,
+    apply_pairs,
     build_complex_pair_tensor,
     build_quaternionic_tensor,
     check_gray_identity,
@@ -458,3 +459,66 @@ class TestBitwiseReferences:
             for cs in ((1.0, 2.0, 8.0, 0.0), (-0.5, 0.0, -3.0, 1.25)):
                 want = combine([(cs[0], r_id)] + list(zip(cs[1:], units))).coeffs
                 assert_same_bits(build_quaternionic_tensor(quat, *cs).coeffs, want)
+
+
+# The single-pair contraction that apply_pair evaluated before operators were
+# assembled by one matrix product; kept as the reference for apply_pairs.
+def reference_apply_pair(tensor, x, y):
+    return tensor.space.gram @ np.einsum("a,b,abcd->cd", x, y, tensor.coeffs).T
+
+
+@pytest.mark.parametrize("sig", [(0, 4), (2, 2), (4, 4), (0, 8), (8, 8), (0, 32)])
+class TestApplyPairsReference:
+    @staticmethod
+    def tensors(space):
+        """Constructor, combined and random tensors, and one built from a non-contiguous array."""
+        J = standard_complex_structure(space)
+        rng = np.random.default_rng(space.m)
+        r_id = from_self_adjoint(space, np.eye(space.m))
+        r_j = from_skew_adjoint(space, J.J)
+        out = [
+            r_id,
+            r_j,
+            from_self_adjoint(space, self_adjoint_part(space, rng.standard_normal((space.m,) * 2))),
+            combine([(1.5, r_id), (-0.75, r_j)]),
+            build_complex_pair_tensor(J, 0.5, 2.0),
+            random_algebraic_curvature_tensor(space, rng),
+            CurvatureTensor(space, random_algebraic_curvature_tensor(space, 3).coeffs.transpose(2, 3, 0, 1)),
+        ]
+        if space.p % 4 == 0:
+            out.append(build_quaternionic_tensor(standard_quaternion_structure(space), 1, 2, 8, 0))
+        return out
+
+    def test_matches_einsum_contraction(self, sig):
+        # The matrix product sums in another order than the einsum, so the two
+        # agree to rounding, not bitwise.  Each sum is rounded at the scale of
+        # its terms, the contraction of |x|, |y| and |R|; against that scale
+        # the difference stays below 1e-15 (measured at most 5.5e-16).
+        space = BilinearSpace(*sig)
+        rng = np.random.default_rng(sum(sig) + 1)
+        xs, ys = rng.standard_normal((2, 20, space.m))
+        for r in self.tensors(space):
+            got = apply_pairs(r, xs, ys)
+            assert got.shape == (20, space.m, space.m)
+            for x, y, op in zip(xs, ys, got):
+                want = reference_apply_pair(r, x, y)
+                terms = np.einsum("a,b,abcd->dc", np.abs(x), np.abs(y), np.abs(r.coeffs))
+                assert np.all(np.abs(op - want) <= 1e-15 * terms)
+            assert np.array_equal(apply_pair(r, xs[0], ys[0]), apply_pairs(r, xs[:1], ys[:1])[0])
+
+    def test_coefficients_are_c_contiguous(self, sig):
+        # A C-ordered array gives the (m^2, m^2) view that apply_pairs multiplies
+        # by without copying it.
+        space = BilinearSpace(*sig)
+        m = space.m
+        for r in self.tensors(space):
+            assert r.coeffs.flags.c_contiguous
+            assert np.shares_memory(r.coeffs.reshape(m * m, m * m), r.coeffs)
+
+
+def test_apply_pairs_rejects_mismatched_rows():
+    r = from_self_adjoint(BilinearSpace(0, 4), np.eye(4))
+    with pytest.raises(ValueError, match="expected"):
+        apply_pairs(r, np.ones((3, 4)), np.ones((2, 4)))
+    with pytest.raises(ValueError, match="expected"):
+        apply_pairs(r, np.ones(4), np.ones(4))

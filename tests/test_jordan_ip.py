@@ -4,6 +4,7 @@ import pytest
 from curvlab import (
     BilinearSpace,
     CurvatureTensor,
+    OrientedPlane,
     PlaneClass,
     SpectrumModel,
     SpectrumSpec,
@@ -30,7 +31,8 @@ from curvlab import (
     standard_complex_structure,
     standard_quaternion_structure,
 )
-from test_curvature import conjugated_structure
+from curvlab.pseudo_linalg import _plane_gram
+from test_curvature import conjugated_structure, reference_apply_pair
 
 
 def e(m, i):
@@ -135,7 +137,7 @@ class TestCurvatureOperator:
         r = from_self_adjoint(s, np.eye(4))
         plane = complex_line(standard_complex_structure(s), e(4, 0))
         op = curvature_operator(r, plane)
-        assert np.allclose(op, apply_pair_reference(r, e(4, 0), e(4, 1)))
+        assert np.allclose(op, reference_apply_pair(r, e(4, 0), e(4, 1)))
         assert np.allclose(op @ e(4, 0), -e(4, 1))
 
     def test_normalization_divides_out_scale(self):
@@ -200,12 +202,6 @@ def plane_of(space, x, y):
     return OrientedPlane(np.asarray(x, float), np.asarray(y, float), classify_plane(space, x, y))
 
 
-def apply_pair_reference(tensor, x, y):
-    from curvlab import apply_pair
-
-    return apply_pair(tensor, x, y)
-
-
 class TestCheckAlmostComplex:
     def test_metric_tensor(self):
         s = BilinearSpace(0, 4)
@@ -241,6 +237,76 @@ class TestCheckAlmostComplex:
         plane = plane_of(s, e(4, 0), e(4, 1))
         with pytest.raises(ValueError, match="complex line"):
             check_almost_complex(r, J, [plane])
+
+
+# check_almost_complex as a loop over the lines, one einsum contraction per
+# line: the form it had before the operators of a sample were assembled in
+# blocks by one matrix product each.
+def reference_line_commutators(tensor, J, planes):
+    comms = []
+    for plane in planes:
+        if not plane.is_complex_line:
+            raise ValueError("check_almost_complex requires complex lines")
+        det, plane_class = _plane_gram(tensor.space, plane.x, plane.y)
+        if plane_class is PlaneClass.DEGENERATE:
+            raise ValueError(f"degenerate plane: restricted Gram determinant {det:.3e}")
+        op = reference_apply_pair(tensor, plane.x, plane.y) / np.sqrt(abs(det))
+        comms.append(float(np.max(np.abs(J.J @ op - op @ J.J))))
+    return comms
+
+
+def reference_check_almost_complex(tensor, J, planes, tol):
+    worst, witness = 0.0, None
+    for plane, comm in zip(planes, reference_line_commutators(tensor, J, planes)):
+        if comm > worst:
+            worst, witness = comm, plane
+    return worst, witness if worst > tol else None
+
+
+class TestCheckAlmostComplexReference:
+    # 150 lines span three blocks of curvature_operators.
+    @pytest.mark.parametrize("sig", [(0, 6), (2, 4), (4, 4), (0, 32)], ids=str)
+    def test_same_maximum_and_witness(self, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        rng = np.random.default_rng(sum(sig))
+        phi = rng.standard_normal((space.m, space.m))
+        r = from_self_adjoint(space, 0.5 * (phi + adjoint(space, phi)))
+        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 150, seed=sig[0])
+        comms = sorted(reference_line_commutators(r, J, lines))
+        # The maximum is unique by far more than rounding, so both must name one line.
+        assert comms[-2] < (1 - 1e-10) * comms[-1]
+        worst, witness = reference_check_almost_complex(r, J, lines, 1e-10)
+        report = check_almost_complex(r, J, lines)
+        assert not report.passed
+        assert abs(report.max_commutator - worst) <= 1e-14 * worst
+        assert report.witness is witness
+
+    def test_passing_tensor_passes_both(self):
+        quat = standard_quaternion_structure(BilinearSpace(0, 32))
+        r = build_quaternionic_tensor(quat, 1, 2, 8, 0)
+        lines = sample_complex_lines(quat.as_complex, PlaneClass.SPACELIKE, 150, seed=3)
+        worst, witness = reference_check_almost_complex(r, quat.as_complex, lines, 1e-10)
+        report = check_almost_complex(r, quat.as_complex, lines)
+        assert report.passed and witness is None and report.witness is None
+        assert max(worst, report.max_commutator) <= 1e-12
+
+    @pytest.mark.parametrize("non_complex_at, degenerate_at", [(70, 100), (100, 70), (0, 149), (149, 0)])
+    def test_first_bad_plane_decides_the_error(self, non_complex_at, degenerate_at):
+        space = BilinearSpace(2, 2)
+        J = standard_complex_structure(space)
+        r = build_complex_pair_tensor(J, 1.0, 0.5)
+        mixed = sample_complex_lines(J, PlaneClass.SPACELIKE, 150, seed=4)
+        mixed[non_complex_at] = plane_of(space, e(4, 0), e(4, 1))
+        null = e(4, 0) + e(4, 2)
+        mixed[degenerate_at] = OrientedPlane(null, J.J @ null, PlaneClass.SPACELIKE, True)
+        with pytest.raises(ValueError) as want:
+            reference_check_almost_complex(r, J, mixed, 1e-10)
+        expected = "complex lines" if non_complex_at < degenerate_at else "degenerate plane"
+        assert expected in str(want.value)
+        with pytest.raises(ValueError) as got:
+            check_almost_complex(r, J, mixed)
+        assert str(got.value) == str(want.value)
 
 
 class TestSampledLinesNeverRejected:

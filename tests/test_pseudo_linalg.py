@@ -243,6 +243,29 @@ class TestJordanInvariants:
         assert not jordan_invariants(np.diag([1.0, 2.0]), 1e-8).clustering_ambiguous
         assert not jordan_invariants(np.eye(3), 1e-8).clustering_ambiguous
 
+    def test_cluster_order_survives_noise_below_the_threshold(self):
+        # The eigenvalues of a skew operator have real parts of +-1e-16, pure
+        # noise; sorting on the raw parts let that noise reorder the clusters
+        # (157 of these 300 cases before the parts were rounded to multiples of
+        # the clustering threshold).  Skew-adjoint noise of 1e-14 max|op| keeps
+        # the operator skew and must keep every cluster in place.
+        space = BilinearSpace(4, 4)
+        J = standard_complex_structure(space)
+        tensor = build_complex_pair_tensor(J, 1.5, 0.75)
+        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 150, 0)
+        lines += sample_complex_lines(J, PlaneClass.TIMELIKE, 150, 1)
+        rng = np.random.default_rng(0)
+        for line in lines:
+            op = curvature_operator(tensor, line)
+            noise = rng.standard_normal(op.shape)
+            noise -= adjoint(space, noise)
+            noise *= 1e-14 * np.max(np.abs(op)) / np.max(np.abs(noise))
+            a = np.array([lam for lam, _ in jordan_invariants(op, OPERATOR_TOL).clusters])
+            b = np.array([lam for lam, _ in jordan_invariants(op + noise, OPERATOR_TOL).clusters])
+            assert a.shape == b.shape
+            # Each cluster is nearest its own counterpart.
+            assert np.array_equal(np.abs(a[:, None] - b[None, :]).argmin(axis=1), np.arange(a.size))
+
 
 def well_conditioned_map(m, rng):
     # Random orthogonal factors with singular values in [0.5, 2]: condition <= 4.
