@@ -39,6 +39,7 @@ from .curvature import (
     check_J_invariance,
     check_symmetries,
     combine,
+    CurvatureTensor,
     from_self_adjoint,
     from_skew_adjoint,
 )
@@ -56,7 +57,7 @@ from .jordan_ip import (
     solve_constants,
     spectrum_of_JR,
 )
-from .pseudo_linalg import BilinearSpace, JordanInvariants
+from .pseudo_linalg import DEFAULT_TOL, BilinearSpace, JordanInvariants
 
 SCHEMA_VERSION = 1
 
@@ -260,7 +261,7 @@ def _spectrum(tensor, J, samples, seed, tol, **_) -> dict:
     except ValueError as exc:
         return {"pass": False, "error": str(exc)}
     anchor = spectra[0]
-    consistent = all(anchor.matches(s, max(tol, 1e-8)) for s in spectra[1:])
+    consistent = all(anchor.matches(s, max(tol, DEFAULT_TOL)) for s in spectra[1:])
     return {
         "pass": consistent,
         "consistent": consistent,
@@ -313,7 +314,7 @@ def _solve_constants(tensor, J, space, seed, tol, **_) -> dict:
             coeffs = solve_constants(measured, model)
             rebuilt = build_complex_pair_tensor(J, *coeffs)
         round_trip = spectrum_of_JR(rebuilt, J, plane)
-        passed = measured.matches(round_trip, max(tol, 1e-8))
+        passed = measured.matches(round_trip, max(tol, DEFAULT_TOL))
     except ValueError as exc:
         return {"pass": False, "error": str(exc)}
     return {
@@ -382,9 +383,12 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
     }
 
     tensor_terms = _require(cfg, "tensor", list)
-    terms = []
-    tensor_generator_names: list[str] = []
-    for idx, term in enumerate(tensor_terms):
+    if not tensor_terms:
+        raise ConfigError("config.tensor: needs at least one term")
+    # Looked up per run, so that wrappers put on this module's names see the calls.
+    constructors = {"self_adjoint": from_self_adjoint, "skew_adjoint": from_skew_adjoint}
+
+    def tensor_term(idx: int, term: Any) -> tuple[float, CurvatureTensor]:
         where = f"config.tensor[{idx}]"
         if not isinstance(term, dict):
             raise ConfigError(f"{where}: expected an object")
@@ -393,17 +397,14 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
         constructor = _require(term, "constructor", str, where)
         if gen_name not in generators:
             raise ConfigError(f"{where}.generator: '{gen_name}' is not declared in generators")
-        if constructor not in ("self_adjoint", "skew_adjoint"):
-            raise ConfigError(f"{where}.constructor: expected self_adjoint or skew_adjoint")
-        build = from_self_adjoint if constructor == "self_adjoint" else from_skew_adjoint
+        if constructor not in constructors:
+            raise ConfigError(f"{where}.constructor: expected {' or '.join(constructors)}")
         try:
-            terms.append((float(coeff), build(space, generators[gen_name])))
+            return float(coeff), constructors[constructor](space, generators[gen_name])
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        tensor_generator_names.append(gen_name)
-    if not terms:
-        raise ConfigError("config.tensor: needs at least one term")
-    tensor = combine(terms)
+
+    tensor = combine(tensor_term(idx, term) for idx, term in enumerate(tensor_terms))
 
     check_names = _require(cfg, "checks", list)
     for name in check_names:
@@ -426,7 +427,7 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
         if CHECKS[name][0] and J is None:
             raise ConfigError(f"config.checks: '{name}' needs structure complex or quaternion")
     if "admissible_pair" in check_names:
-        pair_names = pair_names or list(dict.fromkeys(tensor_generator_names))[:2]
+        pair_names = pair_names or list(dict.fromkeys(t["generator"] for t in tensor_terms))[:2]
         if len(pair_names) != 2:
             raise ConfigError(
                 "config.pair: admissible_pair needs two generators, either via 'pair' "

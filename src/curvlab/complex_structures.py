@@ -306,6 +306,8 @@ def check_admissible_pair(
     are rejected before any pair test runs.
     """
     space = J.space
+    phi1 = _check_matrix(space, phi1, "phi1")
+    phi2 = _check_matrix(space, phi2, "phi2")
     rep1 = check_admissible(phi1, J, tol)
     rep2 = check_admissible(phi2, J, tol)
     if not rep1.admissible:
@@ -313,8 +315,6 @@ def check_admissible_pair(
     if not rep2.admissible:
         raise ValueError(f"phi2 is not admissible: {rep2.admissible_class.value}, {rep2.square_type.value}")
 
-    phi1 = _check_matrix(space, phi1, "phi1")
-    phi2 = _check_matrix(space, phi2, "phi2")
     scale = max(1.0, _max_abs(phi1), _max_abs(phi2))
     residuals = {
         "phi1_commute_J": rep1.residuals["commute_J"],

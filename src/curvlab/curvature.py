@@ -20,13 +20,14 @@ Coefficients are stored as a dense, C-contiguous m^4 array with no symmetry
 compression, which keeps every entry inspectable; at m = 32, the largest size
 audited so far, one tensor takes 8 MB.  C order makes the (m^2, m^2) view that
 operator assembly multiplies by, and the slot views of the pullback, free of
-copies.
+copies.  :func:`combine` sums its terms one at a time, and `curvlab run` hands
+them over one at a time, so only the combined tensor is alive while checks run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -60,8 +61,8 @@ def _argmax_entry(a: np.ndarray) -> tuple[float, tuple[int, ...]]:
 
 
 def _generator_tensor(space: BilinearSpace, phi: np.ndarray, sign: int) -> CurvatureTensor:
-    """R_phi for phi* = sign * phi, which is checked to DEFAULT_TOL; the skew
-    case subtracts 2 (phi x, y)(phi z, w) last, in place."""
+    """R_phi for phi* = sign * phi, which is checked to DEFAULT_TOL; the later
+    outer products are subtracted in place, 2 (phi x, y)(phi z, w) last."""
     phi = _check_matrix(space, phi, "phi")
     worst, where = _argmax_entry(phi - sign * adjoint(space, phi))
     if worst > DEFAULT_TOL * max(1.0, float(np.max(np.abs(phi)))):
@@ -70,7 +71,8 @@ def _generator_tensor(space: BilinearSpace, phi: np.ndarray, sign: int) -> Curva
             f"phi is not {kind}-adjoint: |phi {op} phi*| = {worst:.3e} at entry {where}"
         )
     b = phi.T * space.signs[None, :]  # B[i, j] = (phi e_i, e_j)
-    coeffs = np.einsum("bc,ad->abcd", b, b, order="C") - np.einsum("ac,bd->abcd", b, b, order="C")
+    coeffs = np.einsum("bc,ad->abcd", b, b, order="C")
+    coeffs -= np.einsum("ac,bd->abcd", b, b, order="C")
     if sign < 0:
         coeffs -= 2.0 * np.einsum("ab,cd->abcd", b, b, order="C")
     return CurvatureTensor(space, coeffs)
@@ -92,18 +94,21 @@ def from_skew_adjoint(space: BilinearSpace, phi: np.ndarray) -> CurvatureTensor:
 
 
 def combine(terms: Iterable[tuple[float, CurvatureTensor]]) -> CurvatureTensor:
-    """Entrywise linear combination sum_i c_i R_i; all tensors must share one space."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("combine needs at least one (coefficient, tensor) term")
-    space = terms[0][1].space
-    coeffs = np.zeros_like(terms[0][1].coeffs)
+    """Entrywise linear combination sum_i c_i R_i; all tensors must share one space.
+
+    Each term is added in place, as it arrives, to one zero-initialised array: a
+    generator of terms need not keep the earlier ones, and 0.0 + c R clears -0.0."""
+    space = coeffs = None
     for c, tensor in terms:
-        if tensor.space != space:
+        if space is None:
+            space, coeffs = tensor.space, np.zeros_like(tensor.coeffs)
+        elif tensor.space != space:
             raise ValueError(
                 f"space mismatch: ({tensor.space.p}, {tensor.space.q}) vs ({space.p}, {space.q})"
             )
-        coeffs = coeffs + float(c) * tensor.coeffs
+        coeffs += float(c) * tensor.coeffs
+    if space is None:
+        raise ValueError("combine needs at least one (coefficient, tensor) term")
     return CurvatureTensor(space, coeffs)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -206,28 +206,23 @@ def check_almost_complex(
     return AlmostComplexReport(worst <= tol, worst, witness)
 
 
-def _anchored_fingerprints(
+def _fingerprints(
     tensor: CurvatureTensor, planes: list[OrientedPlane], tol: float
-) -> Iterator[tuple[OrientedPlane, JordanInvariants, OrientedPlane | None]]:
-    """Fingerprint R(pi) on each plane in order, lazily; operators are
-    assembled one block at a time, so a consumer that stops early wastes at
-    most one block of assembly.
+) -> Iterator[JordanInvariants]:
+    """Fingerprints of R(pi) on the planes in order, lazily: a consumer that
+    stops early wastes at most one block of operator assembly."""
+    for ops in curvature_operators(tensor, planes):
+        yield from (jordan_invariants(op, tol) for op in ops)
 
-    Each fingerprint is compared with the first plane's until one differs;
-    every item carries that first offending plane once found, None before.
-    Equivalence is transitive, so agreement with the anchor is agreement
-    with every other plane.
-    """
-    anchor: JordanInvariants | None = None
-    offender: OrientedPlane | None = None
-    ops = (op for block in curvature_operators(tensor, planes) for op in block)
-    for plane, op in zip(planes, ops):
-        inv = jordan_invariants(op, tol)
-        if anchor is None:
-            anchor = inv
-        elif offender is None and not jordan_equivalent(anchor, inv, tol):
-            offender = plane
-        yield plane, inv, offender
+
+def _first_offender(
+    anchor: JordanInvariants, rest: Iterable[JordanInvariants], tol: float
+) -> int | None:
+    """Index, counting the anchor as 0, of the first of rest that is not
+    equivalent to the anchor, or None; rest is read no further.  Equivalence is
+    transitive, so agreeing with the anchor is agreeing with every plane."""
+    found = (i for i, inv in enumerate(rest, 1) if not jordan_equivalent(anchor, inv, tol))
+    return next(found, None)
 
 
 @dataclass(frozen=True)
@@ -258,16 +253,17 @@ def check_jordan_ip(
     if tensor.space.p >= 2:
         planes += sample_complex_lines(J, PlaneClass.TIMELIKE, n, seed + 1)
 
+    invariants = list(_fingerprints(tensor, planes, tol))
     invariants_by_type: dict[PlaneClass, JordanInvariants] = {}
-    offender = None
-    for plane, inv, offender in _anchored_fingerprints(tensor, planes, tol):
+    for plane, inv in zip(planes, invariants):
         invariants_by_type.setdefault(plane.plane_class, inv)
+    offender = _first_offender(invariants[0], invariants[1:], tol)
     constant = offender is None
     return JordanIPReport(
         constant=constant,
-        rank=invariants_by_type[planes[0].plane_class].total_rank if constant else None,
+        rank=invariants[0].total_rank if constant else None,
         invariants_by_type=invariants_by_type,
-        witness=None if constant else (planes[0], offender),
+        witness=None if constant else (planes[0], planes[offender]),
         seed=seed,
     )
 
@@ -307,22 +303,18 @@ def check_jordan_ip_real(
             for t in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE, PlaneClass.MIXED)
             if _real_plane_realizable(space, t)
         ]
-    constant_by_type: dict[PlaneClass, bool] = {}
-    rank_by_type: dict[PlaneClass, int] = {}
     invariants_by_type: dict[PlaneClass, JordanInvariants] = {}
     witnesses: dict[PlaneClass, tuple[OrientedPlane, OrientedPlane]] = {}
     for offset, causal_type in enumerate(types):
         planes = sample_real_planes(space, causal_type, n, seed + offset)
-        fingerprints = _anchored_fingerprints(tensor, planes, tol)
-        _, anchor, _ = next(fingerprints)
-        invariants_by_type[causal_type] = anchor
-        rank_by_type[causal_type] = anchor.total_rank
-        offender = next((off for _, _, off in fingerprints if off is not None), None)
-        constant_by_type[causal_type] = offender is None
+        fingerprints = _fingerprints(tensor, planes, tol)
+        anchor = invariants_by_type[causal_type] = next(fingerprints)
+        offender = _first_offender(anchor, fingerprints, tol)
         if offender is not None:
-            witnesses[causal_type] = (planes[0], offender)
+            witnesses[causal_type] = (planes[0], planes[offender])
+    rank_by_type = {t: inv.total_rank for t, inv in invariants_by_type.items()}
     return RealJordanIPReport(
-        constant_by_type=constant_by_type,
+        constant_by_type={t: t not in witnesses for t in invariants_by_type},
         rank_by_type=rank_by_type,
         invariants_by_type=invariants_by_type,
         witnesses=witnesses,
@@ -492,11 +484,10 @@ def solve_constants(spec: SpectrumSpec, model: SpectrumModel) -> tuple[float, ..
 def _identity_plus_skew(
     space: BilinearSpace, c0: float, units: list[tuple[float, np.ndarray]]
 ) -> CurvatureTensor:
-    """c0 R_Id + sum_i c_i R_{u_i} for skew-adjoint units u_i."""
-    return combine(
-        [(c0, from_self_adjoint(space, np.eye(space.m)))]
-        + [(c, from_skew_adjoint(space, u)) for c, u in units]
-    )
+    """c0 R_Id + sum_i c_i R_{u_i} for skew-adjoint units u_i, one term at a time."""
+    terms = [(c0, from_self_adjoint, np.eye(space.m))]
+    terms += [(c, from_skew_adjoint, u) for c, u in units]
+    return combine((c, build(space, phi)) for c, build, phi in terms)
 
 
 def build_complex_pair_tensor(

@@ -1,9 +1,10 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from curvlab import BilinearSpace, adjoint, standard_complex_structure
+from curvlab import BilinearSpace, adjoint, cli, curvature, standard_complex_structure
 from curvlab.cli import CHECK_NAMES, entry, list_builtins, main
 
 
@@ -130,12 +131,43 @@ class TestRunExitCodes:
         assert main(["run", config]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_empty_tensor_exits_two(self, tmp_path, capsys):
+        config = write_config(tmp_path, "cfg.json", quaternionic_config(tensor=[]))
+        assert main(["run", config]) == 2
+        assert capsys.readouterr().err == "config error: config.tensor: needs at least one term\n"
+
     def test_constructor_precondition_violation_exits_two(self, tmp_path, capsys):
         cfg = quaternionic_config()
         cfg["tensor"][1]["constructor"] = "self_adjoint"  # quat_i is skew-adjoint
         config = write_config(tmp_path, "cfg.json", cfg)
         assert main(["run", config]) == 2
         assert "self-adjoint" in capsys.readouterr().err
+
+
+class TestTermTensorsReleased:
+    def test_no_term_tensor_alive_while_checks_run(self, tmp_path, monkeypatch):
+        # Every constructor goes through _generator_tensor; a check patched
+        # into the table counts how many of its tensors are still alive.
+        refs, alive = [], []
+        build = curvature._generator_tensor
+
+        def recording(*args):
+            tensor = build(*args)
+            refs.append(weakref.ref(tensor))
+            return tensor
+
+        needs, symmetries = cli.CHECKS["symmetries"]
+
+        def probe(**context):
+            alive.append(sum(ref() is not None for ref in refs))
+            return symmetries(**context)
+
+        monkeypatch.setattr(curvature, "_generator_tensor", recording)
+        monkeypatch.setitem(cli.CHECKS, "symmetries", (needs, probe))
+        config = write_config(tmp_path, "cfg.json", quaternionic_config(checks=["symmetries"]))
+        assert main(["run", config, "--quiet"]) == 0
+        assert len(refs) == 4
+        assert alive == [0]
 
 
 class TestDeterminism:

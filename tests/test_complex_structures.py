@@ -265,6 +265,12 @@ class TestCheckAdmissiblePair:
         assert not rep.admissible
         assert rep.residuals["phi2_anticommute_J"] > 0.5
 
+    @pytest.mark.parametrize("which", ["phi1", "phi2"])
+    def test_wrong_shape_is_reported_under_its_name(self, which):
+        pair = {"phi1": np.eye(8), "phi2": self.quat.j, which: np.eye(6)}
+        with pytest.raises(ValueError, match=rf"^{which} has shape \(6, 6\), expected \(8, 8\)$"):
+            check_admissible_pair(pair["phi1"], pair["phi2"], self.J)
+
     def test_rejects_non_admissible_member(self):
         phi = np.random.default_rng(1).standard_normal((8, 8))
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,40 @@ class TestCombine:
         r2 = random_algebraic_curvature_tensor(BilinearSpace(1, 2), 0)
         with pytest.raises(ValueError, match="space mismatch"):
             combine([(1.0, r1), (1.0, r2)])
+
+    @pytest.mark.parametrize("terms", [[], iter(())], ids=["list", "iterator"])
+    def test_needs_a_term(self, terms):
+        with pytest.raises(ValueError, match="combine needs at least one"):
+            combine(terms)
+
+    def test_sum_clears_negative_zeros(self):
+        s = BilinearSpace(0, 4)
+        r = CurvatureTensor(s, -from_self_adjoint(s, np.eye(4)).coeffs)
+        assert np.signbit(r.coeffs[r.coeffs == 0]).all()
+        out = combine([(1.0, r)])
+        assert np.array_equal(out.coeffs, r.coeffs)
+        assert not np.signbit(out.coeffs[out.coeffs == 0]).any()
+
+    def test_generator_terms_are_not_kept(self):
+        # When combine asks for the next term, it may still hold the one in
+        # hand, but no earlier one.
+        s = BilinearSpace(0, 4)
+        refs, older_alive = [], []
+
+        def term(seed):
+            r = random_algebraic_curvature_tensor(s, seed)
+            refs.append(weakref.ref(r))
+            return 0.5 + seed, r
+
+        def terms():
+            for seed in range(5):
+                older_alive.append(sum(ref() is not None for ref in refs[:-1]))
+                yield term(seed)
+
+        out = combine(terms())
+        assert older_alive == [0, 0, 0, 0, 0]
+        assert all(ref() is None for ref in refs)
+        assert np.array_equal(out.coeffs, combine([term(seed) for seed in range(5)]).coeffs)
 
 
 SIGNATURES = [(0, 4), (0, 6), (1, 3), (2, 2), (2, 4)]

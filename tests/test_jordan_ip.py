@@ -31,6 +31,7 @@ from curvlab import (
     standard_complex_structure,
     standard_quaternion_structure,
 )
+from curvlab import jordan_ip
 from curvlab.pseudo_linalg import _plane_gram
 from test_curvature import conjugated_structure, reference_apply_pair
 
@@ -425,6 +426,61 @@ class TestCheckJordanIPReal:
             seed for seed in range(30) if not check_jordan_ip_real(r, n=30, seed=seed).constant
         ]
         assert failing == []
+
+
+class TestFingerprintCalls:
+    """How many fingerprints and equivalence tests each Jordan check makes.
+
+    The sample is staged: the first plane is repeated, so the first
+    fingerprint that differs from the anchor is at a known index.
+    """
+
+    OFFENDER = 5
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        original = getattr(jordan_ip, name)
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(jordan_ip, name, counting)
+        return calls
+
+    def stage(self, monkeypatch, sampler, planes):
+        staged = [planes[0]] * self.OFFENDER + planes[1:]
+        monkeypatch.setattr(jordan_ip, sampler, lambda *args, **kwargs: list(staged))
+        return staged
+
+    def test_real_check_stops_at_its_offender(self, monkeypatch):
+        s = BilinearSpace(0, 5)
+        r = random_algebraic_curvature_tensor(s, 42)
+        planes = sample_real_planes(s, PlaneClass.SPACELIKE, 20, 0)
+        staged = self.stage(monkeypatch, "sample_real_planes", planes)
+        invariants = self.count(monkeypatch, "jordan_invariants")
+        equivalent = self.count(monkeypatch, "jordan_equivalent")
+        report = check_jordan_ip_real(r, n=20, seed=0, types=[PlaneClass.SPACELIKE])
+        assert report.witnesses[PlaneClass.SPACELIKE] == (staged[0], staged[self.OFFENDER])
+        assert len(invariants) == self.OFFENDER + 1
+        assert len(equivalent) == self.OFFENDER
+
+    def test_complex_check_fingerprints_every_line(self, monkeypatch):
+        # {Id, C} gives an almost complex tensor whose operator moves from
+        # line to line (see TestCheckJordanIP).
+        s = BilinearSpace(0, 6)
+        J = standard_complex_structure(s)
+        r = combine([(1.0, from_self_adjoint(s, np.eye(6))),
+                     (1.0, from_self_adjoint(s, conjugation_map(6)))])
+        planes = sample_complex_lines(J, PlaneClass.SPACELIKE, 20, 0)
+        staged = self.stage(monkeypatch, "sample_complex_lines", planes)
+        invariants = self.count(monkeypatch, "jordan_invariants")
+        equivalent = self.count(monkeypatch, "jordan_equivalent")
+        report = check_jordan_ip(r, J, n=20, seed=0)
+        assert report.witness == (staged[0], staged[self.OFFENDER])
+        assert len(invariants) == len(staged)
+        assert len(equivalent) == self.OFFENDER
 
 
 class TestSpectrumOfJR:
