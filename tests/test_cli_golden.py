@@ -68,6 +68,14 @@ IDENTITY = {"id": {"builtin": "identity"}}
 ID_TERM = [(1, "id", "self_adjoint")]
 
 
+def _without(config: dict, field: str) -> dict:
+    return {key: value for key, value in config.items() if key != field}
+
+
+# A small valid config that the rejected cases below break one field at a time.
+SMALL = _config((0, 4), "none", IDENTITY, ID_TERM, ["symmetries"], 5, 0, 1e-10)
+
+
 def _quaternionic(checks=("jordan_ip_complex", "spectrum"), samples=15, **extra) -> dict:
     return _config((0, 8), "quaternion", QUAT_GENERATORS, QUAT_TERMS, checks, samples, 7, 1e-8,
                    **extra)
@@ -136,6 +144,10 @@ CASES = [
              [(1, "phi", "self_adjoint"), (1, "id", "self_adjoint")],
              ["spectrum", "admissible", "admissible_pair", "solve_constants"], 10, 0, 1e-10),
      [], 1),
+    ("jordan_ip_complex_generic",
+     _config((0, 6), "complex", {"phi": {"matrix": _generic_self_adjoint(6)}},
+             [(1, "phi", "self_adjoint")], ["jordan_ip_complex"], 10, 0, 1e-10),
+     [], 1),
     # Rejected configs: exit 2, no report, the message on stderr.
     ("undeclared_generator",
      _config((0, 8), "quaternion", QUAT_GENERATORS, [(1, "nope", "self_adjoint")],
@@ -175,6 +187,20 @@ CASES = [
      _config((0, 4), "none", IDENTITY, ID_TERM, ["symmetries", "ricci"], 5, 0, 1e-10), [], 2),
     ("admissible_pair_needs_two",
      _config((0, 4), "complex", IDENTITY, ID_TERM, ["admissible_pair"], 5, 0, 1e-10), [], 2),
+    ("missing_field", _without(SMALL, "checks"), [], 2),
+    ("top_level_not_an_object", [SMALL], [], 2),
+    ("structure_not_a_string", {**SMALL, "structure": 5}, [], 2),
+    ("unknown_structure", {**SMALL, "structure": "octonion"}, [], 2),
+    ("invalid_signature", {**SMALL, "signature": [0, 1]}, [], 2),
+    ("generator_not_an_object", {**SMALL, "generators": {"id": "identity"}}, [], 2),
+    ("generator_needs_builtin_or_matrix", {**SMALL, "generators": {"id": {}}}, [], 2),
+    ("matrix_wrong_shape",
+     {**SMALL, "generators": {"id": {"matrix": [[1, 0, 0], [0, 1, 0]]}}}, [], 2),
+    ("tensor_term_not_an_object", {**SMALL, "tensor": [5]}, [], 2),
+    ("unknown_constructor",
+     {**SMALL, "tensor": [{**SMALL["tensor"][0], "constructor": "hermitian"}]}, [], 2),
+    ("malformed_pair", {**SMALL, "pair": ["id"]}, [], 2),
+    ("undeclared_pair_name", {**SMALL, "pair": ["id", "nope"]}, [], 2),
 ]
 
 
@@ -196,6 +222,15 @@ def test_report_matches_golden(name, config, argv, code, tmp_path, capsys):
     got_code, body = run_case(config, argv, tmp_path, capsys)
     assert got_code == code
     assert body == golden_path(name, code).read_bytes()
+
+
+def test_report_printed_without_report_option(tmp_path, capsys):
+    """Without --report the body goes to stdout, byte for byte the golden."""
+    _, config, argv, code = next(case for case in CASES if case[0] == "quaternionic")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), *argv]) == code
+    assert capsys.readouterr().out.encode() == golden_path("quaternionic", code).read_bytes()
 
 
 def test_list_builtins_matches_golden():
