@@ -6,9 +6,12 @@ Usage:
 
 The config is a JSON object naming a signature, an optional complex or
 quaternion structure, a set of named generators, the tensor to build from
-them, and the checks to run.  Reports carry verdicts, max violations, and
-witness data, echo the seed, and contain no timestamps, so identical inputs
-produce byte-identical report bodies.
+them, and the checks to run.  Its numbers must be finite and no field takes a
+bool.  Reports carry verdicts, max violations, and witness data, echo the
+seed, and contain no timestamps, so identical inputs produce byte-identical
+report bodies.  Check builders return library values as they are, and one
+function turns them into JSON types.  Reports are strict JSON: a NaN or an
+infinity in one is an internal error, and no report is written.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 config or usage error,
 3 internal error (the console script prints the traceback to stderr).
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from enum import Enum
 from typing import Any
 
 import numpy as np
@@ -45,6 +49,7 @@ from .curvature import (
 )
 from .jordan_ip import (
     OPERATOR_TOL,
+    OrientedPlane,
     PlaneClass,
     SpectrumModel,
     SpectrumSpec,
@@ -95,6 +100,11 @@ def _has_type(value: Any, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _finite(value: Any) -> bool:
+    """Whether a config value is a number, not a bool, that is finite as a float."""
+    return _has_type(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
 def _require(cfg: dict, field: str, kind, where: str = "config") -> Any:
     if field not in cfg:
         raise ConfigError(f"{where}: missing required field '{field}'")
@@ -143,32 +153,38 @@ def _build_generator(
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     if "matrix" in spec:
-        mat = np.asarray(spec["matrix"], dtype=float)
+        rows = spec["matrix"]
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == len(rows[0]) and all(map(_finite, row))
+            for row in rows
+        ):
+            raise ConfigError(f"{where}: matrix must be a list of equally long rows of finite numbers")
+        mat = np.array(rows, dtype=float)
         if mat.shape != (space.m, space.m):
             raise ConfigError(f"{where}: matrix has shape {mat.shape}, expected ({space.m}, {space.m})")
         return mat
     raise ConfigError(f"{where}: needs either 'builtin' or 'matrix'")
 
 
-def _json_plane(plane) -> dict:
-    return {"x": [float(v) for v in plane.x], "y": [float(v) for v in plane.y]}
-
-
-def _json_invariants(inv: JordanInvariants) -> dict:
-    return {
-        "dimension": inv.dimension,
-        "clusters": [
-            {"eigenvalue": [lam.real, lam.imag], "multiplicity": mult}
-            for lam, mult in inv.clusters
-        ],
-        "rank_sequences": [list(seq) for seq in inv.rank_sequences],
-        "total_rank": inv.total_rank,
-        "clustering_ambiguous": inv.clustering_ambiguous,
-    }
-
-
-def _json_spectrum(spec: SpectrumSpec) -> list[dict]:
-    return [{"eigenvalue": lam, "multiplicity": mu} for lam, mu in spec.eigenvalues]
+def _to_json(value: Any) -> Any:
+    """The JSON form of a report value, chosen by its type, dict keys included."""
+    match value:
+        case dict():
+            return {_to_json(k): _to_json(v) for k, v in value.items()}
+        case list() | tuple():
+            return [_to_json(v) for v in value]
+        case Enum():
+            return value.value
+        case complex():
+            return [value.real, value.imag]
+        case OrientedPlane(x=x, y=y):
+            return {"x": x.tolist(), "y": y.tolist()}
+        case JordanInvariants(clusters=clusters):
+            clusters = [{"eigenvalue": lam, "multiplicity": mult} for lam, mult in clusters]
+            return _to_json({**vars(value), "clusters": clusters})
+        case SpectrumSpec(eigenvalues=eigenvalues):
+            return [{"eigenvalue": lam, "multiplicity": mu} for lam, mu in eigenvalues]
+    return value
 
 
 def _symmetries(tensor, tol, **_) -> dict:
@@ -177,9 +193,9 @@ def _symmetries(tensor, tol, **_) -> dict:
         "pass": report.passed(tol),
         "max_violation": report.max_violation,
         "witness": {
-            "antisymmetry": list(report.antisymmetry_witness),
-            "pair_symmetry": list(report.pair_symmetry_witness),
-            "bianchi": list(report.bianchi_witness),
+            "antisymmetry": report.antisymmetry_witness,
+            "pair_symmetry": report.pair_symmetry_witness,
+            "bianchi": report.bianchi_witness,
         },
     }
 
@@ -200,10 +216,7 @@ def _almost_complex(tensor, J, samples, seed, tol, **_) -> dict:
         "max_line_commutator": worst,
     }
     if not passed:
-        out["witness"] = {
-            "quadruple": list(tensor_report.witness),
-            "line": _json_plane(lines.witness) if lines.witness is not None else None,
-        }
+        out["witness"] = {"quadruple": tensor_report.witness, "line": lines.witness}
     return out
 
 
@@ -211,7 +224,7 @@ def _gray(tensor, J, tol, **_) -> dict:
     report = check_gray_identity(tensor, J, tol)
     out = {"pass": report.passed, "max_violation": report.max_violation}
     if not report.passed:
-        out["witness"] = {"quadruple": list(report.witness)}
+        out["witness"] = {"quadruple": report.witness}
     return out
 
 
@@ -221,16 +234,12 @@ def _jordan_ip_complex(tensor, J, samples, seed, tol, **_) -> dict:
         "pass": report.constant,
         "constant": report.constant,
         "rank": report.rank,
-        "invariants_by_type": {
-            cls.value: _json_invariants(inv) for cls, inv in report.invariants_by_type.items()
-        },
+        "invariants_by_type": report.invariants_by_type,
         "seed": report.seed,
     }
     if report.witness is not None:
-        out["witness"] = {
-            "anchor": _json_plane(report.witness[0]),
-            "offender": _json_plane(report.witness[1]),
-        }
+        anchor, offender = report.witness
+        out["witness"] = {"anchor": anchor, "offender": offender}
     return out
 
 
@@ -238,18 +247,15 @@ def _jordan_ip_real(tensor, samples, seed, tol, **_) -> dict:
     report = check_jordan_ip_real(tensor, n=samples, seed=seed, tol=max(tol, OPERATOR_TOL))
     out = {
         "pass": report.constant and report.rank_type_independent,
-        "constant_by_type": {cls.value: ok for cls, ok in report.constant_by_type.items()},
-        "rank_by_type": {cls.value: r for cls, r in report.rank_by_type.items()},
+        "constant_by_type": report.constant_by_type,
+        "rank_by_type": report.rank_by_type,
         "rank_type_independent": report.rank_type_independent,
-        "invariants_by_type": {
-            cls.value: _json_invariants(inv) for cls, inv in report.invariants_by_type.items()
-        },
+        "invariants_by_type": report.invariants_by_type,
         "seed": report.seed,
     }
     if report.witnesses:
         out["witness"] = {
-            cls.value: {"anchor": _json_plane(a), "offender": _json_plane(b)}
-            for cls, (a, b) in report.witnesses.items()
+            cls: {"anchor": a, "offender": b} for cls, (a, b) in report.witnesses.items()
         }
     return out
 
@@ -262,27 +268,17 @@ def _spectrum(tensor, J, samples, seed, tol, **_) -> dict:
         return {"pass": False, "error": str(exc)}
     anchor = spectra[0]
     consistent = all(anchor.matches(s, max(tol, DEFAULT_TOL)) for s in spectra[1:])
-    return {
-        "pass": consistent,
-        "consistent": consistent,
-        "spectrum": _json_spectrum(anchor),
-        "seed": seed,
-    }
+    return {"pass": consistent, "consistent": consistent, "spectrum": anchor, "seed": seed}
 
 
 def _admissible(generators, J, tol, **_) -> dict:
-    results = {}
-    all_ok = True
-    for gen_name, phi in generators.items():
-        report = check_admissible(phi, J, tol)
-        results[gen_name] = {
-            "admissible": report.admissible,
-            "class": report.admissible_class.value,
-            "square_type": report.square_type.value,
-            "residuals": report.residuals,
-        }
-        all_ok = all_ok and report.admissible
-    return {"pass": all_ok, "generators": results}
+    reports = {name: check_admissible(phi, J, tol) for name, phi in generators.items()}
+    results = {
+        name: {"admissible": r.admissible, "class": r.admissible_class,
+               "square_type": r.square_type, "residuals": r.residuals}
+        for name, r in reports.items()
+    }
+    return {"pass": all(r.admissible for r in reports.values()), "generators": results}
 
 
 def _admissible_pair(generators, pair_names, J, samples, seed, tol, **_) -> dict:
@@ -302,27 +298,25 @@ def _admissible_pair(generators, pair_names, J, samples, seed, tol, **_) -> dict
 
 def _solve_constants(tensor, J, space, seed, tol, **_) -> dict:
     plane = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed)[0]
+    if space.m % 4 == 0 and space.p % 4 == 0:
+        model = SpectrumModel.QUATERNIONIC
+        rebuild = lambda *c: build_quaternionic_tensor(standard_quaternion_structure(space), *c)
+    else:
+        model = SpectrumModel.COMPLEX_PAIR
+        rebuild = lambda *c: build_complex_pair_tensor(J, *c)
     try:
         measured = spectrum_of_JR(tensor, J, plane)
-        if space.m % 4 == 0 and space.p % 4 == 0:
-            model = SpectrumModel.QUATERNIONIC
-            structures = standard_quaternion_structure(space)
-            coeffs = solve_constants(measured, model)
-            rebuilt = build_quaternionic_tensor(structures, *coeffs)
-        else:
-            model = SpectrumModel.COMPLEX_PAIR
-            coeffs = solve_constants(measured, model)
-            rebuilt = build_complex_pair_tensor(J, *coeffs)
-        round_trip = spectrum_of_JR(rebuilt, J, plane)
+        coeffs = solve_constants(measured, model)
+        round_trip = spectrum_of_JR(rebuild(*coeffs), J, plane)
         passed = measured.matches(round_trip, max(tol, DEFAULT_TOL))
     except ValueError as exc:
         return {"pass": False, "error": str(exc)}
     return {
         "pass": passed,
-        "model": model.value,
-        "constants": [float(c) for c in coeffs],
-        "spectrum": _json_spectrum(measured),
-        "round_trip_spectrum": _json_spectrum(round_trip),
+        "model": model,
+        "constants": coeffs,
+        "spectrum": measured,
+        "round_trip_spectrum": round_trip,
     }
 
 
@@ -366,8 +360,12 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
         raise ConfigError("config.samples: expected a positive integer")
     if not _has_type(seed, int):
         raise ConfigError("config.seed: expected an integer")
+    if seed < 0:
+        raise ConfigError("config.seed: expected a non-negative integer")
     if not _has_type(tol, (int, float)) or not tol > 0:
         raise ConfigError("config.tol: expected a positive number")
+    if not _finite(tol):
+        raise ConfigError("config.tol: expected a finite number")
     tol = float(tol)
 
     try:
@@ -393,6 +391,8 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
         if not isinstance(term, dict):
             raise ConfigError(f"{where}: expected an object")
         coeff = _require(term, "coefficient", (int, float), where)
+        if not _finite(coeff):
+            raise ConfigError(f"{where}.coefficient: expected a finite number")
         gen_name = _require(term, "generator", str, where)
         constructor = _require(term, "constructor", str, where)
         if gen_name not in generators:
@@ -438,7 +438,7 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
         tensor=tensor, generators=generators, pair_names=pair_names,
         J=J, space=space, samples=samples, seed=seed, tol=tol,
     )
-    checks = {name: CHECKS[name][1](**context) for name in check_names}
+    checks = _to_json({name: CHECKS[name][1](**context) for name in check_names})
 
     all_pass = all(result["pass"] for result in checks.values())
     report = {
@@ -481,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    body = json.dumps(report, indent=2, sort_keys=True)
+    body = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(body + "\n")
@@ -489,9 +489,7 @@ def main(argv: list[str] | None = None) -> int:
             for name, result in report["checks"].items():
                 print(f"{'PASS' if result['pass'] else 'FAIL'} {name}")
             print(f"report written to {args.report}")
-    elif args.quiet:
-        pass
-    else:
+    elif not args.quiet:
         print(body)
     return code
 

@@ -251,9 +251,8 @@ def random_algebraic_curvature_tensor(
     subtract the cyclic (Bianchi) part, which is a 4-form and therefore keeps
     the first two symmetries intact.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     m = space.m
-    t = rng.standard_normal((m, m, m, m))
+    t = np.random.default_rng(seed).standard_normal((m, m, m, m))
     t = 0.5 * (t - t.swapaxes(0, 1))
     t = 0.5 * (t - t.swapaxes(2, 3))
     t = 0.5 * (t + t.transpose(2, 3, 0, 1))
@@ -276,8 +275,7 @@ def projected_generator(
     """
     if adjoint_sign not in (-1, 1) or commutation_sign not in (-1, 1):
         raise ValueError("signs must be +1 or -1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    phi = rng.standard_normal((space.m, space.m))
+    phi = np.random.default_rng(seed).standard_normal((space.m, space.m))
     phi = 0.5 * (phi + adjoint_sign * adjoint(space, phi))
     # J phi J = -phi for commuting phi and +phi for anticommuting phi.
     phi = 0.5 * (phi - commutation_sign * J.J @ phi @ J.J)

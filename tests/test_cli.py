@@ -131,6 +131,82 @@ class TestRunExitCodes:
         assert main(["run", config]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "field, text, argv, message",
+        [
+            ("tol", "1e999", [], "config.tol: expected a finite number"),
+            ("tol", "1e-8", ["--tol", "inf"], "config.tol: expected a finite number"),
+            ("coefficient", "NaN", [], "config.tensor[0].coefficient: expected a finite number"),
+            ("coefficient", "Infinity", [], "config.tensor[0].coefficient: expected a finite number"),
+            ("coefficient", "1" + "0" * 400, [],
+             "config.tensor[0].coefficient: expected a finite number"),
+            ("seed", "-1", [], "config.seed: expected a non-negative integer"),
+            ("seed", "7", ["--seed", "-1"], "config.seed: expected a non-negative integer"),
+        ],
+        ids=["tol_1e999", "tol_option_inf", "coefficient_nan", "coefficient_infinity",
+             "coefficient_beyond_float", "seed_negative", "seed_option_negative"],
+    )
+    def test_number_out_of_range_exits_two(self, tmp_path, capsys, field, text, argv, message):
+        # text goes into the config as written: json.dumps has no 1e999, and
+        # Python's json reads NaN, Infinity and 1e999 as floats that are not finite.
+        cfg = quaternionic_config()
+        if field == "coefficient":
+            cfg["tensor"][0]["coefficient"] = "@"
+        else:
+            cfg[field] = "@"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"@"', text))
+        report = tmp_path / "report.json"
+        assert main(["run", str(path), "--report", str(report), *argv]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1, 0], [0]],
+            "identity",
+            [["a", 0], [0, 1]],
+            [[None, 0], [0, 1]],
+            [[float("nan"), 0], [0, 1]],
+            [[True, 0], [0, 1]],
+            [["1", 0], [0, 1]],
+        ],
+        ids=["ragged", "string", "string_entry", "null_entry", "nan_entry", "bool_entry",
+             "string_number_entry"],
+    )
+    def test_matrix_of_non_numbers_exits_two(self, tmp_path, capsys, matrix):
+        cfg = {
+            "signature": [0, 2],
+            "generators": {"phi": {"matrix": matrix}},
+            "tensor": [{"coefficient": 1, "generator": "phi", "constructor": "self_adjoint"}],
+            "checks": ["symmetries"],
+        }
+        report = tmp_path / "report.json"
+        assert main(["run", write_config(tmp_path, "cfg.json", cfg), "--report", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config.generators.phi: "
+            "matrix must be a list of equally long rows of finite numbers\n"
+        )
+        assert not report.exists()
+
+    # The console script runs without warnings as errors, so neither does this test.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_in_report_exits_three_without_report(self, tmp_path, monkeypatch, capsys):
+        # Two finite terms of 1e308 R_Id overflow in combine; a report is
+        # strict JSON, so the infinities and NaNs it would hold are an
+        # internal error and nothing is written.
+        term = {"coefficient": 1e308, "generator": "id", "constructor": "self_adjoint"}
+        cfg = quaternionic_config(tensor=[term, term], checks=["symmetries"])
+        report = tmp_path / "report.json"
+        argv = ["curvlab", "run", write_config(tmp_path, "cfg.json", cfg), "--report", str(report)]
+        monkeypatch.setattr("sys.argv", argv)
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 3
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_empty_tensor_exits_two(self, tmp_path, capsys):
         config = write_config(tmp_path, "cfg.json", quaternionic_config(tensor=[]))
         assert main(["run", config]) == 2
