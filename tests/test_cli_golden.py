@@ -68,10 +68,6 @@ IDENTITY = {"id": {"builtin": "identity"}}
 ID_TERM = [(1, "id", "self_adjoint")]
 
 
-def _without(config: dict, field: str) -> dict:
-    return {key: value for key, value in config.items() if key != field}
-
-
 # A small valid config that the rejected cases below break one field at a time.
 SMALL = _config((0, 4), "none", IDENTITY, ID_TERM, ["symmetries"], 5, 0, 1e-10)
 
@@ -187,7 +183,7 @@ CASES = [
      _config((0, 4), "none", IDENTITY, ID_TERM, ["symmetries", "ricci"], 5, 0, 1e-10), [], 2),
     ("admissible_pair_needs_two",
      _config((0, 4), "complex", IDENTITY, ID_TERM, ["admissible_pair"], 5, 0, 1e-10), [], 2),
-    ("missing_field", _without(SMALL, "checks"), [], 2),
+    ("missing_field", {k: v for k, v in SMALL.items() if k != "checks"}, [], 2),
     ("top_level_not_an_object", [SMALL], [], 2),
     ("structure_not_a_string", {**SMALL, "structure": 5}, [], 2),
     ("unknown_structure", {**SMALL, "structure": "octonion"}, [], 2),
