@@ -61,6 +61,7 @@ from .jordan_ip import (
     sample_complex_lines,
     solve_constants,
     spectrum_of_JR,
+    _default_lines,
 )
 from .pseudo_linalg import DEFAULT_TOL, BilinearSpace, JordanInvariants
 
@@ -204,9 +205,7 @@ def _almost_complex(tensor, J, samples, seed, tol, **_) -> dict:
     tensor_report = check_J_invariance(tensor, J, tol)
     # The witness line is the one of the largest commutator when that exceeds
     # tol, and null when every sampled line passes.
-    lines = check_almost_complex(
-        tensor, J, sample_complex_lines(J, PlaneClass.SPACELIKE, samples, seed), tol
-    )
+    lines = check_almost_complex(tensor, J, _default_lines(J, samples, seed), tol)
     worst = lines.max_commutator
     passed = tensor_report.passed and worst <= tol
     out = {
@@ -261,9 +260,8 @@ def _jordan_ip_real(tensor, samples, seed, tol, **_) -> dict:
 
 
 def _spectrum(tensor, J, samples, seed, tol, **_) -> dict:
-    planes = sample_complex_lines(J, PlaneClass.SPACELIKE, samples, seed)
     try:
-        spectra = [spectrum_of_JR(tensor, J, plane) for plane in planes]
+        spectra = [spectrum_of_JR(tensor, J, plane) for plane in _default_lines(J, samples, seed)]
     except ValueError as exc:
         return {"pass": False, "error": str(exc)}
     anchor = spectra[0]
@@ -297,7 +295,6 @@ def _admissible_pair(generators, pair_names, J, samples, seed, tol, **_) -> dict
 
 
 def _solve_constants(tensor, J, space, seed, tol, **_) -> dict:
-    plane = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed)[0]
     if space.m % 4 == 0 and space.p % 4 == 0:
         model = SpectrumModel.QUATERNIONIC
         rebuild = lambda *c: build_quaternionic_tensor(standard_quaternion_structure(space), *c)
@@ -305,6 +302,8 @@ def _solve_constants(tensor, J, space, seed, tol, **_) -> dict:
         model = SpectrumModel.COMPLEX_PAIR
         rebuild = lambda *c: build_complex_pair_tensor(J, *c)
     try:
+        # The relations of solve_constants hold on spacelike lines only.
+        plane = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed)[0]
         measured = spectrum_of_JR(tensor, J, plane)
         coeffs = solve_constants(measured, model)
         round_trip = spectrum_of_JR(rebuild(*coeffs), J, plane)
@@ -340,10 +339,10 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
     try:
         with open(config_path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: bytes not UTF-8, or an over-long integer
+        raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be a JSON object")
 

@@ -141,6 +141,12 @@ def sample_complex_lines(
     return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} lines")
 
 
+def _default_lines(J: ComplexStructure, n: int, seed: int) -> list[OrientedPlane]:
+    """n spacelike complex lines, or timelike ones where none is spacelike, as on (p, 0)."""
+    causal_type = PlaneClass.SPACELIKE if J.space.q >= 2 else PlaneClass.TIMELIKE
+    return sample_complex_lines(J, causal_type, n, seed)
+
+
 def curvature_operators(
     tensor: CurvatureTensor, planes: Sequence[OrientedPlane]
 ) -> Iterator[np.ndarray]:
@@ -243,15 +249,16 @@ def check_jordan_ip(
     seed: int = 0,
     tol: float = OPERATOR_TOL,
 ) -> JordanIPReport:
-    """Sample complex lines (spacelike, plus timelike when p >= 2) and test
-    whether all curvature operators share one Jordan normal form.
+    """Sample n complex lines of each causal type that exists (spacelike with seed,
+    timelike with seed + 1) and test whether their operators share one Jordan form.
 
     Every line is fingerprinted, also after a mismatch, so that
     invariants_by_type holds the first line of each causal type.
     """
-    planes = sample_complex_lines(J, PlaneClass.SPACELIKE, n, seed)
-    if tensor.space.p >= 2:
-        planes += sample_complex_lines(J, PlaneClass.TIMELIKE, n, seed + 1)
+    planes = []
+    for offset, causal_type in enumerate((PlaneClass.SPACELIKE, PlaneClass.TIMELIKE)):
+        if _real_plane_realizable(J.space, causal_type):
+            planes += sample_complex_lines(J, causal_type, n, seed + offset)
 
     invariants = list(_fingerprints(tensor, planes, tol))
     invariants_by_type: dict[PlaneClass, JordanInvariants] = {}

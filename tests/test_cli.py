@@ -92,6 +92,28 @@ class TestRunExitCodes:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            json.dumps(quaternionic_config(seed="@")).replace('"@"', "1" + "0" * 4999).encode(),
+            b"\xff",
+        ],
+        ids=["seed_of_5000_digits", "not_utf8"],
+    )
+    def test_unreadable_config_exits_two(self, tmp_path, monkeypatch, capsys, content):
+        # Python's json raises a plain ValueError for an integer beyond the
+        # 4300-digit conversion limit, and reading raises UnicodeDecodeError.
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        report = tmp_path / "report.json"
+        monkeypatch.setattr("sys.argv", ["curvlab", "run", str(path), "--report", str(report)])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config: ") and "Traceback" not in err
+        assert not report.exists()
+
     def test_check_needing_structure_exits_two(self, tmp_path, capsys):
         cfg = {
             "signature": [0, 5],
@@ -327,6 +349,38 @@ class TestChecks:
         result = json.loads(report_path.read_text())["checks"]["gray"]
         assert result["max_violation"] == pytest.approx(12.0)
         assert result["witness"]["quadruple"] is not None
+
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_timelike_only_signature(self, tmp_path, p):
+        # Every complex line of (p, 0) is timelike, where J R(pi) has the
+        # negated spectrum; solve_constants inverts the spacelike relations only.
+        cfg = {
+            "signature": [p, 0],
+            "structure": "complex",
+            "generators": {"id": {"builtin": "identity"}, "J": {"builtin": "standard_J"}},
+            "tensor": [
+                {"coefficient": 1, "generator": "id", "constructor": "self_adjoint"},
+                {"coefficient": 2, "generator": "J", "constructor": "skew_adjoint"},
+            ],
+            "checks": ["jordan_ip_complex", "almost_complex", "spectrum", "solve_constants"],
+            "samples": 20,
+            "seed": 3,
+        }
+        config = write_config(tmp_path, "cfg.json", cfg)
+        report_path = tmp_path / "r.json"
+        assert main(["run", config, "--report", str(report_path), "--quiet"]) == 1
+        checks = json.loads(report_path.read_text())["checks"]
+        assert checks["jordan_ip_complex"]["constant"] is True
+        assert list(checks["jordan_ip_complex"]["invariants_by_type"]) == ["timelike"]
+        assert checks["almost_complex"]["pass"] is True
+        assert checks["spectrum"]["consistent"] is True
+        spectrum = checks["spectrum"]["spectrum"]
+        values = {round(entry["eigenvalue"], 6): entry["multiplicity"] for entry in spectrum}
+        assert values == {-4.0: p // 2 - 1, -7.0: 1}
+        assert checks["solve_constants"] == {
+            "pass": False,
+            "error": f"no spacelike complex line exists in signature ({p}, 0)",
+        }
 
     def test_spectrum_error_outside_valueerror_propagates(self, tmp_path, monkeypatch):
         # Only ValueErrors (structure errors, degenerate planes, LinAlgError)

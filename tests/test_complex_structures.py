@@ -7,6 +7,7 @@ from curvlab import (
     AdmissibleClass,
     BilinearSpace,
     ComplexStructure,
+    QuaternionStructure,
     SquareType,
     adjoint,
     check_admissible,
@@ -57,9 +58,10 @@ class TestStandardComplexStructure:
             ComplexStructure(s, np.eye(2))
 
     def test_constructor_validates_isometry(self):
+        # Squares to -Id, but stretches e1 and shrinks e2.
         s = BilinearSpace(0, 2)
-        with pytest.raises(ValueError):
-            ComplexStructure(s, 2.0 * rot2())
+        with pytest.raises(ValueError, match="J is not an isometry"):
+            ComplexStructure(s, np.array([[0.0, -2.0], [0.5, 0.0]]))
 
     def test_constructor_rejects_odd_signature_counts(self):
         s = BilinearSpace(1, 1)
@@ -103,6 +105,11 @@ class TestStandardQuaternionStructure:
     def test_rejects_partial_timelike_block(self):
         with pytest.raises(ValueError):
             standard_quaternion_structure(BilinearSpace(2, 6))
+
+    def test_constructor_validates_relations(self):
+        q = standard_quaternion_structure(BilinearSpace(0, 4))
+        with pytest.raises(ValueError, match="quaternion relation ij = k fails"):
+            QuaternionStructure(q.space, q.i, q.j, q.i)
 
     def test_split_signature_blocks(self):
         s = BilinearSpace(4, 4)
@@ -156,6 +163,13 @@ class TestNilpotentNullPair:
     def test_rejects_unbalanced_signature(self):
         with pytest.raises(ValueError):
             nilpotent_null_pair(BilinearSpace(1, 3))
+
+    @pytest.mark.parametrize(
+        "sig, message", [((1, 3), r"not of the form \(s, s\)"), ((2, 2), "divisible by 4")]
+    )
+    def test_partner_rejects_signature(self, sig, message):
+        with pytest.raises(ValueError, match=message):
+            nilpotent_null_pair_partner(BilinearSpace(*sig))
 
 
 class TestClassifySquare:

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,6 +27,7 @@ from curvlab import (
     standard_complex_structure,
     standard_quaternion_structure,
 )
+from curvlab import curvature
 
 
 def e(m, i):
@@ -334,6 +336,31 @@ class TestCheckGrayIdentity:
         assert report.max_violation >= 0.1
         assert report.max_violation == pytest.approx(12.0, abs=1e-9)
 
+    def test_seven_single_slot_contractions(self, monkeypatch):
+        s = BilinearSpace(2, 6)
+        J = standard_complex_structure(s)
+        kernel, slots = curvature._pullback, []
+
+        def spy(r, t, which):
+            slots.append(which)
+            return kernel(r, t, which)
+
+        monkeypatch.setattr(curvature, "_pullback", spy)
+        check_gray_identity(random_algebraic_curvature_tensor(s, 5), J)
+        assert slots == [(0,), (1,), (1,), (2,), (2,), (3,), (3,)]
+
+    def test_peak_memory_is_four_tensors(self):
+        s = BilinearSpace(0, 16)
+        J = standard_complex_structure(s)
+        r = random_algebraic_curvature_tensor(s, 5)
+        tracemalloc.start()
+        try:
+            check_gray_identity(r, J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * r.coeffs.nbytes + 64 * 1024
+
 
 def reference_pullback(r, t):
     """R(Tx, Ty, Tz, Tw) as one 5-operand einsum."""
@@ -358,7 +385,7 @@ def conjugated_structure(space):
 
     T acts on the planes (1, 2), (3, 4), ...: a rotation where both
     directions have one causal type, a boost where the plane is mixed, so
-    on (2, 4) T includes a boost; (0, 6) admits none.
+    on (2, 4) and (4, 4) T includes a boost; (0, 6) admits none.
     """
     t = np.eye(space.m)
     for k, i in enumerate(range(1, space.m - 1, 2)):
@@ -377,7 +404,7 @@ class TestNonPermutationStructure:
     references for a J that is no signed permutation, so every entry is a
     sum of several rounded products."""
 
-    @pytest.fixture(params=[(0, 6), (2, 4)], ids=str)
+    @pytest.fixture(params=[(0, 6), (2, 4), (4, 4)], ids=str)
     def case(self, request):
         space = BilinearSpace(*request.param)
         J = conjugated_structure(space)
@@ -558,3 +585,14 @@ def test_apply_pairs_rejects_mismatched_rows():
         apply_pairs(r, np.ones((3, 4)), np.ones((2, 4)))
     with pytest.raises(ValueError, match="expected"):
         apply_pairs(r, np.ones(4), np.ones(4))
+
+
+def test_curvature_tensor_rejects_wrong_shape():
+    with pytest.raises(ValueError, match=r"expected \(4, 4, 4, 4\)"):
+        CurvatureTensor(BilinearSpace(0, 4), np.zeros((4, 4, 4)))
+
+
+def test_projected_generator_rejects_bad_signs():
+    space = BilinearSpace(0, 4)
+    with pytest.raises(ValueError, match="signs must be"):
+        projected_generator(space, standard_complex_structure(space), 0, 1)

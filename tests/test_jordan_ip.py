@@ -381,6 +381,14 @@ class TestCheckJordanIP:
         assert report.constant
         assert set(report.invariants_by_type) == {PlaneClass.SPACELIKE, PlaneClass.TIMELIKE}
 
+    @pytest.mark.parametrize("sig", [(4, 0), (8, 0)], ids=str)
+    def test_timelike_only_signature_samples_timelike_lines(self, sig):
+        # Every complex line of (p, 0) is timelike.
+        J = standard_complex_structure(BilinearSpace(*sig))
+        report = check_jordan_ip(build_complex_pair_tensor(J, 1.0, 2.0), J, n=20, seed=3)
+        assert report.constant
+        assert set(report.invariants_by_type) == {PlaneClass.TIMELIKE}
+
 
 class TestCheckJordanIPReal:
     def test_metric_tensor_rank_two(self):
@@ -613,6 +621,19 @@ class TestSolveConstants:
         with pytest.raises(ValueError, match="divisible by 4"):
             solve_constants(spec, SpectrumModel.QUATERNIONIC)
 
+    @pytest.mark.parametrize(
+        "eigenvalues, message",
+        [
+            (((1.0, 4),), "two or three eigenvalues, got 1"),
+            (((1.0, 3), (2.0, 3)), "at most 2, got 3"),
+            (((1.0, 2), (2.0, 2), (3.0, 2)), "trailing multiplicities 1, got 2, 2"),
+        ],
+        ids=["one_eigenvalue", "second_multiplicity", "trailing_multiplicities"],
+    )
+    def test_quaternionic_rejects_shape(self, eigenvalues, message):
+        with pytest.raises(ValueError, match=message):
+            solve_constants(SpectrumSpec(eigenvalues), SpectrumModel.QUATERNIONIC)
+
     def test_round_trip_complex_pair(self):
         s = BilinearSpace(0, 6)
         J = standard_complex_structure(s)
@@ -677,6 +698,10 @@ class TestNilpotentBranch:
 
 
 class TestSpectrumSpecValidation:
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one eigenvalue"):
+            SpectrumSpec(())
+
     def test_rejects_duplicate_eigenvalues(self):
         with pytest.raises(ValueError, match="distinct"):
             SpectrumSpec(((1.0, 2), (1.0, 1)))

@@ -23,7 +23,7 @@ from curvlab import (
     sample_real_planes,
     standard_complex_structure,
 )
-from curvlab.pseudo_linalg import _cluster_eigenvalues
+from curvlab.pseudo_linalg import _cluster_eigenvalues, _rejection_sample
 
 
 def e(m, i):
@@ -504,3 +504,8 @@ class TestClusterEigenvalues:
         groups, ambiguous = _cluster_eigenvalues(np.array([0.0, 1.8, 0.9]), 1.0)
         assert [g.tolist() for g in groups] == [[0.0, 1.8, 0.9]]
         assert ambiguous
+
+
+def test_rejection_sample_budget():
+    with pytest.raises(RuntimeError, match="rejection budget exceeded while testing"):
+        _rejection_sample(2, 0, lambda rng: None, "while testing")
