@@ -223,14 +223,17 @@ def check_gray_identity(
 
     With J_s the pullback by J in slot s alone, the left side minus the right
     is the real part of (1 + iJ_0)(1 + iJ_1)(1 + iJ_2)(1 + iJ_3) R, held as
-    a + ib and taken one slot at a time: seven single-slot contractions, with
-    at most four m^4 arrays alive at once.
+    a + ib and taken one slot at a time: six single-slot contractions, as the
+    last slot needs only the real part, with at most four m^4 arrays alive at once.
     """
     a, b = tensor.coeffs, _pullback(tensor.coeffs, J.J, (0,))
-    for s in (1, 2, 3):
+    for s in (1, 2):
         pb = _pullback(b, J.J, (s,))
         b += _pullback(a, J.J, (s,))
         a = a - pb
+    # In place, so the last pb alive beside it keeps the peak at four arrays;
+    # a is no longer the caller's coefficients after the first pass.
+    a -= _pullback(b, J.J, (3,))
     worst, where = _argmax_entry(a)
     return InvarianceReport(worst <= tol, worst, where)
 

@@ -27,7 +27,6 @@ from .pseudo_linalg import (
     JordanInvariants,
     PlaneClass,
     _check_vector,
-    _cluster_eigenvalues,
     _plane_gram,
     _rejection_sample,
     _unit_line,
@@ -49,8 +48,9 @@ _BLOCK = 64
 
 class SpectrumStructureError(ValueError):
     """The composition J R(pi) lacks the eigenstructure of a complex-linear
-    self-adjoint map: an odd real multiplicity, a non-J-invariant eigenspace,
-    or a defective eigenvalue.  Indicates the tensor is not almost complex."""
+    self-adjoint map: a non-real eigenvalue, an odd real multiplicity, or a
+    defective eigenvalue, each judged relative to sigma_max(J R(pi)).
+    Indicates the tensor is not almost complex."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +154,12 @@ def curvature_operators(
     _BLOCK operators, each stack assembled by one apply_pairs product.
 
     The planes of a block are checked in order before it is assembled; the
-    first degenerate one raises ValueError.
+    first degenerate one raises ValueError.  An operator whose largest entry
+    does not exceed its rounding level m eps max|R| |x| |y| / sqrt|det| is set
+    to exactly 0, so that every later check sees it as the zero map.
     """
     space = tensor.space
+    noise = space.m * np.finfo(float).eps * max(tensor.coeffs.max(), -tensor.coeffs.min())
     for start in range(0, len(planes), _BLOCK):
         xs, ys, dets = [], [], []
         for plane in planes[start : start + _BLOCK]:
@@ -168,8 +171,11 @@ def curvature_operators(
             xs.append(x)
             ys.append(y)
             dets.append(det)
-        ops = apply_pairs(tensor, np.array(xs), np.array(ys))
-        yield ops / np.sqrt(np.abs(dets))[:, None, None]
+        xs, ys, scale = np.array(xs), np.array(ys), np.sqrt(np.abs(dets))
+        ops = apply_pairs(tensor, xs, ys) / scale[:, None, None]
+        level = noise * np.linalg.norm(xs, axis=1) * np.linalg.norm(ys, axis=1) / scale
+        ops[np.abs(ops).max(axis=(1, 2)) <= level] = 0.0
+        yield ops
 
 
 def curvature_operator(tensor: CurvatureTensor, plane: OrientedPlane) -> np.ndarray:
@@ -360,9 +366,11 @@ class SpectrumSpec:
         return 2 * sum(mu for _, mu in self.eigenvalues)
 
     def matches(self, other: "SpectrumSpec", tol: float) -> bool:
-        """Multiset agreement of (eigenvalue, multiplicity) pairs within tol."""
+        """Multiset agreement of (eigenvalue, multiplicity) pairs within tol
+        relative to the spectral scale, the largest of 1 and every |eigenvalue|."""
         if len(self.eigenvalues) != len(other.eigenvalues):
             return False
+        tol *= max([1.0] + [abs(lam) for lam, _ in self.eigenvalues + other.eigenvalues])
         remaining = list(other.eigenvalues)
         for lam, mu in self.eigenvalues:
             best = min(
@@ -382,22 +390,20 @@ def spectrum_of_JR(
     plane: OrientedPlane,
     tol: float = OPERATOR_TOL,
 ) -> SpectrumSpec:
-    """Eigenvalues and complex multiplicities of the composition J R(pi).
+    """Eigenvalues and complex multiplicities of the composition J R(pi), read
+    from its fingerprint jordan_invariants(J R(pi), tol).
 
     Raises SpectrumStructureError when the eigenstructure is incompatible
     with an almost complex tensor: R(pi) not commuting with J, eigenvalues
-    off the real line, odd real multiplicities, defective eigenvalues, or
-    eigenspaces not invariant under J.
+    off the real line, odd real multiplicities, or defective eigenvalues.
+    The commutator and imaginary parts are compared with tol * sigma_max(J R(pi)).
     """
     if not plane.is_complex_line:
         raise ValueError("spectrum_of_JR requires a non-degenerate complex line")
     op = curvature_operator(tensor, plane)
     j = J.J
     k = j @ op
-    m = k.shape[0]
-    svals = np.linalg.svd(k, compute_uv=False)
-    op_scale = float(svals[0]) if svals.size else 0.0
-    threshold = tol * max(1.0, op_scale)
+    threshold = tol * float(np.linalg.norm(k, 2))
 
     comm = float(np.max(np.abs(k - op @ j)))
     if comm > threshold:
@@ -405,35 +411,21 @@ def spectrum_of_JR(
             f"R(pi) does not commute with J (residual {comm:.3e}); tensor is not almost complex"
         )
 
-    evals = np.linalg.eigvals(k)
-    worst_imag = float(np.max(np.abs(evals.imag)))
+    inv = jordan_invariants(k, tol)
+    worst_imag = max(abs(lam.imag) for lam, _ in inv.clusters)
     if worst_imag > threshold:
         raise SpectrumStructureError(f"non-real eigenvalue of J R(pi), imaginary part {worst_imag:.3e}")
 
     pairs: list[tuple[float, int]] = []
-    for group in _cluster_eigenvalues(np.sort(evals.real), threshold)[0]:
-        lam = float(np.mean(group))
-        mult = int(group.size)
+    for (lam, mult), ranks in zip(inv.clusters, inv.rank_sequences):
         if mult % 2 != 0:
+            raise SpectrumStructureError(f"eigenvalue {lam.real:.6g} has odd real multiplicity {mult}")
+        if ranks[0] != inv.dimension - mult:
             raise SpectrumStructureError(
-                f"eigenvalue {lam:.6g} has odd real multiplicity {mult}"
+                f"eigenvalue {lam.real:.6g} is defective: eigenspace dimension "
+                f"{inv.dimension - ranks[0]} != algebraic multiplicity {mult}"
             )
-        shifted = k - lam * np.eye(m)
-        _, s, vt = np.linalg.svd(shifted)
-        cutoff = tol * max(1.0, float(s[0]))
-        basis = vt[s <= cutoff].T
-        if basis.shape[1] != mult:
-            raise SpectrumStructureError(
-                f"eigenvalue {lam:.6g} is defective: eigenspace dimension "
-                f"{basis.shape[1]} != algebraic multiplicity {mult}"
-            )
-        jb = j @ basis
-        residual = float(np.max(np.abs(jb - basis @ (basis.T @ jb))))
-        if residual > threshold:
-            raise SpectrumStructureError(
-                f"eigenspace of {lam:.6g} is not J-invariant (residual {residual:.3e})"
-            )
-        pairs.append((lam, mult // 2))
+        pairs.append((lam.real, mult // 2))
     return SpectrumSpec(tuple(pairs))
 
 

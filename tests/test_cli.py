@@ -311,6 +311,25 @@ class TestChecks:
         assert sorted([c0 + 3 * c1, 2 * c1 - c2 - c3]) == pytest.approx([-4.0, 7.0])
         assert report["checks"]["admissible_pair"]["pair"] == ["id", "j"]
 
+    # Eigenvalues about 1e-7 and 1e8 are read and matched relative to their own
+    # scale: three eigenvalues, consistent over the lines, and a round trip.
+    @pytest.mark.parametrize(
+        "scale, overrides",
+        [(1e-7, {}), (1e8, {"signature": [0, 16], "samples": 100, "seed": 0})],
+        ids=["1e-7", "1e8"],
+    )
+    def test_spectrum_checks_on_scaled_quaternionic_tensor(self, tmp_path, scale, overrides):
+        cfg = quaternionic_config(checks=["spectrum", "solve_constants"], **overrides)
+        for term in cfg["tensor"]:
+            term["coefficient"] *= scale
+        config = write_config(tmp_path, "cfg.json", cfg)
+        report_path = tmp_path / "r.json"
+        assert main(["run", config, "--report", str(report_path), "--quiet"]) == 0
+        checks = json.loads(report_path.read_text())["checks"]
+        assert len(checks["spectrum"]["spectrum"]) == 3
+        assert checks["spectrum"]["consistent"] is True
+        assert checks["solve_constants"]["pass"] is True
+
     def test_admissible_check_over_declared_generators(self, tmp_path):
         cfg = quaternionic_config(
             generators={"id": {"builtin": "identity"}, "j": {"builtin": "quat_j"}},

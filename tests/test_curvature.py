@@ -336,7 +336,7 @@ class TestCheckGrayIdentity:
         assert report.max_violation >= 0.1
         assert report.max_violation == pytest.approx(12.0, abs=1e-9)
 
-    def test_seven_single_slot_contractions(self, monkeypatch):
+    def test_six_single_slot_contractions(self, monkeypatch):
         s = BilinearSpace(2, 6)
         J = standard_complex_structure(s)
         kernel, slots = curvature._pullback, []
@@ -347,7 +347,7 @@ class TestCheckGrayIdentity:
 
         monkeypatch.setattr(curvature, "_pullback", spy)
         check_gray_identity(random_algebraic_curvature_tensor(s, 5), J)
-        assert slots == [(0,), (1,), (1,), (2,), (2,), (3,), (3,)]
+        assert slots == [(0,), (1,), (1,), (2,), (2,), (3,)]
 
     def test_peak_memory_is_four_tensors(self):
         s = BilinearSpace(0, 16)

@@ -21,8 +21,11 @@ from curvlab import (
     from_self_adjoint,
     from_skew_adjoint,
     inner,
+    jordan_invariants,
     nilpotent_null_pair,
     numeric_rank,
+    projected_generator,
+    pullback,
     random_algebraic_curvature_tensor,
     sample_complex_lines,
     sample_real_planes,
@@ -540,6 +543,56 @@ class TestSpectrumOfJR:
         r = random_algebraic_curvature_tensor(s, 3)
         line = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed=8)[0]
         with pytest.raises(SpectrumStructureError, match="commute"):
+            spectrum_of_JR(r, J, line)
+
+    # Thresholds are relative to sigma_max(J R(pi)), so the verdict and the
+    # spectrum do not depend on the scale of the tensor.
+    @pytest.mark.parametrize("c", [1e-7, 1e-9])
+    def test_spectrum_scales_with_the_tensor(self, c):
+        s = BilinearSpace(0, 8)
+        quat = standard_quaternion_structure(s)
+        r = build_quaternionic_tensor(quat, 1.0, 2.0, 8.0, 0.0)
+        line = sample_complex_lines(quat.as_complex, PlaneClass.SPACELIKE, 1, seed=4)[0]
+        want = spectrum_of_JR(r, quat.as_complex, line).eigenvalues
+        got = spectrum_of_JR(combine([(c, r)]), quat.as_complex, line).eigenvalues
+        assert [mu for _, mu in got] == [mu for _, mu in want] == [2, 1, 1]
+        assert [lam for lam, _ in got] == pytest.approx([c * lam for lam, _ in want], rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-7, 1e-9])
+    def test_small_non_almost_complex_tensor_rejected(self, c):
+        s = BilinearSpace(0, 6)
+        J = standard_complex_structure(s)
+        r = combine([(c, random_algebraic_curvature_tensor(s, 3))])
+        line = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed=8)[0]
+        with pytest.raises(SpectrumStructureError, match="commute"):
+            spectrum_of_JR(r, J, line)
+
+    # phi = [[D, -D], [D, -D]] is self-adjoint, commutes with J and squares to
+    # 0; its tensor, pulled back by a U(2, 2) element, has R(pi) = 0 in exact
+    # arithmetic on these two lines and about 1e-14 in floating point.
+    @pytest.mark.parametrize("i, plane_class", [(2, PlaneClass.TIMELIKE), (6, PlaneClass.SPACELIKE)])
+    def test_rounding_noise_operator_is_zero(self, i, plane_class):
+        s = BilinearSpace(4, 4)
+        J = standard_complex_structure(s)
+        d = np.diag([1.0, 1.0, 0.0, 0.0])
+        a = projected_generator(s, J, -1, 1, 3)
+        u = np.linalg.solve(np.eye(8) - a / 2, np.eye(8) + a / 2)
+        r = pullback(from_self_adjoint(s, np.block([[d, -d], [d, -d]])), u)
+        line = complex_line(J, np.linalg.solve(u, e(8, i)))
+        assert line.plane_class is plane_class
+        op = curvature_operator(r, line)
+        assert not op.any()
+        inv = jordan_invariants(op, jordan_ip.OPERATOR_TOL)
+        assert inv.total_rank == 0 and inv.clusters == ((0, 8),)
+        assert spectrum_of_JR(r, J, line).eigenvalues == ((0.0, 4),)
+
+    def test_non_real_eigenvalue_rejected(self):
+        s = BilinearSpace(2, 2)
+        J = standard_complex_structure(s)
+        r = random_algebraic_curvature_tensor(s, 0)
+        r = combine([(0.5, r), (0.5, pullback(r, J.J))])
+        line = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed=0)[0]
+        with pytest.raises(SpectrumStructureError, match="non-real .* imaginary part 7.276e-01"):
             spectrum_of_JR(r, J, line)
 
 

@@ -482,7 +482,7 @@ CLUSTERING_CASES = {
     "single": (np.array([0.5 + 0.5j]), 1e-6),
     "empty": (np.empty(0, dtype=complex), 1e-6),
     "band_only": (np.array([1.0, 1.0 + 5e-8, 3.0]), 1e-8),
-    # Sorted real eigenvalues, as spectrum_of_JR passes them.
+    # Sorted real eigenvalues, such as those of J R(pi) on a complex line.
     **{f"sorted_real_{seed}": (np.sort(np.random.default_rng(seed).choice(
         [-4.0, 4.0, 7.0], 12) + 1e-9 * np.random.default_rng(seed).standard_normal(12)), 1e-6)
        for seed in range(4)},
