@@ -13,8 +13,8 @@ report bodies.  Check builders return library values as they are, and one
 function turns them into JSON types.  Reports are strict JSON: a NaN or an
 infinity in one is an internal error, and no report is written.
 
-Exit codes: 0 all checks pass, 1 any check fails, 2 config or usage error,
-3 internal error (the console script prints the traceback to stderr).
+Exit codes: 0 all checks pass, 1 any check fails, 2 config, usage or report
+path error, 3 internal error (the console script prints the traceback to stderr).
 """
 
 from __future__ import annotations
@@ -182,7 +182,9 @@ def _to_json(value: Any) -> Any:
             return {"x": x.tolist(), "y": y.tolist()}
         case JordanInvariants(clusters=clusters):
             clusters = [{"eigenvalue": lam, "multiplicity": mult} for lam, mult in clusters]
-            return _to_json({**vars(value), "clusters": clusters})
+            # The scale is the unit of fingerprint comparisons, not a Jordan invariant.
+            fields = {k: v for k, v in vars(value).items() if k != "scale"}
+            return _to_json({**fields, "clusters": clusters})
         case SpectrumSpec(eigenvalues=eigenvalues):
             return [{"eigenvalue": lam, "multiplicity": mu} for lam, mu in eigenvalues]
     return value
@@ -482,8 +484,12 @@ def main(argv: list[str] | None = None) -> int:
 
     body = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(body + "\n")
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
         if not args.quiet:
             for name, result in report["checks"].items():
                 print(f"{'PASS' if result['pass'] else 'FAIL'} {name}")

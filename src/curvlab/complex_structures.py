@@ -300,10 +300,10 @@ def check_admissible_pair(
     phi1* phi2 + phi2* phi1 = 0, and (when both squares vanish) the images of
     sampled non-degenerate complex lines span 4 dimensions.
 
-    The line condition quantifies over the whole Grassmannian; it is open and
-    generic, so seeded sampling gives a reproducible verdict and the report
-    records the minimum observed rank.  Individually non-admissible inputs
-    are rejected before any pair test runs.
+    The line condition quantifies over the whole Grassmannian.  It is open, so
+    the lines where it fails form a closed set, which can be null and missed by
+    seeded sampling; the verdict is reproducible and the report records the
+    minimum observed rank.  Non-admissible inputs are rejected first.
     """
     space = J.space
     phi1 = _check_matrix(space, phi1, "phi1")

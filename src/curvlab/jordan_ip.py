@@ -7,9 +7,9 @@ skew-symmetric curvature operator is
 
 a skew-adjoint endomorphism independent of the oriented basis choice.  A
 tensor is Jordan-IP on a family of planes when the Jordan normal form of
-R(pi) does not move across the family; sampling with a fixed seed replaces
-quantification over the Grassmannian, and failures of the closed, continuous
-conditions surface generically under random draws.
+R(pi) does not move across the family.  Sampling with a fixed seed replaces
+quantification over the Grassmannian.  A spectrum that moves does so on an
+open set, which sampling hits; a rank can drop on a null set, which it misses.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .pseudo_linalg import (
     JordanInvariants,
     PlaneClass,
     _check_vector,
+    _paired,
     _plane_gram,
     _rejection_sample,
     _unit_line,
@@ -366,22 +367,11 @@ class SpectrumSpec:
         return 2 * sum(mu for _, mu in self.eigenvalues)
 
     def matches(self, other: "SpectrumSpec", tol: float) -> bool:
-        """Multiset agreement of (eigenvalue, multiplicity) pairs within tol
-        relative to the spectral scale, the largest of 1 and every |eigenvalue|."""
-        if len(self.eigenvalues) != len(other.eigenvalues):
-            return False
-        tol *= max([1.0] + [abs(lam) for lam, _ in self.eigenvalues + other.eigenvalues])
-        remaining = list(other.eigenvalues)
-        for lam, mu in self.eigenvalues:
-            best = min(
-                (e for e in remaining if e[1] == mu),
-                key=lambda e: abs(e[0] - lam),
-                default=None,
-            )
-            if best is None or abs(best[0] - lam) > tol:
-                return False
-            remaining.remove(best)
-        return True
+        """Multiset agreement: each eigenvalue of self, in order, is paired with
+        the nearest remaining one of other of equal multiplicity, within
+        tol * max |eigenvalue| over both spectra, with no floor of 1."""
+        both = self.eigenvalues + other.eigenvalues
+        return _paired(self.eigenvalues, other.eigenvalues, tol * max(abs(lam) for lam, _ in both))
 
 
 def spectrum_of_JR(
@@ -396,22 +386,23 @@ def spectrum_of_JR(
     Raises SpectrumStructureError when the eigenstructure is incompatible
     with an almost complex tensor: R(pi) not commuting with J, eigenvalues
     off the real line, odd real multiplicities, or defective eigenvalues.
-    The commutator and imaginary parts are compared with tol * sigma_max(J R(pi)).
+    The commutator and imaginary parts are compared with tol times the
+    fingerprint's scale, sigma_max(J R(pi)), so no singular values are
+    computed outside jordan_invariants.
     """
     if not plane.is_complex_line:
         raise ValueError("spectrum_of_JR requires a non-degenerate complex line")
     op = curvature_operator(tensor, plane)
-    j = J.J
-    k = j @ op
-    threshold = tol * float(np.linalg.norm(k, 2))
+    k = J.J @ op
+    inv = jordan_invariants(k, tol)
+    threshold = tol * inv.scale
 
-    comm = float(np.max(np.abs(k - op @ j)))
+    comm = float(np.max(np.abs(k - op @ J.J)))
     if comm > threshold:
         raise SpectrumStructureError(
             f"R(pi) does not commute with J (residual {comm:.3e}); tensor is not almost complex"
         )
 
-    inv = jordan_invariants(k, tol)
     worst_imag = max(abs(lam.imag) for lam, _ in inv.clusters)
     if worst_imag > threshold:
         raise SpectrumStructureError(f"non-real eigenvalue of J R(pi), imaginary part {worst_imag:.3e}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Any, Callable, ClassVar
+from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -178,7 +178,8 @@ class JordanInvariants:
     (A - lambda_i I)^k for k = 1..multiplicity.  Together these determine the
     Jordan block structure without constructing an (ill-conditioned) Jordan
     basis.  A sequence is computed only until its rank stops changing or
-    reaches m - multiplicity; the tail repeats that last rank.
+    reaches m - multiplicity; the tail repeats that last rank.  scale is
+    sigma_max(A), the unit of every cutoff here and in jordan_equivalent.
     """
 
     dimension: int
@@ -186,6 +187,7 @@ class JordanInvariants:
     rank_sequences: tuple[tuple[int, ...], ...]
     total_rank: int
     clustering_ambiguous: bool
+    scale: float
 
 
 def _cluster_eigenvalues(evals: np.ndarray, threshold: float) -> tuple[list[np.ndarray], bool]:
@@ -262,33 +264,33 @@ def jordan_invariants(a: np.ndarray, tol: float = DEFAULT_TOL) -> JordanInvarian
         rank_sequences=tuple(rank_sequences[i] for i in order),
         total_rank=_rank_from_singular_values(svals, tol),
         clustering_ambiguous=ambiguous,
+        scale=op_scale,
     )
+
+
+def _paired(a: Sequence[tuple[Any, Any]], b: Sequence[tuple[Any, Any]], bound: float) -> bool:
+    """Whether the (value, key) entries of a and b pair up one to one: each
+    entry of a, in order, takes the nearest remaining entry of b with an equal
+    key, which must lie within bound of it."""
+    remaining = list(b)
+    for value, key in a:
+        same_key = [e for e in remaining if e[1] == key]
+        best = min(same_key, key=lambda e: abs(e[0] - value), default=None)
+        if best is None or abs(best[0] - value) > bound:
+            return False
+        remaining.remove(best)
+    return not remaining
 
 
 def jordan_equivalent(a: JordanInvariants, b: JordanInvariants, tol: float = DEFAULT_TOL) -> bool:
     """Whether two invariant fingerprints describe the same Jordan normal form.
 
-    Eigenvalue clusters are paired greedily by nearest neighbour, in the order
-    jordan_invariants gives them; paired clusters must agree in eigenvalue
-    (within tol relative to the spectral scale), multiplicity, and rank
-    sequence.
+    Each cluster of a, in order, is paired with the nearest remaining cluster
+    of b of equal multiplicity and rank sequence; paired eigenvalues may differ
+    by at most tol * max(a.scale, b.scale), a bound with no floor of 1.
     """
     if a.dimension != b.dimension:
         raise ValueError(f"ambient dimensions differ: {a.dimension} != {b.dimension}")
-    if len(a.clusters) != len(b.clusters):
-        return False
-    scale = max(
-        [1.0]
-        + [abs(lam) for lam, _ in a.clusters]
-        + [abs(lam) for lam, _ in b.clusters]
-    )
-    remaining = list(range(len(b.clusters)))
-    for (lam_a, mult_a), ranks_a in zip(a.clusters, a.rank_sequences):
-        j = min(remaining, key=lambda idx: abs(b.clusters[idx][0] - lam_a))
-        remaining.remove(j)
-        lam_b, mult_b = b.clusters[j]
-        if abs(lam_a - lam_b) > tol * scale:
-            return False
-        if mult_a != mult_b or ranks_a != b.rank_sequences[j]:
-            return False
-    return True
+    keyed = [[(lam, (mult, seq)) for (lam, mult), seq in zip(f.clusters, f.rank_sequences)]
+             for f in (a, b)]
+    return _paired(*keyed, tol * max(a.scale, b.scale))

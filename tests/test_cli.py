@@ -229,6 +229,15 @@ class TestRunExitCodes:
         assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        config = write_config(tmp_path, "cfg.json", quaternionic_config(checks=["symmetries"]))
+        report = tmp_path / "no" / "such" / "dir" / "out.json"
+        assert main(["run", config, "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cannot write report: ") and str(report) in err
+        assert not report.exists()
+
     def test_empty_tensor_exits_two(self, tmp_path, capsys):
         config = write_config(tmp_path, "cfg.json", quaternionic_config(tensor=[]))
         assert main(["run", config]) == 2

@@ -66,6 +66,12 @@ PAIR_GENERATORS = {"id": {"builtin": "identity"}, "J": {"builtin": "standard_J"}
 PAIR_TERMS = [(1.5, "id", "self_adjoint"), (0.75, "J", "skew_adjoint")]
 IDENTITY = {"id": {"builtin": "identity"}}
 ID_TERM = [(1, "id", "self_adjoint")]
+# R_Id + R_C with C = diag(1, -1, ...): almost complex, but the eigenvalues of
+# R(pi) move from plane to plane, so every Jordan and spectrum check fails.
+ID_PLUS_C = _config((0, 6), "complex",
+                    {**IDENTITY, "C": {"matrix": np.diag([1.0, -1.0] * 3).tolist()}},
+                    [(1, "id", "self_adjoint"), (1, "C", "self_adjoint")],
+                    ["jordan_ip_complex", "jordan_ip_real", "spectrum"], 10, 0, 1e-10)
 
 
 # A small valid config that the rejected cases below break one field at a time.
@@ -140,6 +146,7 @@ CASES = [
              [(1, "phi", "self_adjoint"), (1, "id", "self_adjoint")],
              ["spectrum", "admissible", "admissible_pair", "solve_constants"], 10, 0, 1e-10),
      [], 1),
+    ("id_plus_c_not_jordan_ip", ID_PLUS_C, [], 1),
     ("jordan_ip_complex_generic",
      _config((0, 6), "complex", {"phi": {"matrix": _generic_self_adjoint(6)}},
              [(1, "phi", "self_adjoint")], ["jordan_ip_complex"], 10, 0, 1e-10),
@@ -284,3 +291,16 @@ def test_almost_complex_witness_line_violates(name, has_line, tmp_path, capsys):
     assert np.array_equal(plane.y, np.array(line["y"]))
     op = curvature_operator(tensor, plane)
     assert float(np.max(np.abs(J.J @ op - op @ J.J))) > config["tol"]
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e-9], ids=["1e-7", "1e-9"])
+def test_scaled_tensor_keeps_failing_verdicts(scale, tmp_path, capsys):
+    """Checks compare eigenvalues relative to the operator's own scale, so
+    scaling the tensor down does not turn the failed checks of the golden
+    case into passes."""
+    terms = [{**term, "coefficient": scale * term["coefficient"]} for term in ID_PLUS_C["tensor"]]
+    code, body = run_case({**ID_PLUS_C, "tensor": terms}, [], tmp_path, capsys)
+    checks = json.loads(body)["checks"]
+    assert code == 1
+    assert [result["pass"] for result in checks.values()] == [False, False, False]
+    assert checks["spectrum"]["consistent"] is False

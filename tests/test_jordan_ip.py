@@ -23,6 +23,7 @@ from curvlab import (
     inner,
     jordan_invariants,
     nilpotent_null_pair,
+    nilpotent_null_pair_partner,
     numeric_rank,
     projected_generator,
     pullback,
@@ -49,6 +50,15 @@ def conjugation_map(m):
     """diag(1, -1, 1, -1, ...): self-adjoint, squares to Id, anticommutes with
     the standard J in definite signature."""
     return np.diag([1.0 if i % 2 == 0 else -1.0 for i in range(m)])
+
+
+def id_plus_conjugation(space, c=1.0):
+    """c (R_Id + R_C) for C = conjugation_map: {Id, C} fails the cross-adjoint
+    condition (Id* C + C* Id = 2C != 0) even though both members are
+    individually admissible, so the tensor is almost complex but its operator
+    eigenvalues move from line to line."""
+    return combine([(c, from_self_adjoint(space, np.eye(space.m))),
+                    (c, from_self_adjoint(space, conjugation_map(space.m)))])
 
 
 class TestComplexLine:
@@ -360,14 +370,9 @@ class TestCheckJordanIP:
         assert report.rank == 4
 
     def test_non_admissible_pair_fails_with_witness(self):
-        # {Id, C} fails the cross-adjoint condition (Id* C + C* Id = 2C != 0)
-        # even though both members are individually admissible; the combined
-        # tensor is almost complex but its operator eigenvalues move from
-        # line to line.
         s = BilinearSpace(0, 6)
         J = standard_complex_structure(s)
-        c = conjugation_map(6)
-        r = combine([(1.0, from_self_adjoint(s, np.eye(6))), (1.0, from_self_adjoint(s, c))])
+        r = id_plus_conjugation(s)
         from curvlab import check_J_invariance
 
         assert check_J_invariance(r, J).passed
@@ -375,6 +380,32 @@ class TestCheckJordanIP:
         assert not report.constant
         assert report.witness is not None
         assert report.rank is None
+
+    # Fingerprints are compared relative to sigma_max(R(pi)), so a tensor that
+    # is not Jordan-IP is not made constant by scaling it down.
+    @pytest.mark.parametrize("m, c", [(6, 1e-7), (8, 1e-7)], ids=["0_6-1e-7", "0_8-1e-7"])
+    def test_scaled_non_admissible_pair_not_constant(self, m, c):
+        s = BilinearSpace(0, m)
+        r = id_plus_conjugation(s, c)
+        assert not check_jordan_ip(r, standard_complex_structure(s), n=30, seed=0).constant
+        assert not check_jordan_ip_real(r, n=30, seed=0).constant
+
+    # Nor is a Jordan-IP tensor made inconstant: one Jordan form, and one
+    # spectrum of J R(pi), on every line at every scale.
+    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize("c", [1e-7, 1e-12], ids=["1e-7", "1e-12"])
+    @pytest.mark.parametrize("build", [
+        lambda quat: build_complex_pair_tensor(quat.as_complex, 1.0, 2.0),
+        lambda quat: build_quaternionic_tensor(quat, 1.0, 2.0, 8.0, 0.0),
+    ], ids=["complex_pair", "quaternionic"])
+    def test_scaled_jordan_ip_tensor_stays_constant(self, build, c, m):
+        quat = standard_quaternion_structure(BilinearSpace(0, m))
+        J = quat.as_complex
+        r = combine([(c, build(quat))])
+        assert check_jordan_ip(r, J, n=30, seed=0).constant
+        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 10, seed=0)
+        anchor, *rest = (spectrum_of_JR(r, J, line) for line in lines)
+        assert all(anchor.matches(spec, 1e-8) for spec in rest)
 
     def test_split_signature_samples_both_causal_types(self):
         s = BilinearSpace(2, 2)
@@ -482,8 +513,7 @@ class TestFingerprintCalls:
         # line to line (see TestCheckJordanIP).
         s = BilinearSpace(0, 6)
         J = standard_complex_structure(s)
-        r = combine([(1.0, from_self_adjoint(s, np.eye(6))),
-                     (1.0, from_self_adjoint(s, conjugation_map(6)))])
+        r = id_plus_conjugation(s)
         planes = sample_complex_lines(J, PlaneClass.SPACELIKE, 20, 0)
         staged = self.stage(monkeypatch, "sample_complex_lines", planes)
         invariants = self.count(monkeypatch, "jordan_invariants")
@@ -586,6 +616,17 @@ class TestSpectrumOfJR:
         assert inv.total_rank == 0 and inv.clusters == ((0, 8),)
         assert spectrum_of_JR(r, J, line).eigenvalues == ((0.0, 4),)
 
+    # The eigenvalues of J R(pi) for R_Id + R_C move by a fixed fraction of
+    # their size from line to line, so the spectra disagree at every scale.
+    @pytest.mark.parametrize("c", [1.0, 1e-9], ids=["1", "1e-9"])
+    def test_moving_spectrum_mismatches_at_every_scale(self, c):
+        s = BilinearSpace(0, 6)
+        J = standard_complex_structure(s)
+        r = id_plus_conjugation(s, c)
+        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 10, seed=0)
+        anchor, *rest = (spectrum_of_JR(r, J, line) for line in lines)
+        assert not all(anchor.matches(spec, 1e-8) for spec in rest)
+
     def test_non_real_eigenvalue_rejected(self):
         s = BilinearSpace(2, 2)
         J = standard_complex_structure(s)
@@ -687,6 +728,10 @@ class TestSolveConstants:
         with pytest.raises(ValueError, match=message):
             solve_constants(SpectrumSpec(eigenvalues), SpectrumModel.QUATERNIONIC)
 
+    def test_rejects_unknown_model(self):
+        with pytest.raises(ValueError, match="unknown model 'quaternionic'"):
+            solve_constants(SpectrumSpec(((1.0, 2), (2.0, 2))), "quaternionic")
+
     def test_round_trip_complex_pair(self):
         s = BilinearSpace(0, 6)
         J = standard_complex_structure(s)
@@ -730,7 +775,7 @@ class TestNilpotentBranch:
     def test_doubly_nilpotent_pair_rank_four(self):
         # Both generators square to zero; the pair tensor's operator has rank
         # exactly 4 with vanishing square on every non-degenerate complex line.
-        from curvlab import check_admissible_pair, nilpotent_null_pair_partner
+        from curvlab import check_admissible_pair
 
         s = BilinearSpace(4, 4)
         J = standard_complex_structure(s)
@@ -748,6 +793,18 @@ class TestNilpotentBranch:
             assert float(np.max(np.abs(op @ op))) <= 1e-10
             assert numeric_rank(op, 1e-8) == 4
         assert check_jordan_ip(tensor, J, n=40, seed=5).constant
+
+    # The operators are nilpotent, |lambda| = 0 but sigma_max > 0: fingerprints
+    # compared relative to sigma_max stay equivalent when the tensor is scaled.
+    @pytest.mark.parametrize("with_partner", [True, False], ids=["phi1_plus_phi2", "phi1"])
+    def test_scaled_nilpotent_tensor_stays_constant(self, with_partner):
+        s = BilinearSpace(4, 4)
+        J = standard_complex_structure(s)
+        terms = [(1e-7, from_self_adjoint(s, nilpotent_null_pair(s)))]
+        if with_partner:
+            terms.append((1e-7, from_skew_adjoint(s, nilpotent_null_pair_partner(s))))
+        r = combine(terms)
+        assert all(check_jordan_ip(r, J, n=30, seed=seed).constant for seed in range(3))
 
 
 class TestSpectrumSpecValidation:
@@ -771,3 +828,19 @@ class TestSpectrumSpecValidation:
     def test_stable_among_equal_multiplicities(self):
         spec = SpectrumSpec(((4.0, 2), (7.0, 1), (-4.0, 1)))
         assert spec.eigenvalues == ((4.0, 2), (7.0, 1), (-4.0, 1))
+
+    # Each eigenvalue of self takes the nearest remaining one of other of equal
+    # multiplicity, within tol * max |eigenvalue| with no floor of 1.
+    @pytest.mark.parametrize("a, b, expected", [
+        (((1.0, 2), (3.0, 1)), ((3.0 + 1e-9, 1), (1.0, 2)), True),
+        (((1.0, 2), (3.0, 1)), ((1.0, 2),), False),
+        (((1.0, 2),), ((1.0, 2), (3.0, 1)), False),
+        (((1.0, 2), (3.0, 1)), ((1.0, 1), (3.0, 2)), False),
+        (((1.0, 1), (3.0, 1)), ((1.0, 1), (3.0 + 1e-6, 1)), False),
+        (((1e-9, 1), (3e-9, 1)), ((1e-9, 1), (3e-9 * (1 + 1e-9), 1)), True),
+        (((1e-9, 1), (3e-9, 1)), ((1e-9, 1), (3.1e-9, 1)), False),
+        (((0.0, 3),), ((0.0, 3),), True),
+    ], ids=["within_bound", "other_shorter", "other_longer", "multiplicities_differ",
+            "above_bound", "small_within_bound", "small_above_bound", "zero"])
+    def test_matches(self, a, b, expected):
+        assert SpectrumSpec(a).matches(SpectrumSpec(b), 1e-8) is expected

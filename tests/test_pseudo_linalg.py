@@ -233,6 +233,14 @@ class TestJordanInvariants:
         with pytest.raises(ValueError):
             jordan_invariants(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("c", [1e-7, 1e-12, 1e8], ids=["1e-7", "1e-12", "1e8"])
+    def test_scale_is_sigma_max_and_scales_with_the_map(self, c):
+        a = np.random.default_rng(5).standard_normal((6, 6))
+        scale = jordan_invariants(a).scale
+        assert scale == pytest.approx(np.linalg.norm(a, 2), rel=1e-14)
+        assert jordan_invariants(c * a).scale == pytest.approx(c * scale, rel=1e-14)
+        assert jordan_invariants(np.zeros((3, 3))).scale == 0.0
+
     def test_ambiguous_gap_is_flagged_not_fatal(self):
         # gap of 5e-8 sits inside the factor-of-10 band around the 1e-8
         # clustering threshold: the verdict would flip under a nearby tol
@@ -289,6 +297,21 @@ class TestJordanEquivalent:
         a = jordan_invariants(np.diag([1.0, 2.0]))
         b = jordan_invariants(np.diag([2.0, 1.0]))
         assert jordan_equivalent(a, b)
+
+    def test_different_cluster_counts(self):
+        a = jordan_invariants(np.diag([1.0, 1.0, 2.0]))
+        b = jordan_invariants(np.diag([1.0, 2.0, 3.0]))
+        assert not jordan_equivalent(a, b)
+        assert not jordan_equivalent(b, a)
+
+    # Eigenvalues are compared within tol * sigma_max, with no floor of 1, so
+    # the verdict for cA against cB is that for A against B.
+    @pytest.mark.parametrize("c", [1.0, 1e-7, 1e-9, 1e8], ids=["1", "1e-7", "1e-9", "1e8"])
+    @pytest.mark.parametrize("b, expected", [([2.0, 1.0], True), ([1.0, 2.001], False)],
+                             ids=["permuted", "moved"])
+    def test_verdict_does_not_depend_on_scale(self, b, expected, c):
+        a = jordan_invariants(c * np.diag([1.0, 2.0]))
+        assert jordan_equivalent(a, jordan_invariants(c * np.diag(b))) is expected
 
     def test_dimension_mismatch_rejected(self):
         a = jordan_invariants(np.eye(2))
