@@ -29,10 +29,10 @@ from .pseudo_linalg import (
 _ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _block_diagonal(space: BilinearSpace, block: np.ndarray) -> np.ndarray:
-    """Copies of block down the diagonal of an m x m matrix; + 0.0 turns the
+def _block_diagonal(n: int, block: np.ndarray) -> np.ndarray:
+    """Copies of block down the diagonal of an n x n matrix; + 0.0 turns the
     -0.0 of kron's zero-times-negative products into 0.0."""
-    return np.kron(np.eye(space.m // block.shape[0]), block) + 0.0
+    return np.kron(np.eye(n // block.shape[0]), block) + 0.0
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -69,10 +69,13 @@ class ComplexStructure:
 
 @dataclass(frozen=True, eq=False)
 class QuaternionStructure:
-    """Skew-adjoint isometries {i, j, k} with i^2 = j^2 = k^2 = -Id and ij = k.
+    """Three complex structures i, j, k on one space with ij = k.
 
-    The sign convention is right-handed (ij = k, jk = i, ki = j); any
-    consistent choice works, fixing one keeps golden values reproducible.
+    Each unit is validated as a :class:`ComplexStructure`, and only ij = k is
+    checked beyond that: with i^2 = j^2 = k^2 = -Id it gives ijk = -Id, hence
+    jk = i, ki = j and ji = -k, and an isometry u with u^2 = -Id is
+    skew-adjoint, as u* = u^-1 = -u.  The sign convention is right-handed;
+    any consistent choice works, fixing one keeps golden values reproducible.
     """
 
     space: BilinearSpace
@@ -81,27 +84,15 @@ class QuaternionStructure:
     k: np.ndarray
 
     def __post_init__(self) -> None:
-        units = {}
         for name in ("i", "j", "k"):
-            units[name] = _check_matrix(self.space, getattr(self, name), name)
-            object.__setattr__(self, name, units[name])
-        eye = np.eye(self.space.m)
-        checks = {
-            "i^2 = -Id": units["i"] @ units["i"] + eye,
-            "j^2 = -Id": units["j"] @ units["j"] + eye,
-            "k^2 = -Id": units["k"] @ units["k"] + eye,
-            "ij = k": units["i"] @ units["j"] - units["k"],
-            "jk = i": units["j"] @ units["k"] - units["i"],
-            "ki = j": units["k"] @ units["i"] - units["j"],
-            "ji = -k": units["j"] @ units["i"] + units["k"],
-        }
-        for name, u in units.items():
-            checks[f"{name} skew-adjoint"] = u + adjoint(self.space, u)
-            checks[f"{name} isometry"] = u.T @ self.space.gram @ u - self.space.gram
-        for label, residual in checks.items():
-            r = _max_abs(residual)
-            if r > DEFAULT_TOL * 10:
-                raise ValueError(f"quaternion relation {label} fails, max residual {r:.3e}")
+            try:
+                unit = ComplexStructure(self.space, getattr(self, name)).J
+            except ValueError as exc:
+                raise ValueError(f"quaternion unit {name}: {exc}") from exc
+            object.__setattr__(self, name, unit)
+        residual = _max_abs(self.i @ self.j - self.k)
+        if residual > DEFAULT_TOL * max(1.0, _max_abs(self.i) * _max_abs(self.j)):
+            raise ValueError(f"quaternion relation ij = k fails, max residual {residual:.3e}")
 
     @property
     def as_complex(self) -> ComplexStructure:
@@ -117,27 +108,17 @@ def standard_complex_structure(space: BilinearSpace) -> ComplexStructure:
         raise ValueError(
             f"timelike count p = {space.p} is odd; blocks must pair equal causal types"
         )
-    return ComplexStructure(space, _block_diagonal(space, _ROT2))
+    return ComplexStructure(space, _block_diagonal(space.m, _ROT2))
 
 
-# Left multiplication by the quaternion units on H = span{1, i, j, k}.
-_LEFT_I = np.array([
-    [0.0, -1.0, 0.0, 0.0],
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 1.0, 0.0],
-])
+# Left multiplication by i and j on H = span{1, i, j, k}; i is the standard
+# complex structure on H = C^2, and k = ij.
+_LEFT_I = np.kron(np.eye(2), _ROT2)
 _LEFT_J = np.array([
     [0.0, 0.0, -1.0, 0.0],
     [0.0, 0.0, 0.0, 1.0],
     [1.0, 0.0, 0.0, 0.0],
     [0.0, -1.0, 0.0, 0.0],
-])
-_LEFT_K = np.array([
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, -1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [1.0, 0.0, 0.0, 0.0],
 ])
 
 
@@ -151,9 +132,24 @@ def standard_quaternion_structure(space: BilinearSpace) -> QuaternionStructure:
         raise ValueError(f"dimension {space.m} is not divisible by 4")
     if space.p % 4 != 0:
         raise ValueError(f"timelike count p = {space.p} must be 0 or divisible by 4")
-    return QuaternionStructure(
-        space, *(_block_diagonal(space, block) for block in (_LEFT_I, _LEFT_J, _LEFT_K))
-    )
+    i, j = _block_diagonal(space.m, _LEFT_I), _block_diagonal(space.m, _LEFT_J)
+    return QuaternionStructure(space, i, j, i @ j)
+
+
+def _null_pair(space: BilinearSpace, block: np.ndarray) -> np.ndarray:
+    """[[A, -A], [A, -A]] on signature (s, s), with A the s x s block diagonal
+    of copies of block, whose size must divide s."""
+    if space.p != space.q:
+        raise ValueError(
+            f"signature ({space.p}, {space.q}) is not of the form (s, s)"
+        )
+    if space.p % len(block) != 0:  # only the partner's 4 x 4 block can fail
+        raise ValueError(
+            f"timelike count p = {space.p} must be divisible by {len(block)} for the "
+            "conjugate-linear block to square to -Id"
+        )
+    a = _block_diagonal(space.p, block)
+    return np.block([[a, -a], [a, -a]])
 
 
 def nilpotent_null_pair(space: BilinearSpace) -> np.ndarray:
@@ -165,39 +161,21 @@ def nilpotent_null_pair(space: BilinearSpace) -> np.ndarray:
     the range is invariant under the standard complex structure and phi
     commutes with it.
     """
-    if space.p != space.q:
-        raise ValueError(
-            f"signature ({space.p}, {space.q}) is not of the form (s, s)"
-        )
-    s = space.p
-    eye = np.eye(s)
-    return np.block([[eye, -eye], [eye, -eye]])
+    return _null_pair(space, np.eye(1))
 
 
 def nilpotent_null_pair_partner(space: BilinearSpace) -> np.ndarray:
     """Skew-adjoint nilpotent generator completing :func:`nilpotent_null_pair`
     to an admissible pair on signature (4t, 4t).
 
-    Built as [[M, -M], [M, -M]] where M anticommutes with the rotation blocks
-    of the standard complex structure and satisfies M^2 = -Id.  Such an M is
+    Built as [[M, -M], [M, -M]] with M = -j, the negated quaternion unit j of
+    signature (0, 4t).  M anticommutes with the rotation blocks of the
+    standard complex structure and satisfies M^2 = -Id.  Such an M is
     conjugate-linear with no invariant complex line, which is exactly what
     forces the images of any non-degenerate complex line under the two
     generators to span 4 dimensions inside the shared isotropic range.
     """
-    if space.p != space.q:
-        raise ValueError(
-            f"signature ({space.p}, {space.q}) is not of the form (s, s)"
-        )
-    if space.p % 4 != 0:
-        raise ValueError(
-            f"timelike count p = {space.p} must be divisible by 4 for the "
-            "conjugate-linear block to square to -Id"
-        )
-    sigma = np.diag([1.0, -1.0])
-    zero = np.zeros((2, 2))
-    quad = np.block([[zero, sigma], [-sigma, zero]])
-    m_blocks = np.kron(np.eye(space.p // 4), quad)
-    return np.block([[m_blocks, -m_blocks], [m_blocks, -m_blocks]])
+    return _null_pair(space, -_LEFT_J)
 
 
 class AdmissibleClass(Enum):
@@ -217,9 +195,9 @@ class SquareType(Enum):
 def classify_square(phi: np.ndarray, space: BilinearSpace, tol: float = DEFAULT_TOL) -> SquareType:
     """Which of phi^2 = +Id, phi^2 = -Id, or phi^2 = 0 with ker = range holds.
 
-    The nilpotent verdict additionally requires rank m/2 and that the columns
-    of phi^2 stay inside the range of phi; together with phi^2 = 0 this forces
-    kernel and range to coincide.
+    The nilpotent verdict additionally requires rank m/2: phi^2 = 0 puts the
+    range inside the kernel, and both then have dimension m/2, so they
+    coincide.
     """
     phi = _check_matrix(space, phi, "phi")
     m = space.m
@@ -230,8 +208,7 @@ def classify_square(phi: np.ndarray, space: BilinearSpace, tol: float = DEFAULT_
     if _max_abs(square + np.eye(m)) <= tol * scale:
         return SquareType.MINUS_ID
     if _max_abs(square) <= tol * scale and m % 2 == 0:
-        half = m // 2
-        if numeric_rank(phi, tol) == half and numeric_rank(np.hstack([phi, square]), tol) == half:
+        if numeric_rank(phi, tol) == m // 2:
             return SquareType.NILPOTENT_KERNEL_EQUALS_RANGE
     return SquareType.NONE
 

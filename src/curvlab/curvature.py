@@ -27,6 +27,7 @@ them over one at a time, so only the combined tensor is alive while checks run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -53,6 +54,11 @@ class CurvatureTensor:
         if coeffs.shape != (m, m, m, m):
             raise ValueError(f"coefficient array has shape {coeffs.shape}, expected {(m,) * 4}")
         object.__setattr__(self, "coeffs", coeffs)
+
+    @cached_property
+    def scale(self) -> float:
+        """max |R|, the unit of the tensor-level checks, read without an |R| temporary."""
+        return float(max(self.coeffs.max(), -self.coeffs.min()))
 
 
 def _argmax_entry(a: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -206,11 +212,12 @@ def check_J_invariance(
     This finite tensor identity is equivalent to R(pi) commuting with J on
     every non-degenerate complex line, so it serves as the exact form of the
     almost complex condition; the per-line commutator is the sampled
-    cross-check.
+    cross-check.  It passes when the largest violation is at most
+    tol * max |R|, so the verdict does not depend on the tensor's scale.
     """
     diff = pullback(tensor, J.J).coeffs - tensor.coeffs
     worst, where = _argmax_entry(diff)
-    return InvarianceReport(worst <= tol, worst, where)
+    return InvarianceReport(worst <= tol * tensor.scale, worst, where)
 
 
 def check_gray_identity(
@@ -225,6 +232,7 @@ def check_gray_identity(
     is the real part of (1 + iJ_0)(1 + iJ_1)(1 + iJ_2)(1 + iJ_3) R, held as
     a + ib and taken one slot at a time: six single-slot contractions, as the
     last slot needs only the real part, with at most four m^4 arrays alive at once.
+    It passes when the largest violation is at most tol * max |R|.
     """
     a, b = tensor.coeffs, _pullback(tensor.coeffs, J.J, (0,))
     for s in (1, 2):
@@ -235,7 +243,7 @@ def check_gray_identity(
     # a is no longer the caller's coefficients after the first pass.
     a -= _pullback(b, J.J, (3,))
     worst, where = _argmax_entry(a)
-    return InvarianceReport(worst <= tol, worst, where)
+    return InvarianceReport(worst <= tol * tensor.scale, worst, where)
 
 
 def random_algebraic_curvature_tensor(

@@ -160,7 +160,7 @@ def curvature_operators(
     to exactly 0, so that every later check sees it as the zero map.
     """
     space = tensor.space
-    noise = space.m * np.finfo(float).eps * max(tensor.coeffs.max(), -tensor.coeffs.min())
+    noise = space.m * np.finfo(float).eps * tensor.scale
     for start in range(0, len(planes), _BLOCK):
         xs, ys, dets = [], [], []
         for plane in planes[start : start + _BLOCK]:
@@ -197,11 +197,12 @@ def check_almost_complex(
     planes: list[OrientedPlane],
     tol: float = 1e-10,
 ) -> AlmostComplexReport:
-    """Whether J R(pi) = R(pi) J on every given complex line.
+    """Whether J R(pi) = R(pi) J on every given complex line, up to
+    tol * max |R|, so the verdict does not depend on the tensor's scale.
 
     The witness is the first line of the largest commutator, when that
-    exceeds tol.  A plane that is not a complex line, or a degenerate one,
-    raises ValueError; the first such plane decides which.
+    exceeds the bound.  A plane that is not a complex line, or a degenerate
+    one, raises ValueError; the first such plane decides which.
     """
     j = J.J
     # Only the planes ahead of the first one that is not a complex line are
@@ -215,8 +216,8 @@ def check_almost_complex(
         raise ValueError("check_almost_complex requires complex lines")
     comms = np.concatenate(comms)
     worst = float(comms.max(initial=0.0))
-    witness = planes[int(comms.argmax())] if worst > tol else None
-    return AlmostComplexReport(worst <= tol, worst, witness)
+    passed = worst <= tol * tensor.scale
+    return AlmostComplexReport(passed, worst, None if passed else planes[int(comms.argmax())])
 
 
 def _fingerprints(

@@ -4,7 +4,14 @@ import weakref
 import numpy as np
 import pytest
 
-from curvlab import BilinearSpace, adjoint, cli, curvature, standard_complex_structure
+from curvlab import (
+    AlmostComplexReport,
+    BilinearSpace,
+    adjoint,
+    cli,
+    curvature,
+    standard_complex_structure,
+)
 from curvlab.cli import CHECK_NAMES, entry, list_builtins, main
 
 
@@ -377,6 +384,86 @@ class TestChecks:
         result = json.loads(report_path.read_text())["checks"]["gray"]
         assert result["max_violation"] == pytest.approx(12.0)
         assert result["witness"]["quadruple"] is not None
+
+    # The almost_complex and gray checks pass at tol * max|R|.  Rounding of
+    # 2.3e-10 in a tensor of order 1e4 passes; violations of about 5e-12 and
+    # 1.2e-11 in tensors scaled by 1e-12 fail.
+    @pytest.mark.parametrize("case, code", [
+        ("large_pair", 0), ("small_generic", 1), ("small_j", 1),
+    ])
+    def test_verdict_does_not_depend_on_tensor_scale(self, tmp_path, case, code):
+        if case == "large_pair":
+            cfg = quaternionic_config(
+                signature=[4, 4], structure="complex",
+                generators={"id": {"builtin": "identity"}, "J": {"builtin": "standard_J"}},
+                tensor=[
+                    {"coefficient": 1e4, "generator": "id", "constructor": "self_adjoint"},
+                    {"coefficient": 2e4, "generator": "J", "constructor": "skew_adjoint"},
+                ],
+                checks=["almost_complex"], samples=100, seed=0, tol=1e-10,
+            )
+        elif case == "small_generic":
+            space = BilinearSpace(0, 6)
+            phi = np.random.default_rng(3).standard_normal((6, 6))
+            cfg = quaternionic_config(
+                signature=[0, 6], structure="complex",
+                generators={"phi": {"matrix": (0.5 * (phi + adjoint(space, phi))).tolist()}},
+                tensor=[{"coefficient": 1e-12, "generator": "phi", "constructor": "self_adjoint"}],
+                checks=["almost_complex"], samples=25, seed=0, tol=1e-10,
+            )
+        else:
+            cfg = quaternionic_config(
+                tensor=[{"coefficient": 1e-12, "generator": "j", "constructor": "skew_adjoint"}],
+                checks=["gray"], tol=1e-10,
+            )
+        config = write_config(tmp_path, "cfg.json", cfg)
+        report_path = tmp_path / "r.json"
+        assert main(["run", config, "--report", str(report_path), "--quiet"]) == code
+        (result,) = json.loads(report_path.read_text())["checks"].values()
+        assert result["pass"] is (code == 0)
+        assert 0 < result["max_violation"] < 1e-9
+        if case == "large_pair":
+            assert result["tensor_identity_violation"] == 0.0
+
+    def test_quadruple_is_null_when_the_tensor_identity_holds(self, tmp_path, monkeypatch):
+        # The verdict of each half is its own: a failed line check names its
+        # line, and the tensor identity that holds names no quadruple.
+        def failing_lines(tensor, J, planes, tol):
+            return AlmostComplexReport(False, 1.0, planes[0])
+
+        monkeypatch.setattr("curvlab.cli.check_almost_complex", failing_lines)
+        config = write_config(tmp_path, "cfg.json", quaternionic_config(checks=["almost_complex"]))
+        report_path = tmp_path / "r.json"
+        assert main(["run", config, "--report", str(report_path), "--quiet"]) == 1
+        result = json.loads(report_path.read_text())["checks"]["almost_complex"]
+        assert result["tensor_identity_violation"] == 0.0
+        assert result["witness"]["quadruple"] is None
+        assert result["witness"]["line"] is not None
+
+    # The model follows the declared structure: a complex one has no j and k
+    # to rebuild with, whatever the signature.
+    @pytest.mark.parametrize("structure, model, constants", [
+        ("complex", "complex_pair", [1.5, 0.75]),
+        ("quaternion", "quaternionic", [1.5, 0.75, 0.0, 0.0]),
+    ])
+    def test_solve_constants_model_is_the_declared_structure(
+        self, tmp_path, structure, model, constants
+    ):
+        cfg = quaternionic_config(
+            structure=structure,
+            generators={"id": {"builtin": "identity"}, "J": {"builtin": "standard_J"}},
+            tensor=[
+                {"coefficient": 1.5, "generator": "id", "constructor": "self_adjoint"},
+                {"coefficient": 0.75, "generator": "J", "constructor": "skew_adjoint"},
+            ],
+            checks=["solve_constants"],
+        )
+        config = write_config(tmp_path, "cfg.json", cfg)
+        report_path = tmp_path / "r.json"
+        assert main(["run", config, "--report", str(report_path), "--quiet"]) == 0
+        result = json.loads(report_path.read_text())["checks"]["solve_constants"]
+        assert result["model"] == model
+        assert result["constants"] == pytest.approx(constants)
 
     @pytest.mark.parametrize("p", [4, 8])
     def test_timelike_only_signature(self, tmp_path, p):

@@ -16,9 +16,11 @@ from curvlab import (
     inner,
     nilpotent_null_pair,
     nilpotent_null_pair_partner,
+    numeric_rank,
     standard_complex_structure,
     standard_quaternion_structure,
 )
+from curvlab import complex_structures
 
 
 def rot2():
@@ -111,6 +113,17 @@ class TestStandardQuaternionStructure:
         with pytest.raises(ValueError, match="quaternion relation ij = k fails"):
             QuaternionStructure(q.space, q.i, q.j, q.i)
 
+    # Each unit is validated as a ComplexStructure before ij = k is checked.
+    @pytest.mark.parametrize("k, message", [
+        (lambda q: np.eye(4), r"quaternion unit k: J\^2 != -Id"),
+        (lambda q: np.diag([2.0, 1, 1, 1]) @ q.k @ np.diag([0.5, 1, 1, 1]),
+         "quaternion unit k: J is not an isometry"),
+    ], ids=["square_not_minus_id", "not_isometric"])
+    def test_constructor_validates_each_unit(self, k, message):
+        q = standard_quaternion_structure(BilinearSpace(0, 4))
+        with pytest.raises(ValueError, match=message):
+            QuaternionStructure(q.space, q.i, q.j, k(q))
+
     def test_split_signature_blocks(self):
         s = BilinearSpace(4, 4)
         q = standard_quaternion_structure(s)
@@ -164,8 +177,16 @@ class TestNilpotentNullPair:
         with pytest.raises(ValueError):
             nilpotent_null_pair(BilinearSpace(1, 3))
 
+    @pytest.mark.parametrize("s", [4, 8])
+    def test_partner_is_minus_j_on_the_null_pairs(self, s):
+        j = standard_quaternion_structure(BilinearSpace(0, s)).j
+        partner = nilpotent_null_pair_partner(BilinearSpace(s, s))
+        assert np.array_equal(partner, np.block([[-j, j], [-j, j]]))
+
     @pytest.mark.parametrize(
-        "sig, message", [((1, 3), r"not of the form \(s, s\)"), ((2, 2), "divisible by 4")]
+        "sig, message",
+        [((1, 3), r"not of the form \(s, s\)"), ((2, 2), "divisible by 4"),
+         ((2, 4), r"not of the form \(s, s\)")],
     )
     def test_partner_rejects_signature(self, sig, message):
         with pytest.raises(ValueError, match=message):
@@ -188,6 +209,20 @@ class TestClassifySquare:
                 classify_square(nilpotent_null_pair(space), space)
                 is SquareType.NILPOTENT_KERNEL_EQUALS_RANGE
             )
+
+    def test_nilpotent_verdict_takes_one_rank(self, monkeypatch):
+        # phi^2 = 0 puts the range inside the kernel, so rank m/2 alone decides.
+        calls = []
+
+        def spy(a, tol):
+            calls.append(a.shape)
+            return numeric_rank(a, tol)
+
+        monkeypatch.setattr(complex_structures, "numeric_rank", spy)
+        space = BilinearSpace(4, 4)
+        verdict = classify_square(nilpotent_null_pair(space), space)
+        assert verdict is SquareType.NILPOTENT_KERNEL_EQUALS_RANGE
+        assert calls == [(8, 8)]
 
     def test_nilpotent_with_wrong_rank(self):
         s = BilinearSpace(0, 4)

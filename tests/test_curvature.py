@@ -300,6 +300,15 @@ class TestCheckJInvariance:
         assert not report.passed
         assert report.max_violation > 1e-3
 
+    def test_small_generic_tensor_fails(self):
+        # The bound is tol * max|R|: violations of 3e-12 fail at 1e-12 scale.
+        s = BilinearSpace(0, 6)
+        J = standard_complex_structure(s)
+        phi = self_adjoint_part(s, np.random.default_rng(16).standard_normal((6, 6)))
+        report = check_J_invariance(combine([(1e-12, from_self_adjoint(s, phi))]), J)
+        assert not report.passed
+        assert report.max_violation > 1e-15
+
 
 class TestCheckGrayIdentity:
     def test_metric_tensor_satisfies_identity(self):
@@ -335,6 +344,15 @@ class TestCheckGrayIdentity:
         assert not report.passed
         assert report.max_violation >= 0.1
         assert report.max_violation == pytest.approx(12.0, abs=1e-9)
+
+    def test_small_anticommuting_generator_fails(self):
+        # The bound is tol * max|R|, so 1e-12 R_j fails as R_j does.
+        s = BilinearSpace(0, 8)
+        quat = standard_quaternion_structure(s)
+        r = combine([(1e-12, from_skew_adjoint(s, quat.j))])
+        report = check_gray_identity(r, quat.as_complex)
+        assert not report.passed
+        assert report.max_violation == pytest.approx(12e-12, rel=1e-10)
 
     def test_six_single_slot_contractions(self, monkeypatch):
         s = BilinearSpace(2, 6)
@@ -504,6 +522,7 @@ class TestBitwiseReferences:
             quat = standard_quaternion_structure(space)
             for got, block in zip((quat.i, quat.j, quat.k), REFERENCE_QUAT):
                 assert_same_bits(got, reference_blocks(space, block))
+            assert_same_bits(quat.k, quat.i @ quat.j)
 
     def test_build_tensors(self, sig):
         space = BilinearSpace(*sig)
@@ -590,6 +609,13 @@ def test_apply_pairs_rejects_mismatched_rows():
 def test_curvature_tensor_rejects_wrong_shape():
     with pytest.raises(ValueError, match=r"expected \(4, 4, 4, 4\)"):
         CurvatureTensor(BilinearSpace(0, 4), np.zeros((4, 4, 4)))
+
+
+@pytest.mark.parametrize("c", [2.5, -2.5, 0.0])
+def test_scale_is_the_largest_absolute_entry(c):
+    # Both signs, so the largest |entry| is once a maximum and once a minimum.
+    r = combine([(c, random_algebraic_curvature_tensor(BilinearSpace(1, 3), 4))])
+    assert r.scale == float(np.max(np.abs(r.coeffs)))
 
 
 def test_projected_generator_rejects_bad_signs():

@@ -95,6 +95,10 @@ class TestSamplePlanes:
         with pytest.raises(ValueError, match="no timelike"):
             sample_real_planes(s, PlaneClass.TIMELIKE, 3)
 
+    def test_degenerate_type_rejected(self):
+        with pytest.raises(ValueError, match="no degenerate"):
+            sample_real_planes(BilinearSpace(2, 2), PlaneClass.DEGENERATE, 1)
+
     def test_mixed_planes_in_lorentzian_signature(self):
         s = BilinearSpace(1, 5)
         planes = sample_real_planes(s, PlaneClass.MIXED, 5, seed=2)
@@ -232,6 +236,24 @@ class TestCheckAlmostComplex:
         lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 20, seed=1)
         assert check_almost_complex(r, J, lines).passed
 
+    # The bound is tol * max|R|: at 1e4 the worst commutator, 2.3e-10, is
+    # rounding and passes; at 1e-12 a generic tensor still fails.
+    @pytest.mark.parametrize("case", ["large_pair", "small_generic"])
+    def test_verdict_does_not_depend_on_scale(self, case):
+        if case == "large_pair":
+            s = BilinearSpace(4, 4)
+            J = standard_complex_structure(s)
+            r, n, seed = build_complex_pair_tensor(J, 1e4, 2e4), 100, 0
+        else:
+            s = BilinearSpace(0, 6)
+            J = standard_complex_structure(s)
+            phi = np.random.default_rng(8).standard_normal((6, 6))
+            r = combine([(1e-12, from_self_adjoint(s, 0.5 * (phi + adjoint(s, phi))))])
+            n, seed = 50, 2
+        report = check_almost_complex(r, J, sample_complex_lines(J, PlaneClass.SPACELIKE, n, seed))
+        assert report.passed is (case == "large_pair")
+        assert (report.witness is None) is report.passed
+
     def test_generic_generator_fails_on_some_line(self):
         s = BilinearSpace(0, 6)
         J = standard_complex_structure(s)
@@ -274,7 +296,7 @@ def reference_check_almost_complex(tensor, J, planes, tol):
     for plane, comm in zip(planes, reference_line_commutators(tensor, J, planes)):
         if comm > worst:
             worst, witness = comm, plane
-    return worst, witness if worst > tol else None
+    return worst, witness if worst > tol * np.max(np.abs(tensor.coeffs)) else None
 
 
 class TestCheckAlmostComplexReference:
