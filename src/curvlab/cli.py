@@ -191,9 +191,9 @@ def _to_json(value: Any) -> Any:
 
 
 def _symmetries(tensor, tol, **_) -> dict:
-    report = check_symmetries(tensor)
+    report = check_symmetries(tensor, tol)
     return {
-        "pass": report.passed(tol),
+        "pass": report.passed,
         "max_violation": report.max_violation,
         "witness": {
             "antisymmetry": report.antisymmetry_witness,

@@ -195,17 +195,18 @@ class SquareType(Enum):
 def classify_square(phi: np.ndarray, space: BilinearSpace, tol: float = DEFAULT_TOL) -> SquareType:
     """Which of phi^2 = +Id, phi^2 = -Id, or phi^2 = 0 with ker = range holds.
 
-    The nilpotent verdict additionally requires rank m/2: phi^2 = 0 puts the
-    range inside the kernel, and both then have dimension m/2, so they
-    coincide.
+    phi^2 = 0 is tested at tol * max |phi|^2, and phi^2 = +-Id at tol times
+    max(max |phi|^2, 1), the magnitude of Id being 1.  The nilpotent verdict
+    also requires rank m/2: phi^2 = 0 puts the range inside the kernel, and
+    both then have dimension m/2, so they coincide.
     """
     phi = _check_matrix(space, phi, "phi")
     m = space.m
-    scale = max(1.0, _max_abs(phi) ** 2)
+    scale = _max_abs(phi) ** 2
     square = phi @ phi
-    if _max_abs(square - np.eye(m)) <= tol * scale:
+    if _max_abs(square - np.eye(m)) <= tol * max(scale, 1.0):
         return SquareType.PLUS_ID
-    if _max_abs(square + np.eye(m)) <= tol * scale:
+    if _max_abs(square + np.eye(m)) <= tol * max(scale, 1.0):
         return SquareType.MINUS_ID
     if _max_abs(square) <= tol * scale and m % 2 == 0:
         if numeric_rank(phi, tol) == m // 2:
@@ -230,10 +231,11 @@ class AdmissibilityReport:
 def check_admissible(
     phi: np.ndarray, J: ComplexStructure, tol: float = DEFAULT_TOL
 ) -> AdmissibilityReport:
-    """Classify phi against the adjoint/commutation and square conditions."""
+    """Classify phi against the adjoint/commutation and square conditions: the
+    former hold at tol * max |phi| (J counts as 1), the latter as in
+    :func:`classify_square`, so no verdict depends on the scale of phi."""
     space = J.space
     phi = _check_matrix(space, phi, "phi")
-    scale = max(1.0, _max_abs(phi))
     star = adjoint(space, phi)
     residuals = {
         "self_adjoint": _max_abs(phi - star),
@@ -241,16 +243,14 @@ def check_admissible(
         "commute_J": _max_abs(phi @ J.J - J.J @ phi),
         "anticommute_J": _max_abs(phi @ J.J + J.J @ phi),
     }
-    is_self = residuals["self_adjoint"] <= tol * scale
-    is_skew = residuals["skew_adjoint"] <= tol * scale
-    commutes = residuals["commute_J"] <= tol * scale
-    anticommutes = residuals["anticommute_J"] <= tol * scale
+    bound = tol * _max_abs(phi)
+    holds = {name: r <= bound for name, r in residuals.items()}
 
-    if is_self and commutes:
+    if holds["self_adjoint"] and holds["commute_J"]:
         cls = AdmissibleClass.SELF_ADJOINT_COMMUTING
-    elif is_self and anticommutes:
+    elif holds["self_adjoint"] and holds["anticommute_J"]:
         cls = AdmissibleClass.SELF_ADJOINT_ANTICOMMUTING
-    elif is_skew and anticommutes:
+    elif holds["skew_adjoint"] and holds["anticommute_J"]:
         cls = AdmissibleClass.SKEW_ADJOINT_ANTICOMMUTING
     else:
         cls = AdmissibleClass.NOT_ADMISSIBLE
@@ -275,7 +275,9 @@ def check_admissible_pair(
 ) -> PairReport:
     """Check the pair conditions: phi1 commutes with J, phi2 anti-commutes,
     phi1* phi2 + phi2* phi1 = 0, and (when both squares vanish) the images of
-    sampled non-degenerate complex lines span 4 dimensions.
+    sampled non-degenerate complex lines span 4 dimensions.  Commutation is
+    decided by :func:`check_admissible`, at each generator's own scale, and
+    the cross-adjoint residual passes at tol * max |phi1| * max |phi2|.
 
     The line condition quantifies over the whole Grassmannian.  It is open, so
     the lines where it fails form a closed set, which can be null and missed by
@@ -292,7 +294,6 @@ def check_admissible_pair(
     if not rep2.admissible:
         raise ValueError(f"phi2 is not admissible: {rep2.admissible_class.value}, {rep2.square_type.value}")
 
-    scale = max(1.0, _max_abs(phi1), _max_abs(phi2))
     residuals = {
         "phi1_commute_J": rep1.residuals["commute_J"],
         "phi2_anticommute_J": rep2.residuals["anticommute_J"],
@@ -300,7 +301,9 @@ def check_admissible_pair(
             adjoint(space, phi1) @ phi2 + adjoint(space, phi2) @ phi1
         ),
     }
-    ok = all(r <= tol * scale**2 for r in residuals.values())
+    commuting = AdmissibleClass.SELF_ADJOINT_COMMUTING
+    ok = rep1.admissible_class is commuting and rep2.admissible_class is not commuting
+    ok = ok and residuals["cross_adjoint"] <= tol * _max_abs(phi1) * _max_abs(phi2)
 
     min_rank: int | None = None
     used_seed: int | None = None

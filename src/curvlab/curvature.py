@@ -67,11 +67,11 @@ def _argmax_entry(a: np.ndarray) -> tuple[float, tuple[int, ...]]:
 
 
 def _generator_tensor(space: BilinearSpace, phi: np.ndarray, sign: int) -> CurvatureTensor:
-    """R_phi for phi* = sign * phi, which is checked to DEFAULT_TOL; the later
-    outer products are subtracted in place, 2 (phi x, y)(phi z, w) last."""
+    """R_phi for phi* = sign * phi, which is checked to DEFAULT_TOL * max |phi|;
+    the later outer products are subtracted in place, 2 (phi x, y)(phi z, w) last."""
     phi = _check_matrix(space, phi, "phi")
     worst, where = _argmax_entry(phi - sign * adjoint(space, phi))
-    if worst > DEFAULT_TOL * max(1.0, float(np.max(np.abs(phi)))):
+    if worst > DEFAULT_TOL * float(np.max(np.abs(phi))):
         kind, op = ("self", "-") if sign > 0 else ("skew", "+")
         raise ValueError(
             f"phi is not {kind}-adjoint: |phi {op} phi*| = {worst:.3e} at entry {where}"
@@ -122,6 +122,7 @@ def combine(terms: Iterable[tuple[float, CurvatureTensor]]) -> CurvatureTensor:
 class SymmetryReport:
     """Max violation and argmax quadruple for each curvature identity."""
 
+    passed: bool
     antisymmetry: float
     antisymmetry_witness: tuple[int, ...]
     pair_symmetry: float
@@ -133,23 +134,19 @@ class SymmetryReport:
     def max_violation(self) -> float:
         return max(self.antisymmetry, self.pair_symmetry, self.bianchi)
 
-    def passed(self, tol: float) -> bool:
-        return self.max_violation <= tol
 
-
-def check_symmetries(tensor: CurvatureTensor) -> SymmetryReport:
+def check_symmetries(tensor: CurvatureTensor, tol: float = 1e-10) -> SymmetryReport:
     """Audit the three curvature identities entrywise; report only, never raises.
 
-    Compare against a threshold with ``report.passed(tol)``.
+    It passes when the largest violation is at most tol * max |R|, as the
+    J checks do, so the verdict does not depend on the tensor's scale.
     """
     r = tensor.coeffs
-    anti = r + r.swapaxes(0, 1)
-    pair = r - r.transpose(2, 3, 0, 1)
-    bianchi = r + np.einsum("abcd->cabd", r) + np.einsum("abcd->bcad", r)
-    a_max, a_at = _argmax_entry(anti)
-    p_max, p_at = _argmax_entry(pair)
-    b_max, b_at = _argmax_entry(bianchi)
-    return SymmetryReport(a_max, a_at, p_max, p_at, b_max, b_at)
+    a_max, a_at = _argmax_entry(r + r.swapaxes(0, 1))
+    p_max, p_at = _argmax_entry(r - r.transpose(2, 3, 0, 1))
+    b_max, b_at = _argmax_entry(r + np.einsum("abcd->cabd", r) + np.einsum("abcd->bcad", r))
+    passed = max(a_max, p_max, b_max) <= tol * tensor.scale
+    return SymmetryReport(passed, a_max, a_at, p_max, p_at, b_max, b_at)
 
 
 def apply_pairs(tensor: CurvatureTensor, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

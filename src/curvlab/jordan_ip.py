@@ -233,8 +233,8 @@ def _first_offender(
     anchor: JordanInvariants, rest: Iterable[JordanInvariants], tol: float
 ) -> int | None:
     """Index, counting the anchor as 0, of the first of rest that is not
-    equivalent to the anchor, or None; rest is read no further.  Equivalence is
-    transitive, so agreeing with the anchor is agreeing with every plane."""
+    equivalent to the anchor, or None; rest is read no further.  Pairing within
+    a bound is not transitive, so every plane is compared with the anchor."""
     found = (i for i, inv in enumerate(rest, 1) if not jordan_equivalent(anchor, inv, tol))
     return next(found, None)
 

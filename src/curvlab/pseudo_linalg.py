@@ -226,6 +226,7 @@ def jordan_invariants(a: np.ndarray, tol: float = DEFAULT_TOL) -> JordanInvarian
     evals = np.linalg.eigvals(a)
     svals = np.linalg.svd(a, compute_uv=False)
     op_scale = float(svals[0]) if svals.size else 0.0
+    total_rank = _rank_from_singular_values(svals, tol)  # raises unless tol > 0
     groups, ambiguous = _cluster_eigenvalues(evals, tol * op_scale)
 
     clusters: list[tuple[complex, int]] = []
@@ -242,8 +243,7 @@ def jordan_invariants(a: np.ndarray, tol: float = DEFAULT_TOL) -> JordanInvarian
             if k > 1:
                 power = power @ shifted
                 s = np.linalg.svd(power, compute_uv=False)
-            cutoff = tol * shifted_scale**k
-            ranks.append(int(np.count_nonzero(s > cutoff)) if cutoff > 0 else 0)
+            ranks.append(int(np.count_nonzero(s > tol * shifted_scale**k)))
             # In exact arithmetic the rank is constant from here on: the
             # generalised eigenspace is exhausted, or the nullity stopped growing.
             if ranks[-1] <= m - mult or (k > 1 and ranks[-1] == ranks[-2]):
@@ -262,7 +262,7 @@ def jordan_invariants(a: np.ndarray, tol: float = DEFAULT_TOL) -> JordanInvarian
         dimension=m,
         clusters=tuple(clusters[i] for i in order),
         rank_sequences=tuple(rank_sequences[i] for i in order),
-        total_rank=_rank_from_singular_values(svals, tol),
+        total_rank=total_rank,
         clustering_ambiguous=ambiguous,
         scale=op_scale,
     )

@@ -425,6 +425,53 @@ class TestChecks:
         if case == "large_pair":
             assert result["tensor_identity_violation"] == 0.0
 
+    # Every residual is judged at tol times the magnitudes of its inputs.  A
+    # generator of order 1e-6 whose square is 1e-12 diag(1, 1, 0, 0) is not
+    # nilpotent; rounding of 1.2e-10 in a valid tensor of order 1e6 passes
+    # `symmetries`; a generator of order 1e-9 that is not self-adjoint is
+    # rejected by its constructor.
+    @pytest.mark.parametrize("case, code", [
+        ("small_square", 1), ("large_symmetries", 0), ("small_not_self_adjoint", 2),
+    ])
+    def test_bound_is_relative_to_the_inputs(self, tmp_path, capsys, case, code):
+        if case == "small_square":
+            cfg = quaternionic_config(
+                signature=[0, 4], structure="complex",
+                generators={"phi": {"matrix": (1e-6 * np.diag([1.0, 1.0, 0.0, 0.0])).tolist()}},
+                tensor=[{"coefficient": 1, "generator": "phi", "constructor": "self_adjoint"}],
+                checks=["admissible"], tol=1e-10,
+            )
+        elif case == "large_symmetries":
+            rng = np.random.default_rng(0)
+            a, b = (0.5 * (x + x.T) for x in (rng.standard_normal((6, 6)) for _ in range(2)))
+            cfg = quaternionic_config(
+                signature=[0, 6], structure="complex",
+                generators={"a": {"matrix": a.tolist()}, "b": {"matrix": b.tolist()}},
+                tensor=[{"coefficient": 1e6, "generator": "a", "constructor": "self_adjoint"},
+                        {"coefficient": 1, "generator": "b", "constructor": "self_adjoint"}],
+                checks=["symmetries"], tol=1e-10,
+            )
+        else:
+            phi = 1e-9 * np.random.default_rng(1).standard_normal((4, 4))
+            cfg = quaternionic_config(
+                signature=[0, 4], structure="complex",
+                generators={"phi": {"matrix": phi.tolist()}},
+                tensor=[{"coefficient": 1, "generator": "phi", "constructor": "self_adjoint"}],
+                checks=["symmetries"], tol=1e-10,
+            )
+        config = write_config(tmp_path, "cfg.json", cfg)
+        report_path = tmp_path / "r.json"
+        assert main(["run", config, "--report", str(report_path), "--quiet"]) == code
+        if code == 2:
+            assert "phi is not self-adjoint" in capsys.readouterr().err
+            return
+        (result,) = json.loads(report_path.read_text())["checks"].values()
+        assert result["pass"] is (code == 0)
+        if case == "small_square":
+            assert result["generators"]["phi"]["square_type"] == "none"
+        else:
+            assert 1e-10 < result["max_violation"] < 1e-9
+
     def test_quadruple_is_null_when_the_tensor_identity_holds(self, tmp_path, monkeypatch):
         # The verdict of each half is its own: a failed line check names its
         # line, and the tensor identity that holds names no quadruple.

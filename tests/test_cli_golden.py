@@ -11,6 +11,7 @@ code behind it must leave every byte.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,14 @@ def test_report_printed_without_report_option(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == golden_path("quaternionic", code).read_bytes()
 
 
+def test_readme_example_is_the_readme_case():
+    """The one JSON block of README's CLI section is the config of the readme case."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```json\n(.*?)```", cli_section, re.S)
+    assert json.loads(block) == next(case[1] for case in CASES if case[0] == "readme")
+
+
 def test_list_builtins_matches_golden():
     assert list_builtins() + "\n" == (GOLDEN / "list_builtins.txt").read_text()
 
@@ -249,9 +258,9 @@ def test_config_error_stops_the_run_before_any_check(name, checks, tmp_path, cap
     listed ahead of it run; the stderr bytes stay those of the golden case."""
     calls = []
 
-    def spy(tensor):
+    def spy(tensor, tol):
         calls.append(tensor)
-        return check_symmetries(tensor)
+        return check_symmetries(tensor, tol)
 
     monkeypatch.setattr("curvlab.cli.check_symmetries", spy)
     _, config, argv, code = next(case for case in CASES if case[0] == name)

@@ -235,6 +235,13 @@ class TestClassifySquare:
         phi = np.random.default_rng(0).standard_normal((4, 4))
         assert classify_square(phi, s) is SquareType.NONE
 
+    # phi^2 = 0 is tested at tol * max|phi|^2: a square of 1e-12 is not zero
+    # for a phi of order 1e-6.
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_partial_projection_is_none_at_every_scale(self, c):
+        s = BilinearSpace(0, 4)
+        assert classify_square(c * np.diag([1.0, 1.0, 0.0, 0.0]), s) is SquareType.NONE
+
 
 class TestCheckAdmissible:
     def test_identity_is_self_adjoint_commuting_plus_id(self):
@@ -355,6 +362,15 @@ class TestCheckAdmissiblePair:
         phi1, phi2 = nilpotent_null_pair(space), nilpotent_null_pair_partner(space)
         with pytest.raises(ValueError, match="sample count must be at least 1"):
             check_admissible_pair(phi1, phi2, J, n_lines=0)
+
+    # At 1e6 the phi^2 = +Id bound tol * max|phi|^2 exceeds 1, so a zero
+    # square also passes that test, which runs first, and no line is drawn.
+    @pytest.mark.parametrize("c", [1e-6, 1e6])
+    def test_scaled_nilpotent_pair_stays_admissible(self, c):
+        space = BilinearSpace(4, 4)
+        J = standard_complex_structure(space)
+        phi1, phi2 = nilpotent_null_pair(space), nilpotent_null_pair_partner(space)
+        assert check_admissible_pair(c * phi1, c * phi2, J, n_lines=10, seed=0).admissible
 
     def test_pair_images_pairwise_orthogonal_on_lines(self):
         rng = np.random.default_rng(5)

@@ -67,6 +67,15 @@ class TestFromSelfAdjoint:
         with pytest.raises(ValueError, match=r"not self-adjoint.*\(0, 1\)"):
             from_self_adjoint(s, phi)
 
+    # The residual |phi - phi*| is judged at DEFAULT_TOL * max|phi|, so a
+    # small generic matrix is rejected as a large one is.
+    @pytest.mark.parametrize("c", [1e-9, 1.0])
+    def test_rejects_non_self_adjoint_at_every_scale(self, c):
+        s = BilinearSpace(0, 4)
+        phi = c * np.random.default_rng(1).standard_normal((4, 4))
+        with pytest.raises(ValueError, match="not self-adjoint"):
+            from_self_adjoint(s, phi)
+
 
 class TestFromSkewAdjoint:
     def test_rotation_generator_value(self):
@@ -181,6 +190,17 @@ class TestCheckSymmetries:
         space = BilinearSpace(0, 3)
         r = CurvatureTensor(space, np.zeros((3, 3, 3, 3)))
         assert check_symmetries(r).max_violation == 0.0
+
+    # The verdict is judged at tol * max|R|, so scaling the tensor keeps it.
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e8])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_verdict_does_not_depend_on_scale(self, c, perturbed):
+        space = BilinearSpace(1, 4)
+        coeffs = random_algebraic_curvature_tensor(space, 2).coeffs.copy()
+        if perturbed:
+            coeffs[1, 2, 3, 4] += 1e-6
+        report = check_symmetries(CurvatureTensor(space, c * coeffs))
+        assert report.passed is (not perturbed)
 
     def test_random_projection_is_algebraic_curvature_tensor(self):
         for sig in SIGNATURES:

@@ -4,6 +4,7 @@ import pytest
 from curvlab import (
     BilinearSpace,
     CurvatureTensor,
+    JordanInvariants,
     OrientedPlane,
     PlaneClass,
     SpectrumModel,
@@ -648,6 +649,18 @@ class TestSpectrumOfJR:
         lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 10, seed=0)
         anchor, *rest = (spectrum_of_JR(r, J, line) for line in lines)
         assert not all(anchor.matches(spec, 1e-8) for spec in rest)
+
+    def test_odd_real_multiplicity_rejected(self, monkeypatch):
+        # An almost complex tensor gives even multiplicities, so the
+        # fingerprint is stubbed; its scale lets the commutator test pass.
+        s = BilinearSpace(0, 4)
+        J = standard_complex_structure(s)
+        fingerprint = JordanInvariants(4, ((1 + 0j, 3), (-1 + 0j, 1)), ((1, 1, 1), (3,)), 4,
+                                       False, 1e6)
+        monkeypatch.setattr(jordan_ip, "jordan_invariants", lambda a, tol: fingerprint)
+        line = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed=0)[0]
+        with pytest.raises(SpectrumStructureError, match="odd real multiplicity 3"):
+            spectrum_of_JR(random_algebraic_curvature_tensor(s, 3), J, line)
 
     def test_non_real_eigenvalue_rejected(self):
         s = BilinearSpace(2, 2)

@@ -186,6 +186,19 @@ class TestNumericRank:
 
 
 class TestJordanInvariants:
+    def test_nonpositive_tol_raises_before_any_cluster_svd(self, monkeypatch):
+        svd = np.linalg.svd
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            jordan_invariants(np.eye(4), 0.0)
+        assert calls == [(4, 4)]
+
     def test_nilpotent_block(self):
         inv = jordan_invariants(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert inv.clusters == ((0j, 2),)
