@@ -262,7 +262,8 @@ def _jordan_ip_real(tensor, samples, seed, tol, **_) -> dict:
 
 def _spectrum(tensor, J, samples, seed, tol, **_) -> dict:
     try:
-        spectra = [spectrum_of_JR(tensor, J, plane) for plane in _default_lines(J, samples, seed)]
+        lines = _default_lines(J, samples, seed)
+        spectra = [spectrum_of_JR(tensor, J, plane, max(tol, OPERATOR_TOL)) for plane in lines]
     except ValueError as exc:
         return {"pass": False, "error": str(exc)}
     anchor = spectra[0]
@@ -306,9 +307,9 @@ def _solve_constants(tensor, J, quat, seed, tol, **_) -> dict:
     try:
         # The relations of solve_constants hold on spacelike lines only.
         plane = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed)[0]
-        measured = spectrum_of_JR(tensor, J, plane)
+        measured = spectrum_of_JR(tensor, J, plane, max(tol, OPERATOR_TOL))
         coeffs = solve_constants(measured, model)
-        round_trip = spectrum_of_JR(rebuild(*coeffs), J, plane)
+        round_trip = spectrum_of_JR(rebuild(*coeffs), J, plane, max(tol, OPERATOR_TOL))
         passed = measured.matches(round_trip, max(tol, DEFAULT_TOL))
     except ValueError as exc:
         return {"pass": False, "error": str(exc)}

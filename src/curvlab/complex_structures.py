@@ -58,12 +58,10 @@ class ComplexStructure:
                 f"signature ({self.space.p}, {self.space.q}) admits no pseudo-Hermitian "
                 "complex structure; both counts must be even"
             )
-        bound = DEFAULT_TOL * max(1.0, _max_abs(J) ** 2)
-        square_residual = _max_abs(J @ J + np.eye(self.space.m))
-        if square_residual > bound:
-            raise ValueError(f"J^2 != -Id, max residual {square_residual:.3e}")
+        if classify_square(J, self.space) is not SquareType.MINUS_ID:
+            raise ValueError(f"J^2 != -Id, max residual {_max_abs(J @ J + np.eye(self.space.m)):.3e}")
         isometry_residual = _max_abs(J.T @ self.space.gram @ J - self.space.gram)
-        if isometry_residual > bound:
+        if isometry_residual > DEFAULT_TOL * max(1.0, _max_abs(J) ** 2):
             raise ValueError(f"J is not an isometry, max residual {isometry_residual:.3e}")
 
 
@@ -193,25 +191,26 @@ class SquareType(Enum):
 
 
 def classify_square(phi: np.ndarray, space: BilinearSpace, tol: float = DEFAULT_TOL) -> SquareType:
-    """Which of phi^2 = +Id, phi^2 = -Id, or phi^2 = 0 with ker = range holds.
+    """Which of phi^2 = 0 with ker = range, phi^2 = +Id, or phi^2 = -Id holds.
 
-    phi^2 = 0 is tested at tol * max |phi|^2, and phi^2 = +-Id at tol times
-    max(max |phi|^2, 1), the magnitude of Id being 1.  The nilpotent verdict
-    also requires rank m/2: phi^2 = 0 puts the range inside the kernel, and
-    both then have dimension m/2, so they coincide.
+    The candidate nearest to phi^2 is tested: 0 at tol * max |phi|^2, +-Id at
+    tol * max(max |phi|^2, 1); past max |phi| = 1/sqrt(tol) a square can pass
+    both.  The nilpotent verdict also requires rank m/2: phi^2 = 0 puts the
+    range inside the kernel, and both then have dimension m/2, so they coincide.
     """
     phi = _check_matrix(space, phi, "phi")
     m = space.m
     scale = _max_abs(phi) ** 2
     square = phi @ phi
-    if _max_abs(square - np.eye(m)) <= tol * max(scale, 1.0):
-        return SquareType.PLUS_ID
-    if _max_abs(square + np.eye(m)) <= tol * max(scale, 1.0):
-        return SquareType.MINUS_ID
-    if _max_abs(square) <= tol * scale and m % 2 == 0:
-        if numeric_rank(phi, tol) == m // 2:
-            return SquareType.NILPOTENT_KERNEL_EQUALS_RANGE
-    return SquareType.NONE
+    residuals = {SquareType.NILPOTENT_KERNEL_EQUALS_RANGE: _max_abs(square),
+                 SquareType.PLUS_ID: _max_abs(square - np.eye(m)),
+                 SquareType.MINUS_ID: _max_abs(square + np.eye(m))}
+    verdict = min(residuals, key=residuals.get)
+    if verdict is SquareType.NILPOTENT_KERNEL_EQUALS_RANGE:
+        holds = residuals[verdict] <= tol * scale and m % 2 == 0 and numeric_rank(phi, tol) == m // 2
+    else:
+        holds = residuals[verdict] <= tol * max(scale, 1.0)
+    return verdict if holds else SquareType.NONE
 
 
 @dataclass(frozen=True)
@@ -320,8 +319,8 @@ def check_admissible_pair(
             "while sampling complex lines",
         )
         min_rank = 4
-        for x, jx, _ in lines:
-            stacked = np.column_stack([phi1 @ x, phi1 @ jx, phi2 @ x, phi2 @ jx])
+        for line in lines:
+            stacked = np.column_stack([phi1 @ line.x, phi1 @ line.y, phi2 @ line.x, phi2 @ line.y])
             min_rank = min(min_rank, numeric_rank(stacked, tol))
         ok = ok and min_rank == 4
 

@@ -25,10 +25,10 @@ from .curvature import CurvatureTensor, apply_pairs, combine, from_self_adjoint,
 from .pseudo_linalg import (
     BilinearSpace,
     JordanInvariants,
+    OrientedPlane,
     PlaneClass,
     _check_vector,
     _paired,
-    _plane_gram,
     _rejection_sample,
     _unit_line,
     classify_plane,
@@ -54,29 +54,15 @@ class SpectrumStructureError(ValueError):
     Indicates the tensor is not almost complex."""
 
 
-@dataclass(frozen=True, eq=False)
-class OrientedPlane:
-    """An ordered spanning pair with its causal type.
-
-    is_complex_line marks planes of the form span{x, Jx} for the designated
-    complex structure; those are never of mixed type.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    plane_class: PlaneClass
-    is_complex_line: bool = False
-
-
 def complex_line(J: ComplexStructure, x: np.ndarray) -> OrientedPlane:
-    """The plane span{x, Jx}; requires it non-degenerate by curvature_operator's
-    test, and is spacelike or timelike according to the sign of (x, x)."""
+    """The plane span{x, Jx} with x as given, not rescaled; raises ValueError
+    when it is degenerate.  It is spacelike or timelike according to the sign
+    of (x, x)."""
     x = _check_vector(J.space, x, "x")
-    jx = J.J @ x
-    det, plane_class = _plane_gram(J.space, x, jx)
-    if plane_class is PlaneClass.DEGENERATE:
-        raise ValueError(f"x is null to tolerance (Gram determinant {det:.3e}); the span is degenerate")
-    return OrientedPlane(x, jx, plane_class, is_complex_line=True)
+    line = OrientedPlane(J.space, x, J.J @ x, is_complex_line=True)
+    if line.plane_class is PlaneClass.DEGENERATE:
+        raise ValueError(f"x is null to tolerance (Gram determinant {line.det:.3e}); the span is degenerate")
+    return line
 
 
 def _real_plane_realizable(space: BilinearSpace, causal_type: PlaneClass) -> bool:
@@ -105,9 +91,8 @@ def sample_real_planes(
     def draw(rng: np.random.Generator) -> OrientedPlane | None:
         x = rng.standard_normal(space.m)
         y = rng.standard_normal(space.m)
-        if classify_plane(space, x, y) is not causal_type:
-            return None
-        return OrientedPlane(x, y, causal_type)
+        # Only an accepted draw is made a plane: most draws are rejected.
+        return OrientedPlane(space, x, y) if classify_plane(space, x, y) is causal_type else None
 
     return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} planes")
 
@@ -135,9 +120,7 @@ def sample_complex_lines(
 
     def draw(rng: np.random.Generator) -> OrientedPlane | None:
         line = _unit_line(space, J.J, rng.standard_normal(space.m), positive)
-        if line is None or line[2] is not causal_type:
-            return None
-        return OrientedPlane(*line, is_complex_line=True)
+        return line if line is not None and line.plane_class is causal_type else None
 
     return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} lines")
 
@@ -154,25 +137,23 @@ def curvature_operators(
     """R(pi) for the planes in order, lazily, as (k, m, m) stacks of at most
     _BLOCK operators, each stack assembled by one apply_pairs product.
 
-    The planes of a block are checked in order before it is assembled; the
-    first degenerate one raises ValueError.  An operator whose largest entry
+    The planes of a block are looked at in order before it is assembled; the
+    first one in another space than the tensor's, or degenerate by the det
+    it was made with, raises ValueError.  An operator whose largest entry
     does not exceed its rounding level m eps max|R| |x| |y| / sqrt|det| is set
     to exactly 0, so that every later check sees it as the zero map.
     """
     space = tensor.space
     noise = space.m * np.finfo(float).eps * tensor.scale
     for start in range(0, len(planes), _BLOCK):
-        xs, ys, dets = [], [], []
-        for plane in planes[start : start + _BLOCK]:
-            x = _check_vector(space, plane.x, "x")
-            y = _check_vector(space, plane.y, "y")
-            det, plane_class = _plane_gram(space, x, y)
-            if plane_class is PlaneClass.DEGENERATE:
-                raise ValueError(f"degenerate plane: restricted Gram determinant {det:.3e}")
-            xs.append(x)
-            ys.append(y)
-            dets.append(det)
-        xs, ys, scale = np.array(xs), np.array(ys), np.sqrt(np.abs(dets))
+        block = planes[start : start + _BLOCK]
+        for plane in block:
+            if plane.space != space:
+                raise ValueError(f"plane in {plane.space} used with a tensor in {space}")
+            if plane.plane_class is PlaneClass.DEGENERATE:
+                raise ValueError(f"degenerate plane: restricted Gram determinant {plane.det:.3e}")
+        xs, ys = np.array([plane.x for plane in block]), np.array([plane.y for plane in block])
+        scale = np.sqrt(np.abs([plane.det for plane in block]))
         ops = apply_pairs(tensor, xs, ys) / scale[:, None, None]
         level = noise * np.linalg.norm(xs, axis=1) * np.linalg.norm(ys, axis=1) / scale
         ops[np.abs(ops).max(axis=(1, 2)) <= level] = 0.0
@@ -308,16 +289,12 @@ def check_jordan_ip_real(
     n: int = 100,
     seed: int = 0,
     tol: float = OPERATOR_TOL,
-    types: list[PlaneClass] | None = None,
 ) -> RealJordanIPReport:
-    """Jordan constancy over real oriented 2-planes, independently per causal type."""
+    """Jordan constancy over real oriented 2-planes, independently per causal type;
+    the i-th type that exists (spacelike, timelike, mixed) is sampled with seed + i."""
     space = tensor.space
-    if types is None:
-        types = [
-            t
-            for t in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE, PlaneClass.MIXED)
-            if _real_plane_realizable(space, t)
-        ]
+    types = [t for t in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE, PlaneClass.MIXED)
+             if _real_plane_realizable(space, t)]
     invariants_by_type: dict[PlaneClass, JordanInvariants] = {}
     witnesses: dict[PlaneClass, tuple[OrientedPlane, OrientedPlane]] = {}
     for offset, causal_type in enumerate(types):

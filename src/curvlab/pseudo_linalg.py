@@ -1,4 +1,4 @@
-"""Inner products of arbitrary signature, adjoints, plane types, and Jordan invariants.
+"""Inner products of arbitrary signature, adjoints, oriented planes, and Jordan invariants.
 
 Vectors and linear maps are plain numpy arrays; a :class:`BilinearSpace` is
 its signature, which fixes the diagonal Gram matrix.  Non-degeneracy and the
@@ -9,7 +9,7 @@ needs no locking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Any, Callable, ClassVar, Sequence
@@ -117,6 +117,27 @@ def classify_plane(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> PlaneC
     return _plane_gram(space, _check_vector(space, x, "x"), _check_vector(space, y, "y"))[1]
 
 
+@dataclass(frozen=True, eq=False)
+class OrientedPlane:
+    """An ordered spanning pair {x, y} of a 2-plane in space, whose Gram
+    determinant det = (x,x)(y,y) - (x,y)^2 and causal type plane_class are
+    decided once, when it is made; it may be degenerate.  is_complex_line
+    marks a span{x, Jx} for the designated J, never of mixed type."""
+
+    space: BilinearSpace
+    x: np.ndarray
+    y: np.ndarray
+    is_complex_line: bool = False
+    det: float = field(init=False)
+    plane_class: PlaneClass = field(init=False)
+
+    def __post_init__(self) -> None:
+        x, y = _check_vector(self.space, self.x, "x"), _check_vector(self.space, self.y, "y")
+        det, plane_class = _plane_gram(self.space, x, y)
+        for name, value in (("x", x), ("y", y), ("det", det), ("plane_class", plane_class)):
+            object.__setattr__(self, name, value)
+
+
 def _rank_from_singular_values(s: np.ndarray, tol: float) -> int:
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -134,17 +155,16 @@ def numeric_rank(a: np.ndarray, tol: float) -> int:
 
 def _unit_line(
     space: BilinearSpace, j: np.ndarray, x: np.ndarray, positive: bool | None = None
-) -> tuple[np.ndarray, np.ndarray, PlaneClass] | None:
-    """x rescaled to |(x, x)| = 1, its image j x, and the causal type of their
-    span from _plane_gram; None when that span is degenerate, or when positive
-    is given and the sign of (x, x) disagrees with it."""
+) -> OrientedPlane | None:
+    """The complex line span{x, j x} with x rescaled to |(x, x)| = 1; None when
+    it is degenerate, or when positive is given and the sign of (x, x)
+    disagrees with it."""
     t = float(x.dot(space.signs * x))
     if t == 0.0 or (positive is not None and (t > 0) != positive):
         return None
     x = x / np.sqrt(abs(t))
-    jx = j @ x
-    plane_class = _plane_gram(space, x, jx)[1]
-    return None if plane_class is PlaneClass.DEGENERATE else (x, jx, plane_class)
+    line = OrientedPlane(space, x, j @ x, is_complex_line=True)
+    return None if line.plane_class is PlaneClass.DEGENERATE else line
 
 
 def _rejection_sample(

@@ -10,6 +10,7 @@ from curvlab import (
     adjoint,
     cli,
     curvature,
+    jordan_ip,
     standard_complex_structure,
 )
 from curvlab.cli import CHECK_NAMES, entry, list_builtins, main
@@ -345,6 +346,23 @@ class TestChecks:
         assert len(checks["spectrum"]["spectrum"]) == 3
         assert checks["spectrum"]["consistent"] is True
         assert checks["solve_constants"]["pass"] is True
+
+    # Every fingerprint of a run, the spectrum ones included, is taken at the
+    # Jordan checks' tolerance max(--tol, OPERATOR_TOL).
+    @pytest.mark.parametrize("argv, want", [([], 1e-6), (["--tol", "1e-4"], 1e-4)], ids=["default", "1e-4"])
+    def test_fingerprints_share_one_tolerance(self, tmp_path, monkeypatch, argv, want):
+        seen = []
+        original = jordan_ip.jordan_invariants
+
+        def spy(a, tol):
+            seen.append(tol)
+            return original(a, tol)
+
+        monkeypatch.setattr(jordan_ip, "jordan_invariants", spy)
+        checks = ["jordan_ip_complex", "jordan_ip_real", "spectrum", "solve_constants"]
+        config = write_config(tmp_path, "cfg.json", quaternionic_config(checks=checks))
+        main(["run", config, "--quiet", *argv])
+        assert seen and set(seen) == {want}
 
     def test_admissible_check_over_declared_generators(self, tmp_path):
         cfg = quaternionic_config(

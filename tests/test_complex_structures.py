@@ -59,6 +59,27 @@ class TestStandardComplexStructure:
         with pytest.raises(ValueError):
             ComplexStructure(s, np.eye(2))
 
+    # J^2 = -Id is classify_square's verdict: past max|J| = 1/sqrt(tol) a zero
+    # square also passes the -Id bound, but it is nearer to 0.
+    @pytest.mark.parametrize("c", [1.0, 1e5])
+    def test_constructor_rejects_a_zero_square_at_every_scale(self, c):
+        s = BilinearSpace(2, 2)
+        with pytest.raises(ValueError, match=r"^J\^2 != -Id, max residual 1.000e\+00$"):
+            ComplexStructure(s, c * nilpotent_null_pair(s))
+
+    # Conjugating J by a boost of rapidity 10 gives entries of 1.1e4 and
+    # J^2 = -Id up to 2e-8; the square also passes the zero bound, but it is
+    # nearer to -Id.
+    def test_constructor_accepts_a_boosted_structure(self):
+        s = BilinearSpace(2, 2)
+        boost = np.eye(4)
+        boost[0, 0] = boost[2, 2] = np.cosh(10.0)
+        boost[0, 2] = boost[2, 0] = np.sinh(10.0)
+        J = boost @ standard_complex_structure(s).J @ np.linalg.inv(boost)
+        assert np.max(np.abs(J)) > 1e4
+        assert classify_square(J, s) is SquareType.MINUS_ID
+        ComplexStructure(s, J)
+
     def test_constructor_validates_isometry(self):
         # Squares to -Id, but stretches e1 and shrinks e2.
         s = BilinearSpace(0, 2)
@@ -235,6 +256,14 @@ class TestClassifySquare:
         phi = np.random.default_rng(0).standard_normal((4, 4))
         assert classify_square(phi, s) is SquareType.NONE
 
+    # At 1e6 the +-Id bound tol * max|phi|^2 exceeds 1 and takes a zero square
+    # too, but the square is nearer to 0.
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_scaled_null_pair_is_nilpotent(self, c):
+        s = BilinearSpace(4, 4)
+        verdict = classify_square(c * nilpotent_null_pair(s), s)
+        assert verdict is SquareType.NILPOTENT_KERNEL_EQUALS_RANGE
+
     # phi^2 = 0 is tested at tol * max|phi|^2: a square of 1e-12 is not zero
     # for a phi of order 1e-6.
     @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
@@ -364,13 +393,15 @@ class TestCheckAdmissiblePair:
             check_admissible_pair(phi1, phi2, J, n_lines=0)
 
     # At 1e6 the phi^2 = +Id bound tol * max|phi|^2 exceeds 1, so a zero
-    # square also passes that test, which runs first, and no line is drawn.
+    # square passes it too; both squares are nearer to 0, so both are
+    # nilpotent and the line-span condition is tested.
     @pytest.mark.parametrize("c", [1e-6, 1e6])
     def test_scaled_nilpotent_pair_stays_admissible(self, c):
         space = BilinearSpace(4, 4)
         J = standard_complex_structure(space)
         phi1, phi2 = nilpotent_null_pair(space), nilpotent_null_pair_partner(space)
-        assert check_admissible_pair(c * phi1, c * phi2, J, n_lines=10, seed=0).admissible
+        report = check_admissible_pair(c * phi1, c * phi2, J, n_lines=10, seed=0)
+        assert report.admissible and report.min_line_rank == 4
 
     def test_pair_images_pairwise_orthogonal_on_lines(self):
         rng = np.random.default_rng(5)

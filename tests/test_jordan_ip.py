@@ -16,9 +16,11 @@ from curvlab import (
     check_almost_complex,
     check_jordan_ip,
     check_jordan_ip_real,
+    classify_plane,
     combine,
     complex_line,
     curvature_operator,
+    curvature_operators,
     from_self_adjoint,
     from_skew_adjoint,
     inner,
@@ -36,7 +38,7 @@ from curvlab import (
     standard_complex_structure,
     standard_quaternion_structure,
 )
-from curvlab import jordan_ip
+from curvlab import jordan_ip, pseudo_linalg
 from curvlab.pseudo_linalg import _plane_gram
 from test_curvature import conjugated_structure, reference_apply_pair
 
@@ -82,6 +84,50 @@ class TestComplexLine:
         J = standard_complex_structure(s)
         with pytest.raises(ValueError, match="null"):
             complex_line(J, e(4, 0) + e(4, 2))
+
+
+class TestOrientedPlane:
+    @pytest.mark.parametrize("x, y, want", [
+        (e(4, 2), e(4, 3), PlaneClass.SPACELIKE),
+        (e(4, 0), e(4, 1), PlaneClass.TIMELIKE),
+        (e(4, 0), e(4, 2), PlaneClass.MIXED),
+        (e(4, 0) + e(4, 2), e(4, 1) + e(4, 3), PlaneClass.DEGENERATE),
+    ], ids=["spacelike", "timelike", "mixed", "degenerate"])
+    def test_class_and_det_from_the_vectors(self, x, y, want):
+        s = BilinearSpace(2, 2)
+        plane = OrientedPlane(s, x, y)
+        assert plane.plane_class is classify_plane(s, x, y) is want
+        assert plane.det == _plane_gram(s, x, y)[0]
+
+    def test_vectors_are_checked_against_the_space(self):
+        with pytest.raises(ValueError, match=r"^y has shape \(3,\), expected \(4,\)$"):
+            OrientedPlane(BilinearSpace(0, 4), e(4, 0), e(3, 1))
+
+    def test_plane_of_another_signature_raises(self):
+        line = complex_line(standard_complex_structure(BilinearSpace(2, 2)), e(4, 2))
+        r = from_self_adjoint(BilinearSpace(0, 4), np.eye(4))
+        with pytest.raises(ValueError, match=r"^plane in BilinearSpace\(p=2, q=2\) used with a tensor in BilinearSpace\(p=0, q=4\)$"):
+            curvature_operator(r, line)
+
+    # The sampler makes each line once, and its Gram determinant goes with it
+    # to the assembly of R(pi).
+    def test_one_gram_per_sampled_line(self, monkeypatch):
+        calls = []
+        original = pseudo_linalg._plane_gram
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        # Count the calls under every module name that binds the function.
+        for module in (pseudo_linalg, jordan_ip):
+            if hasattr(module, "_plane_gram"):
+                monkeypatch.setattr(module, "_plane_gram", counting)
+        J = standard_complex_structure(BilinearSpace(2, 4))
+        r = build_complex_pair_tensor(J, 1.0, 0.5)
+        lines = sample_complex_lines(J, PlaneClass.TIMELIKE, 100, seed=0)
+        assert sum(len(ops) for ops in curvature_operators(r, lines)) == 100
+        assert len(calls) == 100
 
 
 class TestSamplePlanes:
@@ -162,22 +208,22 @@ class TestCurvatureOperator:
     def test_normalization_divides_out_scale(self):
         s = BilinearSpace(0, 4)
         r = random_algebraic_curvature_tensor(s, 1)
-        a = curvature_operator(r, plane_of(s, e(4, 0), e(4, 1)))
-        b = curvature_operator(r, plane_of(s, 2.0 * e(4, 0), e(4, 1)))
+        a = curvature_operator(r, OrientedPlane(s, e(4, 0), e(4, 1)))
+        b = curvature_operator(r, OrientedPlane(s, 2.0 * e(4, 0), e(4, 1)))
         assert np.allclose(a, b)
 
     def test_orientation_reversal_negates(self):
         s = BilinearSpace(0, 4)
         r = random_algebraic_curvature_tensor(s, 2)
-        a = curvature_operator(r, plane_of(s, e(4, 0), e(4, 1)))
-        b = curvature_operator(r, plane_of(s, e(4, 1), e(4, 0)))
+        a = curvature_operator(r, OrientedPlane(s, e(4, 0), e(4, 1)))
+        b = curvature_operator(r, OrientedPlane(s, e(4, 1), e(4, 0)))
         assert np.allclose(a, -b)
 
     def test_degenerate_plane_rejected_with_determinant(self):
         s = BilinearSpace(1, 1)
         r = random_algebraic_curvature_tensor(s, 3)
         null = e(2, 0) + e(2, 1)
-        plane = plane_of(s, null, 2.0 * null)
+        plane = OrientedPlane(s, null, 2.0 * null)
         with pytest.raises(ValueError, match="determinant"):
             curvature_operator(r, plane)
 
@@ -194,8 +240,8 @@ class TestCurvatureOperator:
             a, b, c, d = rng.uniform(-2, 2, 4)
             if a * d - b * c < 0.1:
                 continue
-            op1 = curvature_operator(r, plane_of(s, x, y))
-            op2 = curvature_operator(r, plane_of(s, a * x + b * y, c * x + d * y))
+            op1 = curvature_operator(r, OrientedPlane(s, x, y))
+            op2 = curvature_operator(r, OrientedPlane(s, a * x + b * y, c * x + d * y))
             assert np.max(np.abs(op1 - op2)) <= 1e-9 * max(1.0, np.max(np.abs(op1)))
 
     @pytest.mark.parametrize("sig", [(0, 4), (1, 3), (2, 2)])
@@ -213,12 +259,6 @@ class TestCurvatureOperator:
                 assert np.max(np.abs(op + adjoint(space, op))) <= 1e-10 * max(
                     1.0, np.max(np.abs(op))
                 )
-
-
-def plane_of(space, x, y):
-    from curvlab import OrientedPlane, classify_plane
-
-    return OrientedPlane(np.asarray(x, float), np.asarray(y, float), classify_plane(space, x, y))
 
 
 class TestCheckAlmostComplex:
@@ -271,7 +311,7 @@ class TestCheckAlmostComplex:
         s = BilinearSpace(0, 4)
         J = standard_complex_structure(s)
         r = from_self_adjoint(s, np.eye(4))
-        plane = plane_of(s, e(4, 0), e(4, 1))
+        plane = OrientedPlane(s, e(4, 0), e(4, 1))
         with pytest.raises(ValueError, match="complex line"):
             check_almost_complex(r, J, [plane])
 
@@ -334,9 +374,9 @@ class TestCheckAlmostComplexReference:
         J = standard_complex_structure(space)
         r = build_complex_pair_tensor(J, 1.0, 0.5)
         mixed = sample_complex_lines(J, PlaneClass.SPACELIKE, 150, seed=4)
-        mixed[non_complex_at] = plane_of(space, e(4, 0), e(4, 1))
+        mixed[non_complex_at] = OrientedPlane(space, e(4, 0), e(4, 1))
         null = e(4, 0) + e(4, 2)
-        mixed[degenerate_at] = OrientedPlane(null, J.J @ null, PlaneClass.SPACELIKE, True)
+        mixed[degenerate_at] = OrientedPlane(space, null, J.J @ null, is_complex_line=True)
         with pytest.raises(ValueError) as want:
             reference_check_almost_complex(r, J, mixed, 1e-10)
         expected = "complex lines" if non_complex_at < degenerate_at else "degenerate plane"
@@ -526,7 +566,8 @@ class TestFingerprintCalls:
         staged = self.stage(monkeypatch, "sample_real_planes", planes)
         invariants = self.count(monkeypatch, "jordan_invariants")
         equivalent = self.count(monkeypatch, "jordan_equivalent")
-        report = check_jordan_ip_real(r, n=20, seed=0, types=[PlaneClass.SPACELIKE])
+        report = check_jordan_ip_real(r, n=20, seed=0)
+        assert list(report.constant_by_type) == [PlaneClass.SPACELIKE]
         assert report.witnesses[PlaneClass.SPACELIKE] == (staged[0], staged[self.OFFENDER])
         assert len(invariants) == self.OFFENDER + 1
         assert len(equivalent) == self.OFFENDER
@@ -580,7 +621,7 @@ class TestSpectrumOfJR:
         J = standard_complex_structure(s)
         r = from_self_adjoint(s, np.eye(4))
         with pytest.raises(ValueError, match="complex line"):
-            spectrum_of_JR(r, J, plane_of(s, e(4, 0), e(4, 1)))
+            spectrum_of_JR(r, J, OrientedPlane(s, e(4, 0), e(4, 1)))
 
     def test_nilpotent_operator_reported_as_structural_error(self):
         s = BilinearSpace(2, 2)
@@ -801,11 +842,10 @@ class TestNilpotentBranch:
     def test_null_pair_constancy_on_balanced_six_space(self):
         s = BilinearSpace(3, 3)
         r = from_self_adjoint(s, nilpotent_null_pair(s))
-        report = check_jordan_ip_real(
-            r, n=25, seed=2, types=[PlaneClass.SPACELIKE, PlaneClass.TIMELIKE]
-        )
-        assert report.constant
-        assert set(report.rank_by_type.values()) == {2}
+        report = check_jordan_ip_real(r, n=25, seed=2)
+        types = (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE)
+        assert all(report.constant_by_type[t] for t in types)
+        assert {report.rank_by_type[t] for t in types} == {2}
 
     def test_doubly_nilpotent_pair_rank_four(self):
         # Both generators square to zero; the pair tensor's operator has rank
