@@ -61,7 +61,7 @@ from .jordan_ip import (
     sample_complex_lines,
     solve_constants,
     spectrum_of_JR,
-    _default_lines,
+    _lines_by_type,
 )
 from .pseudo_linalg import DEFAULT_TOL, BilinearSpace, JordanInvariants
 
@@ -75,10 +75,7 @@ _GENERATORS = {
     "quat_j": ("quaternion", lambda space, J, quat: quat.j),
     "quat_k": ("quaternion", lambda space, J, quat: quat.k),
     "nilpotent_null_pair": (None, lambda space, J, quat: nilpotent_null_pair(space)),
-    "nilpotent_null_pair_partner": (
-        None,
-        lambda space, J, quat: nilpotent_null_pair_partner(space),
-    ),
+    "nilpotent_null_pair_partner": (None, lambda space, J, quat: nilpotent_null_pair_partner(space)),
 }
 GENERATOR_BUILTINS = tuple(_GENERATORS)
 
@@ -205,7 +202,7 @@ def _symmetries(tensor, tol, **_) -> dict:
 
 def _almost_complex(tensor, J, samples, seed, tol, **_) -> dict:
     tensor_report = check_J_invariance(tensor, J, tol)
-    lines = check_almost_complex(tensor, J, _default_lines(J, samples, seed), tol)
+    lines = check_almost_complex(tensor, J, next(_lines_by_type(J, samples, seed)), tol)
     passed = tensor_report.passed and lines.passed
     out = {
         "pass": passed,
@@ -262,7 +259,7 @@ def _jordan_ip_real(tensor, samples, seed, tol, **_) -> dict:
 
 def _spectrum(tensor, J, samples, seed, tol, **_) -> dict:
     try:
-        lines = _default_lines(J, samples, seed)
+        lines = next(_lines_by_type(J, samples, seed))
         spectra = [spectrum_of_JR(tensor, J, plane, max(tol, OPERATOR_TOL)) for plane in lines]
     except ValueError as exc:
         return {"pass": False, "error": str(exc)}

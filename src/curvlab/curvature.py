@@ -61,6 +61,11 @@ class CurvatureTensor:
         return float(max(self.coeffs.max(), -self.coeffs.min()))
 
 
+def _check_space(what: str, space: BilinearSpace, tensor: CurvatureTensor) -> None:
+    if space != tensor.space:
+        raise ValueError(f"{what} in {space} used with a tensor in {tensor.space}")
+
+
 def _argmax_entry(a: np.ndarray) -> tuple[float, tuple[int, ...]]:
     idx = np.unravel_index(np.argmax(np.abs(a)), a.shape)
     return float(abs(a[idx])), tuple(int(i) for i in idx)
@@ -209,11 +214,11 @@ def check_J_invariance(
     This finite tensor identity is equivalent to R(pi) commuting with J on
     every non-degenerate complex line, so it serves as the exact form of the
     almost complex condition; the per-line commutator is the sampled
-    cross-check.  It passes when the largest violation is at most
-    tol * max |R|, so the verdict does not depend on the tensor's scale.
+    cross-check.  A J of another space than the tensor's raises ValueError.  It
+    passes at a largest violation of at most tol * max |R|, whatever the scale.
     """
-    diff = pullback(tensor, J.J).coeffs - tensor.coeffs
-    worst, where = _argmax_entry(diff)
+    _check_space("structure", J.space, tensor)
+    worst, where = _argmax_entry(pullback(tensor, J.J).coeffs - tensor.coeffs)
     return InvarianceReport(worst <= tol * tensor.scale, worst, where)
 
 
@@ -229,8 +234,9 @@ def check_gray_identity(
     is the real part of (1 + iJ_0)(1 + iJ_1)(1 + iJ_2)(1 + iJ_3) R, held as
     a + ib and taken one slot at a time: six single-slot contractions, as the
     last slot needs only the real part, with at most four m^4 arrays alive at once.
-    It passes when the largest violation is at most tol * max |R|.
+    It passes at a largest violation of at most tol * max |R|; a J of another space raises.
     """
+    _check_space("structure", J.space, tensor)
     a, b = tensor.coeffs, _pullback(tensor.coeffs, J.J, (0,))
     for s in (1, 2):
         pb = _pullback(b, J.J, (s,))

@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .complex_structures import ComplexStructure, QuaternionStructure
-from .curvature import CurvatureTensor, apply_pairs, combine, from_self_adjoint, from_skew_adjoint
+from .curvature import (CurvatureTensor, _check_space, apply_pairs, combine, from_self_adjoint,
+                        from_skew_adjoint)
 from .pseudo_linalg import (
     BilinearSpace,
     JordanInvariants,
@@ -41,9 +42,10 @@ from .pseudo_linalg import (
 # of interest are order 0.1 and larger, so operator-level checks cluster at 1e-6.
 OPERATOR_TOL = 1e-6
 
-# Planes per matrix product in curvature_operators: large enough that one GEMM
-# amortises the pass over the m^4 coefficients, small enough that a block of
-# operators (2 MB at m = 64) keeps peak memory flat in the sample size.
+# Planes per matrix product in curvature_operators: enough for one GEMM to
+# amortise the pass over the m^4 coefficients.  At m = 32 and 1000 lines per
+# audit, the largest traffic served, a block is 0.5 MB, where one product over
+# all 1000 would hold a (1000, 1024) pair matrix and a (1000, 32, 32) stack, 8 MB each.
 _BLOCK = 64
 
 
@@ -55,11 +57,11 @@ class SpectrumStructureError(ValueError):
 
 
 def complex_line(J: ComplexStructure, x: np.ndarray) -> OrientedPlane:
-    """The plane span{x, Jx} with x as given, not rescaled; raises ValueError
-    when it is degenerate.  It is spacelike or timelike according to the sign
-    of (x, x)."""
+    """OrientedPlane(J.space, x, Jx) with x as given, not rescaled, which the
+    checks take as a line of J; raises ValueError when it is degenerate.  It
+    is spacelike or timelike according to the sign of (x, x)."""
     x = _check_vector(J.space, x, "x")
-    line = OrientedPlane(J.space, x, J.J @ x, is_complex_line=True)
+    line = OrientedPlane(J.space, x, J.J @ x)
     if line.plane_class is PlaneClass.DEGENERATE:
         raise ValueError(f"x is null to tolerance (Gram determinant {line.det:.3e}); the span is degenerate")
     return line
@@ -106,8 +108,8 @@ def sample_complex_lines(
     """n non-degenerate complex lines span{x, Jx} of the requested causal type.
 
     x is drawn standard-normal and rescaled to |(x, x)| = 1; a line is kept
-    exactly when curvature_operator accepts it.  Mixed lines do not exist:
-    (Jx, Jx) = (x, x), so a complex line inherits the causal type of x.
+    when curvature_operator accepts it and (x, x) has the sign of the type,
+    which decides the type: (x, Jx) = 0 and (Jx, Jx) = (x, x), never mixed.
     """
     space = J.space
     if causal_type not in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE):
@@ -117,18 +119,26 @@ def sample_complex_lines(
             f"no {causal_type.value} complex line exists in signature ({space.p}, {space.q})"
         )
     positive = causal_type is PlaneClass.SPACELIKE
-
-    def draw(rng: np.random.Generator) -> OrientedPlane | None:
-        line = _unit_line(space, J.J, rng.standard_normal(space.m), positive)
-        return line if line is not None and line.plane_class is causal_type else None
-
+    draw = lambda rng: _unit_line(space, J.J, rng.standard_normal(space.m), positive)
     return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} lines")
 
 
-def _default_lines(J: ComplexStructure, n: int, seed: int) -> list[OrientedPlane]:
-    """n spacelike complex lines, or timelike ones where none is spacelike, as on (p, 0)."""
-    causal_type = PlaneClass.SPACELIKE if J.space.q >= 2 else PlaneClass.TIMELIKE
-    return sample_complex_lines(J, causal_type, n, seed)
+def _first_non_line(J: ComplexStructure, planes: Sequence[OrientedPlane]) -> int | None:
+    """Index of the first plane that is not a line of J, or None, by one stacked product:
+    a line lies in J's space and has max|y - J x| <= DEFAULT_TOL max|x|, J counting as 1."""
+    n = next((i for i, plane in enumerate(planes) if plane.space != J.space), len(planes))
+    head = planes[:n]
+    xs, ys = np.array([p.x for p in head] + [p.y for p in head]).reshape(2, n, J.space.m)
+    off = np.flatnonzero(np.abs(ys - xs @ J.J.T).max(axis=1) > J.space.tol * np.abs(xs).max(axis=1))
+    return int(off[0]) if off.size else (n if n < len(planes) else None)
+
+
+def _lines_by_type(J: ComplexStructure, n: int, seed: int) -> Iterator[list[OrientedPlane]]:
+    """n complex lines of each causal type that exists, lazily: the i-th type
+    of (spacelike, timelike) that exists is drawn with seed + i, as real planes are."""
+    types = [t for t in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE)
+             if _real_plane_realizable(J.space, t)]
+    return (sample_complex_lines(J, t, n, seed + i) for i, t in enumerate(types))
 
 
 def curvature_operators(
@@ -143,13 +153,11 @@ def curvature_operators(
     does not exceed its rounding level m eps max|R| |x| |y| / sqrt|det| is set
     to exactly 0, so that every later check sees it as the zero map.
     """
-    space = tensor.space
-    noise = space.m * np.finfo(float).eps * tensor.scale
+    noise = tensor.space.m * np.finfo(float).eps * tensor.scale
     for start in range(0, len(planes), _BLOCK):
         block = planes[start : start + _BLOCK]
         for plane in block:
-            if plane.space != space:
-                raise ValueError(f"plane in {plane.space} used with a tensor in {space}")
+            _check_space("plane", plane.space, tensor)
             if plane.plane_class is PlaneClass.DEGENERATE:
                 raise ValueError(f"degenerate plane: restricted Gram determinant {plane.det:.3e}")
         xs, ys = np.array([plane.x for plane in block]), np.array([plane.y for plane in block])
@@ -181,22 +189,23 @@ def check_almost_complex(
     """Whether J R(pi) = R(pi) J on every given complex line, up to
     tol * max |R|, so the verdict does not depend on the tensor's scale.
 
-    The witness is the first line of the largest commutator, when that
-    exceeds the bound.  A plane that is not a complex line, or a degenerate
-    one, raises ValueError; the first such plane decides which.
+    A plane is a complex line when it is {x, J x} for this J up to
+    DEFAULT_TOL max|x|, not just a basis of one such as {x, 2 J x}.  The
+    witness is the first line of the largest commutator, when that exceeds
+    the bound.  An empty list raises ValueError, and so does a plane that is
+    not a complex line or is degenerate; the first such plane decides which.
     """
-    j = J.J
-    # Only the planes ahead of the first one that is not a complex line are
-    # assembled; a degenerate plane among them raises first, as it would in a
-    # line-by-line check.
-    bad = next((i for i, plane in enumerate(planes) if not plane.is_complex_line), None)
-    comms = [np.zeros(0)]
-    for ops in curvature_operators(tensor, planes[:bad]):
-        comms.append(np.abs(j @ ops - ops @ j).max(axis=(1, 2)))
+    if not planes:
+        raise ValueError("check_almost_complex needs at least one line")
+    # Only the planes ahead of the first non-line are assembled, so a degenerate
+    # plane among them raises first, as it would in a line-by-line check.
+    bad = _first_non_line(J, planes)
+    ops = curvature_operators(tensor, planes[:bad])
+    comms = [np.abs(J.J @ block - block @ J.J).max(axis=(1, 2)) for block in ops]
     if bad is not None:
         raise ValueError("check_almost_complex requires complex lines")
     comms = np.concatenate(comms)
-    worst = float(comms.max(initial=0.0))
+    worst = float(comms.max())
     passed = worst <= tol * tensor.scale
     return AlmostComplexReport(passed, worst, None if passed else planes[int(comms.argmax())])
 
@@ -238,16 +247,13 @@ def check_jordan_ip(
     seed: int = 0,
     tol: float = OPERATOR_TOL,
 ) -> JordanIPReport:
-    """Sample n complex lines of each causal type that exists (spacelike with seed,
-    timelike with seed + 1) and test whether their operators share one Jordan form.
+    """Sample n complex lines of each causal type that exists, the i-th of
+    (spacelike, timelike) with seed + i, and test whether they share one Jordan form.
 
     Every line is fingerprinted, also after a mismatch, so that
     invariants_by_type holds the first line of each causal type.
     """
-    planes = []
-    for offset, causal_type in enumerate((PlaneClass.SPACELIKE, PlaneClass.TIMELIKE)):
-        if _real_plane_realizable(J.space, causal_type):
-            planes += sample_complex_lines(J, causal_type, n, seed + offset)
+    planes = [line for lines in _lines_by_type(J, n, seed) for line in lines]
 
     invariants = list(_fingerprints(tensor, planes, tol))
     invariants_by_type: dict[PlaneClass, JordanInvariants] = {}
@@ -361,14 +367,15 @@ def spectrum_of_JR(
     """Eigenvalues and complex multiplicities of the composition J R(pi), read
     from its fingerprint jordan_invariants(J R(pi), tol).
 
-    Raises SpectrumStructureError when the eigenstructure is incompatible
-    with an almost complex tensor: R(pi) not commuting with J, eigenvalues
-    off the real line, odd real multiplicities, or defective eigenvalues.
-    The commutator and imaginary parts are compared with tol times the
-    fingerprint's scale, sigma_max(J R(pi)), so no singular values are
-    computed outside jordan_invariants.
+    A plane that is not a complex line of J, as check_almost_complex decides,
+    or that is degenerate raises ValueError.  An eigenstructure that no almost
+    complex tensor gives raises SpectrumStructureError: R(pi) not commuting
+    with J, eigenvalues off the real line, odd real multiplicities, or
+    defective eigenvalues.  The commutator and imaginary parts are compared
+    with tol times the fingerprint's scale, sigma_max(J R(pi)), so no
+    singular values are computed outside jordan_invariants.
     """
-    if not plane.is_complex_line:
+    if _first_non_line(J, [plane]) is not None:
         raise ValueError("spectrum_of_JR requires a non-degenerate complex line")
     op = curvature_operator(tensor, plane)
     k = J.J @ op

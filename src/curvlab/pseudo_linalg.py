@@ -121,13 +121,12 @@ def classify_plane(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> PlaneC
 class OrientedPlane:
     """An ordered spanning pair {x, y} of a 2-plane in space, whose Gram
     determinant det = (x,x)(y,y) - (x,y)^2 and causal type plane_class are
-    decided once, when it is made; it may be degenerate.  is_complex_line
-    marks a span{x, Jx} for the designated J, never of mixed type."""
+    decided once, when it is made; it may be degenerate.  Whether it is a
+    complex line depends on a structure J, so the checks given J decide it."""
 
     space: BilinearSpace
     x: np.ndarray
     y: np.ndarray
-    is_complex_line: bool = False
     det: float = field(init=False)
     plane_class: PlaneClass = field(init=False)
 
@@ -163,7 +162,7 @@ def _unit_line(
     if t == 0.0 or (positive is not None and (t > 0) != positive):
         return None
     x = x / np.sqrt(abs(t))
-    line = OrientedPlane(space, x, j @ x, is_complex_line=True)
+    line = OrientedPlane(space, x, j @ x)
     return None if line.plane_class is PlaneClass.DEGENERATE else line
 
 

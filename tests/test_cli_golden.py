@@ -19,12 +19,16 @@ import pytest
 
 from curvlab import (
     BilinearSpace,
+    CurvatureTensor,
+    OrientedPlane,
     adjoint,
+    check_almost_complex,
     check_symmetries,
     combine,
     complex_line,
     curvature_operator,
     from_self_adjoint,
+    spectrum_of_JR,
     standard_complex_structure,
 )
 from curvlab.cli import list_builtins, main
@@ -285,21 +289,42 @@ def test_almost_complex_witness_line_violates(name, has_line, tmp_path, capsys):
     if line is None:
         assert result["max_line_commutator"] <= config["tol"]
         return
+    J = standard_complex_structure(BilinearSpace(*config["signature"]))
+    tensor = self_adjoint_tensor(config)
+    plane = complex_line(J, np.array(line["x"]))
+    assert np.array_equal(plane.y, np.array(line["y"]))
+    op = curvature_operator(tensor, plane)
+    assert float(np.max(np.abs(J.J @ op - op @ J.J))) > config["tol"]
+
+
+def self_adjoint_tensor(config) -> CurvatureTensor:
+    """The tensor of a config whose terms are all self-adjoint, built directly."""
     space = BilinearSpace(*config["signature"])
-    J = standard_complex_structure(space)
     builtins = {"identity": np.eye(space.m)}
     generators = {
         g: np.array(spec["matrix"]) if "matrix" in spec else builtins[spec["builtin"]]
         for g, spec in config["generators"].items()
     }
-    tensor = combine([
+    return combine([
         (term["coefficient"], from_self_adjoint(space, generators[term["generator"]]))
         for term in config["tensor"]
     ])
-    plane = complex_line(J, np.array(line["x"]))
-    assert np.array_equal(plane.y, np.array(line["y"]))
-    op = curvature_operator(tensor, plane)
-    assert float(np.max(np.abs(J.J @ op - op @ J.J))) > config["tol"]
+
+
+@pytest.mark.parametrize("role", ["anchor", "offender"])
+def test_replayed_witness_is_a_complex_line(role):
+    """A witness copied from a report and made as OrientedPlane(space, x, y)
+    is a line of the report's J to both line checks: y is J x bit for bit."""
+    report = json.loads((GOLDEN / "id_plus_c_not_jordan_ip.json").read_text())
+    witness = report["checks"]["jordan_ip_complex"]["witness"][role]
+    space = BilinearSpace(*ID_PLUS_C["signature"])
+    J = standard_complex_structure(space)
+    x, y = np.array(witness["x"]), np.array(witness["y"])
+    assert np.array_equal(y, J.J @ x)
+    plane = OrientedPlane(space, x, y)
+    tensor = self_adjoint_tensor(ID_PLUS_C)
+    assert check_almost_complex(tensor, J, [plane]).passed
+    assert spectrum_of_JR(tensor, J, plane).dimension == space.m
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1e-9], ids=["1e-7", "1e-9"])

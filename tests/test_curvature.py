@@ -330,6 +330,16 @@ class TestCheckJInvariance:
         assert report.max_violation > 1e-15
 
 
+# A structure is a structure of one space: with m equal, J of (4,4) must not
+# be read as a structure of (0,8), where R_Id would pass with violation 0.
+@pytest.mark.parametrize("check", [check_J_invariance, check_gray_identity])
+def test_structure_of_another_signature_raises(check):
+    r = from_self_adjoint(BilinearSpace(0, 8), np.eye(8))
+    J = standard_complex_structure(BilinearSpace(4, 4))
+    with pytest.raises(ValueError, match=r"^structure in BilinearSpace\(p=4, q=4\) used with a tensor in BilinearSpace\(p=0, q=8\)$"):
+        check(r, J)
+
+
 class TestCheckGrayIdentity:
     def test_metric_tensor_satisfies_identity(self):
         s = BilinearSpace(0, 4)

@@ -2,7 +2,9 @@
 
 Each demo runs as its own process, as a reader would run it, and its stdout
 must equal the golden file byte for byte.  The files hold floats as printed
-with numpy 2.4.6.
+with numpy 2.4.6.  The pytest setting ``filterwarnings = error`` does not reach
+a subprocess, so each demo runs under ``-W error`` and must write nothing to
+stderr.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ def test_every_demo_has_a_golden():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_output_is_unchanged(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, str(demo)],
+    done = subprocess.run(
+        [sys.executable, "-W", "error", str(demo)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         check=True,
         timeout=120,
-    ).stdout
-    assert out == (ROOT / "tests" / "golden" / "demos" / f"{demo.stem}.txt").read_bytes()
+    )
+    assert done.stderr == b""
+    assert done.stdout == (ROOT / "tests" / "golden" / "demos" / f"{demo.stem}.txt").read_bytes()

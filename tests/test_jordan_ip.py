@@ -3,6 +3,7 @@ import pytest
 
 from curvlab import (
     BilinearSpace,
+    ComplexStructure,
     CurvatureTensor,
     JordanInvariants,
     OrientedPlane,
@@ -13,6 +14,7 @@ from curvlab import (
     adjoint,
     build_complex_pair_tensor,
     build_quaternionic_tensor,
+    check_J_invariance,
     check_almost_complex,
     check_jordan_ip,
     check_jordan_ip_real,
@@ -70,7 +72,6 @@ class TestComplexLine:
         J = standard_complex_structure(s)
         plane = complex_line(J, e(4, 0))
         assert plane.plane_class is PlaneClass.SPACELIKE
-        assert plane.is_complex_line
         assert np.array_equal(plane.y, J.J @ e(4, 0))
 
     def test_timelike_line_in_split_signature(self):
@@ -163,7 +164,7 @@ class TestSamplePlanes:
         J = standard_complex_structure(s)
         lines = sample_complex_lines(J, PlaneClass.TIMELIKE, 5, seed=3)
         assert len(lines) == 5
-        assert all(p.plane_class is PlaneClass.TIMELIKE and p.is_complex_line for p in lines)
+        assert all(p.plane_class is PlaneClass.TIMELIKE and np.array_equal(p.y, J.J @ p.x) for p in lines)
 
     def test_mixed_complex_lines_rejected(self):
         s = BilinearSpace(2, 4)
@@ -307,13 +308,79 @@ class TestCheckAlmostComplex:
         assert not report.passed
         assert report.witness is not None
 
+    # e1 = J e0, so span{e0, e1} is a complex line; span{e0, e2} is not.
     def test_rejects_non_complex_line(self):
         s = BilinearSpace(0, 4)
         J = standard_complex_structure(s)
         r = from_self_adjoint(s, np.eye(4))
-        plane = OrientedPlane(s, e(4, 0), e(4, 1))
+        plane = OrientedPlane(s, e(4, 0), e(4, 2))
         with pytest.raises(ValueError, match="complex line"):
             check_almost_complex(r, J, [plane])
+
+
+class TestLinesOfTheGivenStructure:
+    """Both line checks decide from their own J whether a plane is a complex
+    line, however the plane was made: y must equal J x to DEFAULT_TOL max|x|."""
+
+    @staticmethod
+    def checks(r, J, plane):
+        return check_almost_complex(r, J, [plane]), spectrum_of_JR(r, J, plane)
+
+    def test_line_built_directly_is_accepted(self):
+        s = BilinearSpace(2, 4)
+        J = standard_complex_structure(s)
+        r = build_complex_pair_tensor(J, 1.0, 0.5)
+        x = np.array([0.5, -1.0, 2.0, 1.0, -1.5, 0.25])
+        report, spec = self.checks(r, J, OrientedPlane(s, x, J.J @ x))
+        assert report.passed
+        assert spec == spectrum_of_JR(r, J, complex_line(J, x))
+        assert SpectrumSpec(((1.0, 2), (2.5, 1))).matches(spec, 1e-8)
+
+    # {x, 2 J x} spans the same line, but the checks accept only the form {x, J x}.
+    @pytest.mark.parametrize("y", [lambda J, x: 2.0 * J.J @ x, lambda J, x: -(J.J @ x),
+                                   lambda J, x: J.J @ x + 1e-6 * x], ids=["2Jx", "-Jx", "Jx+1e-6x"])
+    def test_other_spanning_pairs_are_rejected(self, y):
+        s = BilinearSpace(0, 4)
+        J = standard_complex_structure(s)
+        r = from_self_adjoint(s, np.eye(4))
+        x = np.array([1.0, 2.0, -0.5, 0.25])
+        with pytest.raises(ValueError, match="^check_almost_complex requires complex lines$"):
+            check_almost_complex(r, J, [OrientedPlane(s, x, y(J, x))])
+        with pytest.raises(ValueError, match="^spectrum_of_JR requires a non-degenerate complex line$"):
+            spectrum_of_JR(r, J, OrientedPlane(s, x, y(J, x)))
+
+    # R is j-invariant, so j-lines pass; an i-line handed to a j-check is not
+    # a line of j and must not be judged as one.
+    def test_line_of_another_structure_raises(self):
+        s = BilinearSpace(0, 8)
+        quat = standard_quaternion_structure(s)
+        r = build_quaternionic_tensor(quat, 1.0, 2.0, 8.0, 0.0)
+        j = ComplexStructure(s, quat.j)
+        x = np.arange(1.0, 9.0)
+        assert check_J_invariance(r, j).max_violation == 0.0
+        assert self.checks(r, j, complex_line(j, x))[0].passed
+        i_line = complex_line(quat.as_complex, x)
+        with pytest.raises(ValueError, match="^check_almost_complex requires complex lines$"):
+            check_almost_complex(r, j, [i_line])
+        with pytest.raises(ValueError, match="^spectrum_of_JR requires a non-degenerate complex line$"):
+            spectrum_of_JR(r, j, i_line)
+
+    # A line of J lies in J's space, whatever its vectors.
+    @pytest.mark.parametrize("sig", [(2, 2), (0, 6)], ids=str)
+    def test_plane_of_another_space_is_not_a_line(self, sig):
+        line = complex_line(standard_complex_structure(BilinearSpace(*sig)), e(sig[0] + sig[1], 2))
+        J = standard_complex_structure(BilinearSpace(0, 4))
+        r = from_self_adjoint(J.space, np.eye(4))
+        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 3, seed=0)
+        with pytest.raises(ValueError, match="^check_almost_complex requires complex lines$"):
+            check_almost_complex(r, J, lines + [line])
+        with pytest.raises(ValueError, match="^spectrum_of_JR requires a non-degenerate complex line$"):
+            spectrum_of_JR(r, J, line)
+
+    def test_empty_line_list_raises(self):
+        J = standard_complex_structure(BilinearSpace(0, 4))
+        with pytest.raises(ValueError, match="^check_almost_complex needs at least one line$"):
+            check_almost_complex(from_self_adjoint(J.space, np.eye(4)), J, [])
 
 
 # check_almost_complex as a loop over the lines, one einsum contraction per
@@ -322,7 +389,7 @@ class TestCheckAlmostComplex:
 def reference_line_commutators(tensor, J, planes):
     comms = []
     for plane in planes:
-        if not plane.is_complex_line:
+        if plane.space != J.space or np.max(np.abs(plane.y - J.J @ plane.x)) > 1e-8 * np.max(np.abs(plane.x)):
             raise ValueError("check_almost_complex requires complex lines")
         det, plane_class = _plane_gram(tensor.space, plane.x, plane.y)
         if plane_class is PlaneClass.DEGENERATE:
@@ -374,9 +441,9 @@ class TestCheckAlmostComplexReference:
         J = standard_complex_structure(space)
         r = build_complex_pair_tensor(J, 1.0, 0.5)
         mixed = sample_complex_lines(J, PlaneClass.SPACELIKE, 150, seed=4)
-        mixed[non_complex_at] = OrientedPlane(space, e(4, 0), e(4, 1))
+        mixed[non_complex_at] = OrientedPlane(space, e(4, 0), e(4, 2))
         null = e(4, 0) + e(4, 2)
-        mixed[degenerate_at] = OrientedPlane(space, null, J.J @ null, is_complex_line=True)
+        mixed[degenerate_at] = OrientedPlane(space, null, J.J @ null)
         with pytest.raises(ValueError) as want:
             reference_check_almost_complex(r, J, mixed, 1e-10)
         expected = "complex lines" if non_complex_at < degenerate_at else "degenerate plane"
@@ -477,6 +544,25 @@ class TestCheckJordanIP:
         report = check_jordan_ip(r, J, n=25, seed=3)
         assert report.constant
         assert set(report.invariants_by_type) == {PlaneClass.SPACELIKE, PlaneClass.TIMELIKE}
+
+    # The i-th causal type that exists is sampled with seed + i, as for real
+    # planes, so the lines of (p, 0) are drawn with the seed itself.
+    @pytest.mark.parametrize("sig, want", [
+        ((4, 0), [(PlaneClass.TIMELIKE, 3)]),
+        ((0, 4), [(PlaneClass.SPACELIKE, 3)]),
+        ((2, 2), [(PlaneClass.SPACELIKE, 3), (PlaneClass.TIMELIKE, 4)]),
+    ], ids=str)
+    def test_ith_existing_type_is_sampled_with_seed_plus_i(self, sig, want, monkeypatch):
+        calls, original = [], jordan_ip.sample_complex_lines
+
+        def spy(J, causal_type, n, seed=0):
+            calls.append((causal_type, seed))
+            return original(J, causal_type, n, seed)
+
+        monkeypatch.setattr(jordan_ip, "sample_complex_lines", spy)
+        J = standard_complex_structure(BilinearSpace(*sig))
+        check_jordan_ip(build_complex_pair_tensor(J, 1.0, 2.0), J, n=5, seed=3)
+        assert calls == want
 
     @pytest.mark.parametrize("sig", [(4, 0), (8, 0)], ids=str)
     def test_timelike_only_signature_samples_timelike_lines(self, sig):
@@ -621,7 +707,7 @@ class TestSpectrumOfJR:
         J = standard_complex_structure(s)
         r = from_self_adjoint(s, np.eye(4))
         with pytest.raises(ValueError, match="complex line"):
-            spectrum_of_JR(r, J, OrientedPlane(s, e(4, 0), e(4, 1)))
+            spectrum_of_JR(r, J, OrientedPlane(s, e(4, 0), e(4, 2)))
 
     def test_nilpotent_operator_reported_as_structural_error(self):
         s = BilinearSpace(2, 2)

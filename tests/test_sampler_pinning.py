@@ -28,10 +28,12 @@ SEEDS = (0, 1, 2)
 N = 12
 
 
-def digest(planes) -> str:
+def digest(planes, lines: bool) -> str:
+    """lines tags the planes of the complex-line sampler, as the digests were
+    first taken with a per-plane complex-line tag."""
     h = hashlib.sha256()
     for plane in planes:
-        h.update(f"{plane.plane_class.value}/{plane.is_complex_line};".encode())
+        h.update(f"{plane.plane_class.value}/{lines};".encode())
         h.update(plane.x.tobytes())
         h.update(plane.y.tobytes())
     return h.hexdigest()
@@ -47,11 +49,11 @@ def sampled() -> dict[str, str]:
             for seed in SEEDS:
                 key = f"({p},{q})/{causal_type.value}/{seed}"
                 try:
-                    out[f"real/{key}"] = digest(sample_real_planes(space, causal_type, N, seed))
+                    out[f"real/{key}"] = digest(sample_real_planes(space, causal_type, N, seed), False)
                 except ValueError:
                     pass
                 try:
-                    out[f"complex/{key}"] = digest(sample_complex_lines(J, causal_type, N, seed))
+                    out[f"complex/{key}"] = digest(sample_complex_lines(J, causal_type, N, seed), True)
                 except ValueError:
                     pass
     return out
