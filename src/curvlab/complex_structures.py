@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,22 @@ class ComplexStructure:
         isometry_residual = _max_abs(J.T @ self.space.gram @ J - self.space.gram)
         if isometry_residual > DEFAULT_TOL * max(1.0, _max_abs(J) ** 2):
             raise ValueError(f"J is not an isometry, max residual {isometry_residual:.3e}")
+
+    @cached_property
+    def _plus_i_basis(self) -> np.ndarray | None:
+        """Orthonormal basis (u - i J u) / sqrt(2) of J's +i eigenspace, with {u_k, J u_k}
+        orthonormal by Gram-Schmidt from the coordinate vectors.  None unless J^T J = Id to
+        m eps, as for the standard J and quaternion units, so that J's eigenspaces are orthogonal."""
+        m, J = self.space.m, self.J
+        if _max_abs(J.T @ J - np.eye(m)) > m * np.finfo(float).eps:
+            return None
+        u = np.zeros((m, 0))
+        for _ in range(m // 2):  # from the coordinate vector farthest from the span so far
+            rest = np.eye(m) - u @ u.T
+            v = rest[:, np.argmax((rest * rest).sum(axis=0))]
+            v = v / np.sqrt(v @ v)
+            u = np.column_stack([u, v, J @ v])
+        return (u[:, 0::2] - 1j * u[:, 1::2]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,6 +41,7 @@ from .pseudo_linalg import (
 # sqrt(machine eps) times the operator norm (3e-8), while the eigenvalue gaps
 # of interest are order 0.1 and larger, so operator-level checks cluster at 1e-6.
 OPERATOR_TOL = 1e-6
+_ALMOST_COMPLEX_TOL = 1e-10  # check_almost_complex's bound on max|J R(pi) - R(pi) J| / max|R|
 
 # Planes per matrix product in curvature_operators: enough for one GEMM to
 # amortise the pass over the m^4 coefficients.  At m = 32 and 1000 lines per
@@ -184,7 +185,7 @@ def check_almost_complex(
     tensor: CurvatureTensor,
     J: ComplexStructure,
     planes: list[OrientedPlane],
-    tol: float = 1e-10,
+    tol: float = _ALMOST_COMPLEX_TOL,
 ) -> AlmostComplexReport:
     """Whether J R(pi) = R(pi) J on every given complex line, up to
     tol * max |R|, so the verdict does not depend on the tensor's scale.
@@ -210,13 +211,16 @@ def check_almost_complex(
     return AlmostComplexReport(passed, worst, None if passed else planes[int(comms.argmax())])
 
 
-def _fingerprints(
-    tensor: CurvatureTensor, planes: list[OrientedPlane], tol: float
-) -> Iterator[JordanInvariants]:
+def _fingerprints(tensor: CurvatureTensor, planes: list[OrientedPlane], tol: float,
+                  J: ComplexStructure | None = None) -> Iterator[JordanInvariants]:
     """Fingerprints of R(pi) on the planes in order, lazily: a consumer that
-    stops early wastes at most one block of operator assembly."""
+    stops early wastes at most one block of operator assembly.  An R(pi) that commutes
+    with an orthogonal J, as check_almost_complex tests it, is fingerprinted on C^{m/2}."""
+    basis = None if J is None else J._plus_i_basis
     for ops in curvature_operators(tensor, planes):
-        yield from (jordan_invariants(op, tol) for op in ops)
+        commuting = [False] * len(ops) if basis is None else (
+            np.abs(J.J @ ops - ops @ J.J).max(axis=(1, 2)) <= _ALMOST_COMPLEX_TOL * tensor.scale)
+        yield from (jordan_invariants(op, tol, basis if c else None) for op, c in zip(ops, commuting))
 
 
 def _first_offender(
@@ -255,7 +259,7 @@ def check_jordan_ip(
     """
     planes = [line for lines in _lines_by_type(J, n, seed) for line in lines]
 
-    invariants = list(_fingerprints(tensor, planes, tol))
+    invariants = list(_fingerprints(tensor, planes, tol, J))
     invariants_by_type: dict[PlaneClass, JordanInvariants] = {}
     for plane, inv in zip(planes, invariants):
         invariants_by_type.setdefault(plane.plane_class, inv)

@@ -209,78 +209,97 @@ class JordanInvariants:
     scale: float
 
 
-def _cluster_eigenvalues(evals: np.ndarray, threshold: float) -> tuple[list[np.ndarray], bool]:
-    """Single-linkage clusters of eigenvalues at the given distance, ordered by
-    first member, and whether any gap lies within a factor of 10 of the
-    threshold, where the clustering would flip under a small change of it."""
+def _cluster_eigenvalues(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, bool]:
+    """Single-linkage clusters of eigenvalues at the given distance as roots, roots[i] the
+    index of the first member of evals[i]'s cluster, and whether any gap lies within a
+    factor of 10 of the threshold, where the clustering would flip under a small change of it."""
     n = evals.size
     gaps = np.abs(evals[:, None] - evals[None, :])
     linked = gaps <= max(threshold, 0.0)
-    # Gap 0 links each eigenvalue to itself, so k squarings give every chain of <= 2^k links.
-    for _ in range(n.bit_length()):
-        linked = linked @ linked
-    firsts = np.flatnonzero(linked.argmax(axis=1) == np.arange(n)) if n else []
+    # Gap 0 links each eigenvalue to itself, so each squaring doubles the chains
+    # covered, until a squaring changes nothing.
+    while n and not np.array_equal(closure := linked @ linked, linked):
+        linked = closure
     ambiguous = bool(np.any((threshold / 10.0 < gaps) & (gaps < threshold * 10.0)))
-    return [evals[linked[i]] for i in firsts], ambiguous
+    return linked.argmax(axis=1) if n else np.zeros(0, dtype=int), ambiguous
 
 
-def jordan_invariants(a: np.ndarray, tol: float = DEFAULT_TOL) -> JordanInvariants:
-    """Eigenvalue clusters plus rank sequences of shifted powers of a square matrix.
+def jordan_invariants(
+    a: np.ndarray, tol: float = DEFAULT_TOL, basis: np.ndarray | None = None
+) -> JordanInvariants:
+    """Eigenvalue clusters plus rank sequences of shifted powers of a real square matrix.
 
-    Clustering distance is tol times the largest singular value of A, and
-    rank cutoffs for (A - lambda I)^k are anchored to sigma_max(A - lambda I)^k.
-    A Jordan block of size n scatters its computed eigenvalues by about
-    eps^(1/n) times the operator norm, so one cluster holds a nilpotent block
-    of size <= 2 (sqrt(eps) ~ 1.5e-8), but a block of size 3 (eps^(1/3) ~ 6e-6)
-    can split into several clusters at tol 1e-8 or 1e-6.
+    Eigenvalues cluster at distance tol * sigma_max(A).  A Jordan block of size
+    n scatters them by about eps^(1/n) sigma_max(A), so a nilpotent block of
+    size <= 2 stays in one cluster, but one of size 3 can split at tol 1e-6.
+    The rank of (A - lambda I)^k counts singular values above tol * sigma_max(A
+    - lambda I)^k, up to the k where it is at most m - multiplicity or repeats,
+    constant from there on in exact arithmetic; conj(lambda) takes its ranks.
 
-    Powers stop once the rank is at most m - multiplicity or equals the rank
-    of the previous power; in exact arithmetic it is constant from there on,
-    so the rest of the sequence is padded with the last rank.
+    basis, when given, is an orthonormal basis Q of the +i eigenspace of an
+    orthogonal J commuting with A.  Then A is diag(A_c, conj(A_c)) in the basis
+    [Q, conj(Q)], A_c = Q^H A Q, and A's fingerprint is read from A_c at half
+    the size: rank((A - lambda)^k) = rank_c((A_c - lambda)^k) + rank_c((A_c -
+    conj(lambda))^k), the second m/2 when conj(lambda) is no eigenvalue of A_c.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     m = a.shape[0]
-    evals = np.linalg.eigvals(a)
-    svals = np.linalg.svd(a, compute_uv=False)
+    c = a if basis is None else basis.conj().T @ a @ basis
+    n = c.shape[0]
+    evals = np.linalg.eigvals(c)
+    svals = np.linalg.svd(c, compute_uv=False)
     op_scale = float(svals[0]) if svals.size else 0.0
-    total_rank = _rank_from_singular_values(svals, tol)  # raises unless tol > 0
-    groups, ambiguous = _cluster_eigenvalues(evals, tol * op_scale)
+    total_rank = (1 if n == m else 2) * _rank_from_singular_values(svals, tol)  # raises unless tol > 0
+    evals = evals if n == m else np.concatenate([evals, evals.conj()])
+    roots, ambiguous = _cluster_eigenvalues(evals, tol * op_scale)
+    # A real matrix's eigenvalue pairs are exactly conjugate: conj_roots[i] is conj(evals[i])'s root.
+    conj_roots = roots[np.argmax(evals.conj()[:, None] == evals, axis=1)] if m else roots
 
-    clusters: list[tuple[complex, int]] = []
-    rank_sequences: list[tuple[int, ...]] = []
-    for group in groups:
-        lam = complex(np.mean(group))
-        mult = int(group.size)
-        shifted = a.astype(complex) - lam * np.eye(m)
-        s = np.linalg.svd(shifted, compute_uv=False)
-        shifted_scale = float(s[0])
-        ranks: list[int] = []
-        power = shifted
-        for k in range(1, mult + 1):
-            if k > 1:
-                power = power @ shifted
-                s = np.linalg.svd(power, compute_uv=False)
-            ranks.append(int(np.count_nonzero(s > tol * shifted_scale**k)))
-            # In exact arithmetic the rank is constant from here on: the
-            # generalised eigenspace is exhausted, or the nullity stopped growing.
-            if ranks[-1] <= m - mult or (k > 1 and ranks[-1] == ranks[-2]):
-                break
-        ranks += [ranks[-1]] * (mult - len(ranks))
-        clusters.append((lam, mult))
-        rank_sequences.append(tuple(ranks))
+    clusters: dict[int, tuple[complex, int]] = {}  # by root, as are the rank sequences
+    ranks_at: dict[int, tuple[int, ...]] = {}
+    for root in np.flatnonzero(roots == np.arange(m)):
+        group = roots == root
+        mult = int(np.count_nonzero(group))
+        lam = complex(evals[group].sum() / mult)
+        clusters[root] = (lam, mult)
+        if conj_roots[root] < root:
+            ranks_at[root] = ranks_at[conj_roots[root]]
+            continue
+        # The blocks at lambda and conj(lambda), each with the members that are its
+        # eigenvalues; with none it has full rank.  A real cluster's one block counts twice.
+        own, pair = int(np.count_nonzero(group[:n])), n < m and conj_roots[root] != root
+        parts = [(lam, own), (lam.conjugate(), mult - own)] if pair else [(lam, own)]
+        shifted = [c - mu * np.eye(n) for mu, _ in parts]
+        svs = [np.linalg.svd(b, compute_uv=False) for b in shifted]
+        anchor = max(float(sv[0]) for sv in svs)  # sigma_max(A - lambda I)
+        ranks = np.zeros(mult, dtype=int)
+        for b, s, (_, members) in zip(shifted, svs, parts):
+            seq, power = [], b
+            for k in range(1, mult + 1):
+                if k > 1:
+                    power = power @ b
+                    s = np.linalg.svd(power, compute_uv=False)
+                seq.append(int(np.count_nonzero(s > tol * anchor**k)) if members else n)
+                # In exact arithmetic the rank is constant from here on: the
+                # generalised eigenspace is exhausted, or the nullity stopped growing.
+                if seq[-1] <= n - members or (k > 1 and seq[-1] == seq[-2]):
+                    break
+            ranks += seq + [seq[-1]] * (mult - len(seq))
+        ranks_at[root] = tuple(((1 if pair or n == m else 2) * ranks).tolist())
 
     # Order on both parts rounded to multiples of the clustering threshold, so
     # that noise far below it, such as the +-1e-16 real parts of a skew
     # operator's eigenvalues, cannot reorder the clusters; raw values break ties.
     unit = tol * op_scale or 1.0
-    keys = [(np.rint(z.real / unit), np.rint(z.imag / unit), z.real, z.imag) for z, _ in clusters]
-    order = sorted(range(len(clusters)), key=keys.__getitem__)
+    keys = {r: (np.rint(z.real / unit), np.rint(z.imag / unit), z.real, z.imag)
+            for r, (z, _) in clusters.items()}
+    order = sorted(clusters, key=keys.__getitem__)
     return JordanInvariants(
         dimension=m,
-        clusters=tuple(clusters[i] for i in order),
-        rank_sequences=tuple(rank_sequences[i] for i in order),
+        clusters=tuple(clusters[r] for r in order),
+        rank_sequences=tuple(ranks_at[r] for r in order),
         total_rank=total_rank,
         clustering_ambiguous=ambiguous,
         scale=op_scale,

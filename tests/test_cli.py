@@ -354,9 +354,9 @@ class TestChecks:
         seen = []
         original = jordan_ip.jordan_invariants
 
-        def spy(a, tol):
+        def spy(a, tol, *basis):
             seen.append(tol)
-            return original(a, tol)
+            return original(a, tol, *basis)
 
         monkeypatch.setattr(jordan_ip, "jordan_invariants", spy)
         checks = ["jordan_ip_complex", "jordan_ip_real", "spectrum", "solve_constants"]

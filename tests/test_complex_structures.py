@@ -21,6 +21,7 @@ from curvlab import (
     standard_quaternion_structure,
 )
 from curvlab import complex_structures
+from test_curvature import conjugated_structure
 
 
 def rot2():
@@ -99,6 +100,49 @@ class TestStandardComplexStructure:
         for _ in range(100):
             x = rng.standard_normal(s.m)
             assert abs(inner(s, x, J.J @ x)) <= 1e-12 * float(x @ x)
+
+
+class TestPlusIBasis:
+    """ComplexStructure caches an orthonormal basis Q of J's +i eigenspace when
+    J is orthogonal; the Jordan fingerprint reads J-commuting maps through it."""
+
+    @staticmethod
+    def units(sig):
+        """(structure, whether it is orthogonal) for the structures of sig."""
+        s = BilinearSpace(*sig)
+        units = [standard_complex_structure(s)]
+        if s.p % 4 == 0 and s.m % 4 == 0:
+            q = standard_quaternion_structure(s)
+            units += [ComplexStructure(s, u) for u in (q.i, q.j, q.k)]
+        # conjugated_structure rotates J's blocks, and boosts a mixed plane when p > 0.
+        return [(J, True) for J in units] + [(conjugated_structure(s), s.p == 0)]
+
+    @pytest.mark.parametrize("sig", [(0, 2), (0, 8), (4, 4), (2, 6), (8, 8), (0, 6)], ids=str)
+    def test_orthonormal_basis_of_the_plus_i_eigenspace(self, sig):
+        for J, orthogonal in self.units(sig):
+            q = J._plus_i_basis
+            if not orthogonal:
+                assert q is None
+                continue
+            assert q.shape == (J.space.m, J.space.m // 2)
+            assert np.abs(q.conj().T @ q - np.eye(J.space.m // 2)).max() <= 1e-15
+            assert np.abs(J.J @ q - 1j * q).max() <= 1e-15
+            assert J._plus_i_basis is q  # made once
+
+    def test_standard_basis_pairs_coordinates(self):
+        J = standard_complex_structure(BilinearSpace(2, 4))
+        want = np.zeros((6, 3), dtype=complex)
+        for k in range(3):
+            want[2 * k, k], want[2 * k + 1, k] = 1.0, -1j
+        assert np.array_equal(J._plus_i_basis, want / np.sqrt(2.0))
+
+    def test_boosted_structure_has_none(self):
+        s = BilinearSpace(2, 2)
+        boost = np.eye(4)
+        boost[0, 0] = boost[2, 2] = np.cosh(10.0)
+        boost[0, 2] = boost[2, 0] = np.sinh(10.0)
+        J = ComplexStructure(s, boost @ standard_complex_structure(s).J @ np.linalg.inv(boost))
+        assert J._plus_i_basis is None
 
 
 class TestStandardQuaternionStructure:

@@ -26,6 +26,7 @@ from curvlab import (
     from_self_adjoint,
     from_skew_adjoint,
     inner,
+    jordan_equivalent,
     jordan_invariants,
     nilpotent_null_pair,
     nilpotent_null_pair_partner,
@@ -672,6 +673,124 @@ class TestFingerprintCalls:
         assert report.witness == (staged[0], staged[self.OFFENDER])
         assert len(invariants) == len(staged)
         assert len(equivalent) == self.OFFENDER
+
+
+def random_J_invariant_tensor(J, seed):
+    """The J-invariant part of a random algebraic curvature tensor: its R(pi)
+    commutes with J on every complex line, with generic eigenvalues."""
+    r = random_algebraic_curvature_tensor(J.space, seed)
+    return combine([(0.5, r), (0.5, pullback(r, J.J))])
+
+
+class TestComplexPathFingerprint:
+    """An R(pi) that commutes with an orthogonal J is fingerprinted on J's +i
+    eigenspace; the result is the fingerprint of the real R(pi), to rounding."""
+
+    @staticmethod
+    def spy_on_eigvals(monkeypatch):
+        eigvals = np.linalg.eigvals
+        inputs = []
+
+        def spy(a):
+            inputs.append((a.shape, a.dtype.kind))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        return inputs
+
+    # (2, 6) has no quaternion structure.
+    @pytest.mark.parametrize("tensor, sig", [
+        (tensor, sig) for tensor in ("pair", "quaternionic", "identity", "random")
+        for sig in [(0, 8), (4, 4), (2, 6), (8, 8)] if tensor != "quaternionic" or sig[0] % 4 == 0
+    ], ids=str)
+    def test_matches_the_real_fingerprint(self, tensor, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        r = {
+            "pair": lambda: build_complex_pair_tensor(J, 1.5, 0.75),
+            "quaternionic": lambda: build_quaternionic_tensor(
+                standard_quaternion_structure(space), 1, 2, 8, 0),
+            "identity": lambda: from_self_adjoint(space, np.eye(space.m)),
+            "random": lambda: random_J_invariant_tensor(J, 3),
+        }[tensor]()
+        tol = jordan_ip.OPERATOR_TOL
+        for lines in jordan_ip._lines_by_type(J, 20, 0):
+            for op in np.concatenate(list(curvature_operators(r, lines))):
+                real = jordan_invariants(op, tol)
+                fast = jordan_invariants(op, tol, J._plus_i_basis)
+                assert [mult for _, mult in fast.clusters] == [mult for _, mult in real.clusters]
+                assert fast.rank_sequences == real.rank_sequences
+                assert fast.total_rank == real.total_rank
+                assert fast.clustering_ambiguous == real.clustering_ambiguous
+                bound = tol * real.scale
+                assert fast.scale == pytest.approx(real.scale, rel=1e-12)
+                assert all(abs(a - b) <= bound for (a, _), (b, _) in zip(fast.clusters, real.clusters))
+                assert jordan_equivalent(fast, real, tol) and jordan_equivalent(real, fast, tol)
+                if tensor == "identity":
+                    # R(pi) rotates pi and is 0 on its complement: the cluster
+                    # at 0 has twice the complex rank 1.
+                    assert (0.0, space.m - 2, (2,) * (space.m - 2)) in [
+                        (round(abs(lam), 12), mult, ranks)
+                        for (lam, mult), ranks in zip(fast.clusters, fast.rank_sequences)]
+
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (8, 8)], ids=str)
+    def test_commuting_operators_take_the_complex_path(self, sig, monkeypatch):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        inputs = self.spy_on_eigvals(monkeypatch)
+        for r in (build_complex_pair_tensor(J, 1.5, 0.75), id_plus_conjugation(space),
+                  random_J_invariant_tensor(J, 3),
+                  build_quaternionic_tensor(standard_quaternion_structure(space), 1, 2, 8, 0)):
+            inputs.clear()
+            check_jordan_ip(r, J, n=5, seed=0)
+            assert set(inputs) == {((space.m // 2, space.m // 2), "c")}
+
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (8, 8)], ids=str)
+    def test_other_operators_take_the_real_path(self, sig, monkeypatch):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        inputs = self.spy_on_eigvals(monkeypatch)
+        real = {((space.m, space.m), "f")}
+        # Real planes have no structure; a generic tensor does not commute with J.
+        check_jordan_ip_real(id_plus_conjugation(space), n=5, seed=0)
+        assert set(inputs) == real
+        inputs.clear()
+        check_jordan_ip(random_algebraic_curvature_tensor(space, 3), J, n=5, seed=0)
+        assert set(inputs) == real
+
+    # The lines where the real fingerprint of R_Id + 2 R_J dropped a rank: on
+    # each, kappa = |x||y| / sqrt|det| is 3.2e3 to 8.2e3, and the singular
+    # value below the cutoff (1.5e-7 to 9.2e-7 of the anchor) is one of A_c -
+    # conj(lambda), where conj(lambda) is no eigenvalue of A_c.  The complex
+    # path gives that block full rank, so every seed is "constant".
+    @pytest.mark.parametrize("sig, seed", [
+        ((4, 4), 6), ((4, 4), 25), ((2, 6), 10), ((2, 6), 13), ((6, 2), 13), ((6, 2), 25),
+        ((8, 8), 4), ((8, 8), 7), ((8, 8), 9), ((8, 8), 19), ((8, 8), 21), ((8, 8), 25), ((8, 8), 26),
+    ], ids=str)
+    def test_ill_conditioned_lines_keep_their_ranks(self, sig, seed):
+        J = standard_complex_structure(BilinearSpace(*sig))
+        report = check_jordan_ip(build_complex_pair_tensor(J, 1.0, 2.0), J, n=100, seed=seed)
+        assert report.constant and report.rank == J.space.m
+
+    def test_boosted_structure_takes_the_real_path(self, monkeypatch):
+        # The J of ComplexStructure's boosted-structure test is not orthogonal,
+        # so it has no cached basis, and even J itself, which commutes with J,
+        # is fingerprinted as a real matrix.  Its lines all fail the plane
+        # test, so the operator stack is handed to _fingerprints directly.
+        s = BilinearSpace(2, 2)
+        boost = np.eye(4)
+        boost[0, 0] = boost[2, 2] = np.cosh(10.0)
+        boost[0, 2] = boost[2, 0] = np.sinh(10.0)
+        r = from_self_adjoint(s, np.eye(4))
+        inputs = self.spy_on_eigvals(monkeypatch)
+        for J, want in ((standard_complex_structure(s), ((2, 2), "c")),
+                        (ComplexStructure(s, boost @ standard_complex_structure(s).J
+                                          @ np.linalg.inv(boost)), ((4, 4), "f"))):
+            monkeypatch.setattr(jordan_ip, "curvature_operators", lambda *_: iter([J.J[None]]))
+            inputs.clear()
+            (inv,) = jordan_ip._fingerprints(r, [None], jordan_ip.OPERATOR_TOL, J)
+            assert inputs == [want]
+            assert [mult for _, mult in inv.clusters] == [2, 2]
 
 
 class TestSpectrumOfJR:

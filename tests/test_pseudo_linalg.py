@@ -13,6 +13,7 @@ from curvlab import (
     adjoint,
     build_complex_pair_tensor,
     classify_plane,
+    combine,
     curvature_operator,
     from_self_adjoint,
     inner,
@@ -434,32 +435,59 @@ class TestRankSequenceEarlyStop:
     @pytest.mark.parametrize("sig", [(0, 16), (8, 8)], ids=str)
     def test_svd_calls_per_fingerprint_at_m16(self, sig, monkeypatch):
         # R_Id: clusters 0 (multiplicity 14) and two simple eigenvalues, one
-        # SVD each plus one for the operator scale.  c0 R_Id + c1 R_J on
-        # complex lines: four clusters, each exhausted at k = 1.
+        # SVD each plus one for the operator scale, except that on a spacelike
+        # or timelike plane the eigenvalues are a conjugate pair, which shares
+        # one SVD.  c0 R_Id + c1 R_J on complex lines, on J's +i eigenspace:
+        # the scale, then two conjugate pairs of clusters, each exhausted at
+        # k = 1 by the SVDs of A_c - lambda and A_c - conj(lambda), all 8 x 8.
         space = BilinearSpace(*sig)
         J = standard_complex_structure(space)
         line_types = [PlaneClass.SPACELIKE] + ([PlaneClass.TIMELIKE] if space.p else [])
-        real_types = line_types + ([PlaneClass.MIXED] if space.p else [])
-        cases = [
-            (from_self_adjoint(space, np.eye(space.m)), 4,
-             [p for c in real_types for p in sample_real_planes(space, c, 5, 0)]),
-            (build_complex_pair_tensor(J, 1.5, 0.75), 5,
-             [p for c in line_types for p in sample_complex_lines(J, c, 5, 0)]),
-        ]
-        svd = np.linalg.svd
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        for tensor, expected, planes in cases:
+        identity = from_self_adjoint(space, np.eye(space.m))
+        pair = build_complex_pair_tensor(J, 1.5, 0.75)
+        cases = [(identity, None, 3, (16, 16), sample_real_planes(space, c, 5, 0))
+                 for c in line_types]
+        if space.p:
+            cases.append((identity, None, 4, (16, 16),
+                          sample_real_planes(space, PlaneClass.MIXED, 5, 0)))
+        cases += [(pair, J._plus_i_basis, 5, (8, 8), sample_complex_lines(J, c, 5, 0))
+                  for c in line_types]
+        calls = spy_on_svd(monkeypatch)
+        for tensor, basis, expected, shape, planes in cases:
             for plane in planes:
                 op = curvature_operator(tensor, plane)
                 calls.clear()
-                jordan_invariants(op, OPERATOR_TOL)
-                assert len(calls) == expected
+                jordan_invariants(op, OPERATOR_TOL, basis)
+                assert calls == [shape] * expected
+
+    def test_conjugate_clusters_share_their_svds(self, monkeypatch):
+        # a R_Id + b R_C on spacelike planes of (0, 16): clusters 0
+        # (multiplicity 12) and two conjugate pairs.  Each pair takes one
+        # SVD, not two: 4 in all, against 6 without sharing.
+        space = BilinearSpace(0, 16)
+        tensor = combine([(0.8, from_self_adjoint(space, np.eye(16))),
+                          (1.7, from_self_adjoint(space, np.diag([1.0, -1.0] * 8)))])
+        calls = spy_on_svd(monkeypatch)
+        for plane in sample_real_planes(space, PlaneClass.SPACELIKE, 5, 0):
+            op = curvature_operator(tensor, plane)
+            calls.clear()
+            inv = jordan_invariants(op, OPERATOR_TOL)
+            assert calls == [(16, 16)] * 4
+            assert sorted(zip((mult for _, mult in inv.clusters), inv.rank_sequences)) == \
+                [(1, (15,))] * 4 + [(12, (4,) * 12)]
+
+
+def spy_on_svd(monkeypatch):
+    """The shapes of the inputs of every np.linalg.svd call from now on."""
+    svd = np.linalg.svd
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
 
 
 def union_find_clusters(evals, threshold):
@@ -529,7 +557,8 @@ class TestClusterEigenvalues:
     @pytest.mark.parametrize("name", CLUSTERING_CASES)
     def test_matches_union_find(self, name):
         evals, threshold = CLUSTERING_CASES[name]
-        groups, ambiguous = _cluster_eigenvalues(evals, threshold)
+        roots, ambiguous = _cluster_eigenvalues(evals, threshold)
+        groups = [evals[roots == root] for root in dict.fromkeys(roots)]
         ref_groups, ref_ambiguous = union_find_clusters(evals, threshold)
         assert ambiguous == ref_ambiguous
         assert len(groups) == len(ref_groups)
@@ -537,8 +566,8 @@ class TestClusterEigenvalues:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_chain_is_one_cluster(self):
-        groups, ambiguous = _cluster_eigenvalues(np.array([0.0, 1.8, 0.9]), 1.0)
-        assert [g.tolist() for g in groups] == [[0.0, 1.8, 0.9]]
+        roots, ambiguous = _cluster_eigenvalues(np.array([0.0, 1.8, 0.9]), 1.0)
+        assert roots.tolist() == [0, 0, 0]
         assert ambiguous
 
 
