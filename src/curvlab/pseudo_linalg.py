@@ -246,8 +246,7 @@ def jordan_invariants(
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     m = a.shape[0]
-    c = a if basis is None else basis.conj().T @ a @ basis
-    n = c.shape[0]
+    c, n = (a, m) if basis is None else (basis.conj().T @ a @ basis, m // 2)
     evals = np.linalg.eigvals(c)
     svals = np.linalg.svd(c, compute_uv=False)
     op_scale = float(svals[0]) if svals.size else 0.0
@@ -259,6 +258,7 @@ def jordan_invariants(
 
     clusters: dict[int, tuple[complex, int]] = {}  # by root, as are the rank sequences
     ranks_at: dict[int, tuple[int, ...]] = {}
+    eye = np.eye(n)
     for root in np.flatnonzero(roots == np.arange(m)):
         group = roots == root
         mult = int(np.count_nonzero(group))
@@ -271,10 +271,10 @@ def jordan_invariants(
         # eigenvalues; with none it has full rank.  A real cluster's one block counts twice.
         own, pair = int(np.count_nonzero(group[:n])), n < m and conj_roots[root] != root
         parts = [(lam, own), (lam.conjugate(), mult - own)] if pair else [(lam, own)]
-        shifted = [c - mu * np.eye(n) for mu, _ in parts]
+        shifted = [c - mu * eye for mu, _ in parts]
         svs = [np.linalg.svd(b, compute_uv=False) for b in shifted]
         anchor = max(float(sv[0]) for sv in svs)  # sigma_max(A - lambda I)
-        ranks = np.zeros(mult, dtype=int)
+        ranks = [0] * mult
         for b, s, (_, members) in zip(shifted, svs, parts):
             seq, power = [], b
             for k in range(1, mult + 1):
@@ -286,14 +286,14 @@ def jordan_invariants(
                 # generalised eigenspace is exhausted, or the nullity stopped growing.
                 if seq[-1] <= n - members or (k > 1 and seq[-1] == seq[-2]):
                     break
-            ranks += seq + [seq[-1]] * (mult - len(seq))
-        ranks_at[root] = tuple(((1 if pair or n == m else 2) * ranks).tolist())
+            ranks = [r + q for r, q in zip(ranks, seq + [seq[-1]] * (mult - len(seq)))]
+        ranks_at[root] = tuple((1 if pair or n == m else 2) * r for r in ranks)
 
     # Order on both parts rounded to multiples of the clustering threshold, so
     # that noise far below it, such as the +-1e-16 real parts of a skew
     # operator's eigenvalues, cannot reorder the clusters; raw values break ties.
     unit = tol * op_scale or 1.0
-    keys = {r: (np.rint(z.real / unit), np.rint(z.imag / unit), z.real, z.imag)
+    keys = {r: (round(z.real / unit), round(z.imag / unit), z.real, z.imag)
             for r, (z, _) in clusters.items()}
     order = sorted(clusters, key=keys.__getitem__)
     return JordanInvariants(
