@@ -253,11 +253,11 @@ def jordan_invariants(
     total_rank = (1 if n == m else 2) * _rank_from_singular_values(svals, tol)  # raises unless tol > 0
     evals = evals if n == m else np.concatenate([evals, evals.conj()])
     roots, ambiguous = _cluster_eigenvalues(evals, tol * op_scale)
-    # A real matrix's eigenvalue pairs are exactly conjugate: conj_roots[i] is conj(evals[i])'s root.
-    conj_roots = roots[np.argmax(evals.conj()[:, None] == evals, axis=1)] if m else roots
+    # A real matrix's eigenvalue pairs are exactly conjugate, and numpy returns all-real ones
+    # as a real array: conj_roots[i] is the root of conj(evals[i]).
+    conj_roots = roots if evals.dtype.kind == "f" else roots[np.argmax(evals.conj()[:, None] == evals, 1)]
 
-    clusters: dict[int, tuple[complex, int]] = {}  # by root, as are the rank sequences
-    ranks_at: dict[int, tuple[int, ...]] = {}
+    clusters, ranks_at = {}, {}  # by root: (lambda, multiplicity) and the rank sequence
     eye = np.eye(n)
     for root in np.flatnonzero(roots == np.arange(m)):
         group = roots == root
