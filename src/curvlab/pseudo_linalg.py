@@ -274,7 +274,7 @@ def jordan_invariants(
         shifted = [c - mu * eye for mu, _ in parts]
         svs = [np.linalg.svd(b, compute_uv=False) for b in shifted]
         anchor = max(float(sv[0]) for sv in svs)  # sigma_max(A - lambda I)
-        ranks = [0] * mult
+        ranks = np.zeros(mult, dtype=int)
         for b, s, (_, members) in zip(shifted, svs, parts):
             seq, power = [], b
             for k in range(1, mult + 1):
@@ -286,8 +286,8 @@ def jordan_invariants(
                 # generalised eigenspace is exhausted, or the nullity stopped growing.
                 if seq[-1] <= n - members or (k > 1 and seq[-1] == seq[-2]):
                     break
-            ranks = [r + q for r, q in zip(ranks, seq + [seq[-1]] * (mult - len(seq)))]
-        ranks_at[root] = tuple((1 if pair or n == m else 2) * r for r in ranks)
+            ranks += seq + [seq[-1]] * (mult - len(seq))
+        ranks_at[root] = tuple(((1 if pair or n == m else 2) * ranks).tolist())
 
     # Order on both parts rounded to multiples of the clustering threshold, so
     # that noise far below it, such as the +-1e-16 real parts of a skew
