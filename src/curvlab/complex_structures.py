@@ -45,7 +45,8 @@ class ComplexStructure:
     """An isometry J with J^2 = -Id, turning R^(p,q) into a complex vector space.
 
     Both p and q must be even: pairing a timelike with a spacelike direction
-    can never be an isometry squaring to -Id.
+    can never be an isometry squaring to -Id.  An orthogonal J, such as the
+    standard J and the quaternion units, caches a basis of its +i eigenspace.
     """
 
     space: BilinearSpace
@@ -67,9 +68,8 @@ class ComplexStructure:
 
     @cached_property
     def _plus_i_basis(self) -> np.ndarray | None:
-        """Orthonormal basis (u - i J u) / sqrt(2) of J's +i eigenspace, with {u_k, J u_k}
-        orthonormal by Gram-Schmidt from the coordinate vectors.  None unless J^T J = Id to
-        m eps, as for the standard J and quaternion units, so that J's eigenspaces are orthogonal."""
+        """Orthonormal basis (u - iJu) / sqrt(2) of J's +i eigenspace, {u_k, J u_k} by Gram-Schmidt
+        from coordinate vectors; None unless J^T J = Id to m eps (J's eigenspaces orthogonal)."""
         m, J = self.space.m, self.J
         if _max_abs(J.T @ J - np.eye(m)) > m * np.finfo(float).eps:
             return None
