@@ -109,9 +109,9 @@ class QuaternionStructure:
         if residual > DEFAULT_TOL * max(1.0, _max_abs(self.i) * _max_abs(self.j)):
             raise ValueError(f"quaternion relation ij = k fails, max residual {residual:.3e}")
 
-    @property
+    @cached_property
     def as_complex(self) -> ComplexStructure:
-        """The complex structure J = i distinguished by the quaternion triple."""
+        """The complex structure J = i of the triple, made once with its +i basis."""
         return ComplexStructure(self.space, self.i)
 
 

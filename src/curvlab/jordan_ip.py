@@ -41,7 +41,9 @@ from .pseudo_linalg import (
 # sqrt(machine eps) times the operator norm (3e-8), while the eigenvalue gaps
 # of interest are order 0.1 and larger, so operator-level checks cluster at 1e-6.
 OPERATOR_TOL = 1e-6
-_ALMOST_COMPLEX_TOL = 1e-10  # check_almost_complex's bound on max|J R(pi) - R(pi) J| / max|R|
+# The one bound on max|J R(pi) - R(pi) J| / max|R| of the three commutation decisions:
+# check_almost_complex's default, check_jordan_ip's fingerprint path, spectrum_of_JR.
+_ALMOST_COMPLEX_TOL = 1e-10
 
 # Planes per matrix product in curvature_operators: enough for one GEMM to
 # amortise the pass over the m^4 coefficients.  At m = 32 and 1000 lines per
@@ -51,10 +53,11 @@ _BLOCK = 64
 
 
 class SpectrumStructureError(ValueError):
-    """The composition J R(pi) lacks the eigenstructure of a complex-linear
-    self-adjoint map: a non-real eigenvalue, an odd real multiplicity, or a
-    defective eigenvalue, each judged relative to sigma_max(J R(pi)).
-    Indicates the tensor is not almost complex."""
+    """R(pi) does not commute with J, judged against max|R|, or J R(pi) lacks
+    the eigenstructure of a complex-linear self-adjoint map: a non-real
+    eigenvalue, an odd real multiplicity (for a non-orthogonal J: on C^{m/2}
+    each real eigenvalue counts twice), or a defective eigenvalue, judged
+    against sigma_max(J R(pi)).  Indicates the tensor is not almost complex."""
 
 
 def complex_line(J: ComplexStructure, x: np.ndarray) -> OrientedPlane:
@@ -369,31 +372,28 @@ def spectrum_of_JR(
     tol: float = OPERATOR_TOL,
 ) -> SpectrumSpec:
     """Eigenvalues and complex multiplicities of the composition J R(pi), read
-    from its fingerprint jordan_invariants(J R(pi), tol).
+    from its fingerprint jordan_invariants(J R(pi), tol, J._plus_i_basis): on
+    C^{m/2} for an orthogonal J, from the real m x m matrix for another J.
 
     A plane that is not a complex line of J, as check_almost_complex decides,
     or that is degenerate raises ValueError.  An eigenstructure that no almost
     complex tensor gives raises SpectrumStructureError: R(pi) not commuting
-    with J, eigenvalues off the real line, odd real multiplicities, or
-    defective eigenvalues.  The commutator and imaginary parts are compared
-    with tol times the fingerprint's scale, sigma_max(J R(pi)), so no
-    singular values are computed outside jordan_invariants.
+    with J to _ALMOST_COMPLEX_TOL max|R|, tested before any eigen-analysis,
+    eigenvalues off the real line, odd real multiplicities, or defective
+    eigenvalues, judged at tol times the fingerprint's scale, sigma_max(J R(pi)).
     """
     if _first_non_line(J, [plane]) is not None:
         raise ValueError("spectrum_of_JR requires a non-degenerate complex line")
     op = curvature_operator(tensor, plane)
     k = J.J @ op
-    inv = jordan_invariants(k, tol)
-    threshold = tol * inv.scale
-
     comm = float(np.max(np.abs(k - op @ J.J)))
-    if comm > threshold:
+    if comm > _ALMOST_COMPLEX_TOL * tensor.scale:
         raise SpectrumStructureError(
             f"R(pi) does not commute with J (residual {comm:.3e}); tensor is not almost complex"
         )
-
+    inv = jordan_invariants(k, tol, J._plus_i_basis)
     worst_imag = max(abs(lam.imag) for lam, _ in inv.clusters)
-    if worst_imag > threshold:
+    if worst_imag > tol * inv.scale:
         raise SpectrumStructureError(f"non-real eigenvalue of J R(pi), imaginary part {worst_imag:.3e}")
 
     pairs: list[tuple[float, int]] = []

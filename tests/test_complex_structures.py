@@ -201,6 +201,12 @@ class TestStandardQuaternionStructure:
         q = standard_quaternion_structure(s)
         assert np.array_equal(q.as_complex.J, standard_complex_structure(s).J)
 
+    # Every caller reads one structure, so its +i basis is computed once.
+    def test_as_complex_is_made_once(self):
+        q = standard_quaternion_structure(BilinearSpace(4, 4))
+        assert q.as_complex is q.as_complex
+        assert q.as_complex._plus_i_basis is q.as_complex._plus_i_basis
+
     @pytest.mark.parametrize("sig", [(0, 4), (0, 8)])
     def test_unit_spacelike_orbit_is_orthonormal(self, sig):
         s = BilinearSpace(*sig)

@@ -682,6 +682,15 @@ def random_J_invariant_tensor(J, seed):
     return combine([(0.5, r), (0.5, pullback(r, J.J))])
 
 
+def boosted_structure(space, rapidity):
+    """The standard J conjugated by a boost of the timelike e0 with the
+    spacelike e2: a complex structure that is not orthogonal."""
+    boost = np.eye(space.m)
+    boost[0, 0] = boost[2, 2] = np.cosh(rapidity)
+    boost[0, 2] = boost[2, 0] = np.sinh(rapidity)
+    return ComplexStructure(space, boost @ standard_complex_structure(space).J @ np.linalg.inv(boost))
+
+
 class TestComplexPathFingerprint:
     """An R(pi) that commutes with an orthogonal J is fingerprinted on J's +i
     eigenspace; the result is the fingerprint of the real R(pi), to rounding."""
@@ -778,14 +787,10 @@ class TestComplexPathFingerprint:
         # is fingerprinted as a real matrix.  Its lines all fail the plane
         # test, so the operator stack is handed to _fingerprints directly.
         s = BilinearSpace(2, 2)
-        boost = np.eye(4)
-        boost[0, 0] = boost[2, 2] = np.cosh(10.0)
-        boost[0, 2] = boost[2, 0] = np.sinh(10.0)
         r = from_self_adjoint(s, np.eye(4))
         inputs = self.spy_on_eigvals(monkeypatch)
         for J, want in ((standard_complex_structure(s), ((2, 2), "c")),
-                        (ComplexStructure(s, boost @ standard_complex_structure(s).J
-                                          @ np.linalg.inv(boost)), ((4, 4), "f"))):
+                        (boosted_structure(s, 10.0), ((4, 4), "f"))):
             monkeypatch.setattr(jordan_ip, "curvature_operators", lambda *_: iter([J.J[None]]))
             inputs.clear()
             (inv,) = jordan_ip._fingerprints(r, [None], jordan_ip.OPERATOR_TOL, J)
@@ -844,8 +849,8 @@ class TestSpectrumOfJR:
         with pytest.raises(SpectrumStructureError, match="commute"):
             spectrum_of_JR(r, J, line)
 
-    # Thresholds are relative to sigma_max(J R(pi)), so the verdict and the
-    # spectrum do not depend on the scale of the tensor.
+    # The commutator is judged against max|R| and the spectrum against
+    # sigma_max(J R(pi)), so the verdict and the spectrum scale with the tensor.
     @pytest.mark.parametrize("c", [1e-7, 1e-9])
     def test_spectrum_scales_with_the_tensor(self, c):
         s = BilinearSpace(0, 8)
@@ -897,16 +902,23 @@ class TestSpectrumOfJR:
         assert not all(anchor.matches(spec, 1e-8) for spec in rest)
 
     def test_odd_real_multiplicity_rejected(self, monkeypatch):
-        # An almost complex tensor gives even multiplicities, so the
-        # fingerprint is stubbed; its scale lets the commutator test pass.
-        s = BilinearSpace(0, 4)
-        J = standard_complex_structure(s)
+        # An almost complex tensor gives even multiplicities, so the fingerprint
+        # is stubbed.  Only the real path of a J that is not orthogonal can give
+        # an odd one; R_Id commutes with every J, so the line reaches the stub.
+        J = boosted_structure(BilinearSpace(2, 2), 0.5)
         fingerprint = JordanInvariants(4, ((1 + 0j, 3), (-1 + 0j, 1)), ((1, 1, 1), (3,)), 4,
-                                       False, 1e6)
-        monkeypatch.setattr(jordan_ip, "jordan_invariants", lambda a, tol: fingerprint)
+                                       False, 1.0)
+        bases = []
+
+        def stub(a, tol, basis):
+            bases.append(basis)
+            return fingerprint
+
+        monkeypatch.setattr(jordan_ip, "jordan_invariants", stub)
         line = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed=0)[0]
         with pytest.raises(SpectrumStructureError, match="odd real multiplicity 3"):
-            spectrum_of_JR(random_algebraic_curvature_tensor(s, 3), J, line)
+            spectrum_of_JR(from_self_adjoint(J.space, np.eye(4)), J, line)
+        assert bases == [None]
 
     def test_non_real_eigenvalue_rejected(self):
         s = BilinearSpace(2, 2)
@@ -916,6 +928,115 @@ class TestSpectrumOfJR:
         line = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed=0)[0]
         with pytest.raises(SpectrumStructureError, match="non-real .* imaginary part 7.276e-01"):
             spectrum_of_JR(r, J, line)
+
+
+def real_path_spectrum(tensor, J, line, tol=jordan_ip.OPERATOR_TOL):
+    """The spectrum of J R(pi) read from its m x m real fingerprint, with every
+    check of spectrum_of_JR, the commutator included, at tol sigma_max(J R(pi));
+    or, where a check fails, the kind of SpectrumStructureError it raises."""
+    op = curvature_operator(tensor, line)
+    inv = jordan_invariants(J.J @ op, tol)
+    threshold = tol * inv.scale
+    if np.abs(J.J @ op - op @ J.J).max() > threshold:
+        return "commute"
+    if max(abs(lam.imag) for lam, _ in inv.clusters) > threshold:
+        return "non-real"
+    pairs = []
+    for (lam, mult), ranks in zip(inv.clusters, inv.rank_sequences):
+        if mult % 2 != 0:
+            return "odd"
+        if ranks[0] != inv.dimension - mult:
+            return "defective"
+        pairs.append((lam.real, mult // 2))
+    return SpectrumSpec(tuple(pairs))
+
+
+def spectrum_or_error(tensor, J, line):
+    try:
+        return spectrum_of_JR(tensor, J, line)
+    except SpectrumStructureError as exc:
+        return next(kind for kind in ("commute", "non-real", "odd", "defective") if kind in str(exc))
+
+
+class TestSpectrumOfJRPath:
+    """spectrum_of_JR rejects a line whose R(pi) does not commute with J at the
+    bound of check_almost_complex, before any eigen-analysis, and reads J R(pi)
+    on C^{m/2} when J is orthogonal."""
+
+    spy_on_eigvals = staticmethod(TestComplexPathFingerprint.spy_on_eigvals)
+
+    # A perturbation far below OPERATOR_TOL leaves the spectrum of J R(pi)
+    # clean, but moves the commutator past 1e-10 max|R|: all three line
+    # decisions see a tensor that is not almost complex.
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-8, 1e-7])
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4)], ids=str)
+    def test_one_bound_decides_commutation(self, sig, eps, monkeypatch):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        pair = build_complex_pair_tensor(J, 1.0, 0.5)
+        r = combine([(1.0, pair), (eps, random_algebraic_curvature_tensor(space, 3))])
+        lines = [line for lines in jordan_ip._lines_by_type(J, 5, 0) for line in lines]
+        commuting = [check_almost_complex(r, J, [line]).passed for line in lines]
+        assert commuting == [eps == 1e-12] * len(lines)
+        inputs = self.spy_on_eigvals(monkeypatch)
+        # The fingerprints cluster at OPERATOR_TOL, far above the perturbation.
+        assert check_jordan_ip(r, J, n=5, seed=0).constant
+        assert inputs == [((space.m // 2,) * 2, "c") if c else ((space.m,) * 2, "f")
+                          for c in commuting]
+        for line, c in zip(lines, commuting):
+            if c:
+                assert spectrum_of_JR(pair, J, line).matches(spectrum_of_JR(r, J, line), 1e-8)
+            else:
+                with pytest.raises(SpectrumStructureError, match="does not commute with J"):
+                    spectrum_of_JR(r, J, line)
+
+    def spectrum_inputs(self, J, r, monkeypatch):
+        """The (shape, dtype kind) of every eigvals input of spectrum_of_JR on
+        three lines of each causal type."""
+        lines = [line for lines in jordan_ip._lines_by_type(J, 3, 0) for line in lines]
+        inputs = self.spy_on_eigvals(monkeypatch)
+        for line in lines:
+            spectrum_of_JR(r, J, line)
+        assert len(inputs) == len(lines)
+        return set(inputs)
+
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (2, 6), (8, 8)], ids=str)
+    def test_orthogonal_structure_reads_the_complex_block(self, sig, monkeypatch):
+        J = standard_complex_structure(BilinearSpace(*sig))
+        r, n = build_complex_pair_tensor(J, 1.0, 0.5), J.space.m // 2
+        assert self.spectrum_inputs(J, r, monkeypatch) == {((n, n), "c")}
+
+    def test_quaternion_structure_reads_the_complex_block(self, monkeypatch):
+        quat = standard_quaternion_structure(BilinearSpace(4, 4))
+        r = build_quaternionic_tensor(quat, 1, 2, 8, 0)
+        assert self.spectrum_inputs(quat.as_complex, r, monkeypatch) == {((4, 4), "c")}
+
+    # A boost of rapidity 0.5 keeps the lines of J non-degenerate, so they can be sampled.
+    def test_boosted_structure_reads_the_real_matrix(self, monkeypatch):
+        J = boosted_structure(BilinearSpace(2, 2), 0.5)
+        assert J._plus_i_basis is None
+        r = build_complex_pair_tensor(J, 1.0, 0.5)
+        assert self.spectrum_inputs(J, r, monkeypatch) == {((4, 4), "f")}
+
+    # The reading of the real m x m fingerprint, with the commutator bounded
+    # by tol sigma_max(J R(pi)), is the reference: on every line the complex
+    # block gives the same multiplicities and eigenvalues, or the same error.
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (2, 6), (8, 8), (2, 2)], ids=str)
+    def test_matches_the_real_path_spectrum(self, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        tensors = [build_complex_pair_tensor(J, 1.5, 0.75),
+                   from_self_adjoint(space, np.eye(space.m)), random_J_invariant_tensor(J, 3)]
+        if space.p % 4 == 0 and space.m % 4 == 0:
+            tensors.append(build_quaternionic_tensor(standard_quaternion_structure(space), 1, 2, 8, 0))
+        lines = [line for lines in jordan_ip._lines_by_type(J, 20, 0) for line in lines]
+        for r in tensors:
+            for line in lines:
+                want, got = real_path_spectrum(r, J, line), spectrum_or_error(r, J, line)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert want.matches(got, 1e-9)
 
 
 class TestOperatorEigenvalueRelations:

@@ -247,6 +247,10 @@ class TestJordanInvariants:
         with pytest.raises(ValueError):
             jordan_invariants(np.ones((2, 3)))
 
+    def test_empty_map_has_an_empty_fingerprint(self):
+        inv = jordan_invariants(np.zeros((0, 0)))
+        assert (inv.dimension, inv.clusters, inv.rank_sequences, inv.total_rank) == (0, (), (), 0)
+
     @pytest.mark.parametrize("c", [1e-7, 1e-12, 1e8], ids=["1e-7", "1e-12", "1e8"])
     def test_scale_is_sigma_max_and_scales_with_the_map(self, c):
         a = np.random.default_rng(5).standard_normal((6, 6))
