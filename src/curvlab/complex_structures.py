@@ -11,7 +11,7 @@ in the doubly nilpotent case, map every non-degenerate complex line onto a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -91,28 +91,28 @@ class QuaternionStructure:
     jk = i, ki = j and ji = -k, and an isometry u with u^2 = -Id is
     skew-adjoint, as u* = u^-1 = -u.  The sign convention is right-handed;
     any consistent choice works, fixing one keeps golden values reproducible.
+    as_complex is the complex structure J = i of the triple, the one that
+    validated i, with its +i basis.
     """
 
     space: BilinearSpace
     i: np.ndarray
     j: np.ndarray
     k: np.ndarray
+    as_complex: ComplexStructure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        units = {}
         for name in ("i", "j", "k"):
             try:
-                unit = ComplexStructure(self.space, getattr(self, name)).J
+                units[name] = ComplexStructure(self.space, getattr(self, name))
             except ValueError as exc:
                 raise ValueError(f"quaternion unit {name}: {exc}") from exc
-            object.__setattr__(self, name, unit)
+            object.__setattr__(self, name, units[name].J)
         residual = _max_abs(self.i @ self.j - self.k)
         if residual > DEFAULT_TOL * max(1.0, _max_abs(self.i) * _max_abs(self.j)):
             raise ValueError(f"quaternion relation ij = k fails, max residual {residual:.3e}")
-
-    @cached_property
-    def as_complex(self) -> ComplexStructure:
-        """The complex structure J = i of the triple, made once with its +i basis."""
-        return ComplexStructure(self.space, self.i)
+        object.__setattr__(self, "as_complex", units["i"])
 
 
 def standard_complex_structure(space: BilinearSpace) -> ComplexStructure:

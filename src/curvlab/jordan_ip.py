@@ -216,14 +216,20 @@ def check_almost_complex(
 
 def _fingerprints(tensor: CurvatureTensor, planes: list[OrientedPlane], tol: float,
                   J: ComplexStructure | None = None) -> Iterator[JordanInvariants]:
-    """Fingerprints of R(pi) on the planes in order, lazily: a consumer that
-    stops early wastes at most one block of operator assembly.  An R(pi) that commutes
-    with an orthogonal J, as check_almost_complex tests it, is fingerprinted on C^{m/2}."""
+    """Fingerprints of R(pi) on the planes in order, lazily, block by block of
+    curvature_operators: a consumer that stops early wastes at most one block of
+    operator assembly and fingerprints.  The R(pi) of a block that commute with an
+    orthogonal J, as check_almost_complex tests it, are fingerprinted on C^{m/2}
+    by one jordan_invariants call, the others by one more."""
     basis = None if J is None else J._plus_i_basis
     for ops in curvature_operators(tensor, planes):
-        commuting = [False] * len(ops) if basis is None else (
+        commuting = np.zeros(len(ops), dtype=bool) if basis is None else (
             np.abs(J.J @ ops - ops @ J.J).max(axis=(1, 2)) <= _ALMOST_COMPLEX_TOL * tensor.scale)
-        yield from (jordan_invariants(op, tol, basis if c else None) for op, c in zip(ops, commuting))
+        block = np.empty(len(ops), dtype=object)
+        for path, path_basis in ((commuting, basis), (~commuting, None)):
+            if path.any():
+                block[path] = jordan_invariants(ops[path], tol, path_basis)
+        yield from block
 
 
 def _first_offender(

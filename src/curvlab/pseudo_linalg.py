@@ -137,19 +137,19 @@ class OrientedPlane:
             object.__setattr__(self, name, value)
 
 
-def _rank_from_singular_values(s: np.ndarray, tol: float) -> int:
+def _rank_from_singular_values(s: np.ndarray, tol: float) -> np.ndarray:
+    """Per row of s, singular values in descending order along the last axis,
+    the count above tol times the largest; 0 for the zero map."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
 
 
 def numeric_rank(a: np.ndarray, tol: float) -> int:
     """Number of singular values above tol times the largest one; 0 for the zero map."""
     a = np.asarray(a)
     s = np.linalg.svd(a, compute_uv=False) if a.size else np.empty(0)
-    return _rank_from_singular_values(s, tol)
+    return int(_rank_from_singular_values(s, tol))
 
 
 def _unit_line(
@@ -209,24 +209,59 @@ class JordanInvariants:
     scale: float
 
 
-def _cluster_eigenvalues(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, bool]:
-    """Single-linkage clusters of eigenvalues at the given distance as roots, roots[i] the
-    index of the first member of evals[i]'s cluster, and whether any gap lies within a
-    factor of 10 of the threshold, where the clustering would flip under a small change of it."""
-    n = evals.size
-    gaps = np.abs(evals[:, None] - evals[None, :])
-    linked = gaps <= max(threshold, 0.0)
+def _cluster_eigenvalues(evals: np.ndarray, threshold: float | np.ndarray) -> tuple[np.ndarray, Any]:
+    """Single-linkage clusters of each row of eigenvalues (last axis) at its row's
+    distance as roots, roots[..., i] the index of the first member of the cluster of
+    evals[..., i], and whether any gap of the row lies within a factor of 10 of the
+    threshold, where the clustering would flip under a small change of it."""
+    n = evals.shape[-1]
+    gaps = np.abs(evals[..., :, None] - evals[..., None, :])
+    threshold = np.asarray(threshold, dtype=float)[..., None, None]
+    linked = gaps <= np.maximum(threshold, 0.0)
     # Gap 0 links each eigenvalue to itself, so each squaring doubles the chains
     # covered, until a squaring changes nothing.
     while n and not np.array_equal(closure := linked @ linked, linked):
         linked = closure
-    ambiguous = bool(np.any((threshold / 10.0 < gaps) & (gaps < threshold * 10.0)))
-    return linked.argmax(axis=1) if n else np.zeros(0, dtype=int), ambiguous
+    ambiguous = np.any((threshold / 10.0 < gaps) & (gaps < threshold * 10.0), axis=(-2, -1))
+    return linked.argmax(axis=-1) if n else np.zeros(evals.shape, dtype=int), ambiguous
+
+
+def _rank_sequences(shifted: np.ndarray, partner: np.ndarray, members: np.ndarray,
+                    mults: np.ndarray, tol: float) -> list[list[int]]:
+    """Rank sequences of the powers of a stack of n x n blocks B_t = A - mu_t I,
+    level by level: one SVD call per power k, of every block still running.
+
+    The cutoff of block t at power k is tol * anchor_t^k, anchor_t the larger
+    sigma_max of B_t and of B_partner[t], the other block of its cluster (or
+    itself).  A block with no members has full rank n.  A sequence stops at the
+    k where its rank is at most n - members, equals the rank at k - 1, or k
+    reaches mults[t]; the caller repeats its last rank."""
+    n = shifted.shape[-1]
+    s = np.linalg.svd(shifted, compute_uv=False)
+    top = np.maximum(s[:, 0], s[partner, 0])
+    first = np.where(members > 0, np.count_nonzero(s > tol * top[:, None], axis=1), n)
+    anchors, seqs = top.tolist(), [[rank] for rank in first.tolist()]
+    running = np.flatnonzero((first > n - members) & (mults > 1))
+    power, previous, k = shifted[running], first[running], 1
+    while running.size:
+        k += 1
+        power = power @ shifted[running]
+        s = np.linalg.svd(power, compute_uv=False)
+        # Python's float power (C pow), which numpy's vectorised power need not match to the last bit.
+        cutoffs = np.array([tol * anchors[t] ** k for t in running.tolist()])
+        ranks = np.count_nonzero(s > cutoffs[:, None], axis=1)
+        for t, rank in zip(running.tolist(), ranks.tolist()):
+            seqs[t].append(rank)
+        # In exact arithmetic the rank is constant from here on: the generalised
+        # eigenspace is exhausted, or the nullity stopped growing.
+        going = (ranks > n - members[running]) & (ranks != previous) & (k < mults[running])
+        running, power, previous = running[going], power[going], ranks[going]
+    return seqs
 
 
 def jordan_invariants(
     a: np.ndarray, tol: float = DEFAULT_TOL, basis: np.ndarray | None = None
-) -> JordanInvariants:
+) -> JordanInvariants | list[JordanInvariants]:
     """Eigenvalue clusters plus rank sequences of shifted powers of a real square matrix.
 
     Eigenvalues cluster at distance tol * sigma_max(A).  A Jordan block of size
@@ -241,68 +276,91 @@ def jordan_invariants(
     [Q, conj(Q)], A_c = Q^H A Q, and A's fingerprint is read from A_c at half
     the size: rank((A - lambda)^k) = rank_c((A_c - lambda)^k) + rank_c((A_c -
     conj(lambda))^k), the second m/2 when conj(lambda) is no eigenvalue of A_c.
+
+    a may also be a (k, m, m) stack, all taken with the one basis or none; then
+    the result is the list of the k fingerprints, each equal, field by field and
+    bit by bit, to that of its matrix alone.  A stack takes one eigvals call,
+    one SVD call for the scales, one for the k = 1 shifted blocks of all its
+    clusters, and one per further power, over the sequences still running.
+    np.linalg.eigvals returns a real array only when every eigenvalue of the
+    stack is real, so a real matrix's eigenvalues are read as real when its own
+    are, as for the matrix alone: a complex sum of a cluster rounds otherwise.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    m = a.shape[0]
-    c, n = (a, m) if basis is None else (basis.conj().T @ a @ basis, m // 2)
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    stack = a if a.ndim == 3 else a[None]
+    m = stack.shape[-1]
+    c, n = (stack, m) if basis is None else (basis.conj().T @ stack @ basis, m // 2)
     evals = np.linalg.eigvals(c)
     svals = np.linalg.svd(c, compute_uv=False)
-    op_scale = float(svals[0]) if svals.size else 0.0
-    total_rank = (1 if n == m else 2) * _rank_from_singular_values(svals, tol)  # raises unless tol > 0
-    evals = evals if n == m else np.concatenate([evals, evals.conj()])
-    roots, ambiguous = _cluster_eigenvalues(evals, tol * op_scale)
-    # A real matrix's eigenvalue pairs are exactly conjugate: conj_roots[i] is conj(evals[i])'s root.
-    conj_roots = roots[np.argmax(evals.conj()[:, None] == evals, axis=1)] if m else roots
+    scales = svals[:, 0].tolist() if n else [0.0] * len(c)
+    total_ranks = (1 if n == m else 2) * _rank_from_singular_values(svals, tol)  # raises unless tol > 0
+    evals = evals if n == m else np.concatenate([evals, evals.conj()], axis=1)
+    roots, ambiguous = _cluster_eigenvalues(evals, tol * np.array(scales))
+    # A real matrix's eigenvalue pairs are exactly conjugate: conj_roots[i, j] is conj(evals[i, j])'s root.
+    conj_roots = roots[np.arange(len(c))[:, None], np.argmax(
+        evals.conj()[:, :, None] == evals[:, None, :], axis=2)] if m else roots
+    members_at = roots[:, :, None] == np.arange(m)  # members_at[i, j, r]: evals[i, j] lies in root r's cluster
+    mults_at, own_at = members_at.sum(axis=1).tolist(), members_at[:, :n].sum(axis=1).tolist()
 
-    clusters, ranks_at = {}, {}  # by root: (lambda, multiplicity) and the rank sequence
-    eye = np.eye(n)
-    for root in np.flatnonzero(roots == np.arange(m)):
-        group = roots == root
-        mult = int(np.count_nonzero(group))
-        lam = complex(evals[group].sum() / mult)
-        clusters[root] = (lam, mult)
-        if conj_roots[root] < root:
-            ranks_at[root] = ranks_at[conj_roots[root]]
-            continue
-        # The blocks at lambda and conj(lambda), each with the members that are its
-        # eigenvalues; with none it has full rank.  A real cluster's one block counts twice.
-        own, pair = int(np.count_nonzero(group[:n])), n < m and conj_roots[root] != root
-        parts = [(lam, own), (lam.conjugate(), mult - own)] if pair else [(lam, own)]
-        shifted = [c - mu * eye for mu, _ in parts]
-        svs = [np.linalg.svd(b, compute_uv=False) for b in shifted]
-        anchor = max(float(sv[0]) for sv in svs)  # sigma_max(A - lambda I)
-        ranks = np.zeros(mult, dtype=int)
-        for b, s, (_, members) in zip(shifted, svs, parts):
-            seq, power = [], b
-            for k in range(1, mult + 1):
-                if k > 1:
-                    power = power @ b
-                    s = np.linalg.svd(power, compute_uv=False)
-                seq.append(int(np.count_nonzero(s > tol * anchor**k)) if members else n)
-                # In exact arithmetic the rank is constant from here on: the
-                # generalised eigenspace is exhausted, or the nullity stopped growing.
-                if seq[-1] <= n - members or (k > 1 and seq[-1] == seq[-2]):
-                    break
-            ranks += seq + [seq[-1]] * (mult - len(seq))
-        ranks_at[root] = tuple(((1 if pair or n == m else 2) * ranks).tolist())
+    # Per matrix, by root: (lambda, multiplicity), and where the rank sequence
+    # comes from: the root of the conjugate cluster, or the range of its blocks.
+    clusters: list[dict] = [{} for _ in c]
+    sources: list[dict] = [{} for _ in c]
+    blocks, partner = [], []  # (matrix, mu, members, multiplicity) of every block A - mu I
+    for i, (row, root_row, conj_row) in enumerate(zip(evals, roots, conj_roots.tolist())):
+        if basis is None and not row.imag.any():
+            row = row.real
+        for root, mult in enumerate(mults_at[i]):
+            if not mult:
+                continue
+            lam = complex(row[root_row == root].sum() / mult)
+            clusters[i][root] = (lam, mult)
+            if conj_row[root] < root:
+                sources[i][root] = conj_row[root]
+                continue
+            # The blocks at lambda and conj(lambda), each with the members that are its
+            # eigenvalues; with none it has full rank.  A real cluster's one block counts twice.
+            own, pair = own_at[i][root], n < m and conj_row[root] != root
+            parts = [(lam, own), (lam.conjugate(), mult - own)] if pair else [(lam, own)]
+            sources[i][root] = range(len(blocks), len(blocks) + len(parts))
+            blocks += [(i, mu, count, mult) for mu, count in parts]
+            partner += reversed(sources[i][root])
+    seqs: list[list[int]] = []
+    if blocks:
+        rows, mus, members, mults = zip(*blocks)
+        shifted = np.array(mus)[:, None, None] * np.eye(n)
+        np.subtract(c[list(rows)], shifted, out=shifted)  # A - mu I, with no third stack
+        seqs = _rank_sequences(shifted, np.array(partner), np.array(members), np.array(mults), tol)
 
-    # Order on both parts rounded to multiples of the clustering threshold, so
-    # that noise far below it, such as the +-1e-16 real parts of a skew
-    # operator's eigenvalues, cannot reorder the clusters; raw values break ties.
-    unit = tol * op_scale or 1.0
-    keys = {r: (round(z.real / unit), round(z.imag / unit), z.real, z.imag)
-            for r, (z, _) in clusters.items()}
-    order = sorted(clusters, key=keys.__getitem__)
-    return JordanInvariants(
-        dimension=m,
-        clusters=tuple(clusters[r] for r in order),
-        rank_sequences=tuple(ranks_at[r] for r in order),
-        total_rank=total_rank,
-        clustering_ambiguous=ambiguous,
-        scale=op_scale,
-    )
+    fingerprints = []
+    for i, (by_root, source) in enumerate(zip(clusters, sources)):
+        ranks_at = {}
+        for root, src in source.items():
+            if isinstance(src, int):
+                ranks_at[root] = ranks_at[src]
+                continue
+            mult = by_root[root][1]
+            padded = [seqs[t] + [seqs[t][-1]] * (mult - len(seqs[t])) for t in src]
+            factor = 1 if len(src) == 2 or n == m else 2
+            ranks_at[root] = tuple(factor * sum(ranks) for ranks in zip(*padded))
+        # Order on both parts rounded to multiples of the clustering threshold, so
+        # that noise far below it, such as the +-1e-16 real parts of a skew
+        # operator's eigenvalues, cannot reorder the clusters; raw values break ties.
+        unit = tol * scales[i] or 1.0
+        keys = {r: (round(z.real / unit), round(z.imag / unit), z.real, z.imag)
+                for r, (z, _) in by_root.items()}
+        order = sorted(by_root, key=keys.__getitem__)
+        fingerprints.append(JordanInvariants(
+            dimension=m,
+            clusters=tuple(by_root[r] for r in order),
+            rank_sequences=tuple(ranks_at[r] for r in order),
+            total_rank=int(total_ranks[i]),
+            clustering_ambiguous=bool(ambiguous[i]),
+            scale=scales[i],
+        ))
+    return fingerprints if a.ndim == 3 else fingerprints[0]
 
 
 def _paired(a: Sequence[tuple[Any, Any]], b: Sequence[tuple[Any, Any]], bound: float) -> bool:

@@ -207,6 +207,21 @@ class TestStandardQuaternionStructure:
         assert q.as_complex is q.as_complex
         assert q.as_complex._plus_i_basis is q.as_complex._plus_i_basis
 
+    # i is validated once, as the structure that as_complex then returns.
+    def test_each_unit_is_validated_once(self, monkeypatch):
+        made = []
+        post_init = ComplexStructure.__post_init__
+
+        def counting(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ComplexStructure, "__post_init__", counting)
+        q = standard_quaternion_structure(BilinearSpace(0, 8))
+        as_complex = q.as_complex
+        assert len(made) == 3
+        assert as_complex is made[0] and np.array_equal(as_complex.J, q.i)
+
     @pytest.mark.parametrize("sig", [(0, 4), (0, 8)])
     def test_unit_spacelike_orbit_is_orthonormal(self, sig):
         s = BilinearSpace(*sig)

@@ -631,11 +631,13 @@ class TestFingerprintCalls:
 
     @staticmethod
     def count(monkeypatch, name):
+        """The shape of the first argument of every call of jordan_ip.<name>
+        from now on: for jordan_invariants, the stack it fingerprints."""
         calls = []
         original = getattr(jordan_ip, name)
 
         def counting(*args, **kwargs):
-            calls.append(None)
+            calls.append(np.shape(args[0]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(jordan_ip, name, counting)
@@ -646,17 +648,20 @@ class TestFingerprintCalls:
         monkeypatch.setattr(jordan_ip, sampler, lambda *args, **kwargs: list(staged))
         return staged
 
+    # The real check reads no fingerprint past its offender, but the block of
+    # operators that holds it is assembled and fingerprinted whole.
     def test_real_check_stops_at_its_offender(self, monkeypatch):
         s = BilinearSpace(0, 5)
         r = random_algebraic_curvature_tensor(s, 42)
-        planes = sample_real_planes(s, PlaneClass.SPACELIKE, 20, 0)
+        planes = sample_real_planes(s, PlaneClass.SPACELIKE, 2 * jordan_ip._BLOCK + 20, 0)
         staged = self.stage(monkeypatch, "sample_real_planes", planes)
+        assert len(staged) > 2 * jordan_ip._BLOCK
         invariants = self.count(monkeypatch, "jordan_invariants")
         equivalent = self.count(monkeypatch, "jordan_equivalent")
-        report = check_jordan_ip_real(r, n=20, seed=0)
+        report = check_jordan_ip_real(r, n=len(planes), seed=0)
         assert list(report.constant_by_type) == [PlaneClass.SPACELIKE]
         assert report.witnesses[PlaneClass.SPACELIKE] == (staged[0], staged[self.OFFENDER])
-        assert len(invariants) == self.OFFENDER + 1
+        assert invariants == [(jordan_ip._BLOCK, 5, 5)]
         assert len(equivalent) == self.OFFENDER
 
     def test_complex_check_fingerprints_every_line(self, monkeypatch):
@@ -671,7 +676,8 @@ class TestFingerprintCalls:
         equivalent = self.count(monkeypatch, "jordan_equivalent")
         report = check_jordan_ip(r, J, n=20, seed=0)
         assert report.witness == (staged[0], staged[self.OFFENDER])
-        assert len(invariants) == len(staged)
+        # One block, every R(pi) commuting with J: one stack of every line.
+        assert invariants == [(len(staged), 6, 6)]
         assert len(equivalent) == self.OFFENDER
 
 
@@ -697,11 +703,13 @@ class TestComplexPathFingerprint:
 
     @staticmethod
     def spy_on_eigvals(monkeypatch):
+        """The (trailing shape, dtype kind) of every matrix that an eigvals call
+        receives from now on, one entry per matrix of a stack, in order."""
         eigvals = np.linalg.eigvals
         inputs = []
 
         def spy(a):
-            inputs.append((a.shape, a.dtype.kind))
+            inputs.extend([(a.shape[-2:], a.dtype.kind)] * int(np.prod(a.shape[:-2])))
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", spy)

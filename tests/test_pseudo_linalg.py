@@ -12,6 +12,7 @@ from curvlab import (
     PlaneClass,
     adjoint,
     build_complex_pair_tensor,
+    build_quaternionic_tensor,
     classify_plane,
     combine,
     curvature_operator,
@@ -23,8 +24,11 @@ from curvlab import (
     sample_complex_lines,
     sample_real_planes,
     standard_complex_structure,
+    standard_quaternion_structure,
 )
+from curvlab import jordan_ip
 from curvlab.pseudo_linalg import _cluster_eigenvalues, _rejection_sample
+from test_jordan_ip import conjugation_map, random_J_invariant_tensor
 
 
 def e(m, i):
@@ -188,17 +192,10 @@ class TestNumericRank:
 
 class TestJordanInvariants:
     def test_nonpositive_tol_raises_before_any_cluster_svd(self, monkeypatch):
-        svd = np.linalg.svd
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        calls = spy_on_svd(monkeypatch)
         with pytest.raises(ValueError, match="tolerance must be positive"):
             jordan_invariants(np.eye(4), 0.0)
-        assert calls == [(4, 4)]
+        assert calls == [((4, 4), "f", 1)]
 
     def test_nilpotent_block(self):
         inv = jordan_invariants(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -444,51 +441,181 @@ class TestRankSequenceEarlyStop:
         # one SVD.  c0 R_Id + c1 R_J on complex lines, on J's +i eigenspace:
         # the scale, then two conjugate pairs of clusters, each exhausted at
         # k = 1 by the SVDs of A_c - lambda and A_c - conj(lambda), all 8 x 8.
+        # Every sequence stops at k = 1, so a stack takes two SVD calls: its
+        # scales, then the shifted blocks of all its clusters.
         space = BilinearSpace(*sig)
         J = standard_complex_structure(space)
         line_types = [PlaneClass.SPACELIKE] + ([PlaneClass.TIMELIKE] if space.p else [])
         identity = from_self_adjoint(space, np.eye(space.m))
         pair = build_complex_pair_tensor(J, 1.5, 0.75)
-        cases = [(identity, None, 3, (16, 16), sample_real_planes(space, c, 5, 0))
+        cases = [(identity, None, 3, (16, 16), "f", sample_real_planes(space, c, 5, 0))
                  for c in line_types]
         if space.p:
-            cases.append((identity, None, 4, (16, 16),
+            cases.append((identity, None, 4, (16, 16), "f",
                           sample_real_planes(space, PlaneClass.MIXED, 5, 0)))
-        cases += [(pair, J._plus_i_basis, 5, (8, 8), sample_complex_lines(J, c, 5, 0))
+        cases += [(pair, J._plus_i_basis, 5, (8, 8), "c", sample_complex_lines(J, c, 5, 0))
                   for c in line_types]
         calls = spy_on_svd(monkeypatch)
-        for tensor, basis, expected, shape, planes in cases:
-            for plane in planes:
-                op = curvature_operator(tensor, plane)
+        for tensor, basis, expected, shape, kind, planes in cases:
+            ops = np.array([curvature_operator(tensor, plane) for plane in planes])
+            for op in ops:
                 calls.clear()
                 jordan_invariants(op, OPERATOR_TOL, basis)
-                assert calls == [shape] * expected
+                assert calls == [(shape, kind, 1), (shape, "c", expected - 1)]
+            calls.clear()
+            jordan_invariants(ops, OPERATOR_TOL, basis)
+            assert calls == [(shape, kind, len(ops)), (shape, "c", (expected - 1) * len(ops))]
 
     def test_conjugate_clusters_share_their_svds(self, monkeypatch):
         # a R_Id + b R_C on spacelike planes of (0, 16): clusters 0
         # (multiplicity 12) and two conjugate pairs.  Each pair takes one
-        # SVD, not two: 4 in all, against 6 without sharing.
+        # SVD, not two: 4 in all, against 6 without sharing, in two calls.
         space = BilinearSpace(0, 16)
         tensor = combine([(0.8, from_self_adjoint(space, np.eye(16))),
                           (1.7, from_self_adjoint(space, np.diag([1.0, -1.0] * 8)))])
         calls = spy_on_svd(monkeypatch)
-        for plane in sample_real_planes(space, PlaneClass.SPACELIKE, 5, 0):
-            op = curvature_operator(tensor, plane)
+        ops = np.array([curvature_operator(tensor, plane)
+                        for plane in sample_real_planes(space, PlaneClass.SPACELIKE, 5, 0)])
+        for op in ops:
             calls.clear()
             inv = jordan_invariants(op, OPERATOR_TOL)
-            assert calls == [(16, 16)] * 4
+            assert calls == [((16, 16), "f", 1), ((16, 16), "c", 3)]
             assert sorted(zip((mult for _, mult in inv.clusters), inv.rank_sequences)) == \
                 [(1, (15,))] * 4 + [(12, (4,) * 12)]
+        calls.clear()
+        jordan_invariants(ops, OPERATOR_TOL)
+        assert calls == [((16, 16), "f", 5), ((16, 16), "c", 15)]
+
+
+def assert_stack_matches_alone(ops, tol, basis=None):
+    """jordan_invariants of the stack ops is the list of the fingerprints of
+    its matrices taken alone, field by field and in repr, so bit by bit."""
+    stacked = jordan_invariants(ops, tol, basis)
+    assert isinstance(stacked, list) and len(stacked) == len(ops)
+    for op, inv in zip(ops, stacked):
+        alone = jordan_invariants(op, tol, basis)
+        assert inv == alone and repr(inv) == repr(alone)
+
+
+def complex_line_ops(r, J, n=10):
+    """R(pi) of r on n lines of J of each causal type that exists."""
+    return np.array([curvature_operator(r, line)
+                     for lines in jordan_ip._lines_by_type(J, n, 0) for line in lines])
+
+
+class TestStackedFingerprint:
+    """A (k, m, m) stack gives the list of its matrices' fingerprints, each
+    bitwise equal to that of the matrix alone."""
+
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (8, 8)], ids=str)
+    def test_identity_on_real_planes(self, sig):
+        space = BilinearSpace(*sig)
+        r = from_self_adjoint(space, np.eye(space.m))
+        for causal_type in [t for t in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE, PlaneClass.MIXED)
+                            if jordan_ip._real_plane_realizable(space, t)]:
+            ops = np.array([curvature_operator(r, plane)
+                            for plane in sample_real_planes(space, causal_type, 20, 0)])
+            assert_stack_matches_alone(ops, OPERATOR_TOL)
+
+    @pytest.mark.parametrize("tensor, sig", [
+        (tensor, sig) for tensor in ("pair", "quaternionic", "id_plus_c", "random")
+        for sig in [(0, 8), (4, 4), (8, 8)] if tensor != "quaternionic" or sig[0] % 4 == 0
+    ], ids=str)
+    def test_complex_lines_with_and_without_the_basis(self, tensor, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        r = {
+            "pair": lambda: build_complex_pair_tensor(J, 1.5, 0.75),
+            "quaternionic": lambda: build_quaternionic_tensor(
+                standard_quaternion_structure(space), 1, 2, 8, 0),
+            "id_plus_c": lambda: combine([(0.8, from_self_adjoint(space, np.eye(space.m))),
+                                          (1.7, from_self_adjoint(space, conjugation_map(space.m)))]),
+            "random": lambda: random_J_invariant_tensor(J, 3),
+        }[tensor]()
+        ops = complex_line_ops(r, J)
+        assert_stack_matches_alone(ops, OPERATOR_TOL, J._plus_i_basis)
+        assert_stack_matches_alone(ops, OPERATOR_TOL)
+
+    def test_identity_plus_conjugation_on_real_planes(self):
+        space = BilinearSpace(0, 16)
+        r = combine([(0.8, from_self_adjoint(space, np.eye(16))),
+                     (1.7, from_self_adjoint(space, conjugation_map(16)))])
+        ops = np.array([curvature_operator(r, plane)
+                        for plane in sample_real_planes(space, PlaneClass.SPACELIKE, 20, 0)])
+        assert_stack_matches_alone(ops, OPERATOR_TOL)
+
+    # At tol 1e-4 the size-3 blocks cluster, and sequences run to k = 2 and 3.
+    @pytest.mark.parametrize("size", [6, 4, 5, 9])
+    def test_jordan_structures_reach_higher_powers(self, size):
+        ops = np.array([t @ jordan @ np.linalg.inv(t) for jordan, _ in JORDAN_STRUCTURES.values()
+                        if jordan.shape[0] == size for seed in range(10)
+                        for t in [well_conditioned_map(size, np.random.default_rng(seed))]])
+        assert_stack_matches_alone(ops, 1e-4)
+
+    def test_each_power_level_takes_one_svd_call(self, monkeypatch):
+        # A stack makes one SVD call per level, which holds every block that
+        # the matrices alone take at that level: the scales, the k = 1 blocks,
+        # then the blocks of the sequences still running at each k >= 2.
+        ops = [t @ jordan @ np.linalg.inv(t) for jordan, _ in JORDAN_STRUCTURES.values()
+               if jordan.shape[0] == 6 for seed in range(3)
+               for t in [well_conditioned_map(6, np.random.default_rng(seed))]]
+        calls = spy_on_svd(monkeypatch)
+        alone = []
+        for op in ops:
+            calls.clear()
+            jordan_invariants(op, 1e-4)
+            alone.append([count for _, _, count in calls])
+        calls.clear()
+        jordan_invariants(np.array(ops), 1e-4)
+        levels = max(map(len, alone))
+        assert levels == 4  # the scales, then k = 1, 2 and 3
+        assert [count for _, _, count in calls] == [
+            sum(counts[level] for counts in alone if level < len(counts)) for level in range(levels)]
+
+    # np.linalg.eigvals returns a complex array for the whole stack once one
+    # matrix has a complex eigenvalue.  R_Id on a mixed plane of (4, 4) has a
+    # real spectrum, and a complex sum of its cluster at 0 rounds otherwise
+    # than the real sum taken for the matrix alone.
+    def test_real_spectrum_beside_a_complex_one(self):
+        space = BilinearSpace(4, 4)
+        r = from_self_adjoint(space, np.eye(8))
+        mixed, spacelike = ([curvature_operator(r, plane) for plane in sample_real_planes(space, t, 10, 0)]
+                            for t in (PlaneClass.MIXED, PlaneClass.SPACELIKE))
+        ops = np.array([op for pair in zip(spacelike, mixed) for op in pair])
+        kinds = {np.linalg.eigvals(op).dtype.kind for op in ops}
+        assert kinds == {"f", "c"} and np.linalg.eigvals(ops).dtype.kind == "c"
+        assert_stack_matches_alone(ops, OPERATOR_TOL)
+
+    def test_stack_of_one(self):
+        space = BilinearSpace(4, 4)
+        J = standard_complex_structure(space)
+        op = complex_line_ops(build_complex_pair_tensor(J, 1.5, 0.75), J, 1)[:1]
+        for basis in (None, J._plus_i_basis):
+            (inv,) = jordan_invariants(op, OPERATOR_TOL, basis)
+            assert inv == jordan_invariants(op[0], OPERATOR_TOL, basis)
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_empty_stack(self, m):
+        assert jordan_invariants(np.zeros((0, m, m)), OPERATOR_TOL) == []
+        if m:
+            J = standard_complex_structure(BilinearSpace(0, m))
+            assert jordan_invariants(np.zeros((0, m, m)), OPERATOR_TOL, J._plus_i_basis) == []
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 3, 3), (2, 2, 3)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="square matrix or a stack"):
+            jordan_invariants(np.zeros(shape))
 
 
 def spy_on_svd(monkeypatch):
-    """The shapes of the inputs of every np.linalg.svd call from now on."""
+    """For every np.linalg.svd call from now on, the trailing shape and the
+    dtype kind of its matrices, and how many a stack holds (1 for one matrix)."""
     svd = np.linalg.svd
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
+    def spy(a, *args, **kwargs):
+        calls.append((a.shape[-2:], a.dtype.kind, int(np.prod(a.shape[:-2]))))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     return calls
