@@ -22,7 +22,7 @@ from .pseudo_linalg import (
     BilinearSpace,
     _check_matrix,
     _rejection_sample,
-    _unit_line,
+    _unit_lines,
     adjoint,
     numeric_rank,
 )
@@ -332,7 +332,7 @@ def check_admissible_pair(
         lines = _rejection_sample(
             n_lines,
             seed,
-            lambda rng: _unit_line(space, J.J, rng.standard_normal(space.m)),
+            lambda rng, k: _unit_lines(space, J.J, rng.standard_normal((k, space.m))),
             "while sampling complex lines",
         )
         min_rank = 4

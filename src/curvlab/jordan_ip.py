@@ -31,7 +31,7 @@ from .pseudo_linalg import (
     _check_vector,
     _paired,
     _rejection_sample,
-    _unit_line,
+    _unit_lines,
     classify_plane,
     jordan_equivalent,
     jordan_invariants,
@@ -94,11 +94,11 @@ def sample_real_planes(
             f"no {causal_type.value} 2-plane exists in signature ({space.p}, {space.q})"
         )
 
-    def draw(rng: np.random.Generator) -> OrientedPlane | None:
-        x = rng.standard_normal(space.m)
-        y = rng.standard_normal(space.m)
+    def draw(rng: np.random.Generator, k: int) -> list[OrientedPlane]:
+        pairs = rng.standard_normal((k, 2, space.m))  # per draw, x then y
         # Only an accepted draw is made a plane: most draws are rejected.
-        return OrientedPlane(space, x, y) if classify_plane(space, x, y) is causal_type else None
+        accepted = [i for i, (x, y) in enumerate(pairs) if classify_plane(space, x, y) is causal_type]
+        return [OrientedPlane(space, x, y) for x, y in pairs[accepted]]
 
     return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} planes")
 
@@ -114,6 +114,8 @@ def sample_complex_lines(
     x is drawn standard-normal and rescaled to |(x, x)| = 1; a line is kept
     when curvature_operator accepts it and (x, x) has the sign of the type,
     which decides the type: (x, Jx) = 0 and (Jx, Jx) = (x, x), never mixed.
+    Each rejection round draws its x as one stack and makes its lines with
+    _unit_lines, bit for bit the lines of one draw at a time.
     """
     space = J.space
     if causal_type not in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE):
@@ -123,7 +125,7 @@ def sample_complex_lines(
             f"no {causal_type.value} complex line exists in signature ({space.p}, {space.q})"
         )
     positive = causal_type is PlaneClass.SPACELIKE
-    draw = lambda rng: _unit_line(space, J.J, rng.standard_normal(space.m), positive)
+    draw = lambda rng, k: _unit_lines(space, J.J, rng.standard_normal((k, space.m)), positive)
     return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} lines")
 
 

@@ -97,18 +97,24 @@ def adjoint(space: BilinearSpace, a: np.ndarray) -> np.ndarray:
     return space.signs[:, None] * a.T * space.signs[None, :]
 
 
-def _plane_gram(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> tuple[float, PlaneClass]:
-    """Restricted Gram determinant of span{x, y} for checked vectors, and the
-    causal type it gives; DEGENERATE when |det| <= DEFAULT_TOL |x|^2 |y|^2."""
-    # x.dot(y) makes the same BLAS call as x @ y with half the overhead.
-    sy = space.signs * y
-    xx, xy, yy = float(x.dot(space.signs * x)), float(x.dot(sy)), float(y.dot(sy))
+def _gram_rule(xx: float, xy: float, yy: float, x2: float, y2: float) -> tuple[float, PlaneClass]:
+    """Restricted Gram determinant of span{x, y} from its dots (x,x), (x,y), (y,y)
+    and the Euclidean x.x and y.y, and the causal type it gives; DEGENERATE when
+    |det| <= DEFAULT_TOL |x|^2 |y|^2."""
     det = xx * yy - xy * xy
-    if abs(det) <= DEFAULT_TOL * (float(x.dot(x)) * float(y.dot(y))):
+    if abs(det) <= DEFAULT_TOL * (x2 * y2):
         return det, PlaneClass.DEGENERATE
     if det < 0:
         return det, PlaneClass.MIXED
     return det, PlaneClass.SPACELIKE if xx + yy > 0 else PlaneClass.TIMELIKE
+
+
+def _plane_gram(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> tuple[float, PlaneClass]:
+    """_gram_rule of span{x, y} for checked vectors."""
+    # x.dot(y) makes the same BLAS call as x @ y with half the overhead.
+    sy = space.signs * y
+    return _gram_rule(float(x.dot(space.signs * x)), float(x.dot(sy)), float(y.dot(sy)),
+                      float(x.dot(x)), float(y.dot(y)))
 
 
 def classify_plane(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> PlaneClass:
@@ -133,8 +139,16 @@ class OrientedPlane:
     def __post_init__(self) -> None:
         x, y = _check_vector(self.space, self.x, "x"), _check_vector(self.space, self.y, "y")
         det, plane_class = _plane_gram(self.space, x, y)
-        for name, value in (("x", x), ("y", y), ("det", det), ("plane_class", plane_class)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(x=x, y=y, det=det, plane_class=plane_class)  # past the frozen __setattr__
+
+    @classmethod
+    def _with_gram(cls, space: BilinearSpace, x: np.ndarray, y: np.ndarray, det: float,
+                   plane_class: PlaneClass) -> OrientedPlane:
+        """The plane of checked vectors x, y whose _plane_gram is (det, plane_class),
+        made without computing it again."""
+        plane = object.__new__(cls)
+        plane.__dict__.update(space=space, x=x, y=y, det=det, plane_class=plane_class)
+        return plane
 
 
 def _rank_from_singular_values(s: np.ndarray, tol: float) -> np.ndarray:
@@ -152,38 +166,58 @@ def numeric_rank(a: np.ndarray, tol: float) -> int:
     return int(_rank_from_singular_values(s, tol))
 
 
-def _unit_line(
-    space: BilinearSpace, j: np.ndarray, x: np.ndarray, positive: bool | None = None
-) -> OrientedPlane | None:
-    """The complex line span{x, j x} with x rescaled to |(x, x)| = 1; None when
-    it is degenerate, or when positive is given and the sign of (x, x)
-    disagrees with it."""
-    t = float(x.dot(space.signs * x))
-    if t == 0.0 or (positive is not None and (t > 0) != positive):
-        return None
-    x = x / np.sqrt(abs(t))
-    line = OrientedPlane(space, x, j @ x)
-    return None if line.plane_class is PlaneClass.DEGENERATE else line
+def _stacked_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, m) stacks.  Each row goes to the BLAS
+    ddot that a[i].dot(b[i]) makes, so each is bitwise that row's dot; einsum
+    and (a * b).sum(-1) sum in another order."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _unit_lines(
+    space: BilinearSpace, j: np.ndarray, xs: np.ndarray, positive: bool | None = None
+) -> list[OrientedPlane]:
+    """The non-degenerate complex lines span{x, j x} of the rows x of a (k, m)
+    stack of draws, in row order, each x rescaled to |(x, x)| = 1; a row is
+    dropped when (x, x) = 0, or when positive is given and the sign of (x, x)
+    disagrees with it.  (x, x), j x and the five dots of _plane_gram are stacked
+    BLAS calls that make, row by row, the ddot or gemv of that row alone, so a
+    line takes det and plane_class from the batch with the bits of
+    OrientedPlane(space, x, j @ x) made for its rescaled row."""
+    signs = space.signs
+    t = _stacked_dots(xs, signs * xs)
+    keep = t != 0.0 if positive is None else (t > 0.0) if positive else (t < 0.0)
+    xs = xs[keep] / np.sqrt(np.abs(t[keep]))[:, None]
+    ys = (j @ xs[:, :, None])[:, :, 0]
+    sy = signs * ys
+    dots = (_stacked_dots(xs, signs * xs), _stacked_dots(xs, sy), _stacked_dots(ys, sy),
+            _stacked_dots(xs, xs), _stacked_dots(ys, ys))
+    lines = []
+    for x, y, row in zip(xs, ys, zip(*(d.tolist() for d in dots))):
+        det, plane_class = _gram_rule(*row)
+        if plane_class is not PlaneClass.DEGENERATE:
+            lines.append(OrientedPlane._with_gram(space, x, y, det, plane_class))
+    return lines
 
 
 def _rejection_sample(
-    n: int, seed: int, draw: Callable[[np.random.Generator], Any], what: str
+    n: int, seed: int, draw: Callable[[np.random.Generator, int], list], what: str
 ) -> list:
-    """n samples by seeded rejection: draw(rng) returns a sample, or None to
-    reject the draw.  Raises ValueError for n < 1 and RuntimeError after
-    1000 n draws."""
+    """n samples by seeded rejection, in rounds: draw(rng, k) makes k draws and
+    returns the samples of those it accepts, at most one each, in draw order.
+    A round makes k = min(n - accepted, 1000 n - drawn) draws, so no draw
+    follows the n-th sample.  Raises ValueError for n < 1 and RuntimeError
+    after 1000 n draws."""
     if n < 1:
         raise ValueError("sample count must be at least 1")
     rng = np.random.default_rng(seed)
     samples = []
     draws = 0
     while len(samples) < n:
-        draws += 1
-        if draws > 1000 * n:
+        k = min(n - len(samples), 1000 * n - draws)
+        if k == 0:
             raise RuntimeError(f"rejection budget exceeded {what}")
-        sample = draw(rng)
-        if sample is not None:
-            samples.append(sample)
+        draws += k
+        samples += draw(rng, k)
     return samples
 
 

@@ -111,25 +111,31 @@ class TestOrientedPlane:
         with pytest.raises(ValueError, match=r"^plane in BilinearSpace\(p=2, q=2\) used with a tensor in BilinearSpace\(p=0, q=4\)$"):
             curvature_operator(r, line)
 
-    # The sampler makes each line once, and its Gram determinant goes with it
-    # to the assembly of R(pi).
+    # The sampler decides each line's Gram determinant once, when the line is
+    # drawn, and it goes with the line to the assembly of R(pi).
     def test_one_gram_per_sampled_line(self, monkeypatch):
         calls = []
-        original = pseudo_linalg._plane_gram
 
-        def counting(*args):
-            calls.append(None)
-            return original(*args)
+        def counting(name):
+            original = getattr(pseudo_linalg, name)
 
-        # Count the calls under every module name that binds the function.
-        for module in (pseudo_linalg, jordan_ip):
-            if hasattr(module, "_plane_gram"):
-                monkeypatch.setattr(module, "_plane_gram", counting)
+            def spy(*args):
+                calls.append(name)
+                return original(*args)
+            return spy
+
+        # Count the calls under every module name that binds either function.
+        for name in ("_plane_gram", "_gram_rule"):
+            for module in (pseudo_linalg, jordan_ip):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name))
         J = standard_complex_structure(BilinearSpace(2, 4))
         r = build_complex_pair_tensor(J, 1.0, 0.5)
         lines = sample_complex_lines(J, PlaneClass.TIMELIKE, 100, seed=0)
+        assert calls == ["_gram_rule"] * 100
+        calls.clear()
         assert sum(len(ops) for ops in curvature_operators(r, lines)) == 100
-        assert len(calls) == 100
+        assert calls == []
 
 
 class TestSamplePlanes:

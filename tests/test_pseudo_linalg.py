@@ -9,10 +9,13 @@ from curvlab import (
     DEFAULT_TOL,
     OPERATOR_TOL,
     BilinearSpace,
+    ComplexStructure,
+    OrientedPlane,
     PlaneClass,
     adjoint,
     build_complex_pair_tensor,
     build_quaternionic_tensor,
+    check_admissible_pair,
     classify_plane,
     combine,
     curvature_operator,
@@ -20,14 +23,17 @@ from curvlab import (
     inner,
     jordan_equivalent,
     jordan_invariants,
+    nilpotent_null_pair,
+    nilpotent_null_pair_partner,
     numeric_rank,
     sample_complex_lines,
     sample_real_planes,
     standard_complex_structure,
     standard_quaternion_structure,
 )
-from curvlab import jordan_ip
+from curvlab import complex_structures, jordan_ip
 from curvlab.pseudo_linalg import _cluster_eigenvalues, _rejection_sample
+from test_curvature import conjugated_structure
 from test_jordan_ip import conjugation_map, random_J_invariant_tensor
 
 
@@ -704,4 +710,140 @@ class TestClusterEigenvalues:
 
 def test_rejection_sample_budget():
     with pytest.raises(RuntimeError, match="rejection budget exceeded while testing"):
-        _rejection_sample(2, 0, lambda rng: None, "while testing")
+        _rejection_sample(2, 0, lambda rng, k: [], "while testing")
+
+
+class TestRejectionRounds:
+    """The rejection loop asks draw(rng, k) for the samples of k draws at a time."""
+
+    @staticmethod
+    def counting(accept):
+        """A draw that accepts draw i (counted from 0 across rounds) when accept(i),
+        with the sample i, and records the k of every round."""
+        rounds = []
+
+        def draw(rng, k):
+            first = sum(rounds)
+            rounds.append(k)
+            return [i for i in range(first, first + k) if accept(i)]
+        return draw, rounds
+
+    def test_budget_is_exactly_1000_n_draws(self):
+        draw, rounds = self.counting(lambda i: False)
+        with pytest.raises(RuntimeError, match="^rejection budget exceeded while testing$"):
+            _rejection_sample(3, 0, draw, "while testing")
+        assert sum(rounds) == 3000
+
+    def test_last_sample_may_be_the_last_draw_of_the_budget(self):
+        draw, rounds = self.counting(lambda i: i in (0, 1999))
+        assert _rejection_sample(2, 0, draw, "while testing") == [0, 1999]
+        assert sum(rounds) == 2000
+
+    def test_no_draw_after_the_nth_sample(self):
+        # Every third draw is accepted, so the 10th sample is draw 29.
+        draw, rounds = self.counting(lambda i: i % 3 == 2)
+        assert _rejection_sample(10, 0, draw, "while testing") == list(range(2, 30, 3))
+        assert sum(rounds) == 30
+        assert rounds[0] == 10 and all(k <= 10 for k in rounds)
+
+    def test_zero_samples_raise_before_any_draw(self):
+        draw, rounds = self.counting(lambda i: True)
+        with pytest.raises(ValueError, match="^sample count must be at least 1$"):
+            _rejection_sample(0, 0, draw, "while testing")
+        assert rounds == []
+
+    # The traced accept_ratio of the benchmark divides the planes returned by
+    # the classify_plane calls, so each draw is still classified once.
+    @pytest.mark.parametrize("sig, causal_type, calls", [
+        ((2, 6), PlaneClass.TIMELIKE, 27641),
+        ((4, 4), PlaneClass.SPACELIKE, 673),
+        ((8, 8), PlaneClass.MIXED, 151),
+    ])
+    def test_real_planes_classify_each_draw_once(self, monkeypatch, sig, causal_type, calls):
+        counted = []
+        original = jordan_ip.classify_plane
+
+        def spy(*args):
+            counted.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(jordan_ip, "classify_plane", spy)
+        assert len(sample_real_planes(BilinearSpace(*sig), causal_type, 100, 0)) == 100
+        assert len(counted) == calls
+
+
+def reference_lines(J, n, seed, positive=None):
+    """n complex lines of J drawn one at a time: t = (x, x) of each standard-normal
+    draw x, a wrong sign or t = 0 rejected, x / sqrt|t| and its image made a plane,
+    and a degenerate plane rejected."""
+    space = J.space
+    rng = np.random.default_rng(seed)
+    lines = []
+    while len(lines) < n:
+        x = rng.standard_normal(space.m)
+        t = x.dot(space.signs * x)
+        if t == 0.0 or (positive is not None and (t > 0) != positive):
+            continue
+        x = x / np.sqrt(abs(t))
+        line = OrientedPlane(space, x, J.J @ x)
+        if line.plane_class is not PlaneClass.DEGENERATE:
+            lines.append(line)
+    return lines
+
+
+def assert_same_lines(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+        assert np.float64(a.det).tobytes() == np.float64(b.det).tobytes()
+        assert a.plane_class is b.plane_class
+
+
+def dense_structure(space):
+    """D J D^-1 for the J of conjugated_structure and an isometry D = diag(O(p), O(q))
+    drawn at random, so that each entry of J x sums many rounded products, where
+    the standard J's entries are exactly 0 and +-1."""
+    rng = np.random.default_rng(0)
+    d = np.zeros((space.m, space.m))
+    for lo, hi in ((0, space.p), (space.p, space.m)):
+        if hi > lo:
+            d[lo:hi, lo:hi] = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))[0]
+    return ComplexStructure(space, d @ conjugated_structure(space).J @ adjoint(space, d))
+
+
+class TestBatchedLinesAreBitwise:
+    """A round of line draws is made with stacked BLAS calls that make, row by
+    row, the calls of one draw; einsum, a row sum or xs @ J.T would move bits here."""
+
+    @pytest.mark.parametrize("structure", [standard_complex_structure, dense_structure])
+    @pytest.mark.parametrize("sig, causal_type", [
+        ((0, 16), PlaneClass.SPACELIKE),
+        ((8, 8), PlaneClass.SPACELIKE),
+        ((8, 8), PlaneClass.TIMELIKE),
+        ((0, 32), PlaneClass.SPACELIKE),
+        ((16, 16), PlaneClass.SPACELIKE),
+        ((16, 16), PlaneClass.TIMELIKE),
+    ])
+    def test_sampled_lines(self, structure, sig, causal_type):
+        J = structure(BilinearSpace(*sig))
+        positive = causal_type is PlaneClass.SPACELIKE
+        assert_same_lines(sample_complex_lines(J, causal_type, 1000, 3),
+                          reference_lines(J, 1000, 3, positive))
+
+    @pytest.mark.parametrize("s", [8, 16])
+    def test_lines_of_the_pair_check(self, monkeypatch, s):
+        space = BilinearSpace(s, s)
+        J = standard_complex_structure(space)
+        drawn = []
+        original = complex_structures._unit_lines
+
+        def spy(*args):
+            lines = original(*args)
+            drawn.extend(lines)
+            return lines
+
+        monkeypatch.setattr(complex_structures, "_unit_lines", spy)
+        report = check_admissible_pair(nilpotent_null_pair(space), nilpotent_null_pair_partner(space), J,
+                                       n_lines=1000, seed=4)
+        assert report.min_line_rank == 4
+        assert_same_lines(drawn, reference_lines(J, 1000, 4))
