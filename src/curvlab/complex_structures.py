@@ -21,6 +21,7 @@ from .pseudo_linalg import (
     DEFAULT_TOL,
     BilinearSpace,
     _check_matrix,
+    _rank_from_singular_values,
     _rejection_sample,
     _unit_lines,
     adjoint,
@@ -45,8 +46,8 @@ class ComplexStructure:
     """An isometry J with J^2 = -Id, turning R^(p,q) into a complex vector space.
 
     Both p and q must be even: pairing a timelike with a spacelike direction
-    can never be an isometry squaring to -Id.  An orthogonal J, such as the
-    standard J and the quaternion units, caches a basis of its +i eigenspace.
+    can never be an isometry squaring to -Id.  Every J caches an orthonormal
+    basis of its +i eigenspace.
     """
 
     space: BilinearSpace
@@ -67,17 +68,17 @@ class ComplexStructure:
             raise ValueError(f"J is not an isometry, max residual {isometry_residual:.3e}")
 
     @cached_property
-    def _plus_i_basis(self) -> np.ndarray | None:
-        """Orthonormal basis (u - iJu) / sqrt(2) of J's +i eigenspace, {u_k, J u_k} by Gram-Schmidt
-        from coordinate vectors; None unless J^T J = Id to m eps (J's eigenspaces orthogonal)."""
+    def _plus_i_basis(self) -> np.ndarray:
+        """Orthonormal basis (u - iJu) / sqrt(2) of J's +i eigenspace, {u_k, J u_k} by Gram-Schmidt from
+        coordinate vectors in M = (Id + J^T J) / 2, which J preserves with M(v, Jv) = 0; M = Id exactly
+        for an orthogonal J of integer entries, such as the standard J and the quaternion units."""
         m, J = self.space.m, self.J
-        if _max_abs(J.T @ J - np.eye(m)) > m * np.finfo(float).eps:
-            return None
+        metric = (np.eye(m) + J.T @ J) / 2.0
         u = np.zeros((m, 0))
         for _ in range(m // 2):  # from the coordinate vector farthest from the span so far
-            rest = np.eye(m) - u @ u.T
-            v = rest[:, np.argmax((rest * rest).sum(axis=0))]
-            v = v / np.sqrt(v @ v)
+            rest = np.eye(m) - u @ (u.T @ metric)
+            v = rest[:, np.argmax((rest * (metric @ rest)).sum(axis=0))]
+            v = v / np.sqrt(v @ metric @ v)
             u = np.column_stack([u, v, J @ v])
         return (u[:, 0::2] - 1j * u[:, 1::2]) / np.sqrt(2.0)
 
@@ -335,10 +336,10 @@ def check_admissible_pair(
             lambda rng, k: _unit_lines(space, J.J, rng.standard_normal((k, space.m))),
             "while sampling complex lines",
         )
-        min_rank = 4
-        for line in lines:
-            stacked = np.column_stack([phi1 @ line.x, phi1 @ line.y, phi2 @ line.x, phi2 @ line.y])
-            min_rank = min(min_rank, numeric_rank(stacked, tol))
+        # (n, m, 4) images [phi1 x, phi1 y, phi2 x, phi2 y], each bitwise those of its line alone.
+        xs, ys = np.array([line.x for line in lines]), np.array([line.y for line in lines])
+        images = np.concatenate([phi @ v[:, :, None] for phi in (phi1, phi2) for v in (xs, ys)], axis=2)
+        min_rank = int(_rank_from_singular_values(np.linalg.svd(images, compute_uv=False), tol).min())
         ok = ok and min_rank == 4
 
     return PairReport(admissible=ok, residuals=residuals, min_line_rank=min_rank, seed=used_seed)

@@ -54,10 +54,9 @@ _BLOCK = 64
 
 class SpectrumStructureError(ValueError):
     """R(pi) does not commute with J, judged against max|R|, or J R(pi) lacks
-    the eigenstructure of a complex-linear self-adjoint map: a non-real
-    eigenvalue, an odd real multiplicity (for a non-orthogonal J: on C^{m/2}
-    each real eigenvalue counts twice), or a defective eigenvalue, judged
-    against sigma_max(J R(pi)).  Indicates the tensor is not almost complex."""
+    the eigenstructure of a complex-linear self-adjoint map: a non-real or a
+    defective eigenvalue, judged against the scale of its fingerprint on
+    C^{m/2}.  Indicates the tensor is not almost complex."""
 
 
 def complex_line(J: ComplexStructure, x: np.ndarray) -> OrientedPlane:
@@ -220,12 +219,12 @@ def _fingerprints(tensor: CurvatureTensor, planes: list[OrientedPlane], tol: flo
                   J: ComplexStructure | None = None) -> Iterator[JordanInvariants]:
     """Fingerprints of R(pi) on the planes in order, lazily, block by block of
     curvature_operators: a consumer that stops early wastes at most one block of
-    operator assembly and fingerprints.  The R(pi) of a block that commute with an
-    orthogonal J, as check_almost_complex tests it, are fingerprinted on C^{m/2}
-    by one jordan_invariants call, the others by one more."""
+    operator assembly and fingerprints.  The R(pi) of a block that commute with J, as
+    check_almost_complex tests it, are fingerprinted on C^{m/2} by one jordan_invariants
+    call with J's +i basis; the others, all when J is None, as real matrices by one more."""
     basis = None if J is None else J._plus_i_basis
     for ops in curvature_operators(tensor, planes):
-        commuting = np.zeros(len(ops), dtype=bool) if basis is None else (
+        commuting = np.zeros(len(ops), dtype=bool) if J is None else (
             np.abs(J.J @ ops - ops @ J.J).max(axis=(1, 2)) <= _ALMOST_COMPLEX_TOL * tensor.scale)
         block = np.empty(len(ops), dtype=object)
         for path, path_basis in ((commuting, basis), (~commuting, None)):
@@ -380,15 +379,16 @@ def spectrum_of_JR(
     tol: float = OPERATOR_TOL,
 ) -> SpectrumSpec:
     """Eigenvalues and complex multiplicities of the composition J R(pi), read
-    from its fingerprint jordan_invariants(J R(pi), tol, J._plus_i_basis): on
-    C^{m/2} for an orthogonal J, from the real m x m matrix for another J.
+    from its fingerprint jordan_invariants(J R(pi), tol, J._plus_i_basis) on
+    C^{m/2}, A_c = Q^H J R(pi) Q.
 
     A plane that is not a complex line of J, as check_almost_complex decides,
     or that is degenerate raises ValueError.  An eigenstructure that no almost
     complex tensor gives raises SpectrumStructureError: R(pi) not commuting
-    with J to _ALMOST_COMPLEX_TOL max|R|, tested before any eigen-analysis,
-    eigenvalues off the real line, odd real multiplicities, or defective
-    eigenvalues, judged at tol times the fingerprint's scale, sigma_max(J R(pi)).
+    with J to _ALMOST_COMPLEX_TOL max|R|, tested before any eigen-analysis, an
+    eigenvalue over tol sigma_max(A_c) / 2 off the real line, or a defective one.
+    Clusters link at tol sigma_max(A_c), so a cluster within half that of the
+    real line holds its members' conjugates: its real multiplicity is even.
     """
     if _first_non_line(J, [plane]) is not None:
         raise ValueError("spectrum_of_JR requires a non-degenerate complex line")
@@ -401,20 +401,15 @@ def spectrum_of_JR(
         )
     inv = jordan_invariants(k, tol, J._plus_i_basis)
     worst_imag = max(abs(lam.imag) for lam, _ in inv.clusters)
-    if worst_imag > tol * inv.scale:
+    if worst_imag > tol * inv.scale / 2:
         raise SpectrumStructureError(f"non-real eigenvalue of J R(pi), imaginary part {worst_imag:.3e}")
-
-    pairs: list[tuple[float, int]] = []
     for (lam, mult), ranks in zip(inv.clusters, inv.rank_sequences):
-        if mult % 2 != 0:
-            raise SpectrumStructureError(f"eigenvalue {lam.real:.6g} has odd real multiplicity {mult}")
         if ranks[0] != inv.dimension - mult:
             raise SpectrumStructureError(
                 f"eigenvalue {lam.real:.6g} is defective: eigenspace dimension "
                 f"{inv.dimension - ranks[0]} != algebraic multiplicity {mult}"
             )
-        pairs.append((lam.real, mult // 2))
-    return SpectrumSpec(tuple(pairs))
+    return SpectrumSpec(tuple((lam.real, mult // 2) for lam, mult in inv.clusters))
 
 
 class SpectrumModel(Enum):

@@ -305,11 +305,12 @@ def jordan_invariants(
     - lambda I)^k, up to the k where it is at most m - multiplicity or repeats,
     constant from there on in exact arithmetic; conj(lambda) takes its ranks.
 
-    basis, when given, is an orthonormal basis Q of the +i eigenspace of an
-    orthogonal J commuting with A.  Then A is diag(A_c, conj(A_c)) in the basis
-    [Q, conj(Q)], A_c = Q^H A Q, and A's fingerprint is read from A_c at half
-    the size: rank((A - lambda)^k) = rank_c((A_c - lambda)^k) + rank_c((A_c -
-    conj(lambda))^k), the second m/2 when conj(lambda) is no eigenvalue of A_c.
+    basis, when given, is an orthonormal basis Q of the +i eigenspace of a
+    complex structure J commuting with A.  Then A is diag(A_c, conj(A_c)) in
+    the basis [Q, conj(Q)], A_c = Q^H A Q, and A's fingerprint is read from A_c
+    at half the size: rank((A - lambda)^k) = rank_c((A_c - lambda)^k) + rank_c((A_c
+    - conj(lambda))^k), the second m/2 when conj(lambda) is no eigenvalue of A_c.
+    [Q, conj(Q)] is unitary only for an orthogonal J, else sigma_max(A_c) <= sigma_max(A).
 
     a may also be a (k, m, m) stack, all taken with the one basis or none; then
     the result is the list of the k fingerprints, each equal, field by field and

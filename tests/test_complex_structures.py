@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab import (
+    DEFAULT_TOL,
     AdmissibleClass,
     BilinearSpace,
     ComplexStructure,
@@ -22,6 +23,7 @@ from curvlab import (
 )
 from curvlab import complex_structures
 from test_curvature import conjugated_structure
+from test_jordan_ip import boosted_structure
 
 
 def rot2():
@@ -103,30 +105,33 @@ class TestStandardComplexStructure:
 
 
 class TestPlusIBasis:
-    """ComplexStructure caches an orthonormal basis Q of J's +i eigenspace when
-    J is orthogonal; the Jordan fingerprint reads J-commuting maps through it."""
+    """ComplexStructure caches an orthonormal basis Q of J's +i eigenspace for
+    every J, orthogonal or not; the Jordan fingerprint reads J-commuting maps
+    through it."""
 
     @staticmethod
     def units(sig):
-        """(structure, whether it is orthogonal) for the structures of sig."""
+        """The structures of sig: the standard J, the quaternion units where
+        they exist, a conjugated J, and on p, q >= 1 boosts of rapidity 0.5 to 3."""
         s = BilinearSpace(*sig)
         units = [standard_complex_structure(s)]
         if s.p % 4 == 0 and s.m % 4 == 0:
             q = standard_quaternion_structure(s)
             units += [ComplexStructure(s, u) for u in (q.i, q.j, q.k)]
         # conjugated_structure rotates J's blocks, and boosts a mixed plane when p > 0.
-        return [(J, True) for J in units] + [(conjugated_structure(s), s.p == 0)]
+        units.append(conjugated_structure(s))
+        if s.p and s.q:
+            units += [boosted_structure(s, rapidity) for rapidity in (0.5, 1.0, 2.0, 3.0)]
+        return units
 
     @pytest.mark.parametrize("sig", [(0, 2), (0, 8), (4, 4), (2, 6), (8, 8), (0, 6)], ids=str)
     def test_orthonormal_basis_of_the_plus_i_eigenspace(self, sig):
-        for J, orthogonal in self.units(sig):
-            q = J._plus_i_basis
-            if not orthogonal:
-                assert q is None
-                continue
-            assert q.shape == (J.space.m, J.space.m // 2)
-            assert np.abs(q.conj().T @ q - np.eye(J.space.m // 2)).max() <= 1e-15
-            assert np.abs(J.J @ q - 1j * q).max() <= 1e-15
+        for J in self.units(sig):
+            q, m = J._plus_i_basis, J.space.m
+            bound = 1e-15 * max(1.0, np.abs(J.J).max() ** 2)
+            assert q.shape == (m, m // 2)
+            assert np.abs(q.conj().T @ q - np.eye(m // 2)).max() <= bound
+            assert np.abs(J.J @ q - 1j * q).max() <= bound
             assert J._plus_i_basis is q  # made once
 
     def test_standard_basis_pairs_coordinates(self):
@@ -136,13 +141,15 @@ class TestPlusIBasis:
             want[2 * k, k], want[2 * k + 1, k] = 1.0, -1j
         assert np.array_equal(J._plus_i_basis, want / np.sqrt(2.0))
 
-    def test_boosted_structure_has_none(self):
-        s = BilinearSpace(2, 2)
-        boost = np.eye(4)
-        boost[0, 0] = boost[2, 2] = np.cosh(10.0)
-        boost[0, 2] = boost[2, 0] = np.sinh(10.0)
-        J = ComplexStructure(s, boost @ standard_complex_structure(s).J @ np.linalg.inv(boost))
-        assert J._plus_i_basis is None
+    # J is not orthogonal, so its +i and -i eigenspaces are not orthogonal
+    # either: [Q, conj(Q)] is a basis, but not a unitary one.
+    def test_boosted_structure_has_a_basis(self):
+        J = boosted_structure(BilinearSpace(2, 2), 1.0)
+        q = J._plus_i_basis
+        assert np.abs(J.J.T @ J.J - np.eye(4)).max() > 1.0
+        assert np.abs(q.conj().T @ q - np.eye(2)).max() <= 1e-15 * np.abs(J.J).max() ** 2
+        assert np.abs(q.T @ q).max() > 0.1
+        assert np.linalg.matrix_rank(np.column_stack([q, q.conj()])) == 4
 
 
 class TestStandardQuaternionStructure:
@@ -448,6 +455,32 @@ class TestCheckAdmissiblePair:
         rep = check_admissible_pair(phi1, phi2, J, n_lines=10, seed=0)
         assert rep.min_line_rank == 2
         assert not rep.admissible
+
+    # The line ranks come from one SVD call over the (n, m, 4) stack of
+    # images; each is the numeric_rank of its line's images alone.
+    def test_stacked_line_ranks_match_numeric_rank(self, monkeypatch):
+        space = BilinearSpace(8, 8)
+        J = standard_complex_structure(space)
+        phi1, phi2 = nilpotent_null_pair(space), nilpotent_null_pair_partner(space)
+        calls = {}
+
+        def spy(name):
+            original = getattr(complex_structures, name)
+
+            def recording(*args):
+                calls.setdefault(name, []).append(original(*args))
+                return calls[name][-1]
+
+            monkeypatch.setattr(complex_structures, name, recording)
+
+        spy("_rejection_sample")
+        spy("_rank_from_singular_values")
+        report = check_admissible_pair(phi1, phi2, J, n_lines=200, seed=0)
+        (lines,), (ranks,) = calls["_rejection_sample"], calls["_rank_from_singular_values"]
+        want = [numeric_rank(np.column_stack([phi1 @ line.x, phi1 @ line.y, phi2 @ line.x,
+                                              phi2 @ line.y]), DEFAULT_TOL) for line in lines]
+        assert len(lines) == 200 and ranks.tolist() == want
+        assert report.min_line_rank == min(want) == 4
 
     def test_nilpotent_pair_rejects_zero_line_count(self):
         # With no line drawn, the line-span condition would pass untested.

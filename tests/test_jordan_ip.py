@@ -5,7 +5,6 @@ from curvlab import (
     BilinearSpace,
     ComplexStructure,
     CurvatureTensor,
-    JordanInvariants,
     OrientedPlane,
     PlaneClass,
     SpectrumModel,
@@ -694,17 +693,24 @@ def random_J_invariant_tensor(J, seed):
     return combine([(0.5, r), (0.5, pullback(r, J.J))])
 
 
+def boost(space, rapidity):
+    """The boost of the first timelike e0 with the first spacelike e_p: an
+    isometry of every signature with p, q >= 1."""
+    g, p = np.eye(space.m), space.p
+    g[0, 0] = g[p, p] = np.cosh(rapidity)
+    g[0, p] = g[p, 0] = np.sinh(rapidity)
+    return g
+
+
 def boosted_structure(space, rapidity):
-    """The standard J conjugated by a boost of the timelike e0 with the
-    spacelike e2: a complex structure that is not orthogonal."""
-    boost = np.eye(space.m)
-    boost[0, 0] = boost[2, 2] = np.cosh(rapidity)
-    boost[0, 2] = boost[2, 0] = np.sinh(rapidity)
-    return ComplexStructure(space, boost @ standard_complex_structure(space).J @ np.linalg.inv(boost))
+    """The standard J conjugated by boost(space, rapidity): a complex structure
+    that is not orthogonal."""
+    g = boost(space, rapidity)
+    return ComplexStructure(space, g @ standard_complex_structure(space).J @ np.linalg.inv(g))
 
 
 class TestComplexPathFingerprint:
-    """An R(pi) that commutes with an orthogonal J is fingerprinted on J's +i
+    """An R(pi) that commutes with J, for any J, is fingerprinted on J's +i
     eigenspace; the result is the fingerprint of the real R(pi), to rounding."""
 
     @staticmethod
@@ -795,21 +801,45 @@ class TestComplexPathFingerprint:
         report = check_jordan_ip(build_complex_pair_tensor(J, 1.0, 2.0), J, n=100, seed=seed)
         assert report.constant and report.rank == J.space.m
 
-    def test_boosted_structure_takes_the_real_path(self, monkeypatch):
+    def test_boosted_structure_takes_the_complex_path(self, monkeypatch):
         # The J of ComplexStructure's boosted-structure test is not orthogonal,
-        # so it has no cached basis, and even J itself, which commutes with J,
-        # is fingerprinted as a real matrix.  Its lines all fail the plane
-        # test, so the operator stack is handed to _fingerprints directly.
+        # but it has a +i basis like every J, so J itself, which commutes with
+        # J, is fingerprinted on C^{m/2}.  Its lines all fail the plane test,
+        # so the operator stack is handed to _fingerprints directly.
         s = BilinearSpace(2, 2)
         r = from_self_adjoint(s, np.eye(4))
         inputs = self.spy_on_eigvals(monkeypatch)
-        for J, want in ((standard_complex_structure(s), ((2, 2), "c")),
-                        (boosted_structure(s, 10.0), ((4, 4), "f"))):
+        for J in (standard_complex_structure(s), boosted_structure(s, 10.0)):
             monkeypatch.setattr(jordan_ip, "curvature_operators", lambda *_: iter([J.J[None]]))
             inputs.clear()
             (inv,) = jordan_ip._fingerprints(r, [None], jordan_ip.OPERATOR_TOL, J)
-            assert inputs == [want]
+            assert inputs == [((2, 2), "c")]
             assert [mult for _, mult in inv.clusters] == [2, 2]
+
+    # R_Id + 2 R_J for a boosted J is the isometric image of the standard
+    # tensor, so it is Jordan-IP.  On these seeds the m x m real fingerprint
+    # drops a rank on an ill-conditioned line; the one on C^{m/2} keeps it.
+    @pytest.mark.parametrize("rapidity, sig, seed", [
+        (0.5, (4, 4), 25), (0.5, (2, 6), 0), (0.5, (2, 6), 10), (0.5, (2, 6), 13),
+        (0.5, (6, 2), 13), (0.5, (6, 2), 25), (0.5, (8, 8), 4), (0.5, (8, 8), 7),
+        (0.5, (8, 8), 9), (0.5, (8, 8), 19), (0.5, (8, 8), 21), (0.5, (8, 8), 25),
+        (0.5, (8, 8), 26), (2.0, (2, 6), 15), (2.0, (2, 6), 16), (2.0, (6, 2), 3),
+        (2.0, (6, 2), 6), (2.0, (6, 2), 9), (2.0, (6, 2), 27), (2.0, (8, 8), 5), (2.0, (8, 8), 18),
+    ], ids=str)
+    def test_boosted_structure_keeps_its_ranks(self, rapidity, sig, seed, monkeypatch):
+        J = boosted_structure(BilinearSpace(*sig), rapidity)
+        inputs = self.spy_on_eigvals(monkeypatch)
+        report = check_jordan_ip(build_complex_pair_tensor(J, 1.0, 2.0), J, n=100, seed=seed)
+        assert report.constant and report.rank == J.space.m
+        assert set(inputs) == {((J.space.m // 2,) * 2, "c")}
+
+    # R_Id + R_C, moved by the same boost as J, still moves from line to line.
+    @pytest.mark.parametrize("sig", [(4, 4), (2, 6), (6, 2), (8, 8)], ids=str)
+    def test_boosted_control_stays_not_constant(self, sig):
+        space = BilinearSpace(*sig)
+        J = boosted_structure(space, 0.5)
+        r = pullback(id_plus_conjugation(space), np.linalg.inv(boost(space, 0.5)))
+        assert [check_jordan_ip(r, J, n=100, seed=seed).constant for seed in range(5)] == [False] * 5
 
 
 class TestSpectrumOfJR:
@@ -915,24 +945,38 @@ class TestSpectrumOfJR:
         anchor, *rest = (spectrum_of_JR(r, J, line) for line in lines)
         assert not all(anchor.matches(spec, 1e-8) for spec in rest)
 
-    def test_odd_real_multiplicity_rejected(self, monkeypatch):
-        # An almost complex tensor gives even multiplicities, so the fingerprint
-        # is stubbed.  Only the real path of a J that is not orthogonal can give
-        # an odd one; R_Id commutes with every J, so the line reaches the stub.
-        J = boosted_structure(BilinearSpace(2, 2), 0.5)
-        fingerprint = JordanInvariants(4, ((1 + 0j, 3), (-1 + 0j, 1)), ((1, 1, 1), (3,)), 4,
-                                       False, 1.0)
-        bases = []
+    @staticmethod
+    def stub_operator(monkeypatch, J, a_c):
+        """Make curvature_operator return -J A, with A = [Q, conj(Q)] diag(a_c,
+        conj(a_c)) [Q, conj(Q)]^H: J R(pi) is then A, whose block on C^{m/2} is a_c."""
+        q = J._plus_i_basis
+        basis = np.column_stack([q, q.conj()])
+        a = (basis @ np.block([[a_c, 0 * a_c], [0 * a_c, a_c.conj()]]) @ basis.conj().T).real
+        monkeypatch.setattr(jordan_ip, "curvature_operator", lambda *_: -J.J @ a)
 
-        def stub(a, tol, basis):
-            bases.append(basis)
-            return fingerprint
+    # Clusters link at tol sigma_max(A_c), here tol * 3, so an eigenvalue whose
+    # imaginary part lies in (tol sigma / 2, tol sigma] is a cluster apart from
+    # its conjugate: non-real, although it is within the cluster bound of the
+    # real line.
+    NEAR = 1 + 0.75 * jordan_ip.OPERATOR_TOL * 3j
 
-        monkeypatch.setattr(jordan_ip, "jordan_invariants", stub)
-        line = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed=0)[0]
-        with pytest.raises(SpectrumStructureError, match="odd real multiplicity 3"):
-            spectrum_of_JR(from_self_adjoint(J.space, np.eye(4)), J, line)
-        assert bases == [None]
+    @pytest.mark.parametrize("diagonal", [[NEAR, NEAR, 3.0], [NEAR, 2.0, 3.0]], ids=["double", "single"])
+    def test_near_real_band_is_non_real(self, diagonal, monkeypatch):
+        J = standard_complex_structure(BilinearSpace(0, 6))
+        self.stub_operator(monkeypatch, J, np.diag(diagonal))
+        r = build_complex_pair_tensor(J, 1.0, 2.0)
+        with pytest.raises(SpectrumStructureError, match="non-real"):
+            spectrum_of_JR(r, J, complex_line(J, e(6, 0)))
+
+    # A conjugate pair within tol sigma / 2 of the real line is one cluster,
+    # holding both, and reads as one real eigenvalue.
+    def test_conjugate_pair_near_the_real_line_is_real(self, monkeypatch):
+        J = standard_complex_structure(BilinearSpace(0, 6))
+        shift = 0.3 * jordan_ip.OPERATOR_TOL * 3j
+        self.stub_operator(monkeypatch, J, np.diag([1 + shift, 1 - shift, 3.0]))
+        spec = spectrum_of_JR(build_complex_pair_tensor(J, 1.0, 2.0), J, complex_line(J, e(6, 0)))
+        assert [mu for _, mu in spec.eigenvalues] == [2, 1]
+        assert SpectrumSpec(((1.0, 2), (3.0, 1))).matches(spec, 1e-9)
 
     def test_non_real_eigenvalue_rejected(self):
         s = BilinearSpace(2, 2)
@@ -946,14 +990,15 @@ class TestSpectrumOfJR:
 
 def real_path_spectrum(tensor, J, line, tol=jordan_ip.OPERATOR_TOL):
     """The spectrum of J R(pi) read from its m x m real fingerprint, with every
-    check of spectrum_of_JR, the commutator included, at tol sigma_max(J R(pi));
-    or, where a check fails, the kind of SpectrumStructureError it raises."""
+    check of spectrum_of_JR, the commutator included, at tol sigma_max(J R(pi)),
+    and one of its own for an odd real multiplicity, which C^{m/2} cannot give;
+    or, where a check fails, the kind of error: "odd" is never spectrum_of_JR's."""
     op = curvature_operator(tensor, line)
     inv = jordan_invariants(J.J @ op, tol)
     threshold = tol * inv.scale
     if np.abs(J.J @ op - op @ J.J).max() > threshold:
         return "commute"
-    if max(abs(lam.imag) for lam, _ in inv.clusters) > threshold:
+    if max(abs(lam.imag) for lam, _ in inv.clusters) > threshold / 2:
         return "non-real"
     pairs = []
     for (lam, mult), ranks in zip(inv.clusters, inv.rank_sequences):
@@ -969,13 +1014,13 @@ def spectrum_or_error(tensor, J, line):
     try:
         return spectrum_of_JR(tensor, J, line)
     except SpectrumStructureError as exc:
-        return next(kind for kind in ("commute", "non-real", "odd", "defective") if kind in str(exc))
+        return next(kind for kind in ("commute", "non-real", "defective") if kind in str(exc))
 
 
 class TestSpectrumOfJRPath:
     """spectrum_of_JR rejects a line whose R(pi) does not commute with J at the
     bound of check_almost_complex, before any eigen-analysis, and reads J R(pi)
-    on C^{m/2} when J is orthogonal."""
+    on C^{m/2} for every J."""
 
     spy_on_eigvals = staticmethod(TestComplexPathFingerprint.spy_on_eigvals)
 
@@ -1026,11 +1071,28 @@ class TestSpectrumOfJRPath:
         assert self.spectrum_inputs(quat.as_complex, r, monkeypatch) == {((4, 4), "c")}
 
     # A boost of rapidity 0.5 keeps the lines of J non-degenerate, so they can be sampled.
-    def test_boosted_structure_reads_the_real_matrix(self, monkeypatch):
+    def test_boosted_structure_reads_the_complex_block(self, monkeypatch):
         J = boosted_structure(BilinearSpace(2, 2), 0.5)
-        assert J._plus_i_basis is None
         r = build_complex_pair_tensor(J, 1.0, 0.5)
-        assert self.spectrum_inputs(J, r, monkeypatch) == {((4, 4), "f")}
+        assert self.spectrum_inputs(J, r, monkeypatch) == {((2, 2), "c")}
+
+    # A boost g is an isometry: the tensor g^-1* R, the structure g J g^-1 and
+    # the line g pi give the spectrum of R, J and pi.
+    @pytest.mark.parametrize("rapidity", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("tensor", ["pair", "quaternionic"])
+    def test_boost_keeps_the_spectrum(self, tensor, rapidity):
+        space = BilinearSpace(4, 4)
+        quat = standard_quaternion_structure(space)
+        J, g = quat.as_complex, boost(space, rapidity)
+        moved = boosted_structure(space, rapidity)
+        r = {"pair": lambda: build_complex_pair_tensor(J, 1.0, 2.0),
+             "quaternionic": lambda: build_quaternionic_tensor(quat, 1, 2, 8, 0)}[tensor]()
+        moved_r = pullback(r, np.linalg.inv(g))
+        for lines in jordan_ip._lines_by_type(J, 3, 0):
+            for line in lines:
+                want = spectrum_of_JR(r, J, line)
+                got = spectrum_of_JR(moved_r, moved, complex_line(moved, g @ line.x))
+                assert want.matches(got, 1e-9)
 
     # The reading of the real m x m fingerprint, with the commutator bounded
     # by tol sigma_max(J R(pi)), is the reference: on every line the complex
