@@ -260,17 +260,19 @@ def _cluster_eigenvalues(evals: np.ndarray, threshold: float | np.ndarray) -> tu
     return linked.argmax(axis=-1) if n else np.zeros(evals.shape, dtype=int), ambiguous
 
 
-def _rank_sequences(shifted: np.ndarray, partner: np.ndarray, members: np.ndarray,
-                    mults: np.ndarray, tol: float) -> list[list[int]]:
-    """Rank sequences of the powers of a stack of n x n blocks B_t = A - mu_t I,
-    level by level: one SVD call per power k, of every block still running.
+def _rank_sequences(c: np.ndarray, blocks: list[tuple], tol: float) -> list[list[int]]:
+    """Rank sequences of the powers of B_t = c[i] - mu I, blocks[t] = (i, mu, members,
+    mults, partner) of a non-empty list: one SVD call per power k, of the blocks still running.
 
     The cutoff of block t at power k is tol * anchor_t^k, anchor_t the larger
-    sigma_max of B_t and of B_partner[t], the other block of its cluster (or
+    sigma_max of B_t and of B_partner, the other block of its cluster (or
     itself).  A block with no members has full rank n.  A sequence stops at the
     k where its rank is at most n - members, equals the rank at k - 1, or k
-    reaches mults[t]; the caller repeats its last rank."""
-    n = shifted.shape[-1]
+    reaches mults; its last rank then repeats up to mults entries."""
+    rows, mus, members, mults, partner = (np.array(v) for v in zip(*blocks))
+    n = c.shape[-1]
+    shifted = mus[:, None, None] * np.eye(n)
+    np.subtract(c[rows], shifted, out=shifted)  # B_t, with no third stack
     s = np.linalg.svd(shifted, compute_uv=False)
     top = np.maximum(s[:, 0], s[partner, 0])
     first = np.where(members > 0, np.count_nonzero(s > tol * top[:, None], axis=1), n)
@@ -290,7 +292,7 @@ def _rank_sequences(shifted: np.ndarray, partner: np.ndarray, members: np.ndarra
         # eigenspace is exhausted, or the nullity stopped growing.
         going = (ranks > n - members[running]) & (ranks != previous) & (k < mults[running])
         running, power, previous = running[going], power[going], ranks[going]
-    return seqs
+    return [seq + seq[-1:] * (mult - len(seq)) for seq, mult in zip(seqs, mults.tolist())]
 
 
 def jordan_invariants(
@@ -303,7 +305,8 @@ def jordan_invariants(
     size <= 2 stays in one cluster, but one of size 3 can split at tol 1e-6.
     The rank of (A - lambda I)^k counts singular values above tol * sigma_max(A
     - lambda I)^k, up to the k where it is at most m - multiplicity or repeats,
-    constant from there on in exact arithmetic; conj(lambda) takes its ranks.
+    constant from there on in exact arithmetic.  Each cluster is one record of
+    its matrix, and the one at conj(lambda) takes the ranks of lambda's.
 
     basis, when given, is an orthonormal basis Q of the +i eigenspace of a
     complex structure J commuting with A.  Then A is diag(A_c, conj(A_c)) in
@@ -339,58 +342,43 @@ def jordan_invariants(
     members_at = roots[:, :, None] == np.arange(m)  # members_at[i, j, r]: evals[i, j] lies in root r's cluster
     mults_at, own_at = members_at.sum(axis=1).tolist(), members_at[:, :n].sum(axis=1).tolist()
 
-    # Per matrix, by root: (lambda, multiplicity), and where the rank sequence
-    # comes from: the root of the conjugate cluster, or the range of its blocks.
-    clusters: list[dict] = [{} for _ in c]
-    sources: list[dict] = [{} for _ in c]
-    blocks, partner = [], []  # (matrix, mu, members, multiplicity) of every block A - mu I
+    # Per matrix, one (root, lambda, multiplicity, conjugate root, range of blocks) per cluster, by
+    # root.  A record with no blocks takes the ranks of its conjugate's, which comes earlier.
+    records: list[list[tuple]] = [[] for _ in c]
+    blocks = []  # (matrix, mu, members, multiplicity, partner) of every block A - mu I
     for i, (row, root_row, conj_row) in enumerate(zip(evals, roots, conj_roots.tolist())):
         if basis is None and not row.imag.any():
             row = row.real
-        for root, mult in enumerate(mults_at[i]):
+        for root, (mult, own, conj) in enumerate(zip(mults_at[i], own_at[i], conj_row)):
             if not mult:
                 continue
             lam = complex(row[root_row == root].sum() / mult)
-            clusters[i][root] = (lam, mult)
-            if conj_row[root] < root:
-                sources[i][root] = conj_row[root]
-                continue
-            # The blocks at lambda and conj(lambda), each with the members that are its
-            # eigenvalues; with none it has full rank.  A real cluster's one block counts twice.
-            own, pair = own_at[i][root], n < m and conj_row[root] != root
-            parts = [(lam, own), (lam.conjugate(), mult - own)] if pair else [(lam, own)]
-            sources[i][root] = range(len(blocks), len(blocks) + len(parts))
-            blocks += [(i, mu, count, mult) for mu, count in parts]
-            partner += reversed(sources[i][root])
-    seqs: list[list[int]] = []
-    if blocks:
-        rows, mus, members, mults = zip(*blocks)
-        shifted = np.array(mus)[:, None, None] * np.eye(n)
-        np.subtract(c[list(rows)], shifted, out=shifted)  # A - mu I, with no third stack
-        seqs = _rank_sequences(shifted, np.array(partner), np.array(members), np.array(mults), tol)
+            # The blocks at lambda and conj(lambda), each with the members that are its eigenvalues
+            # (with none it has full rank).  The conjugate of an earlier cluster has none.
+            t = len(blocks)
+            if n < m and conj > root:
+                blocks += [(i, lam, own, mult, t + 1), (i, lam.conjugate(), mult - own, mult, t)]
+            elif conj >= root:
+                blocks.append((i, lam, own, mult, t))
+            records[i].append((root, lam, mult, conj, range(t, len(blocks))))
+    seqs = _rank_sequences(c, blocks, tol) if blocks else []
 
     fingerprints = []
-    for i, (by_root, source) in enumerate(zip(clusters, sources)):
+    for i, recs in enumerate(records):
         ranks_at = {}
-        for root, src in source.items():
-            if isinstance(src, int):
-                ranks_at[root] = ranks_at[src]
-                continue
-            mult = by_root[root][1]
-            padded = [seqs[t] + [seqs[t][-1]] * (mult - len(seqs[t])) for t in src]
-            factor = 1 if len(src) == 2 or n == m else 2
-            ranks_at[root] = tuple(factor * sum(ranks) for ranks in zip(*padded))
+        for root, _, _, conj, span in recs:
+            factor = 1 if len(span) == 2 or n == m else 2  # a real cluster's one block counts twice
+            ranks_at[root] = ranks_at[conj] if not span else tuple(
+                factor * sum(r) for r in zip(*(seqs[t] for t in span)))
         # Order on both parts rounded to multiples of the clustering threshold, so
         # that noise far below it, such as the +-1e-16 real parts of a skew
         # operator's eigenvalues, cannot reorder the clusters; raw values break ties.
         unit = tol * scales[i] or 1.0
-        keys = {r: (round(z.real / unit), round(z.imag / unit), z.real, z.imag)
-                for r, (z, _) in by_root.items()}
-        order = sorted(by_root, key=keys.__getitem__)
+        recs.sort(key=lambda r: (round(r[1].real / unit), round(r[1].imag / unit), r[1].real, r[1].imag))
         fingerprints.append(JordanInvariants(
             dimension=m,
-            clusters=tuple(by_root[r] for r in order),
-            rank_sequences=tuple(ranks_at[r] for r in order),
+            clusters=tuple(rec[1:3] for rec in recs),
+            rank_sequences=tuple(ranks_at[rec[0]] for rec in recs),
             total_rank=int(total_ranks[i]),
             clustering_ambiguous=bool(ambiguous[i]),
             scale=scales[i],

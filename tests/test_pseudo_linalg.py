@@ -34,7 +34,7 @@ from curvlab import (
 from curvlab import complex_structures, jordan_ip
 from curvlab.pseudo_linalg import _cluster_eigenvalues, _rejection_sample
 from test_curvature import conjugated_structure
-from test_jordan_ip import conjugation_map, random_J_invariant_tensor
+from test_jordan_ip import boosted_structure, conjugation_map, random_J_invariant_tensor
 
 
 def e(m, i):
@@ -526,10 +526,12 @@ class TestStackedFingerprint:
     @pytest.mark.parametrize("tensor, sig", [
         (tensor, sig) for tensor in ("pair", "quaternionic", "id_plus_c", "random")
         for sig in [(0, 8), (4, 4), (8, 8)] if tensor != "quaternionic" or sig[0] % 4 == 0
-    ], ids=str)
+    ] + [("boosted_pair", sig) for sig in [(4, 4), (2, 6)]], ids=str)
     def test_complex_lines_with_and_without_the_basis(self, tensor, sig):
         space = BilinearSpace(*sig)
-        J = standard_complex_structure(space)
+        # A boost of rapidity 0.5 gives a J that is not orthogonal, and a basis
+        # Q whose [Q, conj(Q)] is not unitary.
+        J = boosted_structure(space, 0.5) if tensor == "boosted_pair" else standard_complex_structure(space)
         r = {
             "pair": lambda: build_complex_pair_tensor(J, 1.5, 0.75),
             "quaternionic": lambda: build_quaternionic_tensor(
@@ -537,7 +539,7 @@ class TestStackedFingerprint:
             "id_plus_c": lambda: combine([(0.8, from_self_adjoint(space, np.eye(space.m))),
                                           (1.7, from_self_adjoint(space, conjugation_map(space.m)))]),
             "random": lambda: random_J_invariant_tensor(J, 3),
-        }[tensor]()
+        }[tensor.removeprefix("boosted_")]()
         ops = complex_line_ops(r, J)
         assert_stack_matches_alone(ops, OPERATOR_TOL, J._plus_i_basis)
         assert_stack_matches_alone(ops, OPERATOR_TOL)
