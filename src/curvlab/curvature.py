@@ -22,6 +22,12 @@ audited so far, one tensor takes 8 MB.  C order makes the (m^2, m^2) view that
 operator assembly multiplies by, and the slot views of the pullback, free of
 copies.  :func:`combine` sums its terms one at a time, and `curvlab run` hands
 them over one at a time, so only the combined tensor is alive while checks run.
+
+Every pass over the m^4 entries (the generator builds, :func:`combine` and the
+three identity checks) runs over slabs of ``_SLAB`` values of the first index.
+A slab repeats the whole-array arithmetic on its entries, in the same order,
+so values, witnesses and signed zeros are those of the whole array, while only
+the output, or the slot-0 pullback of the J checks, is held whole.
 """
 
 from __future__ import annotations
@@ -71,6 +77,28 @@ def _argmax_entry(a: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(abs(a[idx])), tuple(int(i) for i in idx)
 
 
+# First-index values per slab of an m^4 pass; m <= _SLAB is one slab.  Of the
+# widths 1, 2, 4 and 8, 4 is the fastest at m = 16; 1 and 2 are faster at
+# m = 32 but slower at m = 16 (README, "Numerical conventions").
+_SLAB = 4
+
+
+def _slabs(m: int) -> list[slice]:
+    return [slice(i, i + _SLAB) for i in range(0, m, _SLAB)]
+
+
+def _fold_max(
+    best: tuple[float, tuple[int, ...]], sl: slice, a: np.ndarray
+) -> tuple[float, tuple[int, ...]]:
+    """`best` of the earlier slabs, (-1.0, ()) before the first, updated with slab a
+    at first indices sl.  An earlier slab keeps a tie and the first NaN wins, so
+    the slabs in order give what `_argmax_entry` gives on the whole array."""
+    worst, (i, *rest) = _argmax_entry(a)
+    if worst > best[0] or (np.isnan(worst) and not np.isnan(best[0])):
+        return worst, (sl.start + i, *rest)
+    return best
+
+
 def _generator_tensor(space: BilinearSpace, phi: np.ndarray, sign: int) -> CurvatureTensor:
     """R_phi for phi* = sign * phi, which is checked to DEFAULT_TOL * max |phi|;
     the later outer products are subtracted in place, 2 (phi x, y)(phi z, w) last."""
@@ -82,10 +110,13 @@ def _generator_tensor(space: BilinearSpace, phi: np.ndarray, sign: int) -> Curva
             f"phi is not {kind}-adjoint: |phi {op} phi*| = {worst:.3e} at entry {where}"
         )
     b = phi.T * space.signs[None, :]  # B[i, j] = (phi e_i, e_j)
-    coeffs = np.einsum("bc,ad->abcd", b, b, order="C")
-    coeffs -= np.einsum("ac,bd->abcd", b, b, order="C")
-    if sign < 0:
-        coeffs -= 2.0 * np.einsum("ab,cd->abcd", b, b, order="C")
+    coeffs = np.empty((space.m,) * 4)
+    for sl in _slabs(space.m):
+        c = coeffs[sl]
+        np.einsum("bc,ad->abcd", b, b[sl], out=c)
+        c -= np.einsum("ac,bd->abcd", b[sl], b)
+        if sign < 0:
+            c -= 2.0 * np.einsum("ab,cd->abcd", b[sl], b)
     return CurvatureTensor(space, coeffs)
 
 
@@ -117,7 +148,8 @@ def combine(terms: Iterable[tuple[float, CurvatureTensor]]) -> CurvatureTensor:
             raise ValueError(
                 f"space mismatch: ({tensor.space.p}, {tensor.space.q}) vs ({space.p}, {space.q})"
             )
-        coeffs += float(c) * tensor.coeffs
+        for sl in _slabs(space.m):
+            coeffs[sl] += float(c) * tensor.coeffs[sl]
     if space is None:
         raise ValueError("combine needs at least one (coefficient, tensor) term")
     return CurvatureTensor(space, coeffs)
@@ -147,9 +179,14 @@ def check_symmetries(tensor: CurvatureTensor, tol: float = 1e-10) -> SymmetryRep
     J checks do, so the verdict does not depend on the tensor's scale.
     """
     r = tensor.coeffs
-    a_max, a_at = _argmax_entry(r + r.swapaxes(0, 1))
-    p_max, p_at = _argmax_entry(r - r.transpose(2, 3, 0, 1))
-    b_max, b_at = _argmax_entry(r + np.einsum("abcd->cabd", r) + np.einsum("abcd->bcad", r))
+    anti = pair = bianchi = (-1.0, ())
+    for sl in _slabs(tensor.space.m):
+        anti = _fold_max(anti, sl, r[sl] + r[:, sl].swapaxes(0, 1))
+        pair = _fold_max(pair, sl, r[sl] - r[:, :, sl].transpose(2, 3, 0, 1))
+        bianchi = _fold_max(
+            bianchi, sl, r[sl] + r[:, :, sl].transpose(2, 0, 1, 3) + r[:, sl].transpose(1, 2, 0, 3)
+        )
+    (a_max, a_at), (p_max, p_at), (b_max, b_at) = anti, pair, bianchi
     passed = max(a_max, p_max, b_max) <= tol * tensor.scale
     return SymmetryReport(passed, a_max, a_at, p_max, p_at, b_max, b_at)
 
@@ -191,11 +228,11 @@ def pullback(tensor: CurvatureTensor, t: np.ndarray) -> CurvatureTensor:
 def _pullback(r: np.ndarray, t: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
     """Apply T to the given argument slots of r only, e.g. (0, 1) gives R(Tx, Ty, z, w)."""
     # One matrix product per slot, with no transposed copy: slot s is the middle
-    # axis of r viewed as (m^s, m, m^(3-s)), and the last slot multiplies from
-    # the right.
+    # axis of r viewed as (-1, m, m^(3-s)), and the last slot multiplies from
+    # the right.  So slots 1-3 act on a slab r[i:j] as on the whole array.
     m = t.shape[0]
     for s in slots:
-        r = r @ t if s == 3 else (t.T @ r.reshape(m**s, m, -1)).reshape(r.shape)
+        r = r @ t if s == 3 else (t.T @ r.reshape(-1, m, m ** (3 - s))).reshape(r.shape)
     return r
 
 
@@ -218,7 +255,13 @@ def check_J_invariance(
     passes at a largest violation of at most tol * max |R|, whatever the scale.
     """
     _check_space("structure", J.space, tensor)
-    worst, where = _argmax_entry(pullback(tensor, J.J).coeffs - tensor.coeffs)
+    r, j = tensor.coeffs, J.J
+    # Slot 0 mixes the slabs, so it is applied once to the whole array.
+    b = _pullback(r, j, (0,))
+    best = (-1.0, ())
+    for sl in _slabs(tensor.space.m):
+        best = _fold_max(best, sl, _pullback(b[sl], j, (1, 2, 3)) - r[sl])
+    worst, where = best
     return InvarianceReport(worst <= tol * tensor.scale, worst, where)
 
 
@@ -232,20 +275,25 @@ def check_gray_identity(
 
     With J_s the pullback by J in slot s alone, the left side minus the right
     is the real part of (1 + iJ_0)(1 + iJ_1)(1 + iJ_2)(1 + iJ_3) R, held as
-    a + ib and taken one slot at a time: six single-slot contractions, as the
-    last slot needs only the real part, with at most four m^4 arrays alive at once.
+    a + ib and taken one slot at a time: slot 0 once on the whole array, then
+    five single-slot contractions per slab, as the last slot needs only the real
+    part.  So one m^4 array and a few slabs are alive at once.
     It passes at a largest violation of at most tol * max |R|; a J of another space raises.
     """
     _check_space("structure", J.space, tensor)
-    a, b = tensor.coeffs, _pullback(tensor.coeffs, J.J, (0,))
-    for s in (1, 2):
-        pb = _pullback(b, J.J, (s,))
-        b += _pullback(a, J.J, (s,))
-        a = a - pb
-    # In place, so the last pb alive beside it keeps the peak at four arrays;
-    # a is no longer the caller's coefficients after the first pass.
-    a -= _pullback(b, J.J, (3,))
-    worst, where = _argmax_entry(a)
+    r, j = tensor.coeffs, J.J
+    b0 = _pullback(r, j, (0,))
+    best = (-1.0, ())
+    for sl in _slabs(tensor.space.m):
+        a, b = r[sl], b0[sl]
+        for s in (1, 2):
+            pb = _pullback(b, j, (s,))
+            b += _pullback(a, j, (s,))
+            a = a - pb
+        # In place: a is no longer a view of the caller's coefficients here.
+        a -= _pullback(b, j, (3,))
+        best = _fold_max(best, sl, a)
+    worst, where = best
     return InvarianceReport(worst <= tol * tensor.scale, worst, where)
 
 

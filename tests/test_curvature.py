@@ -384,30 +384,63 @@ class TestCheckGrayIdentity:
         assert not report.passed
         assert report.max_violation == pytest.approx(12e-12, rel=1e-10)
 
-    def test_six_single_slot_contractions(self, monkeypatch):
+    def test_slot_zero_once_then_five_contractions_per_slab(self, monkeypatch):
         s = BilinearSpace(2, 6)
         J = standard_complex_structure(s)
-        kernel, slots = curvature._pullback, []
+        r = random_algebraic_curvature_tensor(s, 5)
+        slabs = len(curvature._slabs(s.m))
+        assert slabs > 1
+        kernel, calls = curvature._pullback, []
 
         def spy(r, t, which):
-            slots.append(which)
+            calls.append((which, r.shape[0]))
             return kernel(r, t, which)
 
         monkeypatch.setattr(curvature, "_pullback", spy)
-        check_gray_identity(random_algebraic_curvature_tensor(s, 5), J)
-        assert slots == [(0,), (1,), (1,), (2,), (2,), (3,)]
+        width = curvature._SLAB
+        check_gray_identity(r, J)
+        per_slab = [((1,), width), ((1,), width), ((2,), width), ((2,), width), ((3,), width)]
+        assert calls == [((0,), s.m)] + per_slab * slabs
+        calls.clear()
+        check_J_invariance(r, J)
+        assert calls == [((0,), s.m)] + [((1, 2, 3), width)] * slabs
 
-    def test_peak_memory_is_four_tensors(self):
-        s = BilinearSpace(0, 16)
-        J = standard_complex_structure(s)
-        r = random_algebraic_curvature_tensor(s, 5)
-        tracemalloc.start()
-        try:
-            check_gray_identity(r, J)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * r.coeffs.nbytes + 64 * 1024
+
+# Peak traced memory of each m^4 pass at m = 32, in units of one tensor: one
+# whole array for the output or the slot-0 pullback, and slabs of
+# curvature._SLAB first-index values beside it.
+PEAK_BOUNDS = {
+    "check_symmetries": 0.5,
+    "check_J_invariance": 1.5,
+    "check_gray_identity": 1.5,
+    "from_skew_adjoint": 1.25,
+    "combine": 1.25,
+}
+
+
+@pytest.fixture(scope="module")
+def quaternionic_32():
+    quat = standard_quaternion_structure(BilinearSpace(0, 32))
+    return quat, build_quaternionic_tensor(quat, 1, 2, 8, 0), from_skew_adjoint(quat.space, quat.j)
+
+
+@pytest.mark.parametrize("name", PEAK_BOUNDS)
+def test_peak_memory_of_each_pass(quaternionic_32, name):
+    quat, r, r_j = quaternionic_32
+    run = {
+        "check_symmetries": lambda: check_symmetries(r),
+        "check_J_invariance": lambda: check_J_invariance(r, quat.as_complex),
+        "check_gray_identity": lambda: check_gray_identity(r, quat.as_complex),
+        "from_skew_adjoint": lambda: from_skew_adjoint(quat.space, quat.j),
+        "combine": lambda: combine([(1.0, r), (2.0, r_j)]),
+    }[name]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BOUNDS[name] * r.coeffs.nbytes
 
 
 def reference_pullback(r, t):
@@ -571,6 +604,158 @@ class TestBitwiseReferences:
             for cs in ((1.0, 2.0, 8.0, 0.0), (-0.5, 0.0, -3.0, 1.25)):
                 want = combine([(cs[0], r_id)] + list(zip(cs[1:], units))).coeffs
                 assert_same_bits(build_quaternionic_tensor(quat, *cs).coeffs, want)
+
+
+# The m^4 passes written on whole arrays, as they were before they ran slab by
+# slab.  The library must match them to the bit: values, witnesses and the sign
+# of zeros.
+def reference_argmax_entry(a):
+    idx = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    return float(abs(a[idx])), tuple(int(i) for i in idx)
+
+
+def reference_slot_pullback(r, t, slots):
+    m = t.shape[0]
+    for s in slots:
+        r = r @ t if s == 3 else (t.T @ r.reshape(m**s, m, -1)).reshape(r.shape)
+    return r
+
+
+def reference_combine(terms):
+    coeffs = np.zeros_like(terms[0][1].coeffs)
+    for c, tensor in terms:
+        coeffs += float(c) * tensor.coeffs
+    return coeffs
+
+
+def reference_differences(tensor, J):
+    """Each m^4 array whose largest |entry| a check reports, by name."""
+    r, j = tensor.coeffs, J.J
+    diffs = {
+        "antisymmetry": r + r.swapaxes(0, 1),
+        "pair_symmetry": r - r.transpose(2, 3, 0, 1),
+        "bianchi": r + np.einsum("abcd->cabd", r) + np.einsum("abcd->bcad", r),
+        "J": reference_slot_pullback(r, j, (0, 1, 2, 3)) - r,
+    }
+    a, b = r, reference_slot_pullback(r, j, (0,))
+    for s in (1, 2):
+        pb = reference_slot_pullback(b, j, (s,))
+        b += reference_slot_pullback(a, j, (s,))
+        a = a - pb
+    a -= reference_slot_pullback(b, j, (3,))
+    diffs["gray"] = a
+    return diffs
+
+
+def assert_reports_match_references(tensor, J, tol=1e-10):
+    diffs = reference_differences(tensor, J)
+    worst = {name: reference_argmax_entry(d) for name, d in diffs.items()}
+    symmetries = [worst[n] for n in ("antisymmetry", "pair_symmetry", "bianchi")]
+    passed = max(value for value, _ in symmetries) <= tol * tensor.scale
+    want = curvature.SymmetryReport(passed, *symmetries[0], *symmetries[1], *symmetries[2])
+    # repr compares every float to the bit, and a NaN equal to a NaN.
+    assert repr(check_symmetries(tensor, tol)) == repr(want)
+    for name, check in (("J", check_J_invariance), ("gray", check_gray_identity)):
+        value, where = worst[name]
+        want = curvature.InvarianceReport(value <= tol * tensor.scale, value, where)
+        assert repr(check(tensor, J, tol)) == repr(want)
+    return diffs
+
+
+@pytest.fixture(scope="class", params=[(0, 32), (16, 16), (4, 4)], ids=str)
+def slab_case(request):
+    space = BilinearSpace(*request.param)
+    quat = standard_quaternion_structure(space)
+    q = build_quaternionic_tensor(quat, 1, 2, 8, 0)
+    noise = np.random.default_rng(sum(request.param)).standard_normal(q.coeffs.shape)
+    tensors = [
+        q,
+        CurvatureTensor(space, q.coeffs + 1e-9 * noise),
+        random_algebraic_curvature_tensor(space, 21),
+    ]
+    return quat, tensors
+
+
+class TestSlabsMatchWholeArrays:
+    def test_generators_and_combine(self, slab_case):
+        quat, tensors = slab_case
+        space, m = quat.space, quat.space.m
+        rng = np.random.default_rng(m)
+        raw = rng.standard_normal((m, m))
+        self_phis = [np.eye(m), self_adjoint_part(space, raw)]
+        skew_phis = [quat.i, quat.j, quat.k, conjugated_structure(space).J,
+                     skew_adjoint_part(space, raw)]
+        for sign, build, phis in ((1, from_self_adjoint, self_phis),
+                                  (-1, from_skew_adjoint, skew_phis)):
+            for phi in phis:
+                assert_same_bits(build(space, phi).coeffs,
+                                 reference_generator_tensor(space, phi, sign))
+        units = [from_self_adjoint(space, np.eye(m))] + [
+            from_skew_adjoint(space, u) for u in (quat.i, quat.j, quat.k)]
+        for cs in ((1.0, 2.0, 8.0, 0.0), (-0.5, 0.0, -3.0, 1.25)):
+            terms = list(zip(cs, units))
+            assert_same_bits(combine(terms).coeffs, reference_combine(terms))
+        terms = list(zip((0.3, -1.7, 2.5), tensors))
+        assert_same_bits(combine(terms).coeffs, reference_combine(terms))
+
+    def test_checks(self, slab_case):
+        quat, tensors = slab_case
+        for tensor in tensors:
+            for J in (quat.as_complex, conjugated_structure(quat.space)):
+                assert_reports_match_references(tensor, J)
+
+
+def tensor_with_entries(m, entries):
+    coeffs = np.zeros((m,) * 4)
+    for index, value in entries:
+        coeffs[index] = value
+    return CurvatureTensor(BilinearSpace(0, m), coeffs)
+
+
+def first_indices_of_max(d):
+    """The first indices at which |d| takes its largest value, NaN counting as largest."""
+    a = np.abs(d)
+    top = np.isnan(a) if np.isnan(a).any() else a == a.max()
+    return np.unravel_index(np.flatnonzero(top), a.shape)[0]
+
+
+def test_first_slab_wins_a_tie():
+    # The same unit entry at first index 0 and at the first index of the
+    # second slab: every check's largest violation ties across two slabs.
+    w = curvature._SLAB
+    m = 2 * w
+    tensor = tensor_with_entries(m, [((0, 1, 2, 3), 1.0), ((w, 1, 2, 3), 1.0)])
+    J = standard_complex_structure(tensor.space)
+    diffs = assert_reports_match_references(tensor, J)
+    for d in diffs.values():
+        assert len(set(first_indices_of_max(d) // w)) == 2
+    sym = check_symmetries(tensor)
+    for at in (sym.antisymmetry_witness, sym.pair_symmetry_witness, sym.bianchi_witness,
+               check_J_invariance(tensor, J).witness, check_gray_identity(tensor, J).witness):
+        assert at[0] < w
+
+
+def test_first_nan_wins():
+    # A finite maximum in the first slab, then NaN entries whose symmetry
+    # partners stay in their own slabs, the second slab and the third: the
+    # symmetries report the NaN of the second slab, as np.argmax does.
+    w = curvature._SLAB
+    m = 3 * w
+    tensor = tensor_with_entries(
+        m, [((0, 1, 2, 3), 5.0), ((w,) * 4, np.nan), ((2 * w,) * 4, np.nan)]
+    )
+    J = standard_complex_structure(tensor.space)
+    diffs = assert_reports_match_references(tensor, J)
+    sym = check_symmetries(tensor)
+    for name, at in (("antisymmetry", sym.antisymmetry_witness),
+                     ("pair_symmetry", sym.pair_symmetry_witness),
+                     ("bianchi", sym.bianchi_witness)):
+        assert np.isnan(getattr(sym, name))
+        assert at == (w,) * 4
+        assert set(first_indices_of_max(diffs[name]) // w) == {1, 2}
+    for check in (check_J_invariance, check_gray_identity):
+        report = check(tensor, J)
+        assert np.isnan(report.max_violation) and not report.passed
 
 
 # The single-pair contraction that apply_pair evaluated before operators were
