@@ -87,17 +87,17 @@ def sample_real_planes(
     seed: int = 0,
 ) -> list[OrientedPlane]:
     """n oriented 2-planes of the requested causal type, by seeded rejection
-    sampling of standard-normal spanning pairs."""
+    sampling of standard-normal spanning pairs, each round classified by one
+    classify_plane call on its stacks, bit for bit each draw classified alone."""
     if not _real_plane_realizable(space, causal_type):
-        raise ValueError(
-            f"no {causal_type.value} 2-plane exists in signature ({space.p}, {space.q})"
-        )
+        raise ValueError(f"no {causal_type.value} 2-plane exists in signature ({space.p}, {space.q})")
 
     def draw(rng: np.random.Generator, k: int) -> list[OrientedPlane]:
         pairs = rng.standard_normal((k, 2, space.m))  # per draw, x then y
-        # Only an accepted draw is made a plane: most draws are rejected.
-        accepted = [i for i, (x, y) in enumerate(pairs) if classify_plane(space, x, y) is causal_type]
-        return [OrientedPlane(space, x, y) for x, y in pairs[accepted]]
+        dets, types = classify_plane(space, pairs[:, 0], pairs[:, 1])
+        accepted = np.flatnonzero(types == causal_type)
+        return [OrientedPlane._with_gram(space, x, y, det, causal_type)
+                for (x, y), det in zip(pairs[accepted], dets[accepted].tolist())]
 
     return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} planes")
 

@@ -97,30 +97,44 @@ def adjoint(space: BilinearSpace, a: np.ndarray) -> np.ndarray:
     return space.signs[:, None] * a.T * space.signs[None, :]
 
 
-def _gram_rule(xx: float, xy: float, yy: float, x2: float, y2: float) -> tuple[float, PlaneClass]:
-    """Restricted Gram determinant of span{x, y} from its dots (x,x), (x,y), (y,y)
-    and the Euclidean x.x and y.y, and the causal type it gives; DEGENERATE when
-    |det| <= DEFAULT_TOL |x|^2 |y|^2."""
+def _stacked_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, m) stacks.  Each row goes to the BLAS
+    ddot that a[i].dot(b[i]) makes, so each is bitwise that row's dot; einsum
+    and (a * b).sum(-1) sum in another order."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+_TYPES = np.array([PlaneClass.TIMELIKE, PlaneClass.SPACELIKE] + [PlaneClass.MIXED] * 2
+                  + [PlaneClass.DEGENERATE] * 4, dtype=object)
+
+
+def _gram_rule(xx: Any, xy: Any, yy: Any, x2: Any, y2: Any) -> tuple[Any, Any]:
+    """Gram determinants of planes span{x, y} from float or array dots (x,x), (x,y), (y,y),
+    x.x, y.y, and their types: DEGENERATE when |det| <= DEFAULT_TOL |x|^2 |y|^2, else MIXED
+    when det < 0, else SPACELIKE when (x,x) + (y,y) > 0, else TIMELIKE, as when all fail on NaN."""
     det = xx * yy - xy * xy
-    if abs(det) <= DEFAULT_TOL * (x2 * y2):
-        return det, PlaneClass.DEGENERATE
-    if det < 0:
-        return det, PlaneClass.MIXED
-    return det, PlaneClass.SPACELIKE if xx + yy > 0 else PlaneClass.TIMELIKE
+    return det, _TYPES[4 * (abs(det) <= DEFAULT_TOL * (x2 * y2)) + 2 * (det < 0) + (xx + yy > 0)]
 
 
-def _plane_gram(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> tuple[float, PlaneClass]:
-    """_gram_rule of span{x, y} for checked vectors."""
-    # x.dot(y) makes the same BLAS call as x @ y with half the overhead.
+def _plane_gram(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> tuple[Any, Any]:
+    """_gram_rule of span{x, y} for checked vectors, or row by row of two (k, m) stacks,
+    whose _stacked_dots make for each row the ddot that x.dot(y) makes for its pair."""
+    dot = _stacked_dots if x.ndim == 2 else lambda a, b: float(a.dot(b))
     sy = space.signs * y
-    return _gram_rule(float(x.dot(space.signs * x)), float(x.dot(sy)), float(y.dot(sy)),
-                      float(x.dot(x)), float(y.dot(y)))
+    return _gram_rule(dot(x, space.signs * x), dot(x, sy), dot(y, sy), dot(x, x), dot(y, y))
 
 
-def classify_plane(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> PlaneClass:
+def classify_plane(space: BilinearSpace, x: np.ndarray, y: np.ndarray) -> Any:
     """Causal type of span{x, y} from the signature of the restricted Gram matrix;
-    DEGENERATE for a near-zero determinant, linear dependence included."""
-    return _plane_gram(space, _check_vector(space, x, "x"), _check_vector(space, y, "y"))[1]
+    DEGENERATE for a near-zero determinant, linear dependence included.  For (k, m) stacks
+    x, y, the (k,) arrays (dets, types) of their rows, bitwise those of each pair alone."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim < 2 and y.ndim < 2:
+        return _plane_gram(space, _check_vector(space, x, "x"), _check_vector(space, y, "y"))[1]
+    if x.ndim != 2 or x.shape != y.shape or x.shape[1] != space.m:
+        raise ValueError(f"x and y have shapes {x.shape} and {y.shape}, expected two (k, {space.m}) stacks")
+    # x.dot copies a vector of stride <= 0 for its ddot; a stacked product reads it in place.
+    return _plane_gram(space, *(v if v.strides[1] > 0 else v.copy() for v in (x, y)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,37 +180,23 @@ def numeric_rank(a: np.ndarray, tol: float) -> int:
     return int(_rank_from_singular_values(s, tol))
 
 
-def _stacked_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (k, m) stacks.  Each row goes to the BLAS
-    ddot that a[i].dot(b[i]) makes, so each is bitwise that row's dot; einsum
-    and (a * b).sum(-1) sum in another order."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _unit_lines(
     space: BilinearSpace, j: np.ndarray, xs: np.ndarray, positive: bool | None = None
 ) -> list[OrientedPlane]:
     """The non-degenerate complex lines span{x, j x} of the rows x of a (k, m)
     stack of draws, in row order, each x rescaled to |(x, x)| = 1; a row is
     dropped when (x, x) = 0, or when positive is given and the sign of (x, x)
-    disagrees with it.  (x, x), j x and the five dots of _plane_gram are stacked
-    BLAS calls that make, row by row, the ddot or gemv of that row alone, so a
-    line takes det and plane_class from the batch with the bits of
-    OrientedPlane(space, x, j @ x) made for its rescaled row."""
-    signs = space.signs
-    t = _stacked_dots(xs, signs * xs)
+    disagrees with it.  (x, x), j x and _plane_gram are stacked BLAS calls that
+    make, row by row, the ddot or gemv of that row alone, so each line has the
+    bits of OrientedPlane(space, x, j @ x) made for its rescaled row."""
+    t = _stacked_dots(xs, space.signs * xs)
     keep = t != 0.0 if positive is None else (t > 0.0) if positive else (t < 0.0)
     xs = xs[keep] / np.sqrt(np.abs(t[keep]))[:, None]
     ys = (j @ xs[:, :, None])[:, :, 0]
-    sy = signs * ys
-    dots = (_stacked_dots(xs, signs * xs), _stacked_dots(xs, sy), _stacked_dots(ys, sy),
-            _stacked_dots(xs, xs), _stacked_dots(ys, ys))
-    lines = []
-    for x, y, row in zip(xs, ys, zip(*(d.tolist() for d in dots))):
-        det, plane_class = _gram_rule(*row)
-        if plane_class is not PlaneClass.DEGENERATE:
-            lines.append(OrientedPlane._with_gram(space, x, y, det, plane_class))
-    return lines
+    dets, types = _plane_gram(space, xs, ys)
+    rows = np.flatnonzero(types != PlaneClass.DEGENERATE)
+    return [OrientedPlane._with_gram(space, xs[i], ys[i], det, types[i])
+            for i, det in zip(rows.tolist(), dets[rows].tolist())]
 
 
 def _rejection_sample(

@@ -113,28 +113,25 @@ class TestOrientedPlane:
     # The sampler decides each line's Gram determinant once, when the line is
     # drawn, and it goes with the line to the assembly of R(pi).
     def test_one_gram_per_sampled_line(self, monkeypatch):
-        calls = []
+        rows = []
+        original = pseudo_linalg._gram_rule
 
-        def counting(name):
-            original = getattr(pseudo_linalg, name)
+        def spy(*dots):
+            rows.append(np.size(dots[0]))
+            return original(*dots)
 
-            def spy(*args):
-                calls.append(name)
-                return original(*args)
-            return spy
-
-        # Count the calls under every module name that binds either function.
-        for name in ("_plane_gram", "_gram_rule"):
-            for module in (pseudo_linalg, jordan_ip):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name))
+        # Every Gram determinant, of one plane or of a stack, goes through _gram_rule;
+        # count its rows under every module name that binds it.
+        for module in (pseudo_linalg, jordan_ip):
+            if hasattr(module, "_gram_rule"):
+                monkeypatch.setattr(module, "_gram_rule", spy)
         J = standard_complex_structure(BilinearSpace(2, 4))
         r = build_complex_pair_tensor(J, 1.0, 0.5)
         lines = sample_complex_lines(J, PlaneClass.TIMELIKE, 100, seed=0)
-        assert calls == ["_gram_rule"] * 100
-        calls.clear()
+        assert sum(rows) == 100
+        rows.clear()
         assert sum(len(ops) for ops in curvature_operators(r, lines)) == 100
-        assert calls == []
+        assert rows == []
 
 
 class TestSamplePlanes:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from curvlab import (
     standard_quaternion_structure,
 )
 from curvlab import complex_structures, jordan_ip
-from curvlab.pseudo_linalg import _cluster_eigenvalues, _rejection_sample
+from curvlab.pseudo_linalg import _cluster_eigenvalues, _plane_gram, _rejection_sample
 from test_curvature import conjugated_structure
 from test_jordan_ip import boosted_structure, conjugation_map, random_J_invariant_tensor
 
@@ -160,6 +161,63 @@ class TestClassifyPlane:
         s = BilinearSpace(1, 1)
         n = e(2, 0) + e(2, 1)
         assert classify_plane(s, n, 3.0 * n + 1e-14 * e(2, 0)) is PlaneClass.DEGENERATE
+
+    # On (4, 6), EDGE has timelike part 99999999 and spacelike part 100000001, so
+    # (x, x) = 2 and |x|^2 = 2e8: with y = e_9, det = 2 is exactly DEFAULT_TOL |x|^2 |y|^2.
+    # A ddot of fewer than 16 entries sums in order, so a last entry 3 2^-27 of x
+    # puts (x, x) one ulp above 2, and y = e_9 + 2^-28 e_7 puts det one ulp below.
+    EDGE = np.array([9999.0, 141, 9, 6, 9999, 128, 60, 4, 0, 0])
+
+    def test_stack_rows_are_classified_as_alone(self):
+        s = BilinearSpace(4, 6)
+        up, below = self.EDGE.copy(), e(10, 9)
+        up[8], below[7] = 3 * 2.0**-27, 2.0**-28
+        at = lambda i, value: np.where(np.arange(10) == i, value, 0.0)
+        rows = [
+            (np.zeros(10), e(10, 4)),                     # a zero vector
+            (self.EDGE, -3.0 * self.EDGE),                # linearly dependent
+            (self.EDGE, e(10, 9)),                        # det exactly at the bound
+            (up, e(10, 9)),                               # one ulp above it
+            (self.EDGE, below),                           # one ulp below it
+            (at(4, np.nan) + 1.0, e(10, 5)),
+            (at(4, np.inf), e(10, 4) + e(10, 5)),
+            (e(10, 0), at(4, -np.inf)),
+            (at(4, 1e200), e(10, 5)),                     # dots that overflow to inf
+            (e(10, 4), e(10, 5)), (e(10, 0), e(10, 1)), (e(10, 0), e(10, 4)),
+        ]
+        # A ddot through an inf warns, for one pair as for a stack.
+        with np.errstate(invalid="ignore", over="ignore"):
+            dets, types = classify_plane(s, *(np.array(v) for v in zip(*rows)))
+            alone = [(_plane_gram(s, x, y)[0], classify_plane(s, x, y)) for x, y in rows]
+        for det, plane_class, (want_det, want) in zip(dets.tolist(), types, alone):
+            assert plane_class is want
+            assert np.float64(det).tobytes() == np.float64(want_det).tobytes()
+        bound = DEFAULT_TOL * (self.EDGE.dot(self.EDGE) * e(10, 9).dot(e(10, 9)))
+        assert bound == 2.0 and dets[2:5].tolist() == [2.0, np.nextafter(2.0, 3.0), np.nextafter(2.0, 1.0)]
+        D, S, T, M = (PlaneClass.DEGENERATE, PlaneClass.SPACELIKE, PlaneClass.TIMELIKE, PlaneClass.MIXED)
+        # A NaN det fails both of its tests, and the sign of (x,x) + (y,y) decides.
+        assert list(types) == [D, D, D, S, D, T, S, S, D, S, T, M]
+
+    def test_reversed_stack_rows_are_classified_as_alone(self):
+        # At m >= 16 a ddot sums in blocks, and x.dot copies a reversed vector first.
+        s = BilinearSpace(8, 24)
+        xs, ys = np.random.default_rng(5).standard_normal((2, 6, s.m))[:, :, ::-1]
+        dets, types = classify_plane(s, xs, ys)
+        for x, y, det, plane_class in zip(xs, ys, dets.tolist(), types):
+            assert (det, plane_class) == (OrientedPlane(s, x, y).det, classify_plane(s, x, y))
+            assert np.float64(det).tobytes() == np.float64(_plane_gram(s, x, y)[0]).tobytes()
+
+    @pytest.mark.parametrize("x, y", [
+        (np.zeros((3, 4)), np.zeros((2, 4))),
+        (np.zeros((3, 5)), np.zeros((3, 5))),
+        (np.zeros((3, 4)), np.zeros(4)),
+        (np.zeros(4), np.zeros((1, 4))),
+        (np.zeros((1, 3, 4)), np.zeros((1, 3, 4))),
+    ])
+    def test_stacks_of_other_shapes_raise(self, x, y):
+        message = f"x and y have shapes {x.shape} and {y.shape}, expected two (k, 4) stacks"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify_plane(BilinearSpace(2, 2), x, y)
 
     @given(
         st.sampled_from([(0, 4), (1, 3), (2, 2)]),
@@ -755,23 +813,29 @@ class TestRejectionRounds:
         assert rounds == []
 
     # The traced accept_ratio of the benchmark divides the planes returned by
-    # the classify_plane calls, so each draw is still classified once.
-    @pytest.mark.parametrize("sig, causal_type, calls", [
+    # the classify_plane calls: one call per rejection round, with one row per
+    # draw of the round, so every draw is still classified once.
+    @pytest.mark.parametrize("sig, causal_type, draws", [
         ((2, 6), PlaneClass.TIMELIKE, 27641),
         ((4, 4), PlaneClass.SPACELIKE, 673),
         ((8, 8), PlaneClass.MIXED, 151),
     ])
-    def test_real_planes_classify_each_draw_once(self, monkeypatch, sig, causal_type, calls):
-        counted = []
-        original = jordan_ip.classify_plane
+    def test_real_planes_classify_each_draw_once(self, monkeypatch, sig, causal_type, draws):
+        rows, rounds = [], []
+        classify, sample = jordan_ip.classify_plane, jordan_ip._rejection_sample
 
-        def spy(*args):
-            counted.append(None)
-            return original(*args)
+        def spy(space, x, y):
+            rows.append(len(x))
+            return classify(space, x, y)
+
+        def sampling(n, seed, draw, what):
+            return sample(n, seed, lambda rng, k: rounds.append(k) or draw(rng, k), what)
 
         monkeypatch.setattr(jordan_ip, "classify_plane", spy)
+        monkeypatch.setattr(jordan_ip, "_rejection_sample", sampling)
         assert len(sample_real_planes(BilinearSpace(*sig), causal_type, 100, 0)) == 100
-        assert len(counted) == calls
+        assert rows == rounds
+        assert sum(rows) == draws
 
 
 def reference_lines(J, n, seed, positive=None):
@@ -793,6 +857,21 @@ def reference_lines(J, n, seed, positive=None):
     return lines
 
 
+def reference_planes(space, causal_type, n, seed):
+    """n real planes drawn one at a time: a standard-normal pair x, y per draw,
+    jordan_ip.classify_plane on the pair, and OrientedPlane(space, x, y) made of
+    a pair of the type; the sampler's RuntimeError after 1000 n draws."""
+    rng = np.random.default_rng(seed)
+    planes = []
+    for _ in range(1000 * n):
+        x, y = rng.standard_normal((2, space.m))
+        if jordan_ip.classify_plane(space, x, y) is causal_type:
+            planes.append(OrientedPlane(space, x, y))
+            if len(planes) == n:
+                return planes
+    raise RuntimeError(f"rejection budget exceeded sampling {causal_type.value} planes")
+
+
 def assert_same_lines(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -811,6 +890,35 @@ def dense_structure(space):
         if hi > lo:
             d[lo:hi, lo:hi] = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))[0]
     return ComplexStructure(space, d @ conjugated_structure(space).J @ adjoint(space, d))
+
+
+class TestBatchedPlanesAreBitwise:
+    """A round of real-plane draws is classified by one classify_plane call on its
+    stacks, and each accepted plane has the bits of the draw classified alone."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (2, 6), (6, 2), (8, 8)])
+    def test_sampled_planes(self, sig, seed):
+        space = BilinearSpace(*sig)
+        for causal_type in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE, PlaneClass.MIXED):
+            if jordan_ip._real_plane_realizable(space, causal_type):
+                assert_same_lines(sample_real_planes(space, causal_type, 20, seed),
+                                  reference_planes(space, causal_type, 20, seed))
+
+    def test_budget_spent_after_the_same_draws(self, monkeypatch):
+        rows = []
+        original = jordan_ip.classify_plane
+
+        def spy(space, x, y):
+            rows.append(len(x) if np.ndim(x) == 2 else 1)
+            return original(space, x, y)
+
+        monkeypatch.setattr(jordan_ip, "classify_plane", spy)
+        for sampler in (sample_real_planes, reference_planes):
+            rows.clear()
+            with pytest.raises(RuntimeError, match="^rejection budget exceeded sampling timelike planes$"):
+                sampler(BilinearSpace(2, 10), PlaneClass.TIMELIKE, 20, 0)
+            assert sum(rows) == 20000
 
 
 class TestBatchedLinesAreBitwise:
