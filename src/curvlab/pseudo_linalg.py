@@ -260,39 +260,40 @@ def _cluster_eigenvalues(evals: np.ndarray, threshold: float | np.ndarray) -> tu
     return linked.argmax(axis=-1) if n else np.zeros(evals.shape, dtype=int), ambiguous
 
 
-def _rank_sequences(c: np.ndarray, blocks: list[tuple], tol: float) -> list[list[int]]:
-    """Rank sequences of the powers of B_t = c[i] - mu I, blocks[t] = (i, mu, members,
-    mults, partner) of a non-empty list: one SVD call per power k, of the blocks still running.
+def _rank_sequences(c: np.ndarray, rows: np.ndarray, mus: np.ndarray, members: np.ndarray,
+                    mults: np.ndarray, partner: np.ndarray, tol: float) -> np.ndarray:
+    """Rank sequences of the powers of B_t = c[rows[t]] - mus[t] I, for a non-empty
+    array of blocks t: one SVD call per power k, of the blocks still running.
 
     The cutoff of block t at power k is tol * anchor_t^k, anchor_t the larger
-    sigma_max of B_t and of B_partner, the other block of its cluster (or
+    sigma_max of B_t and of B_partner[t], the other block of its cluster (or
     itself).  A block with no members has full rank n.  A sequence stops at the
     k where its rank is at most n - members, equals the rank at k - 1, or k
-    reaches mults; its last rank then repeats up to mults entries."""
-    rows, mus, members, mults, partner = (np.array(v) for v in zip(*blocks))
+    reaches mults; row t of the (blocks, max(mults)) result holds its ranks for
+    k = 1, 2, ..., the last one repeated to the end of the row."""
     n = c.shape[-1]
     shifted = mus[:, None, None] * np.eye(n)
     np.subtract(c[rows], shifted, out=shifted)  # B_t, with no third stack
     s = np.linalg.svd(shifted, compute_uv=False)
     top = np.maximum(s[:, 0], s[partner, 0])
     first = np.where(members > 0, np.count_nonzero(s > tol * top[:, None], axis=1), n)
-    anchors, seqs = top.tolist(), [[rank] for rank in first.tolist()]
+    ranks = np.repeat(first[:, None], mults.max(), axis=1)
+    anchors = top.tolist()
     running = np.flatnonzero((first > n - members) & (mults > 1))
-    power, previous, k = shifted[running], first[running], 1
+    power, k = shifted[running], 1
     while running.size:
         k += 1
         power = power @ shifted[running]
         s = np.linalg.svd(power, compute_uv=False)
         # Python's float power (C pow), which numpy's vectorised power need not match to the last bit.
         cutoffs = np.array([tol * anchors[t] ** k for t in running.tolist()])
-        ranks = np.count_nonzero(s > cutoffs[:, None], axis=1)
-        for t, rank in zip(running.tolist(), ranks.tolist()):
-            seqs[t].append(rank)
+        rank = np.count_nonzero(s > cutoffs[:, None], axis=1)
         # In exact arithmetic the rank is constant from here on: the generalised
         # eigenspace is exhausted, or the nullity stopped growing.
-        going = (ranks > n - members[running]) & (ranks != previous) & (k < mults[running])
-        running, power, previous = running[going], power[going], ranks[going]
-    return [seq + seq[-1:] * (mult - len(seq)) for seq, mult in zip(seqs, mults.tolist())]
+        going = (rank > n - members[running]) & (rank != ranks[running, k - 2]) & (k < mults[running])
+        ranks[running, k - 1:] = rank[:, None]
+        running, power = running[going], power[going]
+    return ranks
 
 
 def jordan_invariants(
@@ -305,8 +306,8 @@ def jordan_invariants(
     size <= 2 stays in one cluster, but one of size 3 can split at tol 1e-6.
     The rank of (A - lambda I)^k counts singular values above tol * sigma_max(A
     - lambda I)^k, up to the k where it is at most m - multiplicity or repeats,
-    constant from there on in exact arithmetic.  Each cluster is one record of
-    its matrix, and the one at conj(lambda) takes the ranks of lambda's.
+    constant from there on in exact arithmetic.  The cluster at conj(lambda)
+    takes the ranks of lambda's.
 
     basis, when given, is an orthonormal basis Q of the +i eigenspace of a
     complex structure J commuting with A.  Then A is diag(A_c, conj(A_c)) in
@@ -320,9 +321,13 @@ def jordan_invariants(
     bit by bit, to that of its matrix alone.  A stack takes one eigvals call,
     one SVD call for the scales, one for the k = 1 shifted blocks of all its
     clusters, and one per further power, over the sequences still running.
+    The records of the clusters of the whole stack are built as arrays, and
+    lambda is numpy's pairwise sum of a cluster's members in index order over
+    the multiplicity, taken as a row of a C-contiguous (clusters, multiplicity)
+    gather, so each fingerprint keeps the bits of its matrix alone.
     np.linalg.eigvals returns a real array only when every eigenvalue of the
-    stack is real, so a real matrix's eigenvalues are read as real when its own
-    are, as for the matrix alone: a complex sum of a cluster rounds otherwise.
+    stack is real, so a real matrix's eigenvalues are summed as real when its
+    own are, as for the matrix alone: a complex sum rounds otherwise.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
@@ -335,54 +340,60 @@ def jordan_invariants(
     scales = svals[:, 0].tolist() if n else [0.0] * len(c)
     total_ranks = (1 if n == m else 2) * _rank_from_singular_values(svals, tol)  # raises unless tol > 0
     evals = evals if n == m else np.concatenate([evals, evals.conj()], axis=1)
-    roots, ambiguous = _cluster_eigenvalues(evals, tol * np.array(scales))
+    units = tol * np.array(scales)
+    roots, ambiguous = _cluster_eigenvalues(evals, units)
     # A real matrix's eigenvalue pairs are exactly conjugate: conj_roots[i, j] is conj(evals[i, j])'s root.
     conj_roots = roots[np.arange(len(c))[:, None], np.argmax(
         evals.conj()[:, :, None] == evals[:, None, :], axis=2)] if m else roots
-    members_at = roots[:, :, None] == np.arange(m)  # members_at[i, j, r]: evals[i, j] lies in root r's cluster
-    mults_at, own_at = members_at.sum(axis=1).tolist(), members_at[:, :n].sum(axis=1).tolist()
 
-    # Per matrix, one (root, lambda, multiplicity, conjugate root, range of blocks) per cluster, by
-    # root.  A record with no blocks takes the ranks of its conjugate's, which comes earlier.
-    records: list[list[tuple]] = [[] for _ in c]
-    blocks = []  # (matrix, mu, members, multiplicity, partner) of every block A - mu I
-    for i, (row, root_row, conj_row) in enumerate(zip(evals, roots, conj_roots.tolist())):
-        if basis is None and not row.imag.any():
-            row = row.real
-        for root, (mult, own, conj) in enumerate(zip(mults_at[i], own_at[i], conj_row)):
-            if not mult:
-                continue
-            lam = complex(row[root_row == root].sum() / mult)
-            # The blocks at lambda and conj(lambda), each with the members that are its eigenvalues
-            # (with none it has full rank).  The conjugate of an earlier cluster has none.
-            t = len(blocks)
-            if n < m and conj > root:
-                blocks += [(i, lam, own, mult, t + 1), (i, lam.conjugate(), mult - own, mult, t)]
-            elif conj >= root:
-                blocks.append((i, lam, own, mult, t))
-            records[i].append((root, lam, mult, conj, range(t, len(blocks))))
-    seqs = _rank_sequences(c, blocks, tol) if blocks else []
+    # One record per cluster, by (matrix i, root), with its multiplicity, the members that are
+    # eigenvalues of c[i] and the root of its conjugate.
+    keys = roots + m * np.arange(len(c))[:, None]
+    mult_at = np.bincount(keys.ravel(), minlength=keys.size)
+    found = mult_at.nonzero()[0]
+    i, root = np.divmod(found, m)
+    mult, conj = mult_at[found], conj_roots[i, root]
+    own = mult if n == m else np.bincount(keys[:, :n].ravel(), minlength=keys.size)[found]
+    # lambda: a stable sort of the keys groups each cluster's members in index order, and each row
+    # of a C-contiguous (clusters, mu) gather, summed and divided by mu, is numpy's pairwise sum of
+    # the row alone.  kind is odd for the clusters of a matrix read as real.
+    grouped, starts = keys.argsort(axis=None, kind="stable"), mult.cumsum() - mult
+    kind = 2 * mult if basis is not None else 2 * mult + ~evals.imag.any(axis=1)[i]
+    values, lam = (evals.ravel(), evals.ravel().real), np.empty(len(found), dtype=complex)
+    for g in set(kind.tolist()):
+        at, (mu, real) = kind == g, divmod(g, 2)
+        lam[at] = values[real][grouped[starts[at][:, None] + np.arange(mu)]].sum(axis=1) / mu
 
-    fingerprints = []
-    for i, recs in enumerate(records):
-        ranks_at = {}
-        for root, _, _, conj, span in recs:
-            factor = 1 if len(span) == 2 or n == m else 2  # a real cluster's one block counts twice
-            ranks_at[root] = ranks_at[conj] if not span else tuple(
-                factor * sum(r) for r in zip(*(seqs[t] for t in span)))
-        # Order on both parts rounded to multiples of the clustering threshold, so
-        # that noise far below it, such as the +-1e-16 real parts of a skew
-        # operator's eigenvalues, cannot reorder the clusters; raw values break ties.
-        unit = tol * scales[i] or 1.0
-        recs.sort(key=lambda r: (round(r[1].real / unit), round(r[1].imag / unit), r[1].real, r[1].imag))
-        fingerprints.append(JordanInvariants(
-            dimension=m,
-            clusters=tuple(rec[1:3] for rec in recs),
-            rank_sequences=tuple(ranks_at[rec[0]] for rec in recs),
-            total_rank=int(total_ranks[i]),
-            clustering_ambiguous=bool(ambiguous[i]),
-            scale=scales[i],
-        ))
+    # A cluster's blocks A - mu I: at lambda unless its conjugate comes earlier, and at conj(lambda)
+    # too on C^{m/2} when its conjugate comes later, each with the members that are its eigenvalues
+    # (with none it has full rank).
+    take = np.array([conj >= root, (conj > root) & (n < m)]).T
+    cluster, second = take.nonzero()
+    block_ranks = _rank_sequences(
+        c, i[cluster], np.array([lam, lam.conj()]).T[take], np.array([own, mult - own]).T[take],
+        mult[cluster], np.arange(len(cluster)) + np.where(second, -1, take[cluster, 1]), tol,
+    ) if cluster.size else np.zeros((0, 0), dtype=int)
+    ranks = np.zeros(take.shape + block_ranks.shape[1:], dtype=int)
+    ranks[take] = block_ranks
+    # A cluster's ranks sum its blocks', twice its one block's on C^{m/2}, where it stands for
+    # itself and its conjugate; with no blocks it takes those of its conjugate, an earlier cluster.
+    ranks = ranks.sum(axis=1) * np.where((n < m) & (conj == root), 2, 1)[:, None]
+    source = np.arange(len(found))
+    while not take[source, 0].all():
+        source = np.where(take[source, 0], source, ((mult_at > 0).cumsum() - 1)[(i * m + conj)[source]])
+
+    # Order on both parts rounded to multiples of the clustering threshold, so
+    # that noise far below it, such as the +-1e-16 real parts of a skew
+    # operator's eigenvalues, cannot reorder the clusters; raw values break ties.
+    # lexsort is stable, so equal keys keep the order of the roots.
+    unit = np.where(units == 0, 1.0, units)[i]
+    order = np.lexsort((lam.imag, lam.real, np.rint(lam.imag / unit), np.rint(lam.real / unit), i))
+    lams, mults, source = lam[order].tolist(), mult[order].tolist(), source[order]
+    seqs = [tuple(row[:length]) for row, length in zip(ranks[source].tolist(), mult[source].tolist())]
+    ends = np.cumsum(np.bincount(i, minlength=len(c))).tolist()
+    fingerprints = [
+        JordanInvariants(m, tuple(zip(lams[s:e], mults[s:e])), tuple(seqs[s:e]), rank, flag, scale)
+        for s, e, rank, flag, scale in zip([0] + ends, ends, total_ranks.tolist(), ambiguous.tolist(), scales)]
     return fingerprints if a.ndim == 3 else fingerprints[0]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,13 @@ from curvlab import (
     standard_quaternion_structure,
 )
 from curvlab import complex_structures, jordan_ip
-from curvlab.pseudo_linalg import _cluster_eigenvalues, _plane_gram, _rejection_sample
+from curvlab.pseudo_linalg import (
+    JordanInvariants,
+    _cluster_eigenvalues,
+    _plane_gram,
+    _rank_from_singular_values,
+    _rejection_sample,
+)
 from test_curvature import conjugated_structure
 from test_jordan_ip import boosted_structure, conjugation_map, random_J_invariant_tensor
 
@@ -671,6 +678,183 @@ class TestStackedFingerprint:
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="square matrix or a stack"):
             jordan_invariants(np.zeros(shape))
+
+
+def reference_rank_sequences(c, blocks, tol):
+    """The rank sequences of blocks[t] = (matrix, mu, members, multiplicity,
+    partner), each a list padded to its multiplicity, one Python list per block."""
+    rows, mus, members, mults, partner = (np.array(v) for v in zip(*blocks))
+    n = c.shape[-1]
+    shifted = mus[:, None, None] * np.eye(n)
+    np.subtract(c[rows], shifted, out=shifted)
+    s = np.linalg.svd(shifted, compute_uv=False)
+    top = np.maximum(s[:, 0], s[partner, 0])
+    first = np.where(members > 0, np.count_nonzero(s > tol * top[:, None], axis=1), n)
+    anchors, seqs = top.tolist(), [[rank] for rank in first.tolist()]
+    running = np.flatnonzero((first > n - members) & (mults > 1))
+    power, previous, k = shifted[running], first[running], 1
+    while running.size:
+        k += 1
+        power = power @ shifted[running]
+        s = np.linalg.svd(power, compute_uv=False)
+        cutoffs = np.array([tol * anchors[t] ** k for t in running.tolist()])
+        ranks = np.count_nonzero(s > cutoffs[:, None], axis=1)
+        for t, rank in zip(running.tolist(), ranks.tolist()):
+            seqs[t].append(rank)
+        going = (ranks > n - members[running]) & (ranks != previous) & (k < mults[running])
+        running, power, previous = running[going], power[going], ranks[going]
+    return [seq + seq[-1:] * (mult - len(seq)) for seq, mult in zip(seqs, mults.tolist())]
+
+
+def reference_invariants(a, tol, basis=None):
+    """jordan_invariants one record at a time: per matrix and per cluster, lambda
+    the sum of a boolean-masked row of eigenvalues, a Python tuple of blocks,
+    and the records ordered by Python's sort of their keys."""
+    a = np.asarray(a, dtype=float)
+    stack = a if a.ndim == 3 else a[None]
+    m = stack.shape[-1]
+    c, n = (stack, m) if basis is None else (basis.conj().T @ stack @ basis, m // 2)
+    evals = np.linalg.eigvals(c)
+    svals = np.linalg.svd(c, compute_uv=False)
+    scales = svals[:, 0].tolist() if n else [0.0] * len(c)
+    total_ranks = (1 if n == m else 2) * _rank_from_singular_values(svals, tol)
+    evals = evals if n == m else np.concatenate([evals, evals.conj()], axis=1)
+    roots, ambiguous = _cluster_eigenvalues(evals, tol * np.array(scales))
+    conj_roots = roots[np.arange(len(c))[:, None], np.argmax(
+        evals.conj()[:, :, None] == evals[:, None, :], axis=2)] if m else roots
+    members_at = roots[:, :, None] == np.arange(m)
+    mults_at, own_at = members_at.sum(axis=1).tolist(), members_at[:, :n].sum(axis=1).tolist()
+    records = [[] for _ in c]
+    blocks = []
+    for i, (row, root_row, conj_row) in enumerate(zip(evals, roots, conj_roots.tolist())):
+        if basis is None and not row.imag.any():
+            row = row.real
+        for root, (mult, own, conj) in enumerate(zip(mults_at[i], own_at[i], conj_row)):
+            if not mult:
+                continue
+            lam = complex(row[root_row == root].sum() / mult)
+            t = len(blocks)
+            if n < m and conj > root:
+                blocks += [(i, lam, own, mult, t + 1), (i, lam.conjugate(), mult - own, mult, t)]
+            elif conj >= root:
+                blocks.append((i, lam, own, mult, t))
+            records[i].append((root, lam, mult, conj, range(t, len(blocks))))
+    seqs = reference_rank_sequences(c, blocks, tol) if blocks else []
+    fingerprints = []
+    for i, recs in enumerate(records):
+        ranks_at = {}
+        for root, _, _, conj, span in recs:
+            factor = 1 if len(span) == 2 or n == m else 2
+            ranks_at[root] = ranks_at[conj] if not span else tuple(
+                factor * sum(r) for r in zip(*(seqs[t] for t in span)))
+        unit = tol * scales[i] or 1.0
+        recs.sort(key=lambda r: (round(r[1].real / unit), round(r[1].imag / unit), r[1].real, r[1].imag))
+        fingerprints.append(JordanInvariants(
+            dimension=m,
+            clusters=tuple(rec[1:3] for rec in recs),
+            rank_sequences=tuple(ranks_at[rec[0]] for rec in recs),
+            total_rank=int(total_ranks[i]),
+            clustering_ambiguous=bool(ambiguous[i]),
+            scale=scales[i],
+        ))
+    return fingerprints if a.ndim == 3 else fingerprints[0]
+
+
+def assert_matches_reference(ops, tol, basis=None):
+    """jordan_invariants of ops equals reference_invariants in repr, so bit by bit."""
+    got = jordan_invariants(ops, tol, basis)
+    assert repr(got) == repr(reference_invariants(ops, tol, basis))
+    return got
+
+
+class TestRecordsMatchTheReferenceLoop:
+    """jordan_invariants builds the records of a whole stack as arrays, with no
+    loop over matrices or clusters; its fingerprints are those of the loop."""
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+    def test_jordan_structures(self, tol):
+        for jordan, _ in JORDAN_STRUCTURES.values():
+            ops = np.array([jordan] + [t @ jordan @ np.linalg.inv(t) for seed in range(4)
+                                       for t in [well_conditioned_map(jordan.shape[0], np.random.default_rng(seed))]])
+            assert_matches_reference(ops, tol)
+            assert_matches_reference(ops[1], tol)
+
+    # The cluster at 0 has multiplicity m - 2, 14 at m = 16: numpy's pairwise
+    # sum unrolls from 8 doubles on, 8 real members or 4 complex ones.
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (0, 16), (8, 8)], ids=str)
+    def test_identity_on_real_planes(self, sig):
+        space = BilinearSpace(*sig)
+        r = from_self_adjoint(space, np.eye(space.m))
+        ops = np.array([curvature_operator(r, plane) for causal_type in (
+            PlaneClass.SPACELIKE, PlaneClass.TIMELIKE, PlaneClass.MIXED)
+            if jordan_ip._real_plane_realizable(space, causal_type)
+            for plane in sample_real_planes(space, causal_type, 8, 0)])
+        got = assert_matches_reference(ops, OPERATOR_TOL)
+        assert all((space.m - 2) in (mult for _, mult in inv.clusters) for inv in got)
+
+    @pytest.mark.parametrize("tensor, sig", [
+        ("pair", (0, 8)), ("pair", (4, 4)), ("random", (2, 6)), ("boosted_pair", (4, 4))], ids=str)
+    def test_complex_lines_with_and_without_the_basis(self, tensor, sig):
+        space = BilinearSpace(*sig)
+        J = boosted_structure(space, 0.5) if tensor == "boosted_pair" else standard_complex_structure(space)
+        r = random_J_invariant_tensor(J, 3) if tensor == "random" else build_complex_pair_tensor(J, 1.5, 0.75)
+        ops = complex_line_ops(r, J, 6)
+        assert_matches_reference(ops, OPERATOR_TOL, J._plus_i_basis)
+        assert_matches_reference(ops, OPERATOR_TOL)
+
+    def test_real_spectrum_beside_a_complex_one(self):
+        space = BilinearSpace(4, 4)
+        r = from_self_adjoint(space, np.eye(8))
+        mixed, spacelike = ([curvature_operator(r, plane) for plane in sample_real_planes(space, t, 10, 0)]
+                            for t in (PlaneClass.MIXED, PlaneClass.SPACELIKE))
+        ops = np.array([op for pair in zip(spacelike, mixed) for op in pair])
+        assert np.linalg.eigvals(ops).dtype.kind == "c"
+        assert_matches_reference(ops, OPERATOR_TOL)
+
+    def test_rounded_keys_tie(self):
+        # At tol 1e-3 and scale 100 the unit is 0.1: 4.96 + 2.96i and 5.039 +
+        # 3.039i lie 0.11 apart, two clusters, but both round to (50, 30) units,
+        # so the raw real parts order them, against the order of their roots.
+        ops = np.array([block_diagonal(*(real_jordan_block(x, y, 1) for x, y in pairs), np.array([[100.0]]))
+                        for pairs in [((5.039, 3.039), (4.96, 2.96)), ((4.96, 2.96), (5.039, 3.039))]])
+        for inv in assert_matches_reference(ops, 1e-3):
+            upper = [lam for lam, _ in inv.clusters if lam.imag > 0]
+            assert len({(round(lam.real / 0.1), round(lam.imag / 0.1)) for lam in upper}) == 1
+            assert [round(lam.real, 3) for lam in upper] == [4.96, 5.039]
+
+    def test_empty_stack_and_stack_of_one(self):
+        space = BilinearSpace(4, 4)
+        J = standard_complex_structure(space)
+        ops = complex_line_ops(build_complex_pair_tensor(J, 1.5, 0.75), J, 1)
+        for basis in (None, J._plus_i_basis):
+            assert assert_matches_reference(ops[:0], OPERATOR_TOL, basis) == []
+            assert len(assert_matches_reference(ops[:1], OPERATOR_TOL, basis)) == 1
+
+
+class TestFingerprintMemory:
+    # The tracemalloc peak of one call on 64 operators at m = 16 may lie at most
+    # 10% above the peak measured when the records were built one at a time
+    # (numpy 2.4.6): the arrays over the clusters of a stack must not hold more
+    # than the loop did, such as another (k, m, m) or (k, m) temporary.
+    @pytest.mark.parametrize("path, loop_peak", [("real", 1_032_064), ("basis", 718_976)])
+    def test_peak_of_one_call(self, path, loop_peak):
+        space = BilinearSpace(0, 16)
+        J = standard_complex_structure(space)
+        if path == "real":
+            r, basis = from_self_adjoint(space, np.eye(16)), None
+            planes = sample_real_planes(space, PlaneClass.SPACELIKE, 64, 0)
+        else:
+            r, basis = build_complex_pair_tensor(J, 1.5, 0.75), J._plus_i_basis
+            planes = sample_complex_lines(J, PlaneClass.SPACELIKE, 64, 0)
+        ops = np.array([curvature_operator(r, plane) for plane in planes])
+        jordan_invariants(ops, OPERATOR_TOL, basis)
+        tracemalloc.start()
+        try:
+            jordan_invariants(ops, OPERATOR_TOL, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * loop_peak
 
 
 def spy_on_svd(monkeypatch):
