@@ -179,8 +179,9 @@ def _to_json(value: Any) -> Any:
             return {"x": x.tolist(), "y": y.tolist()}
         case JordanInvariants(clusters=clusters):
             clusters = [{"eigenvalue": lam, "multiplicity": mult} for lam, mult in clusters]
-            # The scale is the unit of fingerprint comparisons, not a Jordan invariant.
-            fields = {k: v for k, v in vars(value).items() if k != "scale"}
+            # The scale is the unit of fingerprint comparisons, and the private
+            # member counts serve rank tests; neither is a Jordan invariant.
+            fields = {k: v for k, v in vars(value).items() if k not in ("scale", "_members")}
             return _to_json({**fields, "clusters": clusters})
         case SpectrumSpec(eigenvalues=eigenvalues):
             return [{"eigenvalue": lam, "multiplicity": mu} for lam, mu in eigenvalues]

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .pseudo_linalg import (
     OrientedPlane,
     PlaneClass,
     _check_vector,
+    _matches_form,
     _paired,
     _rejection_sample,
     _unit_lines,
@@ -216,31 +218,32 @@ def check_almost_complex(
 
 
 def _fingerprints(tensor: CurvatureTensor, planes: list[OrientedPlane], tol: float,
-                  J: ComplexStructure | None = None) -> Iterator[JordanInvariants]:
-    """Fingerprints of R(pi) on the planes in order, lazily, block by block of
-    curvature_operators: a consumer that stops early wastes at most one block of
-    operator assembly and fingerprints.  The R(pi) of a block that commute with J, as
-    check_almost_complex tests it, are fingerprinted on C^{m/2} by one jordan_invariants
-    call with J's +i basis; the others, all when J is None, as real matrices by one more."""
-    basis = None if J is None else J._plus_i_basis
+                  anchors: dict[PlaneClass, JordanInvariants],
+                  J: ComplexStructure | None = None) -> Iterator[np.ndarray]:
+    """Whether each R(pi) on the planes has the Jordan form of its anchor, the first plane
+    of its causal type, lazily, one array per block of curvature_operators: a consumer
+    that stops early wastes at most one block.  An anchor has its own form; its
+    fingerprint goes into anchors, taken alone by jordan_invariants, on C^{m/2} with J's
+    +i basis when it commutes with J as check_almost_complex tests it, else as a real
+    matrix.  No other R(pi) is fingerprinted: _matches_form tests each against its anchor,
+    on C^{m/2} when both commute with J, else as a real matrix, one call per path."""
+    basis, on_basis, start = None if J is None else J._plus_i_basis, {}, 0
     for ops in curvature_operators(tensor, planes):
+        types = [plane.plane_class for plane in planes[start:start + len(ops)]]
+        start += len(ops)
         commuting = np.zeros(len(ops), dtype=bool) if J is None else (
             np.abs(J.J @ ops - ops @ J.J).max(axis=(1, 2)) <= _ALMOST_COMPLEX_TOL * tensor.scale)
-        block = np.empty(len(ops), dtype=object)
-        for path, path_basis in ((commuting, basis), (~commuting, None)):
+        same, tested = np.ones(len(ops), dtype=bool), np.ones(len(ops), dtype=bool)
+        for i, causal_type in enumerate(types):
+            if causal_type not in anchors:
+                on_basis[causal_type], tested[i] = commuting[i], False
+                anchors[causal_type] = jordan_invariants(ops[i], tol, basis if commuting[i] else None)
+        half = tested & commuting & np.array([on_basis[t] for t in types])
+        for path, c in ((half, ops[half]), (tested & ~half, ops[tested & ~half])):
             if path.any():
-                block[path] = jordan_invariants(ops[path], tol, path_basis)
-        yield from block
-
-
-def _first_offender(
-    anchor: JordanInvariants, rest: Iterable[JordanInvariants], tol: float
-) -> int | None:
-    """Index, counting the anchor as 0, of the first of rest that is not
-    equivalent to the anchor, or None; rest is read no further.  Pairing within
-    a bound is not transitive, so every plane is compared with the anchor."""
-    found = (i for i, inv in enumerate(rest, 1) if not jordan_equivalent(anchor, inv, tol))
-    return next(found, None)
+                c = basis.conj().T @ c @ basis if path is half else c
+                same[path] = _matches_form(c, [anchors[types[i]] for i in np.flatnonzero(path)], tol)
+        yield same
 
 
 @dataclass(frozen=True)
@@ -264,21 +267,25 @@ def check_jordan_ip(
     """Sample n complex lines of each causal type that exists, the i-th of
     (spacelike, timelike) with seed + i, and test whether they share one Jordan form.
 
-    Every line is fingerprinted, also after a mismatch, so that
-    invariants_by_type holds the first line of each causal type.
+    The first line of each causal type, its anchor, is fingerprinted, and
+    invariants_by_type holds these fingerprints.  Every other line is tested
+    against the anchor of its type, also after a mismatch, and an anchor of a
+    later type against the first one by jordan_equivalent: pairing within a
+    bound is not transitive, so each line meets the first line's form.
     """
     planes = [line for lines in _lines_by_type(J, n, seed) for line in lines]
-
-    invariants = list(_fingerprints(tensor, planes, tol, J))
-    invariants_by_type: dict[PlaneClass, JordanInvariants] = {}
-    for plane, inv in zip(planes, invariants):
-        invariants_by_type.setdefault(plane.plane_class, inv)
-    offender = _first_offender(invariants[0], invariants[1:], tol)
+    anchors: dict[PlaneClass, JordanInvariants] = {}
+    same = np.concatenate(list(_fingerprints(tensor, planes, tol, anchors, J)))
+    types = [plane.plane_class for plane in planes]
+    first = anchors[types[0]]
+    for causal_type, anchor in list(anchors.items())[1:]:
+        same[types.index(causal_type)] = jordan_equivalent(first, anchor, tol)
+    offender = int(np.argmin(same)) if not same.all() else None
     constant = offender is None
     return JordanIPReport(
         constant=constant,
-        rank=invariants[0].total_rank if constant else None,
-        invariants_by_type=invariants_by_type,
+        rank=first.total_rank if constant else None,
+        invariants_by_type=anchors,
         witness=None if constant else (planes[0], planes[offender]),
         seed=seed,
     )
@@ -319,9 +326,10 @@ def check_jordan_ip_real(
     witnesses: dict[PlaneClass, tuple[OrientedPlane, OrientedPlane]] = {}
     for offset, causal_type in enumerate(types):
         planes = sample_real_planes(space, causal_type, n, seed + offset)
-        fingerprints = _fingerprints(tensor, planes, tol)
-        anchor = invariants_by_type[causal_type] = next(fingerprints)
-        offender = _first_offender(anchor, fingerprints, tol)
+        anchors: dict[PlaneClass, JordanInvariants] = {}
+        same = chain.from_iterable(_fingerprints(tensor, planes, tol, anchors))
+        offender = next((i for i, ok in enumerate(same) if not ok), None)
+        invariants_by_type[causal_type] = anchors[planes[0].plane_class]
         if offender is not None:
             witnesses[causal_type] = (planes[0], planes[offender])
     rank_by_type = {t: inv.total_rank for t, inv in invariants_by_type.items()}

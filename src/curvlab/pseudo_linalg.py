@@ -233,6 +233,10 @@ class JordanInvariants:
     basis.  A sequence is computed only until its rank stops changing or
     reaches m - multiplicity; the tail repeats that last rank.  scale is
     sigma_max(A), the unit of every cutoff here and in jordan_equivalent.
+
+    _members, private and outside equality and repr, counts per cluster the
+    members that are eigenvalues of A_c for a fingerprint read on C^{m/2}, or
+    all of them; _matches_form reads them.
     """
 
     dimension: int
@@ -241,6 +245,7 @@ class JordanInvariants:
     total_rank: int
     clustering_ambiguous: bool
     scale: float
+    _members: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
 
 def _cluster_eigenvalues(evals: np.ndarray, threshold: float | np.ndarray) -> tuple[np.ndarray, Any]:
@@ -339,6 +344,9 @@ def jordan_invariants(
     svals = np.linalg.svd(c, compute_uv=False)
     scales = svals[:, 0].tolist() if n else [0.0] * len(c)
     total_ranks = (1 if n == m else 2) * _rank_from_singular_values(svals, tol)  # raises unless tol > 0
+    if tol < np.finfo(float).eps:
+        # lambda / (tol * sigma_max) below would overflow to infinite sort keys.
+        raise ValueError(f"tolerance must be at least machine epsilon {np.finfo(float).eps:.3g}, got {tol}")
     evals = evals if n == m else np.concatenate([evals, evals.conj()], axis=1)
     units = tol * np.array(scales)
     roots, ambiguous = _cluster_eigenvalues(evals, units)
@@ -389,12 +397,63 @@ def jordan_invariants(
     unit = np.where(units == 0, 1.0, units)[i]
     order = np.lexsort((lam.imag, lam.real, np.rint(lam.imag / unit), np.rint(lam.real / unit), i))
     lams, mults, source = lam[order].tolist(), mult[order].tolist(), source[order]
+    owns = own[order].tolist()
     seqs = [tuple(row[:length]) for row, length in zip(ranks[source].tolist(), mult[source].tolist())]
     ends = np.cumsum(np.bincount(i, minlength=len(c))).tolist()
     fingerprints = [
-        JordanInvariants(m, tuple(zip(lams[s:e], mults[s:e])), tuple(seqs[s:e]), rank, flag, scale)
+        JordanInvariants(m, tuple(zip(lams[s:e], mults[s:e])), tuple(seqs[s:e]), rank, flag, scale,
+                         tuple(owns[s:e]))
         for s, e, rank, flag, scale in zip([0] + ends, ends, total_ranks.tolist(), ambiguous.tolist(), scales)]
     return fingerprints if a.ndim == 3 else fingerprints[0]
+
+
+def _matches_form(c: np.ndarray, anchors: Sequence[JordanInvariants], tol: float) -> np.ndarray:
+    """Whether each matrix c[i] has the Jordan form of anchors[i], by one _rank_sequences
+    call with no eigenvalues: the ranks of (c[i] - lambda I)^k at the anchor's clusters
+    lambda must be the anchor's rank sequences.  The multiplicities of the clusters sum
+    to m, so equal sequences leave c[i] no other eigenvalue and give it the anchor's
+    Jordan blocks.
+
+    c holds real m x m matrices, tested with all members of a cluster in its one block,
+    whichever path the anchor took; or the m/2 x m/2 blocks A_c of matrices that commute
+    with J, whose anchors were read on C^{m/2} too, tested as jordan_invariants reads
+    A_c: the blocks at lambda and conj(lambda) take the anchor's members there, and a
+    block with none has full rank.  The cluster at conj(lambda) has lambda's ranks."""
+    n = c.shape[-1]
+    groups: dict[int, tuple[JordanInvariants, list[int]]] = {}
+    for i, anchor in enumerate(anchors):
+        groups.setdefault(id(anchor), (anchor, []))[1].append(i)
+    parts, offset = [], 0
+    rows, mus, members, mults, partners = ([] for _ in range(5))
+    for anchor, ops in groups.values():
+        lam, mult = (np.array(v) for v in zip(*anchor.clusters))
+        half, index = n < anchor.dimension, np.arange(len(lam))
+        own = np.array(anchor._members) if half else mult
+        conj = np.abs(lam[:, None] - lam.conj()).argmin(axis=1)
+        # The blocks of jordan_invariants, for the first cluster of each conjugate pair: at
+        # lambda, and at conj(lambda) on C^{m/2}, each with its members.
+        take = np.array([conj >= index, (conj > index) & half]).T
+        cluster, second = take.nonzero()
+        blocks, k = len(cluster), len(ops)
+        rows.append(np.repeat(ops, blocks))
+        mus.append(np.tile(np.array([lam, lam.conj()]).T[take], k))
+        members.append(np.tile(np.array([own, mult - own]).T[take], k))
+        mults.append(np.tile(mult[cluster], k))
+        partner = np.arange(blocks) + np.where(second, -1, take[cluster, 1])
+        partners.append((offset + blocks * np.arange(k)[:, None] + partner).ravel())
+        # A cluster's ranks sum its blocks', twice its one block's on C^{m/2}.
+        weights = np.zeros((len(lam), blocks), dtype=int)
+        weights[cluster, np.arange(blocks)] = np.where(half & (conj == index), 2, 1)[cluster]
+        seqs = [seq for seq, lead in zip(anchor.rank_sequences, take[:, 0]) if lead]
+        parts.append((ops, offset, blocks, weights[take[:, 0]], seqs))
+        offset += blocks * k
+    ranks = _rank_sequences(c, *map(np.concatenate, (rows, mus, members, mults, partners)), tol)
+    width, same = ranks.shape[1], np.empty(len(anchors), dtype=bool)
+    for ops, start, blocks, weights, seqs in parts:
+        got = weights @ ranks[start:start + blocks * len(ops)].reshape(len(ops), blocks, width)
+        want = np.array([seq + seq[-1:] * (width - len(seq)) for seq in seqs])
+        same[ops] = (got == want).all(axis=(1, 2))
+    return same
 
 
 def _paired(a: Sequence[tuple[Any, Any]], b: Sequence[tuple[Any, Any]], bound: float) -> bool:

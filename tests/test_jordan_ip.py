@@ -623,10 +623,10 @@ class TestCheckJordanIPReal:
 
 
 class TestFingerprintCalls:
-    """How many fingerprints and equivalence tests each Jordan check makes.
+    """How many fingerprints, rank tests and equivalence tests each Jordan check makes.
 
     The sample is staged: the first plane is repeated, so the first
-    fingerprint that differs from the anchor is at a known index.
+    operator whose form differs from the anchor's is at a known index.
     """
 
     OFFENDER = 5
@@ -634,7 +634,8 @@ class TestFingerprintCalls:
     @staticmethod
     def count(monkeypatch, name):
         """The shape of the first argument of every call of jordan_ip.<name>
-        from now on: for jordan_invariants, the stack it fingerprints."""
+        from now on: for jordan_invariants the matrix it fingerprints, for
+        _matches_form the stack it tests."""
         calls = []
         original = getattr(jordan_ip, name)
 
@@ -650,8 +651,8 @@ class TestFingerprintCalls:
         monkeypatch.setattr(jordan_ip, sampler, lambda *args, **kwargs: list(staged))
         return staged
 
-    # The real check reads no fingerprint past its offender, but the block of
-    # operators that holds it is assembled and fingerprinted whole.
+    # The real check tests no block past its offender, but the block of
+    # operators that holds it is assembled and tested whole.
     def test_real_check_stops_at_its_offender(self, monkeypatch):
         s = BilinearSpace(0, 5)
         r = random_algebraic_curvature_tensor(s, 42)
@@ -659,28 +660,49 @@ class TestFingerprintCalls:
         staged = self.stage(monkeypatch, "sample_real_planes", planes)
         assert len(staged) > 2 * jordan_ip._BLOCK
         invariants = self.count(monkeypatch, "jordan_invariants")
+        tested = self.count(monkeypatch, "_matches_form")
         equivalent = self.count(monkeypatch, "jordan_equivalent")
         report = check_jordan_ip_real(r, n=len(planes), seed=0)
         assert list(report.constant_by_type) == [PlaneClass.SPACELIKE]
         assert report.witnesses[PlaneClass.SPACELIKE] == (staged[0], staged[self.OFFENDER])
-        assert invariants == [(jordan_ip._BLOCK, 5, 5)]
-        assert len(equivalent) == self.OFFENDER
+        assert invariants == [(5, 5)]
+        assert tested == [(jordan_ip._BLOCK - 1, 5, 5)]
+        assert equivalent == []
 
-    def test_complex_check_fingerprints_every_line(self, monkeypatch):
+    def test_complex_check_tests_every_line(self, monkeypatch):
         # {Id, C} gives an almost complex tensor whose operator moves from
         # line to line (see TestCheckJordanIP).
         s = BilinearSpace(0, 6)
         J = standard_complex_structure(s)
         r = id_plus_conjugation(s)
-        planes = sample_complex_lines(J, PlaneClass.SPACELIKE, 20, 0)
+        n = jordan_ip._BLOCK + 20
+        planes = sample_complex_lines(J, PlaneClass.SPACELIKE, n, 0)
         staged = self.stage(monkeypatch, "sample_complex_lines", planes)
         invariants = self.count(monkeypatch, "jordan_invariants")
+        tested = self.count(monkeypatch, "_matches_form")
         equivalent = self.count(monkeypatch, "jordan_equivalent")
-        report = check_jordan_ip(r, J, n=20, seed=0)
+        report = check_jordan_ip(r, J, n=n, seed=0)
         assert report.witness == (staged[0], staged[self.OFFENDER])
-        # One block, every R(pi) commuting with J: one stack of every line.
-        assert invariants == [(len(staged), 6, 6)]
-        assert len(equivalent) == self.OFFENDER
+        # Only the anchor is fingerprinted; every other R(pi) commutes with J
+        # and is tested on C^3, the block after the offender's too.
+        assert invariants == [(6, 6)]
+        assert tested == [(jordan_ip._BLOCK - 1, 3, 3), (len(staged) - jordan_ip._BLOCK, 3, 3)]
+        assert equivalent == []
+
+    # A later causal type's anchor meets the first anchor in jordan_equivalent,
+    # and the lines of its type meet its own anchor in a rank test.
+    def test_second_anchor_meets_the_first(self, monkeypatch):
+        s = BilinearSpace(4, 4)
+        J = standard_complex_structure(s)
+        invariants = self.count(monkeypatch, "jordan_invariants")
+        tested = self.count(monkeypatch, "_matches_form")
+        equivalent = self.count(monkeypatch, "jordan_equivalent")
+        report = check_jordan_ip(build_complex_pair_tensor(J, 1.5, 0.75), J, n=10, seed=0)
+        assert report.constant and list(report.invariants_by_type) == [
+            PlaneClass.SPACELIKE, PlaneClass.TIMELIKE]
+        assert invariants == [(8, 8), (8, 8)]
+        assert tested == [(18, 4, 4)]
+        assert equivalent == [()]
 
 
 def random_J_invariant_tensor(J, seed):
@@ -802,14 +824,19 @@ class TestComplexPathFingerprint:
         # The J of ComplexStructure's boosted-structure test is not orthogonal,
         # but it has a +i basis like every J, so J itself, which commutes with
         # J, is fingerprinted on C^{m/2}.  Its lines all fail the plane test,
-        # so the operator stack is handed to _fingerprints directly.
+        # so the operator stack is handed to _fingerprints directly, as the
+        # anchor of a plane made without that test.
         s = BilinearSpace(2, 2)
         r = from_self_adjoint(s, np.eye(4))
         inputs = self.spy_on_eigvals(monkeypatch)
         for J in (standard_complex_structure(s), boosted_structure(s, 10.0)):
             monkeypatch.setattr(jordan_ip, "curvature_operators", lambda *_: iter([J.J[None]]))
             inputs.clear()
-            (inv,) = jordan_ip._fingerprints(r, [None], jordan_ip.OPERATOR_TOL, J)
+            anchors = {}
+            plane = OrientedPlane(s, e(4, 0), J.J @ e(4, 0))
+            (same,) = jordan_ip._fingerprints(r, [plane], jordan_ip.OPERATOR_TOL, anchors, J)
+            assert same.tolist() == [True]
+            (inv,) = anchors.values()
             assert inputs == [((2, 2), "c")]
             assert [mult for _, mult in inv.clusters] == [2, 2]
 
@@ -1035,10 +1062,21 @@ class TestSpectrumOfJRPath:
         commuting = [check_almost_complex(r, J, [line]).passed for line in lines]
         assert commuting == [eps == 1e-12] * len(lines)
         inputs = self.spy_on_eigvals(monkeypatch)
+        tested = []
+        matches_form = jordan_ip._matches_form
+
+        def spy(c, anchors, tol):
+            tested.extend([(c.shape[-2:], c.dtype.kind)] * len(c))
+            return matches_form(c, anchors, tol)
+
+        monkeypatch.setattr(jordan_ip, "_matches_form", spy)
         # The fingerprints cluster at OPERATOR_TOL, far above the perturbation.
         assert check_jordan_ip(r, J, n=5, seed=0).constant
-        assert inputs == [((space.m // 2,) * 2, "c") if c else ((space.m,) * 2, "f")
-                          for c in commuting]
+        paths = [((space.m // 2,) * 2, "c") if c else ((space.m,) * 2, "f") for c in commuting]
+        # The first line of each causal type is fingerprinted, the others rank-tested.
+        anchors = [0, 5] if space.p else [0]
+        assert inputs == [paths[i] for i in anchors]
+        assert tested == [path for i, path in enumerate(paths) if i not in anchors]
         for line, c in zip(lines, commuting):
             if c:
                 assert spectrum_of_JR(pair, J, line).matches(spectrum_of_JR(r, J, line), 1e-8)
@@ -1318,3 +1356,258 @@ class TestSpectrumSpecValidation:
             "above_bound", "small_within_bound", "small_above_bound", "zero"])
     def test_matches(self, a, b, expected):
         assert SpectrumSpec(a).matches(SpectrumSpec(b), 1e-8) is expected
+
+
+def reference_fingerprints(tensor, planes, tol, J=None):
+    """The fingerprint of every R(pi) on the planes, as the Jordan checks took them
+    before the rank test: per block of curvature_operators, one jordan_invariants
+    call for the R(pi) that commute with J, with J's +i basis, and one for the rest."""
+    basis = None if J is None else J._plus_i_basis
+    for ops in curvature_operators(tensor, planes):
+        commuting = np.zeros(len(ops), dtype=bool) if J is None else (
+            np.abs(J.J @ ops - ops @ J.J).max(axis=(1, 2))
+            <= jordan_ip._ALMOST_COMPLEX_TOL * tensor.scale)
+        block = np.empty(len(ops), dtype=object)
+        for path, path_basis in ((commuting, basis), (~commuting, None)):
+            if path.any():
+                block[path] = jordan_invariants(ops[path], tol, path_basis)
+        yield from block
+
+
+def reference_first_offender(anchor, rest, tol):
+    """Index, counting the anchor as 0, of the first of rest not equivalent to it."""
+    return next((i for i, inv in enumerate(rest, 1) if not jordan_equivalent(anchor, inv, tol)), None)
+
+
+def witness_index(planes, witness):
+    """The index in planes of the second plane of a witness, by its vectors."""
+    return next(i for i, p in enumerate(planes) if np.array_equal(p.x, witness[1].x)
+                and np.array_equal(p.y, witness[1].y))
+
+
+class TestRankTestMatchesTheFingerprints:
+    """The Jordan checks fingerprint only the first line of each causal type and
+    rank-test every other R(pi) against it.  Their verdicts, offenders, ranks and
+    anchor fingerprints equal those of fingerprinting every line and comparing
+    each with the first by jordan_equivalent."""
+
+    TOL = jordan_ip.OPERATOR_TOL
+
+    def assert_complex_matches(self, tensor, J, n, seed):
+        planes = [line for lines in jordan_ip._lines_by_type(J, n, seed) for line in lines]
+        invariants = list(reference_fingerprints(tensor, planes, self.TOL, J))
+        by_type = {}
+        for plane, inv in zip(planes, invariants):
+            by_type.setdefault(plane.plane_class, inv)
+        offender = reference_first_offender(invariants[0], invariants[1:], self.TOL)
+        report = check_jordan_ip(tensor, J, n=n, seed=seed)
+        assert report.constant == (offender is None)
+        assert report.rank == (invariants[0].total_rank if offender is None else None)
+        assert repr(report.invariants_by_type) == repr(by_type)
+        if offender is not None:
+            assert witness_index(planes, report.witness) == offender
+        return report
+
+    def assert_real_matches(self, tensor, n, seed):
+        report = check_jordan_ip_real(tensor, n=n, seed=seed)
+        for offset, causal_type in enumerate(report.invariants_by_type):
+            planes = sample_real_planes(tensor.space, causal_type, n, seed + offset)
+            anchor, *rest = reference_fingerprints(tensor, planes, self.TOL)
+            offender = reference_first_offender(anchor, rest, self.TOL)
+            assert repr(report.invariants_by_type[causal_type]) == repr(anchor)
+            assert report.constant_by_type[causal_type] == (offender is None)
+            assert report.rank_by_type[causal_type] == anchor.total_rank
+            if offender is not None:
+                assert witness_index(planes, report.witnesses[causal_type]) == offender
+        return report
+
+    # The jordan_sweep and cli_reports shapes: R_Id on real planes, and
+    # c0 R_Id + c1 R_J, a R_Id + b R_C and the quaternionic (1, 2, 8, 0) tensor
+    # on complex lines, with coefficients drawn in [0.5, 2] as the sweep draws them.
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (2, 6), (0, 16), (8, 8)], ids=str)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sweep_configs(self, sig, seed):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        c0, c1, a, b = np.random.default_rng([seed, *sig]).uniform(0.5, 2.0, 4)
+        identity = from_self_adjoint(space, np.eye(space.m))
+        self.assert_real_matches(identity, 100, seed)
+        assert self.assert_complex_matches(build_complex_pair_tensor(J, c0, c1), J, 100, seed).constant
+        r = combine([(a, identity), (b, from_self_adjoint(space, conjugation_map(space.m)))])
+        assert not self.assert_complex_matches(r, J, 100, seed).constant
+        if sig[0] % 4 == 0 and sig[0] * sig[1] == 0:
+            quat = standard_quaternion_structure(space)
+            report = self.assert_complex_matches(
+                build_quaternionic_tensor(quat, 1, 2, 8, 0), quat.as_complex, 100, seed)
+            assert report.constant
+
+    # Operators that move from line to line, and operators that do not commute
+    # with J, which take the real path against an anchor read on C^{m/2}.
+    @pytest.mark.parametrize("sig", [(0, 6), (4, 4), (2, 6)], ids=str)
+    def test_moving_and_non_commuting_operators(self, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        for seed in range(3):
+            self.assert_real_matches(random_algebraic_curvature_tensor(space, seed), 70, seed)
+            self.assert_complex_matches(random_algebraic_curvature_tensor(space, seed), J, 70, seed)
+            self.assert_complex_matches(random_J_invariant_tensor(J, seed), J, 70, seed)
+            pair = build_complex_pair_tensor(J, 1.0, 0.5)
+            r = combine([(1.0, pair), (1e-9, random_algebraic_curvature_tensor(space, seed))])
+            self.assert_complex_matches(r, J, 70, seed)
+
+    # Item 15's integer lines x = a e0 + a e4 + e6 of (4,4), kappa 3 to 9.8e3,
+    # as the spacelike sample: on C^{m/2}, and on the real path as real planes,
+    # where kappa >= 5e3 drops a rank of the fingerprint and of the rank test alike.
+    def test_integer_lines(self, monkeypatch):
+        space = BilinearSpace(4, 4)
+        J = standard_complex_structure(space)
+        r = build_complex_pair_tensor(J, 1, 2)
+        lines = []
+        for a in (1, 10, 30, 50, 70, 2, 20, 40, 60):
+            x = np.zeros(8)
+            x[0] = x[4] = a
+            x[6] = 1
+            lines.append(complex_line(J, x))
+        sample = jordan_ip.sample_complex_lines
+        monkeypatch.setattr(jordan_ip, "sample_complex_lines", lambda J, t, n, seed: (
+            list(lines) if t is PlaneClass.SPACELIKE else sample(J, t, n, seed)))
+        assert self.assert_complex_matches(r, J, 20, 0).constant
+        monkeypatch.setattr(jordan_ip, "sample_real_planes", lambda space, t, n, seed: list(lines))
+        report = check_jordan_ip_real(r, n=len(lines), seed=0)
+        invariants = list(reference_fingerprints(r, lines, self.TOL))
+        offender = reference_first_offender(invariants[0], invariants[1:], self.TOL)
+        assert offender == 3  # a = 50, item 1's rank drop
+        for causal_type in report.invariants_by_type:
+            assert repr(report.invariants_by_type[causal_type]) == repr(invariants[0])
+            assert witness_index(lines, report.witnesses[causal_type]) == offender
+
+    # Item 3's phi = [[D, -D], [D, -D]], D = diag(1, 1, 0, ...): R(pi) is 0 on
+    # span{e2, J e2}, which sampling does not find, so both paths read
+    # "constant, rank 2" (item 3's defect, not this check's).
+    @pytest.mark.parametrize("sig", [(4, 4), (8, 8)], ids=str)
+    def test_rank_drop_config(self, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        d = np.diag([1.0, 1.0] + [0.0] * (space.m // 2 - 2))
+        r = from_self_adjoint(space, np.block([[d, -d], [d, -d]]))
+        for seed in range(3):
+            report = self.assert_complex_matches(r, J, 100, seed)
+            assert report.constant and report.rank == 2
+
+
+class TestRankTestSensitivity:
+    """The rank test sees a moved eigenvalue and a merged Jordan block.
+
+    The anchor is R(pi) of R_Id + 2 R_J on the (4,4) line of e4 (spacelike)
+    or e0 (timelike): R(pi) is normal, with +-7i once and +-4i three times, and
+    A_c holds 7i, 4i on one type and their conjugates on the other.  The other
+    operator is T R' T^-1 for a T that commutes with J, of condition number 2
+    or 4, where R' moves or merges eigenvalues of A_c through its eigenvectors."""
+
+    TOL = jordan_ip.OPERATOR_TOL
+    SPACE = BilinearSpace(4, 4)
+
+    def anchor(self, i):
+        J = standard_complex_structure(self.SPACE)
+        return J, curvature_operator(build_complex_pair_tensor(J, 1, 2), complex_line(J, e(8, i)))
+
+    @staticmethod
+    def realify(q, a_c):
+        """The real operator whose block on C^{m/2} in the orthonormal basis q is a_c."""
+        half = q @ a_c @ q.conj().T
+        return 2 * half.real
+
+    def verdicts(self, i, change, cond=2.0):
+        """_matches_form of T R' T^-1 against R(pi), on C^{m/2} and as a real matrix."""
+        J, op = self.anchor(i)
+        q = J._plus_i_basis
+        a_c = q.conj().T @ op @ q
+        values, vectors = np.linalg.eig(a_c)
+        rng = np.random.default_rng(i)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        w, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        t = self.realify(q, u @ np.diag(np.linspace(1.0, cond, 4)) @ w.conj().T)
+        assert np.linalg.cond(t) == pytest.approx(cond)
+        moved = self.realify(q, a_c + change(values, vectors, np.linalg.svd(op, compute_uv=False)[0]))
+        x = t @ moved @ np.linalg.inv(t)
+        fast = pseudo_linalg._matches_form(
+            (q.conj().T @ x @ q)[None], [jordan_invariants(op, self.TOL, q)], self.TOL)
+        real = pseudo_linalg._matches_form(x[None], [jordan_invariants(op, self.TOL)], self.TOL)
+        return bool(fast[0]), bool(real[0])
+
+    @staticmethod
+    def move(factor, target):
+        """Move the eigenvalue of A_c at target by factor * tol * scale."""
+        def change(values, vectors, scale):
+            k = np.argmin(np.abs(values - target))
+            v = vectors[:, k] / np.linalg.norm(vectors[:, k])
+            return factor * TestRankTestSensitivity.TOL * scale * np.outer(v, v.conj())
+        return change
+
+    @pytest.mark.parametrize("i", [4, 0], ids=["spacelike", "timelike"])
+    def test_an_unchanged_form_passes(self, i):
+        assert self.verdicts(i, lambda values, vectors, scale: 0.0) == (True, True)
+
+    @pytest.mark.parametrize("i", [4, 0], ids=["spacelike", "timelike"])
+    @pytest.mark.parametrize("target", [7, 4])
+    @pytest.mark.parametrize("cond", [2.0, 4.0])
+    def test_a_moved_eigenvalue_is_seen(self, i, target, cond):
+        sign = 1 if i == 4 else -1
+        assert self.verdicts(i, self.move(10, sign * target * 1j), cond) == (False, False)
+        assert self.verdicts(i, self.move(0.1, sign * target * 1j), cond) == (True, True)
+
+    @pytest.mark.parametrize("i", [4, 0], ids=["spacelike", "timelike"])
+    @pytest.mark.parametrize("cond", [2.0, 4.0])
+    def test_a_merged_block_is_seen(self, i, cond):
+        def merge(values, vectors, scale):
+            # Two orthonormal eigenvectors of the triple eigenvalue 4i (or -4i):
+            # A_c + scale v1 v2^H maps v2 to 4i v2 + scale v1, a Jordan block of size 2.
+            k = np.flatnonzero(np.abs(np.abs(values) - 4) < 1e-9)
+            v, _ = np.linalg.qr(vectors[:, k])
+            return scale * np.outer(v[:, 0], v[:, 1].conj())
+        assert self.verdicts(i, merge, cond) == (False, False)
+
+
+class TestLapackCalls:
+    """Only anchors are fingerprinted: eigvals once per anchor, the SVD twice
+    per anchor (scales and k = 1 blocks), and the rank test one SVD per power
+    level per block of _BLOCK operators that it tests.  The forms here are
+    semisimple, so every sequence stops at k = 1: one level per block."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The shape of the input of every eigvals and svd call from now on."""
+        calls = {"eigvals": [], "svd": []}
+        for name, seen in calls.items():
+            def spy(a, *args, _original=getattr(np.linalg, name), _seen=seen, **kwargs):
+                _seen.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    def test_complex_check(self, monkeypatch):
+        J = standard_complex_structure(BilinearSpace(8, 8))
+        r = build_complex_pair_tensor(J, 1.3, 0.7)
+        calls = self.spy(monkeypatch)
+        report = check_jordan_ip(r, J, n=100, seed=1)
+        anchors, blocks = len(report.invariants_by_type), -(-200 // jordan_ip._BLOCK)
+        assert report.constant and anchors == 2 and blocks == 4
+        assert calls["eigvals"] == [(1, 8, 8)] * anchors
+        assert len(calls["svd"]) == 2 * anchors + blocks
+        # Two conjugate pairs of clusters, two blocks of C^8 each, on every line,
+        # and the scales of the anchors.
+        assert {shape[1:] for shape in calls["svd"]} == {(8, 8)}
+        assert sum(shape[0] for shape in calls["svd"]) == anchors + 4 * 200
+
+    def test_real_check(self, monkeypatch):
+        r = from_self_adjoint(BilinearSpace(4, 4), np.eye(8))
+        calls = self.spy(monkeypatch)
+        report = check_jordan_ip_real(r, n=100, seed=1)
+        anchors, blocks = len(report.invariants_by_type), 3 * -(-100 // jordan_ip._BLOCK)
+        assert report.constant and anchors == 3 and blocks == 6
+        assert calls["eigvals"] == [(1, 8, 8)] * anchors
+        assert len(calls["svd"]) == 2 * anchors + blocks
+        # Three clusters, -s, 0 and s on a mixed plane, s i, 0 and -s i on the
+        # others, where the cluster at -s i takes the ranks of s i: 2 or 3 blocks
+        # on every plane, and the scales of the anchors.
+        assert sum(shape[0] for shape in calls["svd"]) == anchors + (2 + 2 + 3) * 100

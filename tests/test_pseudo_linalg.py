@@ -17,6 +17,7 @@ from curvlab import (
     adjoint,
     build_complex_pair_tensor,
     build_quaternionic_tensor,
+    check_admissible,
     check_admissible_pair,
     classify_plane,
     combine,
@@ -33,7 +34,7 @@ from curvlab import (
     standard_complex_structure,
     standard_quaternion_structure,
 )
-from curvlab import complex_structures, jordan_ip
+from curvlab import complex_structures, jordan_ip, pseudo_linalg
 from curvlab.pseudo_linalg import (
     JordanInvariants,
     _cluster_eigenvalues,
@@ -267,6 +268,29 @@ class TestJordanInvariants:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             jordan_invariants(np.eye(4), 0.0)
         assert calls == [((4, 4), "f", 1)]
+
+    # lambda / (tol * sigma_max) overflows for tol = 1e-310, and a tol below eps
+    # resolves nothing that eps does not: the fingerprint refuses it after the
+    # scale SVD, where it refuses tol <= 0, and before any clustering.
+    @pytest.mark.parametrize("tol", [1e-310, 1e-17])
+    def test_tol_below_machine_epsilon_raises_before_clustering(self, tol, monkeypatch):
+        calls = spy_on_svd(monkeypatch)
+        clustered = []
+        monkeypatch.setattr(pseudo_linalg, "_cluster_eigenvalues",
+                            lambda *args: clustered.append(args) or _cluster_eigenvalues(*args))
+        with pytest.raises(ValueError, match="tolerance must be at least machine epsilon"):
+            jordan_invariants(np.diag([1.0, 2.0]), tol)
+        assert calls == [((2, 2), "f", 1)] and clustered == []
+        inv = jordan_invariants(np.diag([1.0, 2.0]), np.finfo(float).eps)
+        assert inv.clusters == ((1.0, 1), (2.0, 1)) and inv.total_rank == 2
+
+    # The rank and admissibility checks take the config tol, and keep any tol > 0.
+    def test_rank_and_admissibility_keep_a_tiny_tol(self):
+        assert numeric_rank(np.diag([1.0, 2.0]), 1e-310) == 2
+        J = standard_complex_structure(BilinearSpace(0, 4))
+        assert check_admissible(np.eye(4), J, 1e-310).admissible
+        report = check_admissible_pair(np.eye(4), conjugation_map(4), J, n_lines=3, tol=1e-310)
+        assert not report.admissible and report.residuals["cross_adjoint"] == 2.0
 
     def test_nilpotent_block(self):
         inv = jordan_invariants(np.array([[0.0, 1.0], [0.0, 0.0]]))
