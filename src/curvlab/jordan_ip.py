@@ -223,10 +223,10 @@ def _fingerprints(tensor: CurvatureTensor, planes: list[OrientedPlane], tol: flo
     """Whether each R(pi) on the planes has the Jordan form of its anchor, the first plane
     of its causal type, lazily, one array per block of curvature_operators: a consumer
     that stops early wastes at most one block.  An anchor has its own form; its
-    fingerprint goes into anchors, taken alone by jordan_invariants, on C^{m/2} with J's
-    +i basis when it commutes with J as check_almost_complex tests it, else as a real
-    matrix.  No other R(pi) is fingerprinted: _matches_form tests each against its anchor,
-    on C^{m/2} when both commute with J, else as a real matrix, one call per path."""
+    jordan_invariants go into anchors, on C^{m/2} with J's +i basis when it commutes
+    with J as check_almost_complex tests it, else as a real matrix.  No other R(pi) is
+    fingerprinted: _matches_form tests each against its anchor, on C^{m/2} when both
+    commute with J, else as a real matrix, one call per path."""
     basis, on_basis, start = None if J is None else J._plus_i_basis, {}, 0
     for ops in curvature_operators(tensor, planes):
         types = [plane.plane_class for plane in planes[start:start + len(ops)]]
@@ -373,11 +373,11 @@ class SpectrumSpec:
         return 2 * sum(mu for _, mu in self.eigenvalues)
 
     def matches(self, other: "SpectrumSpec", tol: float) -> bool:
-        """Multiset agreement: each eigenvalue of self, in order, is paired with
-        the nearest remaining one of other of equal multiplicity, within
-        tol * max |eigenvalue| over both spectra, with no floor of 1."""
+        """Multiset agreement: each eigenvalue of self, in order, is paired with the
+        nearest remaining one of other of equal multiplicity, within tol * max
+        |eigenvalue| over both spectra (no floor of 1), tol positive and finite."""
         both = self.eigenvalues + other.eigenvalues
-        return _paired(self.eigenvalues, other.eigenvalues, tol * max(abs(lam) for lam, _ in both))
+        return _paired(self.eigenvalues, other.eigenvalues, tol, max(abs(lam) for lam, _ in both))
 
 
 def spectrum_of_JR(

@@ -236,7 +236,7 @@ class JordanInvariants:
 
     _members, private and outside equality and repr, counts per cluster the
     members that are eigenvalues of A_c for a fingerprint read on C^{m/2}, or
-    all of them; _matches_form reads them.
+    all of them; _ranks_at reads them when _matches_form tests an A_c.
     """
 
     dimension: int
@@ -303,16 +303,17 @@ def _rank_sequences(c: np.ndarray, rows: np.ndarray, mus: np.ndarray, members: n
 
 def jordan_invariants(
     a: np.ndarray, tol: float = DEFAULT_TOL, basis: np.ndarray | None = None
-) -> JordanInvariants | list[JordanInvariants]:
-    """Eigenvalue clusters plus rank sequences of shifted powers of a real square matrix.
+) -> JordanInvariants:
+    """Eigenvalue clusters plus rank sequences of shifted powers of one real (m, m) matrix.
 
     Eigenvalues cluster at distance tol * sigma_max(A).  A Jordan block of size
     n scatters them by about eps^(1/n) sigma_max(A), so a nilpotent block of
     size <= 2 stays in one cluster, but one of size 3 can split at tol 1e-6.
-    The rank of (A - lambda I)^k counts singular values above tol * sigma_max(A
-    - lambda I)^k, up to the k where it is at most m - multiplicity or repeats,
-    constant from there on in exact arithmetic.  The cluster at conj(lambda)
-    takes the ranks of lambda's.
+    lambda is numpy's pairwise sum of a cluster's members in index order over
+    the multiplicity.  _ranks_at reads the ranks of (A - lambda I)^k as
+    _matches_form reads other matrices': one SVD call for the k = 1 blocks, one
+    per further power, up to the k where the rank is at most m - multiplicity or
+    repeats, constant from there on in exact arithmetic.  A stack raises ValueError.
 
     basis, when given, is an orthonormal basis Q of the +i eigenspace of a
     complex structure J commuting with A.  Then A is diag(A_c, conj(A_c)) in
@@ -320,147 +321,99 @@ def jordan_invariants(
     at half the size: rank((A - lambda)^k) = rank_c((A_c - lambda)^k) + rank_c((A_c
     - conj(lambda))^k), the second m/2 when conj(lambda) is no eigenvalue of A_c.
     [Q, conj(Q)] is unitary only for an orthogonal J, else sigma_max(A_c) <= sigma_max(A).
-
-    a may also be a (k, m, m) stack, all taken with the one basis or none; then
-    the result is the list of the k fingerprints, each equal, field by field and
-    bit by bit, to that of its matrix alone.  A stack takes one eigvals call,
-    one SVD call for the scales, one for the k = 1 shifted blocks of all its
-    clusters, and one per further power, over the sequences still running.
-    The records of the clusters of the whole stack are built as arrays, and
-    lambda is numpy's pairwise sum of a cluster's members in index order over
-    the multiplicity, taken as a row of a C-contiguous (clusters, multiplicity)
-    gather, so each fingerprint keeps the bits of its matrix alone.
-    np.linalg.eigvals returns a real array only when every eigenvalue of the
-    stack is real, so a real matrix's eigenvalues are summed as real when its
-    own are, as for the matrix alone: a complex sum rounds otherwise.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    stack = a if a.ndim == 3 else a[None]
-    m = stack.shape[-1]
-    c, n = (stack, m) if basis is None else (basis.conj().T @ stack @ basis, m // 2)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected one square matrix of shape (m, m), got shape {a.shape}")
+    m = len(a)
+    c, n = (a, m) if basis is None else (basis.conj().T @ a @ basis, m // 2)
     evals = np.linalg.eigvals(c)
     svals = np.linalg.svd(c, compute_uv=False)
-    scales = svals[:, 0].tolist() if n else [0.0] * len(c)
-    total_ranks = (1 if n == m else 2) * _rank_from_singular_values(svals, tol)  # raises unless tol > 0
+    scale = float(svals[0]) if n else 0.0
+    total_rank = (1 if n == m else 2) * int(_rank_from_singular_values(svals, tol))  # raises unless tol > 0
     if tol < np.finfo(float).eps:
         # lambda / (tol * sigma_max) below would overflow to infinite sort keys.
         raise ValueError(f"tolerance must be at least machine epsilon {np.finfo(float).eps:.3g}, got {tol}")
-    evals = evals if n == m else np.concatenate([evals, evals.conj()], axis=1)
-    units = tol * np.array(scales)
-    roots, ambiguous = _cluster_eigenvalues(evals, units)
-    # A real matrix's eigenvalue pairs are exactly conjugate: conj_roots[i, j] is conj(evals[i, j])'s root.
-    conj_roots = roots[np.arange(len(c))[:, None], np.argmax(
-        evals.conj()[:, :, None] == evals[:, None, :], axis=2)] if m else roots
+    evals = evals if n == m else np.concatenate([evals, evals.conj()])
+    roots, ambiguous = _cluster_eigenvalues(evals, tol * scale)
+    # The clusters in order of their roots, with the members that are eigenvalues of c.
+    found = np.flatnonzero(np.bincount(roots, minlength=m))
+    mult, own = (np.bincount(roots[:end], minlength=m)[found] for end in (m, n))
+    lam = (np.array([evals[roots == root].sum() for root in found.tolist()]) / mult).astype(complex)
+    ranks = _ranks_at(c[None], [([0], lam, mult, own)], tol)[0][0] if m else np.zeros((0, 0), dtype=int)
 
-    # One record per cluster, by (matrix i, root), with its multiplicity, the members that are
-    # eigenvalues of c[i] and the root of its conjugate.
-    keys = roots + m * np.arange(len(c))[:, None]
-    mult_at = np.bincount(keys.ravel(), minlength=keys.size)
-    found = mult_at.nonzero()[0]
-    i, root = np.divmod(found, m)
-    mult, conj = mult_at[found], conj_roots[i, root]
-    own = mult if n == m else np.bincount(keys[:, :n].ravel(), minlength=keys.size)[found]
-    # lambda: a stable sort of the keys groups each cluster's members in index order, and each row
-    # of a C-contiguous (clusters, mu) gather, summed and divided by mu, is numpy's pairwise sum of
-    # the row alone.  kind is odd for the clusters of a matrix read as real.
-    grouped, starts = keys.argsort(axis=None, kind="stable"), mult.cumsum() - mult
-    kind = 2 * mult if basis is not None else 2 * mult + ~evals.imag.any(axis=1)[i]
-    values, lam = (evals.ravel(), evals.ravel().real), np.empty(len(found), dtype=complex)
-    for g in set(kind.tolist()):
-        at, (mu, real) = kind == g, divmod(g, 2)
-        lam[at] = values[real][grouped[starts[at][:, None] + np.arange(mu)]].sum(axis=1) / mu
+    # Order on both parts rounded to multiples of the clustering threshold, so that noise far
+    # below it, such as the +-1e-16 real parts of a skew operator's eigenvalues, cannot reorder
+    # the clusters; raw values break ties, and lexsort, being stable, keeps the roots' order.
+    unit = tol * scale or 1.0
+    order = np.lexsort((lam.imag, lam.real, np.rint(lam.imag / unit), np.rint(lam.real / unit)))
+    mults = mult[order].tolist()
+    return JordanInvariants(m, tuple(zip(lam[order].tolist(), mults)),
+                            tuple(tuple(row[:mu]) for row, mu in zip(ranks[order].tolist(), mults)),
+                            total_rank, bool(ambiguous), scale, tuple(own[order].tolist()))
 
-    # A cluster's blocks A - mu I: at lambda unless its conjugate comes earlier, and at conj(lambda)
-    # too on C^{m/2} when its conjugate comes later, each with the members that are its eigenvalues
-    # (with none it has full rank).
-    take = np.array([conj >= root, (conj > root) & (n < m)]).T
-    cluster, second = take.nonzero()
-    block_ranks = _rank_sequences(
-        c, i[cluster], np.array([lam, lam.conj()]).T[take], np.array([own, mult - own]).T[take],
-        mult[cluster], np.arange(len(cluster)) + np.where(second, -1, take[cluster, 1]), tol,
-    ) if cluster.size else np.zeros((0, 0), dtype=int)
-    ranks = np.zeros(take.shape + block_ranks.shape[1:], dtype=int)
-    ranks[take] = block_ranks
-    # A cluster's ranks sum its blocks', twice its one block's on C^{m/2}, where it stands for
-    # itself and its conjugate; with no blocks it takes those of its conjugate, an earlier cluster.
-    ranks = ranks.sum(axis=1) * np.where((n < m) & (conj == root), 2, 1)[:, None]
-    source = np.arange(len(found))
-    while not take[source, 0].all():
-        source = np.where(take[source, 0], source, ((mult_at > 0).cumsum() - 1)[(i * m + conj)[source]])
 
-    # Order on both parts rounded to multiples of the clustering threshold, so
-    # that noise far below it, such as the +-1e-16 real parts of a skew
-    # operator's eigenvalues, cannot reorder the clusters; raw values break ties.
-    # lexsort is stable, so equal keys keep the order of the roots.
-    unit = np.where(units == 0, 1.0, units)[i]
-    order = np.lexsort((lam.imag, lam.real, np.rint(lam.imag / unit), np.rint(lam.real / unit), i))
-    lams, mults, source = lam[order].tolist(), mult[order].tolist(), source[order]
-    owns = own[order].tolist()
-    seqs = [tuple(row[:length]) for row, length in zip(ranks[source].tolist(), mult[source].tolist())]
-    ends = np.cumsum(np.bincount(i, minlength=len(c))).tolist()
-    fingerprints = [
-        JordanInvariants(m, tuple(zip(lams[s:e], mults[s:e])), tuple(seqs[s:e]), rank, flag, scale,
-                         tuple(owns[s:e]))
-        for s, e, rank, flag, scale in zip([0] + ends, ends, total_ranks.tolist(), ambiguous.tolist(), scales)]
-    return fingerprints if a.ndim == 3 else fingerprints[0]
+def _ranks_at(c: np.ndarray, forms: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray, np.ndarray]],
+              tol: float) -> list[np.ndarray]:
+    """Ranks of (c[i] - lambda I)^k at the clusters of Jordan forms, by one _rank_sequences
+    call.  A form (ops, lambdas, multiplicities, members) gets the ranks of c[i], i in ops,
+    as a (len(ops), clusters, width) array, width the largest multiplicity of all forms.
+
+    The multiplicities sum to m, so c of size n < m is read on C^{m/2}, with the blocks
+    A_c - lambda (the members, those of the cluster that are eigenvalues of A_c) and A_c -
+    conj(lambda) (the rest); else a cluster has one block, A - lambda.  Only the first
+    cluster of a conjugate pair, its partner nearest conj(lambda), has blocks."""
+    n, columns, parts = c.shape[-1], [], []
+    for ops, lam, mult, own in forms:
+        half, index = n < mult.sum(), np.arange(len(lam))
+        own = own if half else mult
+        conj = np.abs(lam[:, None] - lam.conj()).argmin(axis=1)
+        # Blocks at lambda, and at conj(lambda) on C^{m/2}, for the first cluster of each pair, each with
+        # its members, multiplicity and step to its partner: the other block of its cluster, or itself.
+        take = np.array([conj >= index, (conj > index) & half]).T
+        cluster, second = take.nonzero()
+        at = np.arange(len(ops) * len(cluster))
+        columns.append([np.asarray(ops)[at // len(cluster)]] + [v[at % len(cluster)] for v in (
+            np.array([lam, lam.conj()]).T[take], np.array([own, mult - own]).T[take], mult[cluster],
+            np.where(second, -1, take[cluster, 1]))])
+        # A cluster's ranks sum its blocks', twice its one block's on C^{m/2}, or are its partner's.
+        first = np.where(take[:, 0], index, conj)
+        weights = (cluster == first[:, None]) * np.where(half & (conj == index), 2, 1)[cluster]
+        parts.append((len(ops), weights))
+    rows, mus, members, mults, steps = map(np.concatenate, zip(*columns))
+    ranks = _rank_sequences(c, rows, mus, members, mults, np.arange(len(rows)) + steps, tol)
+    ends = np.cumsum([0] + [k * weights.shape[1] for k, weights in parts]).tolist()
+    return [weights @ ranks[start:end].reshape(k, weights.shape[1], -1)
+            for (k, weights), start, end in zip(parts, ends, ends[1:])]
 
 
 def _matches_form(c: np.ndarray, anchors: Sequence[JordanInvariants], tol: float) -> np.ndarray:
-    """Whether each matrix c[i] has the Jordan form of anchors[i], by one _rank_sequences
-    call with no eigenvalues: the ranks of (c[i] - lambda I)^k at the anchor's clusters
-    lambda must be the anchor's rank sequences.  The multiplicities of the clusters sum
-    to m, so equal sequences leave c[i] no other eigenvalue and give it the anchor's
-    Jordan blocks.
-
-    c holds real m x m matrices, tested with all members of a cluster in its one block,
-    whichever path the anchor took; or the m/2 x m/2 blocks A_c of matrices that commute
-    with J, whose anchors were read on C^{m/2} too, tested as jordan_invariants reads
-    A_c: the blocks at lambda and conj(lambda) take the anchor's members there, and a
-    block with none has full rank.  The cluster at conj(lambda) has lambda's ranks."""
-    n = c.shape[-1]
+    """Whether each matrix c[i] has the Jordan form of anchors[i], with no eigenvalues:
+    its ranks at the anchor's clusters, read by _ranks_at in one call, must be the
+    anchor's rank sequences.  The multiplicities sum to m, so equal sequences leave
+    c[i] no other eigenvalue and give it the anchor's Jordan blocks.  c holds real
+    m x m matrices, whichever path the anchor took, or the m/2 x m/2 blocks A_c of
+    matrices that commute with J, whose anchors were read on C^{m/2} too."""
     groups: dict[int, tuple[JordanInvariants, list[int]]] = {}
     for i, anchor in enumerate(anchors):
         groups.setdefault(id(anchor), (anchor, []))[1].append(i)
-    parts, offset = [], 0
-    rows, mus, members, mults, partners = ([] for _ in range(5))
-    for anchor, ops in groups.values():
-        lam, mult = (np.array(v) for v in zip(*anchor.clusters))
-        half, index = n < anchor.dimension, np.arange(len(lam))
-        own = np.array(anchor._members) if half else mult
-        conj = np.abs(lam[:, None] - lam.conj()).argmin(axis=1)
-        # The blocks of jordan_invariants, for the first cluster of each conjugate pair: at
-        # lambda, and at conj(lambda) on C^{m/2}, each with its members.
-        take = np.array([conj >= index, (conj > index) & half]).T
-        cluster, second = take.nonzero()
-        blocks, k = len(cluster), len(ops)
-        rows.append(np.repeat(ops, blocks))
-        mus.append(np.tile(np.array([lam, lam.conj()]).T[take], k))
-        members.append(np.tile(np.array([own, mult - own]).T[take], k))
-        mults.append(np.tile(mult[cluster], k))
-        partner = np.arange(blocks) + np.where(second, -1, take[cluster, 1])
-        partners.append((offset + blocks * np.arange(k)[:, None] + partner).ravel())
-        # A cluster's ranks sum its blocks', twice its one block's on C^{m/2}.
-        weights = np.zeros((len(lam), blocks), dtype=int)
-        weights[cluster, np.arange(blocks)] = np.where(half & (conj == index), 2, 1)[cluster]
-        seqs = [seq for seq, lead in zip(anchor.rank_sequences, take[:, 0]) if lead]
-        parts.append((ops, offset, blocks, weights[take[:, 0]], seqs))
-        offset += blocks * k
-    ranks = _rank_sequences(c, *map(np.concatenate, (rows, mus, members, mults, partners)), tol)
-    width, same = ranks.shape[1], np.empty(len(anchors), dtype=bool)
-    for ops, start, blocks, weights, seqs in parts:
-        got = weights @ ranks[start:start + blocks * len(ops)].reshape(len(ops), blocks, width)
-        want = np.array([seq + seq[-1:] * (width - len(seq)) for seq in seqs])
-        same[ops] = (got == want).all(axis=(1, 2))
+    forms = [(ops, *map(np.array, zip(*anchor.clusters)), np.array(anchor._members))
+             for anchor, ops in groups.values()]
+    same = np.empty(len(anchors), dtype=bool)
+    for (anchor, ops), ranks in zip(groups.values(), _ranks_at(c, forms, tol)):
+        want = np.array([seq + seq[-1:] * (ranks.shape[-1] - len(seq)) for seq in anchor.rank_sequences])
+        same[ops] = (ranks == want).all(axis=(1, 2))
     return same
 
 
-def _paired(a: Sequence[tuple[Any, Any]], b: Sequence[tuple[Any, Any]], bound: float) -> bool:
+def _paired(a: Sequence[tuple[Any, Any]], b: Sequence[tuple[Any, Any]], tol: float, scale: float) -> bool:
     """Whether the (value, key) entries of a and b pair up one to one: each
     entry of a, in order, takes the nearest remaining entry of b with an equal
-    key, which must lie within bound of it."""
-    remaining = list(b)
+    key, which must lie within tol * scale of it.  A tol that is not positive
+    and finite raises ValueError: a NaN or infinite one would pair any entries."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    remaining, bound = list(b), tol * scale
     for value, key in a:
         same_key = [e for e in remaining if e[1] == key]
         best = min(same_key, key=lambda e: abs(e[0] - value), default=None)
@@ -475,10 +428,11 @@ def jordan_equivalent(a: JordanInvariants, b: JordanInvariants, tol: float = DEF
 
     Each cluster of a, in order, is paired with the nearest remaining cluster
     of b of equal multiplicity and rank sequence; paired eigenvalues may differ
-    by at most tol * max(a.scale, b.scale), a bound with no floor of 1.
+    by at most tol * max(a.scale, b.scale), a bound with no floor of 1.  tol
+    must be positive and finite.
     """
     if a.dimension != b.dimension:
         raise ValueError(f"ambient dimensions differ: {a.dimension} != {b.dimension}")
     keyed = [[(lam, (mult, seq)) for (lam, mult), seq in zip(f.clusters, f.rank_sequences)]
              for f in (a, b)]
-    return _paired(*keyed, tol * max(a.scale, b.scale))
+    return _paired(*keyed, tol, max(a.scale, b.scale))

@@ -1357,21 +1357,25 @@ class TestSpectrumSpecValidation:
     def test_matches(self, a, b, expected):
         assert SpectrumSpec(a).matches(SpectrumSpec(b), 1e-8) is expected
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8, 0.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        one, five = SpectrumSpec(((1.0, 1),)), SpectrumSpec(((5.0, 1),))
+        for other in (five, one):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                one.matches(other, tol)
+
 
 def reference_fingerprints(tensor, planes, tol, J=None):
     """The fingerprint of every R(pi) on the planes, as the Jordan checks took them
-    before the rank test: per block of curvature_operators, one jordan_invariants
-    call for the R(pi) that commute with J, with J's +i basis, and one for the rest."""
+    before the rank test: per block of curvature_operators, jordan_invariants of each
+    R(pi), with J's +i basis when it commutes with J."""
     basis = None if J is None else J._plus_i_basis
     for ops in curvature_operators(tensor, planes):
         commuting = np.zeros(len(ops), dtype=bool) if J is None else (
             np.abs(J.J @ ops - ops @ J.J).max(axis=(1, 2))
             <= jordan_ip._ALMOST_COMPLEX_TOL * tensor.scale)
-        block = np.empty(len(ops), dtype=object)
-        for path, path_basis in ((commuting, basis), (~commuting, None)):
-            if path.any():
-                block[path] = jordan_invariants(ops[path], tol, path_basis)
-        yield from block
+        yield from (jordan_invariants(op, tol, basis if on_basis else None)
+                    for op, on_basis in zip(ops, commuting))
 
 
 def reference_first_offender(anchor, rest, tol):
@@ -1592,12 +1596,12 @@ class TestLapackCalls:
         report = check_jordan_ip(r, J, n=100, seed=1)
         anchors, blocks = len(report.invariants_by_type), -(-200 // jordan_ip._BLOCK)
         assert report.constant and anchors == 2 and blocks == 4
-        assert calls["eigvals"] == [(1, 8, 8)] * anchors
+        assert calls["eigvals"] == [(8, 8)] * anchors
         assert len(calls["svd"]) == 2 * anchors + blocks
         # Two conjugate pairs of clusters, two blocks of C^8 each, on every line,
-        # and the scales of the anchors.
-        assert {shape[1:] for shape in calls["svd"]} == {(8, 8)}
-        assert sum(shape[0] for shape in calls["svd"]) == anchors + 4 * 200
+        # and the scales of the anchors, each an SVD of one matrix.
+        assert {shape[-2:] for shape in calls["svd"]} == {(8, 8)}
+        assert sum(np.prod(shape[:-2], dtype=int) for shape in calls["svd"]) == anchors + 4 * 200
 
     def test_real_check(self, monkeypatch):
         r = from_self_adjoint(BilinearSpace(4, 4), np.eye(8))
@@ -1605,9 +1609,9 @@ class TestLapackCalls:
         report = check_jordan_ip_real(r, n=100, seed=1)
         anchors, blocks = len(report.invariants_by_type), 3 * -(-100 // jordan_ip._BLOCK)
         assert report.constant and anchors == 3 and blocks == 6
-        assert calls["eigvals"] == [(1, 8, 8)] * anchors
+        assert calls["eigvals"] == [(8, 8)] * anchors
         assert len(calls["svd"]) == 2 * anchors + blocks
         # Three clusters, -s, 0 and s on a mixed plane, s i, 0 and -s i on the
         # others, where the cluster at -s i takes the ranks of s i: 2 or 3 blocks
         # on every plane, and the scales of the anchors.
-        assert sum(shape[0] for shape in calls["svd"]) == anchors + (2 + 2 + 3) * 100
+        assert sum(np.prod(shape[:-2], dtype=int) for shape in calls["svd"]) == anchors + (2 + 2 + 3) * 100

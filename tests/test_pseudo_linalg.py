@@ -38,6 +38,7 @@ from curvlab import complex_structures, jordan_ip, pseudo_linalg
 from curvlab.pseudo_linalg import (
     JordanInvariants,
     _cluster_eigenvalues,
+    _matches_form,
     _plane_gram,
     _rank_from_singular_values,
     _rejection_sample,
@@ -339,6 +340,13 @@ class TestJordanInvariants:
         with pytest.raises(ValueError):
             jordan_invariants(np.ones((2, 3)))
 
+    # One matrix per call: a stack is ranked against a known form by _matches_form.
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (1, 4, 4), (0, 4, 4), (3,), (2, 3, 3, 3), (2, 2, 3)], ids=str)
+    def test_rejects_stacks_and_other_shapes(self, shape):
+        message = f"expected one square matrix of shape (m, m), got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            jordan_invariants(np.zeros(shape))
+
     def test_empty_map_has_an_empty_fingerprint(self):
         inv = jordan_invariants(np.zeros((0, 0)))
         assert (inv.dimension, inv.clusters, inv.rank_sequences, inv.total_rank) == (0, (), (), 0)
@@ -422,6 +430,15 @@ class TestJordanEquivalent:
     def test_verdict_does_not_depend_on_scale(self, b, expected, c):
         a = jordan_invariants(c * np.diag([1.0, 2.0]))
         assert jordan_equivalent(a, jordan_invariants(c * np.diag(b))) is expected
+
+    # A NaN bound fails no comparison and an infinite one passes every one, so
+    # either would call any two forms equivalent; a negative one, none.
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8, 0.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        a, b = jordan_invariants(np.eye(2)), jordan_invariants(2 * np.eye(2))
+        for pair in ((a, b), (a, a)):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                jordan_equivalent(*pair, tol)
 
     def test_dimension_mismatch_rejected(self):
         a = jordan_invariants(np.eye(2))
@@ -550,16 +567,19 @@ class TestRankSequenceEarlyStop:
                           sample_real_planes(space, PlaneClass.MIXED, 5, 0)))
         cases += [(pair, J._plus_i_basis, 5, (8, 8), "c", sample_complex_lines(J, c, 5, 0))
                   for c in line_types]
+        # The rank test of a stack against its fingerprints takes the k = 1 blocks
+        # of all its matrices in one SVD call, with no scales.
         calls = spy_on_svd(monkeypatch)
         for tensor, basis, expected, shape, kind, planes in cases:
             ops = np.array([curvature_operator(tensor, plane) for plane in planes])
+            anchors = []
             for op in ops:
                 calls.clear()
-                jordan_invariants(op, OPERATOR_TOL, basis)
+                anchors.append(jordan_invariants(op, OPERATOR_TOL, basis))
                 assert calls == [(shape, kind, 1), (shape, "c", expected - 1)]
             calls.clear()
-            jordan_invariants(ops, OPERATOR_TOL, basis)
-            assert calls == [(shape, kind, len(ops)), (shape, "c", (expected - 1) * len(ops))]
+            assert _matches_form(on_path(ops, basis), anchors, OPERATOR_TOL).all()
+            assert calls == [(shape, "c", (expected - 1) * len(ops))]
 
     def test_conjugate_clusters_share_their_svds(self, monkeypatch):
         # a R_Id + b R_C on spacelike planes of (0, 16): clusters 0
@@ -571,25 +591,31 @@ class TestRankSequenceEarlyStop:
         calls = spy_on_svd(monkeypatch)
         ops = np.array([curvature_operator(tensor, plane)
                         for plane in sample_real_planes(space, PlaneClass.SPACELIKE, 5, 0)])
+        anchors = []
         for op in ops:
             calls.clear()
-            inv = jordan_invariants(op, OPERATOR_TOL)
+            anchors.append(inv := jordan_invariants(op, OPERATOR_TOL))
             assert calls == [((16, 16), "f", 1), ((16, 16), "c", 3)]
             assert sorted(zip((mult for _, mult in inv.clusters), inv.rank_sequences)) == \
                 [(1, (15,))] * 4 + [(12, (4,) * 12)]
         calls.clear()
-        jordan_invariants(ops, OPERATOR_TOL)
-        assert calls == [((16, 16), "f", 5), ((16, 16), "c", 15)]
+        assert _matches_form(ops, anchors, OPERATOR_TOL).all()
+        assert calls == [((16, 16), "c", 15)]
 
 
-def assert_stack_matches_alone(ops, tol, basis=None):
-    """jordan_invariants of the stack ops is the list of the fingerprints of
-    its matrices taken alone, field by field and in repr, so bit by bit."""
-    stacked = jordan_invariants(ops, tol, basis)
-    assert isinstance(stacked, list) and len(stacked) == len(ops)
-    for op, inv in zip(ops, stacked):
-        alone = jordan_invariants(op, tol, basis)
-        assert inv == alone and repr(inv) == repr(alone)
+def on_path(ops, basis):
+    """The matrices that _matches_form tests for the (k, m, m) stack ops: ops as
+    real matrices, or their blocks A_c = Q^H A Q on C^{m/2} for a basis Q."""
+    return ops if basis is None else basis.conj().T @ ops @ basis
+
+
+def assert_each_matches_itself(ops, tol, basis=None):
+    """Every fingerprint passes the rank test against its own matrix, alone and
+    with the others of ops in one call."""
+    c = on_path(ops, basis)
+    anchors = [jordan_invariants(op, tol, basis) for op in ops]
+    assert all(_matches_form(x[None], [inv], tol)[0] for x, inv in zip(c, anchors))
+    assert _matches_form(c, anchors, tol).all()
 
 
 def complex_line_ops(r, J, n=10):
@@ -598,11 +624,21 @@ def complex_line_ops(r, J, n=10):
                      for lines in jordan_ip._lines_by_type(J, n, 0) for line in lines])
 
 
-class TestStackedFingerprint:
-    """A (k, m, m) stack gives the list of its matrices' fingerprints, each
-    bitwise equal to that of the matrix alone."""
+class TestFingerprintsMatchThemselves:
+    """The Jordan checks rank-test R(pi) against anchors made by jordan_invariants,
+    through the block layout that jordan_invariants reads its own ranks with: each
+    fingerprint must pass the rank test against its own matrix, on the real path
+    and on C^{m/2}."""
 
-    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (8, 8)], ids=str)
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
+    def test_jordan_structures(self, tol):
+        for jordan, _ in JORDAN_STRUCTURES.values():
+            ops = np.array([jordan] + [t @ jordan @ np.linalg.inv(t) for seed in range(10)
+                                       for t in [well_conditioned_map(jordan.shape[0], np.random.default_rng(seed))]])
+            assert_each_matches_itself(ops, tol)
+
+    # R_Id on the real planes of each causal type, as jordan_ip_real samples them.
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (2, 6), (0, 16), (8, 8)], ids=str)
     def test_identity_on_real_planes(self, sig):
         space = BilinearSpace(*sig)
         r = from_self_adjoint(space, np.eye(space.m))
@@ -610,16 +646,17 @@ class TestStackedFingerprint:
                             if jordan_ip._real_plane_realizable(space, t)]:
             ops = np.array([curvature_operator(r, plane)
                             for plane in sample_real_planes(space, causal_type, 20, 0)])
-            assert_stack_matches_alone(ops, OPERATOR_TOL)
+            assert_each_matches_itself(ops, OPERATOR_TOL)
 
+    # The tensors of the complex Jordan checks of the sweep, and a random one.  A
+    # boost of rapidity 0.5 gives a J that is not orthogonal, and a basis Q whose
+    # [Q, conj(Q)] is not unitary.
     @pytest.mark.parametrize("tensor, sig", [
         (tensor, sig) for tensor in ("pair", "quaternionic", "id_plus_c", "random")
-        for sig in [(0, 8), (4, 4), (8, 8)] if tensor != "quaternionic" or sig[0] % 4 == 0
+        for sig in [(0, 8), (4, 4), (2, 6), (0, 16), (8, 8)] if tensor != "quaternionic" or sig[0] % 4 == 0
     ] + [("boosted_pair", sig) for sig in [(4, 4), (2, 6)]], ids=str)
     def test_complex_lines_with_and_without_the_basis(self, tensor, sig):
         space = BilinearSpace(*sig)
-        # A boost of rapidity 0.5 gives a J that is not orthogonal, and a basis
-        # Q whose [Q, conj(Q)] is not unitary.
         J = boosted_structure(space, 0.5) if tensor == "boosted_pair" else standard_complex_structure(space)
         r = {
             "pair": lambda: build_complex_pair_tensor(J, 1.5, 0.75),
@@ -630,8 +667,8 @@ class TestStackedFingerprint:
             "random": lambda: random_J_invariant_tensor(J, 3),
         }[tensor.removeprefix("boosted_")]()
         ops = complex_line_ops(r, J)
-        assert_stack_matches_alone(ops, OPERATOR_TOL, J._plus_i_basis)
-        assert_stack_matches_alone(ops, OPERATOR_TOL)
+        assert_each_matches_itself(ops, OPERATOR_TOL, J._plus_i_basis)
+        assert_each_matches_itself(ops, OPERATOR_TOL)
 
     def test_identity_plus_conjugation_on_real_planes(self):
         space = BilinearSpace(0, 16)
@@ -639,69 +676,28 @@ class TestStackedFingerprint:
                      (1.7, from_self_adjoint(space, conjugation_map(16)))])
         ops = np.array([curvature_operator(r, plane)
                         for plane in sample_real_planes(space, PlaneClass.SPACELIKE, 20, 0)])
-        assert_stack_matches_alone(ops, OPERATOR_TOL)
-
-    # At tol 1e-4 the size-3 blocks cluster, and sequences run to k = 2 and 3.
-    @pytest.mark.parametrize("size", [6, 4, 5, 9])
-    def test_jordan_structures_reach_higher_powers(self, size):
-        ops = np.array([t @ jordan @ np.linalg.inv(t) for jordan, _ in JORDAN_STRUCTURES.values()
-                        if jordan.shape[0] == size for seed in range(10)
-                        for t in [well_conditioned_map(size, np.random.default_rng(seed))]])
-        assert_stack_matches_alone(ops, 1e-4)
+        assert_each_matches_itself(ops, OPERATOR_TOL)
 
     def test_each_power_level_takes_one_svd_call(self, monkeypatch):
-        # A stack makes one SVD call per level, which holds every block that
-        # the matrices alone take at that level: the scales, the k = 1 blocks,
-        # then the blocks of the sequences still running at each k >= 2.
-        ops = [t @ jordan @ np.linalg.inv(t) for jordan, _ in JORDAN_STRUCTURES.values()
-               if jordan.shape[0] == 6 for seed in range(3)
-               for t in [well_conditioned_map(6, np.random.default_rng(seed))]]
+        # The rank test makes one SVD call per level, which holds every block that
+        # the fingerprints take at that level: the k = 1 blocks, then the blocks of
+        # the sequences still running at each k >= 2.  At tol 1e-4 the size-3
+        # blocks cluster, and sequences run to k = 2 and 3.
+        ops = np.array([t @ jordan @ np.linalg.inv(t) for jordan, _ in JORDAN_STRUCTURES.values()
+                        if jordan.shape[0] == 6 for seed in range(3)
+                        for t in [well_conditioned_map(6, np.random.default_rng(seed))]])
         calls = spy_on_svd(monkeypatch)
-        alone = []
+        alone, anchors = [], []
         for op in ops:
             calls.clear()
-            jordan_invariants(op, 1e-4)
+            anchors.append(jordan_invariants(op, 1e-4))
             alone.append([count for _, _, count in calls])
         calls.clear()
-        jordan_invariants(np.array(ops), 1e-4)
+        assert _matches_form(ops, anchors, 1e-4).all()
         levels = max(map(len, alone))
         assert levels == 4  # the scales, then k = 1, 2 and 3
         assert [count for _, _, count in calls] == [
-            sum(counts[level] for counts in alone if level < len(counts)) for level in range(levels)]
-
-    # np.linalg.eigvals returns a complex array for the whole stack once one
-    # matrix has a complex eigenvalue.  R_Id on a mixed plane of (4, 4) has a
-    # real spectrum, and a complex sum of its cluster at 0 rounds otherwise
-    # than the real sum taken for the matrix alone.
-    def test_real_spectrum_beside_a_complex_one(self):
-        space = BilinearSpace(4, 4)
-        r = from_self_adjoint(space, np.eye(8))
-        mixed, spacelike = ([curvature_operator(r, plane) for plane in sample_real_planes(space, t, 10, 0)]
-                            for t in (PlaneClass.MIXED, PlaneClass.SPACELIKE))
-        ops = np.array([op for pair in zip(spacelike, mixed) for op in pair])
-        kinds = {np.linalg.eigvals(op).dtype.kind for op in ops}
-        assert kinds == {"f", "c"} and np.linalg.eigvals(ops).dtype.kind == "c"
-        assert_stack_matches_alone(ops, OPERATOR_TOL)
-
-    def test_stack_of_one(self):
-        space = BilinearSpace(4, 4)
-        J = standard_complex_structure(space)
-        op = complex_line_ops(build_complex_pair_tensor(J, 1.5, 0.75), J, 1)[:1]
-        for basis in (None, J._plus_i_basis):
-            (inv,) = jordan_invariants(op, OPERATOR_TOL, basis)
-            assert inv == jordan_invariants(op[0], OPERATOR_TOL, basis)
-
-    @pytest.mark.parametrize("m", [0, 4])
-    def test_empty_stack(self, m):
-        assert jordan_invariants(np.zeros((0, m, m)), OPERATOR_TOL) == []
-        if m:
-            J = standard_complex_structure(BilinearSpace(0, m))
-            assert jordan_invariants(np.zeros((0, m, m)), OPERATOR_TOL, J._plus_i_basis) == []
-
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 3, 3), (2, 2, 3)])
-    def test_rejects_other_shapes(self, shape):
-        with pytest.raises(ValueError, match="square matrix or a stack"):
-            jordan_invariants(np.zeros(shape))
+            sum(counts[level] for counts in alone if level < len(counts)) for level in range(1, levels)]
 
 
 def reference_rank_sequences(c, blocks, tol):
@@ -785,15 +781,16 @@ def reference_invariants(a, tol, basis=None):
 
 
 def assert_matches_reference(ops, tol, basis=None):
-    """jordan_invariants of ops equals reference_invariants in repr, so bit by bit."""
-    got = jordan_invariants(ops, tol, basis)
+    """jordan_invariants of the matrix ops, or of each matrix of the stack ops,
+    equals reference_invariants of ops in repr, so bit by bit."""
+    got = jordan_invariants(ops, tol, basis) if ops.ndim == 2 else [jordan_invariants(op, tol, basis) for op in ops]
     assert repr(got) == repr(reference_invariants(ops, tol, basis))
     return got
 
 
 class TestRecordsMatchTheReferenceLoop:
-    """jordan_invariants builds the records of a whole stack as arrays, with no
-    loop over matrices or clusters; its fingerprints are those of the loop."""
+    """jordan_invariants reads its ranks through the block layout of the rank test;
+    its fingerprints are those of the record loop, taken over a whole stack."""
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
     def test_jordan_structures(self, tol):
@@ -846,22 +843,22 @@ class TestRecordsMatchTheReferenceLoop:
             assert len({(round(lam.real / 0.1), round(lam.imag / 0.1)) for lam in upper}) == 1
             assert [round(lam.real, 3) for lam in upper] == [4.96, 5.039]
 
-    def test_empty_stack_and_stack_of_one(self):
+    def test_one_matrix_and_stack_of_one(self):
         space = BilinearSpace(4, 4)
         J = standard_complex_structure(space)
         ops = complex_line_ops(build_complex_pair_tensor(J, 1.5, 0.75), J, 1)
         for basis in (None, J._plus_i_basis):
-            assert assert_matches_reference(ops[:0], OPERATOR_TOL, basis) == []
             assert len(assert_matches_reference(ops[:1], OPERATOR_TOL, basis)) == 1
+            assert_matches_reference(ops[0], OPERATOR_TOL, basis)
 
 
 class TestFingerprintMemory:
-    # The tracemalloc peak of one call on 64 operators at m = 16 may lie at most
-    # 10% above the peak measured when the records were built one at a time
-    # (numpy 2.4.6): the arrays over the clusters of a stack must not hold more
-    # than the loop did, such as another (k, m, m) or (k, m) temporary.
-    @pytest.mark.parametrize("path, loop_peak", [("real", 1_032_064), ("basis", 718_976)])
-    def test_peak_of_one_call(self, path, loop_peak):
+    # The tracemalloc peak of one rank test of 64 operators at m = 16 against one
+    # anchor may lie at most 10% above the peak measured when jordan_invariants
+    # still took stacks (numpy 2.4.6): the shared block layout must not hold
+    # more, such as another (k, m, m) or (k, m) temporary.
+    @pytest.mark.parametrize("path, parent_peak", [("real", 936_174), ("basis", 557_544)])
+    def test_peak_of_one_call(self, path, parent_peak):
         space = BilinearSpace(0, 16)
         J = standard_complex_structure(space)
         if path == "real":
@@ -871,14 +868,15 @@ class TestFingerprintMemory:
             r, basis = build_complex_pair_tensor(J, 1.5, 0.75), J._plus_i_basis
             planes = sample_complex_lines(J, PlaneClass.SPACELIKE, 64, 0)
         ops = np.array([curvature_operator(r, plane) for plane in planes])
-        jordan_invariants(ops, OPERATOR_TOL, basis)
+        c, anchors = on_path(ops, basis), [jordan_invariants(ops[0], OPERATOR_TOL, basis)] * len(ops)
+        _matches_form(c, anchors, OPERATOR_TOL)
         tracemalloc.start()
         try:
-            jordan_invariants(ops, OPERATOR_TOL, basis)
+            same = _matches_form(c, anchors, OPERATOR_TOL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * loop_peak
+        assert same.all() and peak <= 1.1 * parent_peak
 
 
 def spy_on_svd(monkeypatch):
