@@ -55,7 +55,6 @@ from .jordan_ip import (
     SpectrumSpec,
     build_complex_pair_tensor,
     build_quaternionic_tensor,
-    check_almost_complex,
     check_jordan_ip,
     check_jordan_ip_real,
     sample_complex_lines,
@@ -201,29 +200,20 @@ def _symmetries(tensor, tol, **_) -> dict:
     }
 
 
-def _almost_complex(tensor, J, samples, seed, tol, **_) -> dict:
-    tensor_report = check_J_invariance(tensor, J, tol)
-    lines = check_almost_complex(tensor, J, next(_lines_by_type(J, samples, seed)), tol)
-    passed = tensor_report.passed and lines.passed
-    out = {
-        "pass": passed,
-        "max_violation": max(tensor_report.max_violation, lines.max_commutator),
-        "tensor_identity_violation": tensor_report.max_violation,
-        "max_line_commutator": lines.max_commutator,
-    }
-    if not passed:
-        # Each witness is null where its own test passes.
-        quadruple = None if tensor_report.passed else tensor_report.witness
-        out["witness"] = {"quadruple": quadruple, "line": lines.witness}
-    return out
-
-
-def _gray(tensor, J, tol, **_) -> dict:
-    report = check_gray_identity(tensor, J, tol)
+def _quadruple_report(report) -> dict:
+    """The report of a tensor identity check, with the worst entry's indices on failure."""
     out = {"pass": report.passed, "max_violation": report.max_violation}
     if not report.passed:
         out["witness"] = {"quadruple": report.witness}
     return out
+
+
+def _almost_complex(tensor, J, tol, **_) -> dict:
+    return _quadruple_report(check_J_invariance(tensor, J, tol))
+
+
+def _gray(tensor, J, tol, **_) -> dict:
+    return _quadruple_report(check_gray_identity(tensor, J, tol))
 
 
 def _jordan_ip_complex(tensor, J, samples, seed, tol, **_) -> dict:

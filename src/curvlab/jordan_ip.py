@@ -48,9 +48,9 @@ OPERATOR_TOL = 1e-6
 _ALMOST_COMPLEX_TOL = 1e-10
 
 # Planes per matrix product in curvature_operators: enough for one GEMM to
-# amortise the pass over the m^4 coefficients.  At m = 32 and 1000 lines per
-# audit, the largest traffic served, a block is 0.5 MB, where one product over
-# all 1000 would hold a (1000, 1024) pair matrix and a (1000, 32, 32) stack, 8 MB each.
+# amortise the pass over the m^4 coefficients.  At m = 32 and 1000 lines a
+# block is 0.5 MB, where one product over all 1000 would hold a (1000, 1024)
+# pair matrix and a (1000, 32, 32) stack, 8 MB each.
 _BLOCK = 64
 
 
@@ -195,6 +195,7 @@ def check_almost_complex(
 ) -> AlmostComplexReport:
     """Whether J R(pi) = R(pi) J on every given complex line, up to
     tol * max |R|, so the verdict does not depend on the tensor's scale.
+    On all lines at once this is check_J_invariance, which needs no lines.
 
     A plane is a complex line when it is {x, J x} for this J up to
     DEFAULT_TOL max|x|, not just a basis of one such as {x, 2 J x}.  The

@@ -167,9 +167,10 @@ class OrientedPlane:
 
 def _rank_from_singular_values(s: np.ndarray, tol: float) -> np.ndarray:
     """Per row of s, singular values in descending order along the last axis,
-    the count above tol times the largest; 0 for the zero map."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    the count above tol times the largest; 0 for the zero map.  A tol that is
+    not positive and finite raises ValueError: an infinite one would give rank 0."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     return np.count_nonzero(s > tol * s[..., :1], axis=-1)
 
 
@@ -330,7 +331,7 @@ def jordan_invariants(
     evals = np.linalg.eigvals(c)
     svals = np.linalg.svd(c, compute_uv=False)
     scale = float(svals[0]) if n else 0.0
-    total_rank = (1 if n == m else 2) * int(_rank_from_singular_values(svals, tol))  # raises unless tol > 0
+    total_rank = (1 if n == m else 2) * int(_rank_from_singular_values(svals, tol))  # raises unless 0 < tol < inf
     if tol < np.finfo(float).eps:
         # lambda / (tol * sigma_max) below would overflow to infinite sort keys.
         raise ValueError(f"tolerance must be at least machine epsilon {np.finfo(float).eps:.3g}, got {tol}")

@@ -25,8 +25,6 @@ from curvlab import (
     check_almost_complex,
     check_symmetries,
     combine,
-    complex_line,
-    curvature_operator,
     from_self_adjoint,
     spectrum_of_JR,
     standard_complex_structure,
@@ -113,9 +111,8 @@ CASES = [
      _config((0, 6), "complex", {"phi": {"matrix": _generic_self_adjoint(6)}},
              [(1, "phi", "self_adjoint")], ["almost_complex"], 25, 0, 1e-10),
      [], 1),
-    # The tensor identity fails (violation 1.21e-10) while every sampled line
-    # passes (worst commutator 7.97e-11), against tol 1e-10: the witness line
-    # is null.
+    # The tensor identity fails by 1.21e-10 against tol 1e-10, where the
+    # largest commutator of 100 sampled lines would read 7.97e-11.
     ("almost_complex_tensor_only",
      _config((0, 8), "complex", {"id": {"builtin": "identity"},
                                  "phi": {"matrix": _generic_self_adjoint(8)}},
@@ -274,27 +271,18 @@ def test_config_error_stops_the_run_before_any_check(name, checks, tmp_path, cap
     assert calls == []
 
 
-@pytest.mark.parametrize("name, has_line", [
-    ("almost_complex_generic", True),
-    ("almost_complex_tensor_only", False),
-])
-def test_almost_complex_witness_line_violates(name, has_line, tmp_path, capsys):
-    """A witness line replays to a commutator above tol; a run whose sampled
-    lines all pass names no line."""
-    _, config, argv, code = next(case for case in CASES if case[0] == name)
+def test_almost_complex_witness_quadruple_violates(tmp_path, capsys):
+    """The witness quadruple (a, b, c, d) replays to the reported violation
+    |R(Je_a, Je_b, Je_c, Je_d) - R(e_a, e_b, e_c, e_d)|, above tol * max|R|."""
+    _, config, argv, code = next(case for case in CASES if case[0] == "almost_complex_generic")
     assert run_case(config, argv, tmp_path, capsys)[0] == code
     result = json.loads((tmp_path / "report.json").read_text())["checks"]["almost_complex"]
-    line = result["witness"]["line"]
-    assert (line is not None) == has_line
-    if line is None:
-        assert result["max_line_commutator"] <= config["tol"]
-        return
-    J = standard_complex_structure(BilinearSpace(*config["signature"]))
-    tensor = self_adjoint_tensor(config)
-    plane = complex_line(J, np.array(line["x"]))
-    assert np.array_equal(plane.y, np.array(line["y"]))
-    op = curvature_operator(tensor, plane)
-    assert float(np.max(np.abs(J.J @ op - op @ J.J))) > config["tol"]
+    a, b, c, d = result["witness"]["quadruple"]
+    J = standard_complex_structure(BilinearSpace(*config["signature"])).J
+    r = self_adjoint_tensor(config).coeffs
+    violation = abs(np.einsum("ijkl,i,j,k,l->", r, J[:, a], J[:, b], J[:, c], J[:, d]) - r[a, b, c, d])
+    assert violation == result["max_violation"]
+    assert violation > config["tol"] * np.abs(r).max()
 
 
 def self_adjoint_tensor(config) -> CurvatureTensor:

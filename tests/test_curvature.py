@@ -329,6 +329,38 @@ class TestCheckJInvariance:
         assert not report.passed
         assert report.max_violation > 1e-15
 
+    # J*R = R is the almost complex condition on every line: R(x, Jx) commutes
+    # with J for all x exactly when its polarisation R(e_a, Je_b) + R(e_b, Je_a)
+    # does for all a <= b, and both linear conditions cut out the same subspace
+    # of the algebraic curvature tensors, 12- and 57-dimensional at m = 4 and 6.
+    # conjugated_structure boosts a mixed plane of (2, 2) and (2, 4).
+    @pytest.mark.parametrize("structure", ["standard", "conjugated"])
+    @pytest.mark.parametrize("sig, dim", [((0, 4), 12), ((2, 2), 12), ((2, 4), 57)], ids=str)
+    def test_tensor_identity_and_line_commutators_share_their_kernel(self, sig, dim, structure):
+        space = BilinearSpace(*sig)
+        J = (standard_complex_structure if structure == "standard" else conjugated_structure)(space)
+        m, full = space.m, space.m**2 * (space.m**2 - 1) // 12
+        rng = np.random.default_rng(17)
+        spanning = np.array([random_algebraic_curvature_tensor(space, rng).coeffs.ravel()
+                             for _ in range(full + 5)])
+        assert np.linalg.matrix_rank(spanning) == full
+        basis = np.linalg.svd(spanning, full_matrices=False)[2][:full]
+        a, b = np.triu_indices(m)
+        e, je = np.eye(m), J.J.T
+
+        def identity(t):
+            return (pullback(t, J.J).coeffs - t.coeffs).ravel()
+
+        def line_commutators(t):
+            ops = apply_pairs(t, e[a], e[b] @ je) + apply_pairs(t, e[b], e[a] @ je)
+            return (J.J @ ops - ops @ J.J).ravel()
+
+        tensors = [CurvatureTensor(space, c.reshape((m,) * 4)) for c in basis]
+        maps = [np.array([f(t) for t in tensors]) for f in (identity, line_commutators)]
+        nullities = [full - np.linalg.matrix_rank(x, tol=1e-9 * np.linalg.norm(x, 2))
+                     for x in (*maps, np.hstack(maps))]
+        assert nullities == [dim] * 3
+
 
 # A structure is a structure of one space: with m equal, J of (4,4) must not
 # be read as a structure of (0,8), where R_Id would pass with violation 0.

@@ -262,6 +262,15 @@ class TestNumericRank:
         with pytest.raises(ValueError):
             numeric_rank(np.eye(2), 0.0)
 
+    # An infinite tol would count no singular value, a NaN one none either:
+    # both would read any matrix as the zero map.
+    @pytest.mark.parametrize("tol", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_a_tol_that_is_not_finite(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            numeric_rank(np.eye(3), tol)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            jordan_invariants(np.diag([1.0, 2.0]), tol)
+
 
 class TestJordanInvariants:
     def test_nonpositive_tol_raises_before_any_cluster_svd(self, monkeypatch):
