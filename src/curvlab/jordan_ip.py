@@ -89,8 +89,10 @@ def sample_real_planes(
     seed: int = 0,
 ) -> list[OrientedPlane]:
     """n oriented 2-planes of the requested causal type, by seeded rejection
-    sampling of standard-normal spanning pairs, each round classified by one
-    classify_plane call on its stacks, bit for bit each draw classified alone."""
+    sampling of standard-normal spanning pairs: the first n accepted pairs in
+    draw order.  Each round of _rejection_sample is classified by one
+    classify_plane call on its stacks, bit for bit each draw classified
+    alone."""
     if not _real_plane_realizable(space, causal_type):
         raise ValueError(f"no {causal_type.value} 2-plane exists in signature ({space.p}, {space.q})")
 
@@ -115,8 +117,9 @@ def sample_complex_lines(
     x is drawn standard-normal and rescaled to |(x, x)| = 1; a line is kept
     when curvature_operator accepts it and (x, x) has the sign of the type,
     which decides the type: (x, Jx) = 0 and (Jx, Jx) = (x, x), never mixed.
-    Each rejection round draws its x as one stack and makes its lines with
-    _unit_lines, bit for bit the lines of one draw at a time.
+    Each round of _rejection_sample draws its x as one stack and makes its
+    lines with _unit_lines; the first n lines in draw order are kept, bit for
+    bit the lines of one draw at a time.
     """
     space = J.space
     if causal_type not in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE):

@@ -200,26 +200,38 @@ def _unit_lines(
             for i, det in zip(rows.tolist(), dets[rows].tolist())]
 
 
+# Most draws in one rejection round: large enough that 100 (2,6) timelike
+# planes, about 1 draw in 280 accepted, take about 30 rounds, and small enough
+# that a round's stacks stay within a few hundred kB at m <= 32.
+_ROUND = 1024
+
+
 def _rejection_sample(
     n: int, seed: int, draw: Callable[[np.random.Generator, int], list], what: str
 ) -> list:
-    """n samples by seeded rejection, in rounds: draw(rng, k) makes k draws and
-    returns the samples of those it accepts, at most one each, in draw order.
-    A round makes k = min(n - accepted, 1000 n - drawn) draws, so no draw
-    follows the n-th sample.  Raises ValueError for n < 1 and RuntimeError
-    after 1000 n draws."""
+    """The first n samples by seeded rejection, in rounds: draw(rng, k) makes
+    k draws and returns the samples of those it accepts, at most one each, in
+    draw order.  Until a sample is accepted a round makes max(n, drawn) draws;
+    then the draws still expected at the acceptance seen so far, plus 25% and
+    8.  A round makes at most _ROUND draws and never passes 1000 n in all.
+    The generator is the call's own and gives one stream however it is
+    split, so the samples are those of one draw at a time; the samples that
+    follow the n-th are dropped.  Raises ValueError for n < 1 and
+    RuntimeError after 1000 n draws, as one draw at a time would."""
     if n < 1:
         raise ValueError("sample count must be at least 1")
     rng = np.random.default_rng(seed)
     samples = []
-    draws = 0
+    drawn = 0
     while len(samples) < n:
-        k = min(n - len(samples), 1000 * n - draws)
+        accepted = len(samples)
+        k = 5 * (n - accepted) * drawn // (4 * accepted) + 8 if accepted else max(n, drawn)
+        k = min(k, _ROUND, 1000 * n - drawn)
         if k == 0:
             raise RuntimeError(f"rejection budget exceeded {what}")
-        draws += k
+        drawn += k
         samples += draw(rng, k)
-    return samples
+    return samples[:n]
 
 
 @dataclass(frozen=True)

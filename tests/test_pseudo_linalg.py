@@ -1014,12 +1014,24 @@ class TestRejectionRounds:
         assert _rejection_sample(2, 0, draw, "while testing") == [0, 1999]
         assert sum(rounds) == 2000
 
-    def test_no_draw_after_the_nth_sample(self):
-        # Every third draw is accepted, so the 10th sample is draw 29.
+    def test_first_n_samples_in_draw_order(self):
+        # Every third draw is accepted, so the 10th sample is draw 29; the
+        # samples of the draws after it are dropped.
         draw, rounds = self.counting(lambda i: i % 3 == 2)
         assert _rejection_sample(10, 0, draw, "while testing") == list(range(2, 30, 3))
-        assert sum(rounds) == 30
-        assert rounds[0] == 10 and all(k <= 10 for k in rounds)
+        assert 30 <= sum(rounds) <= 1000 * 10
+        assert rounds[0] == 10 and rounds[-1] > rounds[0]
+
+    def test_rounds_grow_up_to_the_cap(self):
+        # One draw in 500 is accepted: the rounds grow from n to the cap, so
+        # the 5000 draws take about a dozen rounds, not one per sample missing.
+        draw, rounds = self.counting(lambda i: i % 500 == 499)
+        assert _rejection_sample(10, 0, draw, "while testing") == list(range(499, 5000, 500))
+        assert 5000 <= sum(rounds) <= 1000 * 10
+        assert max(rounds) == pseudo_linalg._ROUND
+        growing = rounds[:rounds.index(pseudo_linalg._ROUND) + 1]
+        assert rounds[0] == 10 and growing == sorted(growing)
+        assert len(rounds) <= 15
 
     def test_zero_samples_raise_before_any_draw(self):
         draw, rounds = self.counting(lambda i: True)
@@ -1029,13 +1041,15 @@ class TestRejectionRounds:
 
     # The traced accept_ratio of the benchmark divides the planes returned by
     # the classify_plane calls: one call per rejection round, with one row per
-    # draw of the round, so every draw is still classified once.
-    @pytest.mark.parametrize("sig, causal_type, draws", [
-        ((2, 6), PlaneClass.TIMELIKE, 27641),
-        ((4, 4), PlaneClass.SPACELIKE, 673),
-        ((8, 8), PlaneClass.MIXED, 151),
+    # draw of the round, so every draw is classified once and a round of up
+    # to _ROUND draws is one call.  A (2,6) timelike plane is about 1 draw in
+    # 280, so 100 of them take about 30 rounds.
+    @pytest.mark.parametrize("sig, causal_type, max_rounds", [
+        ((2, 6), PlaneClass.TIMELIKE, 40),
+        ((4, 4), PlaneClass.SPACELIKE, 3),
+        ((8, 8), PlaneClass.MIXED, 3),
     ])
-    def test_real_planes_classify_each_draw_once(self, monkeypatch, sig, causal_type, draws):
+    def test_real_planes_classify_each_draw_once(self, monkeypatch, sig, causal_type, max_rounds):
         rows, rounds = [], []
         classify, sample = jordan_ip.classify_plane, jordan_ip._rejection_sample
 
@@ -1046,11 +1060,12 @@ class TestRejectionRounds:
         def sampling(n, seed, draw, what):
             return sample(n, seed, lambda rng, k: rounds.append(k) or draw(rng, k), what)
 
+        space = BilinearSpace(*sig)
+        want = reference_planes(space, causal_type, 100, 0)
         monkeypatch.setattr(jordan_ip, "classify_plane", spy)
         monkeypatch.setattr(jordan_ip, "_rejection_sample", sampling)
-        assert len(sample_real_planes(BilinearSpace(*sig), causal_type, 100, 0)) == 100
-        assert rows == rounds
-        assert sum(rows) == draws
+        assert_same_lines(sample_real_planes(space, causal_type, 100, 0), want)
+        assert rows == rounds and len(rounds) <= max_rounds
 
 
 def reference_lines(J, n, seed, positive=None):
@@ -1120,6 +1135,18 @@ class TestBatchedPlanesAreBitwise:
                 assert_same_lines(sample_real_planes(space, causal_type, 20, seed),
                                   reference_planes(space, causal_type, 20, seed))
 
+    # The rare types take rounds that grow to the cap: about 5500 draws for 20
+    # planes, where the common types above finish in a round or two.
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("sig, causal_type", [
+        ((2, 6), PlaneClass.TIMELIKE),
+        ((6, 2), PlaneClass.SPACELIKE),
+    ])
+    def test_rare_planes_over_seeds(self, sig, causal_type, seed):
+        space = BilinearSpace(*sig)
+        assert_same_lines(sample_real_planes(space, causal_type, 20, seed),
+                          reference_planes(space, causal_type, 20, seed))
+
     def test_budget_spent_after_the_same_draws(self, monkeypatch):
         rows = []
         original = jordan_ip.classify_plane
@@ -1155,19 +1182,27 @@ class TestBatchedLinesAreBitwise:
         assert_same_lines(sample_complex_lines(J, causal_type, 1000, 3),
                           reference_lines(J, 1000, 3, positive))
 
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("sig", [(2, 6), (6, 2)])
+    def test_lines_of_both_types_over_seeds(self, sig, seed):
+        J = standard_complex_structure(BilinearSpace(*sig))
+        for causal_type in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE):
+            positive = causal_type is PlaneClass.SPACELIKE
+            assert_same_lines(sample_complex_lines(J, causal_type, 100, seed),
+                              reference_lines(J, 100, seed, positive))
+
     @pytest.mark.parametrize("s", [8, 16])
     def test_lines_of_the_pair_check(self, monkeypatch, s):
         space = BilinearSpace(s, s)
         J = standard_complex_structure(space)
         drawn = []
-        original = complex_structures._unit_lines
+        original = complex_structures._rejection_sample
 
         def spy(*args):
-            lines = original(*args)
-            drawn.extend(lines)
-            return lines
+            drawn.extend(original(*args))
+            return drawn
 
-        monkeypatch.setattr(complex_structures, "_unit_lines", spy)
+        monkeypatch.setattr(complex_structures, "_rejection_sample", spy)
         report = check_admissible_pair(nilpotent_null_pair(space), nilpotent_null_pair_partner(space), J,
                                        n_lines=1000, seed=4)
         assert report.min_line_rank == 4
