@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from enum import Enum
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -60,7 +61,8 @@ from .jordan_ip import (
     sample_complex_lines,
     solve_constants,
     spectrum_of_JR,
-    _lines_by_type,
+    _LINE_TYPES,
+    _planes_by_type,
 )
 from .pseudo_linalg import DEFAULT_TOL, BilinearSpace, JordanInvariants
 
@@ -250,7 +252,7 @@ def _jordan_ip_real(tensor, samples, seed, tol, **_) -> dict:
 
 def _spectrum(tensor, J, samples, seed, tol, **_) -> dict:
     try:
-        lines = next(_lines_by_type(J, samples, seed))
+        _, lines = next(_planes_by_type(J.space, _LINE_TYPES, partial(sample_complex_lines, J), samples, seed))
         spectra = [spectrum_of_JR(tensor, J, plane, max(tol, OPERATOR_TOL)) for plane in lines]
     except ValueError as exc:
         return {"pass": False, "error": str(exc)}

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +53,9 @@ _ALMOST_COMPLEX_TOL = 1e-10
 # block is 0.5 MB, where one product over all 1000 would hold a (1000, 1024)
 # pair matrix and a (1000, 32, 32) stack, 8 MB each.
 _BLOCK = 64
+
+# The causal types of complex lines in the order the Jordan checks draw them; real planes add mixed.
+_LINE_TYPES = (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE)
 
 
 class SpectrumStructureError(ValueError):
@@ -122,7 +126,7 @@ def sample_complex_lines(
     bit the lines of one draw at a time.
     """
     space = J.space
-    if causal_type not in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE):
+    if causal_type not in _LINE_TYPES:
         raise ValueError(f"complex lines are never {causal_type.value}")
     if not _real_plane_realizable(space, causal_type):
         raise ValueError(
@@ -143,12 +147,13 @@ def _first_non_line(J: ComplexStructure, planes: Sequence[OrientedPlane]) -> int
     return int(off[0]) if off.size else (n if n < len(planes) else None)
 
 
-def _lines_by_type(J: ComplexStructure, n: int, seed: int) -> Iterator[list[OrientedPlane]]:
-    """n complex lines of each causal type that exists, lazily: the i-th type
-    of (spacelike, timelike) that exists is drawn with seed + i, as real planes are."""
-    types = [t for t in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE)
-             if _real_plane_realizable(J.space, t)]
-    return (sample_complex_lines(J, t, n, seed + i) for i, t in enumerate(types))
+def _planes_by_type(space: BilinearSpace, types: Sequence[PlaneClass],
+                    sample: Callable[[PlaneClass, int, int], list[OrientedPlane]],
+                    n: int, seed: int) -> Iterator[tuple[PlaneClass, list[OrientedPlane]]]:
+    """(causal type, sample(type, n, seed + i)) for the i-th of types that exists in space,
+    lazily: the one seed rule of the Jordan checks, for complex lines and real planes."""
+    types = [t for t in types if _real_plane_realizable(space, t)]
+    return ((t, sample(t, n, seed + i)) for i, t in enumerate(types))
 
 
 def curvature_operators(
@@ -222,32 +227,32 @@ def check_almost_complex(
 
 
 def _fingerprints(tensor: CurvatureTensor, planes: list[OrientedPlane], tol: float,
-                  anchors: dict[PlaneClass, JordanInvariants],
-                  J: ComplexStructure | None = None) -> Iterator[np.ndarray]:
-    """Whether each R(pi) on the planes has the Jordan form of its anchor, the first plane
-    of its causal type, lazily, one array per block of curvature_operators: a consumer
-    that stops early wastes at most one block.  An anchor has its own form; its
-    jordan_invariants go into anchors, on C^{m/2} with J's +i basis when it commutes
-    with J as check_almost_complex tests it, else as a real matrix.  No other R(pi) is
-    fingerprinted: _matches_form tests each against its anchor, on C^{m/2} when both
-    commute with J, else as a real matrix, one call per path."""
-    basis, on_basis, start = None if J is None else J._plus_i_basis, {}, 0
-    for ops in curvature_operators(tensor, planes):
-        types = [plane.plane_class for plane in planes[start:start + len(ops)]]
-        start += len(ops)
-        commuting = np.zeros(len(ops), dtype=bool) if J is None else (
-            np.abs(J.J @ ops - ops @ J.J).max(axis=(1, 2)) <= _ALMOST_COMPLEX_TOL * tensor.scale)
-        same, tested = np.ones(len(ops), dtype=bool), np.ones(len(ops), dtype=bool)
-        for i, causal_type in enumerate(types):
-            if causal_type not in anchors:
-                on_basis[causal_type], tested[i] = commuting[i], False
-                anchors[causal_type] = jordan_invariants(ops[i], tol, basis if commuting[i] else None)
-        half = tested & commuting & np.array([on_basis[t] for t in types])
-        for path, c in ((half, ops[half]), (tested & ~half, ops[tested & ~half])):
+                  J: ComplexStructure | None = None) -> tuple[JordanInvariants, Iterator[np.ndarray]]:
+    """The anchor of planes of one causal type, jordan_invariants of R(pi) on the first
+    plane, and whether each R(pi) has its Jordan form, lazily, one array per block of
+    curvature_operators: a consumer that stops early wastes at most one block.  The
+    anchor is read on C^{m/2} with J's +i basis when it commutes with J as
+    check_almost_complex tests it, else as a real matrix, and its own verdict is True.
+    No other R(pi) is fingerprinted: _matches_form tests each against the anchor, on
+    C^{m/2} when both commute with J, else as a real matrix, one call per block and path."""
+    basis = None if J is None else J._plus_i_basis
+    blocks = ((ops, np.zeros(len(ops), dtype=bool) if J is None else
+               np.abs(J.J @ ops - ops @ J.J).max(axis=(1, 2)) <= _ALMOST_COMPLEX_TOL * tensor.scale)
+              for ops in curvature_operators(tensor, planes))
+    ops, commuting = next(blocks)
+    on_basis = bool(commuting[0])
+    anchor = jordan_invariants(ops[0], tol, basis if on_basis else None)
+
+    def verdicts(ops: np.ndarray, commuting: np.ndarray) -> np.ndarray:
+        same, half = np.ones(len(ops), dtype=bool), commuting & on_basis
+        for path in (half, ~half):
             if path.any():
-                c = basis.conj().T @ c @ basis if path is half else c
-                same[path] = _matches_form(c, [anchors[types[i]] for i in np.flatnonzero(path)], tol)
-        yield same
+                c = basis.conj().T @ ops[path] @ basis if path is half else ops[path]
+                same[path] = _matches_form(c, anchor, tol)
+        return same
+
+    head = np.concatenate([[True], verdicts(ops[1:], commuting[1:])])
+    return anchor, chain([head], (verdicts(*block) for block in blocks))
 
 
 @dataclass(frozen=True)
@@ -272,18 +277,22 @@ def check_jordan_ip(
     (spacelike, timelike) with seed + i, and test whether they share one Jordan form.
 
     The first line of each causal type, its anchor, is fingerprinted, and
-    invariants_by_type holds these fingerprints.  Every other line is tested
-    against the anchor of its type, also after a mismatch, and an anchor of a
-    later type against the first one by jordan_equivalent: pairing within a
-    bound is not transitive, so each line meets the first line's form.
+    invariants_by_type holds these fingerprints.  Each type is rank-tested in
+    its own pass: every other line against the anchor of its type, also after
+    a mismatch.  An anchor of a later type meets the first one in
+    jordan_equivalent: pairing within a bound is not transitive, so each line
+    meets the first line's form.
     """
-    planes = [line for lines in _lines_by_type(J, n, seed) for line in lines]
-    anchors: dict[PlaneClass, JordanInvariants] = {}
-    same = np.concatenate(list(_fingerprints(tensor, planes, tol, anchors, J)))
-    types = [plane.plane_class for plane in planes]
-    first = anchors[types[0]]
-    for causal_type, anchor in list(anchors.items())[1:]:
-        same[types.index(causal_type)] = jordan_equivalent(first, anchor, tol)
+    samples = list(_planes_by_type(J.space, _LINE_TYPES, partial(sample_complex_lines, J), n, seed))
+    anchors, verdicts = {}, []
+    for causal_type, lines in samples:
+        anchors[causal_type], same = _fingerprints(tensor, lines, tol, J)
+        verdicts.append(np.concatenate(list(same)))
+    first, *later = anchors.values()
+    for same, anchor in zip(verdicts[1:], later):
+        same[0] = jordan_equivalent(first, anchor, tol)
+    same = np.concatenate(verdicts)
+    planes = [line for _, lines in samples for line in lines]
     offender = int(np.argmin(same)) if not same.all() else None
     constant = offender is None
     return JordanIPReport(
@@ -324,16 +333,12 @@ def check_jordan_ip_real(
     """Jordan constancy over real oriented 2-planes, independently per causal type;
     the i-th type that exists (spacelike, timelike, mixed) is sampled with seed + i."""
     space = tensor.space
-    types = [t for t in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE, PlaneClass.MIXED)
-             if _real_plane_realizable(space, t)]
     invariants_by_type: dict[PlaneClass, JordanInvariants] = {}
     witnesses: dict[PlaneClass, tuple[OrientedPlane, OrientedPlane]] = {}
-    for offset, causal_type in enumerate(types):
-        planes = sample_real_planes(space, causal_type, n, seed + offset)
-        anchors: dict[PlaneClass, JordanInvariants] = {}
-        same = chain.from_iterable(_fingerprints(tensor, planes, tol, anchors))
-        offender = next((i for i, ok in enumerate(same) if not ok), None)
-        invariants_by_type[causal_type] = anchors[planes[0].plane_class]
+    types = (*_LINE_TYPES, PlaneClass.MIXED)
+    for causal_type, planes in _planes_by_type(space, types, partial(sample_real_planes, space), n, seed):
+        invariants_by_type[causal_type], same = _fingerprints(tensor, planes, tol)
+        offender = next((i for i, ok in enumerate(chain.from_iterable(same)) if not ok), None)
         if offender is not None:
             witnesses[causal_type] = (planes[0], planes[offender])
     rank_by_type = {t: inv.total_rank for t, inv in invariants_by_type.items()}

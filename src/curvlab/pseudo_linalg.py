@@ -353,7 +353,7 @@ def jordan_invariants(
     found = np.flatnonzero(np.bincount(roots, minlength=m))
     mult, own = (np.bincount(roots[:end], minlength=m)[found] for end in (m, n))
     lam = (np.array([evals[roots == root].sum() for root in found.tolist()]) / mult).astype(complex)
-    ranks = _ranks_at(c[None], [([0], lam, mult, own)], tol)[0][0] if m else np.zeros((0, 0), dtype=int)
+    ranks = _ranks_at(c[None], lam, mult, own, tol)[0] if m else np.zeros((0, 0), dtype=int)
 
     # Order on both parts rounded to multiples of the clustering threshold, so that noise far
     # below it, such as the +-1e-16 real parts of a skew operator's eigenvalues, cannot reorder
@@ -366,57 +366,44 @@ def jordan_invariants(
                             total_rank, bool(ambiguous), scale, tuple(own[order].tolist()))
 
 
-def _ranks_at(c: np.ndarray, forms: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray, np.ndarray]],
-              tol: float) -> list[np.ndarray]:
-    """Ranks of (c[i] - lambda I)^k at the clusters of Jordan forms, by one _rank_sequences
-    call.  A form (ops, lambdas, multiplicities, members) gets the ranks of c[i], i in ops,
-    as a (len(ops), clusters, width) array, width the largest multiplicity of all forms.
+def _ranks_at(c: np.ndarray, lam: np.ndarray, mult: np.ndarray, own: np.ndarray, tol: float) -> np.ndarray:
+    """Ranks of (c[i] - lambda I)^k at the clusters (lambda, multiplicity, members) of one
+    Jordan form, by one _rank_sequences call: a (len(c), clusters, width) array, width the
+    largest multiplicity.
 
     The multiplicities sum to m, so c of size n < m is read on C^{m/2}, with the blocks
     A_c - lambda (the members, those of the cluster that are eigenvalues of A_c) and A_c -
     conj(lambda) (the rest); else a cluster has one block, A - lambda.  Only the first
     cluster of a conjugate pair, its partner nearest conj(lambda), has blocks."""
-    n, columns, parts = c.shape[-1], [], []
-    for ops, lam, mult, own in forms:
-        half, index = n < mult.sum(), np.arange(len(lam))
-        own = own if half else mult
-        conj = np.abs(lam[:, None] - lam.conj()).argmin(axis=1)
-        # Blocks at lambda, and at conj(lambda) on C^{m/2}, for the first cluster of each pair, each with
-        # its members, multiplicity and step to its partner: the other block of its cluster, or itself.
-        take = np.array([conj >= index, (conj > index) & half]).T
-        cluster, second = take.nonzero()
-        at = np.arange(len(ops) * len(cluster))
-        columns.append([np.asarray(ops)[at // len(cluster)]] + [v[at % len(cluster)] for v in (
-            np.array([lam, lam.conj()]).T[take], np.array([own, mult - own]).T[take], mult[cluster],
-            np.where(second, -1, take[cluster, 1]))])
-        # A cluster's ranks sum its blocks', twice its one block's on C^{m/2}, or are its partner's.
-        first = np.where(take[:, 0], index, conj)
-        weights = (cluster == first[:, None]) * np.where(half & (conj == index), 2, 1)[cluster]
-        parts.append((len(ops), weights))
-    rows, mus, members, mults, steps = map(np.concatenate, zip(*columns))
-    ranks = _rank_sequences(c, rows, mus, members, mults, np.arange(len(rows)) + steps, tol)
-    ends = np.cumsum([0] + [k * weights.shape[1] for k, weights in parts]).tolist()
-    return [weights @ ranks[start:end].reshape(k, weights.shape[1], -1)
-            for (k, weights), start, end in zip(parts, ends, ends[1:])]
+    half, index = c.shape[-1] < mult.sum(), np.arange(len(lam))
+    own = own if half else mult
+    conj = np.abs(lam[:, None] - lam.conj()).argmin(axis=1)
+    # Blocks at lambda, and at conj(lambda) on C^{m/2}, for the first cluster of each pair, each with
+    # its members, multiplicity and step to its partner: the other block of its cluster, or itself.
+    take = np.array([conj >= index, (conj > index) & half]).T
+    cluster, second = take.nonzero()
+    at = np.arange(len(c) * len(cluster))
+    mus, members, mults, steps = (v[at % len(cluster)] for v in (
+        np.array([lam, lam.conj()]).T[take], np.array([own, mult - own]).T[take], mult[cluster],
+        np.where(second, -1, take[cluster, 1])))
+    ranks = _rank_sequences(c, at // len(cluster), mus, members, mults, at + steps, tol)
+    # A cluster's ranks sum its blocks', twice its one block's on C^{m/2}, or are its partner's.
+    first = np.where(take[:, 0], index, conj)
+    weights = (cluster == first[:, None]) * np.where(half & (conj == index), 2, 1)[cluster]
+    return weights @ ranks.reshape(len(c), len(cluster), -1)
 
 
-def _matches_form(c: np.ndarray, anchors: Sequence[JordanInvariants], tol: float) -> np.ndarray:
-    """Whether each matrix c[i] has the Jordan form of anchors[i], with no eigenvalues:
-    its ranks at the anchor's clusters, read by _ranks_at in one call, must be the
-    anchor's rank sequences.  The multiplicities sum to m, so equal sequences leave
-    c[i] no other eigenvalue and give it the anchor's Jordan blocks.  c holds real
-    m x m matrices, whichever path the anchor took, or the m/2 x m/2 blocks A_c of
-    matrices that commute with J, whose anchors were read on C^{m/2} too."""
-    groups: dict[int, tuple[JordanInvariants, list[int]]] = {}
-    for i, anchor in enumerate(anchors):
-        groups.setdefault(id(anchor), (anchor, []))[1].append(i)
-    forms = [(ops, *map(np.array, zip(*anchor.clusters)), np.array(anchor._members))
-             for anchor, ops in groups.values()]
-    same = np.empty(len(anchors), dtype=bool)
-    for (anchor, ops), ranks in zip(groups.values(), _ranks_at(c, forms, tol)):
-        want = np.array([seq + seq[-1:] * (ranks.shape[-1] - len(seq)) for seq in anchor.rank_sequences])
-        same[ops] = (ranks == want).all(axis=(1, 2))
-    return same
+def _matches_form(c: np.ndarray, anchor: JordanInvariants, tol: float) -> np.ndarray:
+    """Whether each matrix c[i] has the Jordan form of anchor, with no eigenvalues: its
+    ranks at the anchor's clusters, read by _ranks_at, must be the anchor's rank
+    sequences.  The multiplicities sum to m, so equal sequences leave c[i] no other
+    eigenvalue and give it the anchor's Jordan blocks.  c holds real m x m matrices,
+    whichever path the anchor took, or the m/2 x m/2 blocks A_c of matrices that
+    commute with J, when the anchor was read on C^{m/2} too."""
+    lam, mult = map(np.array, zip(*anchor.clusters))
+    ranks = _ranks_at(c, lam, mult, np.array(anchor._members), tol)
+    want = np.array([seq + seq[-1:] * (ranks.shape[-1] - len(seq)) for seq in anchor.rank_sequences])
+    return (ranks == want).all(axis=(1, 2))
 
 
 def _paired(a: Sequence[tuple[Any, Any]], b: Sequence[tuple[Any, Any]], tol: float, scale: float) -> bool:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,13 @@ def e(m, i):
     v = np.zeros(m)
     v[i] = 1.0
     return v
+
+
+def lines_by_type(J, n, seed):
+    """The complex lines that the Jordan checks draw: n of each causal type that
+    exists, the i-th type with seed + i, one list per type."""
+    return [lines for _, lines in jordan_ip._planes_by_type(
+        J.space, jordan_ip._LINE_TYPES, partial(jordan_ip.sample_complex_lines, J), n, seed)]
 
 
 def conjugation_map(m):
@@ -709,7 +718,7 @@ class TestFingerprintCalls:
         assert report.constant and list(report.invariants_by_type) == [
             PlaneClass.SPACELIKE, PlaneClass.TIMELIKE]
         assert invariants == [(8, 8), (8, 8)]
-        assert tested == [(18, 4, 4)]
+        assert tested == [(9, 4, 4), (9, 4, 4)]
         assert equivalent == [()]
 
 
@@ -770,7 +779,7 @@ class TestComplexPathFingerprint:
             "random": lambda: random_J_invariant_tensor(J, 3),
         }[tensor]()
         tol = jordan_ip.OPERATOR_TOL
-        for lines in jordan_ip._lines_by_type(J, 20, 0):
+        for lines in lines_by_type(J, 20, 0):
             for op in np.concatenate(list(curvature_operators(r, lines))):
                 real = jordan_invariants(op, tol)
                 fast = jordan_invariants(op, tol, J._plus_i_basis)
@@ -840,11 +849,9 @@ class TestComplexPathFingerprint:
         for J in (standard_complex_structure(s), boosted_structure(s, 10.0)):
             monkeypatch.setattr(jordan_ip, "curvature_operators", lambda *_: iter([J.J[None]]))
             inputs.clear()
-            anchors = {}
             plane = OrientedPlane(s, e(4, 0), J.J @ e(4, 0))
-            (same,) = jordan_ip._fingerprints(r, [plane], jordan_ip.OPERATOR_TOL, anchors, J)
+            inv, (same,) = jordan_ip._fingerprints(r, [plane], jordan_ip.OPERATOR_TOL, J)
             assert same.tolist() == [True]
-            (inv,) = anchors.values()
             assert inputs == [((2, 2), "c")]
             assert [mult for _, mult in inv.clusters] == [2, 2]
 
@@ -1066,16 +1073,16 @@ class TestSpectrumOfJRPath:
         J = standard_complex_structure(space)
         pair = build_complex_pair_tensor(J, 1.0, 0.5)
         r = combine([(1.0, pair), (eps, random_algebraic_curvature_tensor(space, 3))])
-        lines = [line for lines in jordan_ip._lines_by_type(J, 5, 0) for line in lines]
+        lines = [line for lines in lines_by_type(J, 5, 0) for line in lines]
         commuting = [check_almost_complex(r, J, [line]).passed for line in lines]
         assert commuting == [eps == 1e-12] * len(lines)
         inputs = self.spy_on_eigvals(monkeypatch)
         tested = []
         matches_form = jordan_ip._matches_form
 
-        def spy(c, anchors, tol):
+        def spy(c, anchor, tol):
             tested.extend([(c.shape[-2:], c.dtype.kind)] * len(c))
-            return matches_form(c, anchors, tol)
+            return matches_form(c, anchor, tol)
 
         monkeypatch.setattr(jordan_ip, "_matches_form", spy)
         # The fingerprints cluster at OPERATOR_TOL, far above the perturbation.
@@ -1095,7 +1102,7 @@ class TestSpectrumOfJRPath:
     def spectrum_inputs(self, J, r, monkeypatch):
         """The (shape, dtype kind) of every eigvals input of spectrum_of_JR on
         three lines of each causal type."""
-        lines = [line for lines in jordan_ip._lines_by_type(J, 3, 0) for line in lines]
+        lines = [line for lines in lines_by_type(J, 3, 0) for line in lines]
         inputs = self.spy_on_eigvals(monkeypatch)
         for line in lines:
             spectrum_of_JR(r, J, line)
@@ -1131,7 +1138,7 @@ class TestSpectrumOfJRPath:
         r = {"pair": lambda: build_complex_pair_tensor(J, 1.0, 2.0),
              "quaternionic": lambda: build_quaternionic_tensor(quat, 1, 2, 8, 0)}[tensor]()
         moved_r = pullback(r, np.linalg.inv(g))
-        for lines in jordan_ip._lines_by_type(J, 3, 0):
+        for lines in lines_by_type(J, 3, 0):
             for line in lines:
                 want = spectrum_of_JR(r, J, line)
                 got = spectrum_of_JR(moved_r, moved, complex_line(moved, g @ line.x))
@@ -1148,7 +1155,7 @@ class TestSpectrumOfJRPath:
                    from_self_adjoint(space, np.eye(space.m)), random_J_invariant_tensor(J, 3)]
         if space.p % 4 == 0 and space.m % 4 == 0:
             tensors.append(build_quaternionic_tensor(standard_quaternion_structure(space), 1, 2, 8, 0))
-        lines = [line for lines in jordan_ip._lines_by_type(J, 20, 0) for line in lines]
+        lines = [line for lines in lines_by_type(J, 20, 0) for line in lines]
         for r in tensors:
             for line in lines:
                 want, got = real_path_spectrum(r, J, line), spectrum_or_error(r, J, line)
@@ -1406,8 +1413,10 @@ class TestRankTestMatchesTheFingerprints:
     TOL = jordan_ip.OPERATOR_TOL
 
     def assert_complex_matches(self, tensor, J, n, seed):
-        planes = [line for lines in jordan_ip._lines_by_type(J, n, seed) for line in lines]
-        invariants = list(reference_fingerprints(tensor, planes, self.TOL, J))
+        samples = lines_by_type(J, n, seed)
+        planes = [line for lines in samples for line in lines]
+        # Each causal type's lines are assembled in blocks of their own, as the check assembles them.
+        invariants = [inv for lines in samples for inv in reference_fingerprints(tensor, lines, self.TOL, J)]
         by_type = {}
         for plane, inv in zip(planes, invariants):
             by_type.setdefault(plane.plane_class, inv)
@@ -1543,8 +1552,8 @@ class TestRankTestSensitivity:
         moved = self.realify(q, a_c + change(values, vectors, np.linalg.svd(op, compute_uv=False)[0]))
         x = t @ moved @ np.linalg.inv(t)
         fast = pseudo_linalg._matches_form(
-            (q.conj().T @ x @ q)[None], [jordan_invariants(op, self.TOL, q)], self.TOL)
-        real = pseudo_linalg._matches_form(x[None], [jordan_invariants(op, self.TOL)], self.TOL)
+            (q.conj().T @ x @ q)[None], jordan_invariants(op, self.TOL, q), self.TOL)
+        real = pseudo_linalg._matches_form(x[None], jordan_invariants(op, self.TOL), self.TOL)
         return bool(fast[0]), bool(real[0])
 
     @staticmethod
@@ -1597,19 +1606,42 @@ class TestLapackCalls:
             monkeypatch.setattr(np.linalg, name, spy)
         return calls
 
+    # Each causal type is assembled and rank-tested in its own pass, on exactly the
+    # lines that the sampler draws for it: blocks of 64 and 36 lines per type, one
+    # apply_pairs product and one _rank_sequences call per block, and one more
+    # _rank_sequences call for the anchor.
     def test_complex_check(self, monkeypatch):
-        J = standard_complex_structure(BilinearSpace(8, 8))
-        r = build_complex_pair_tensor(J, 1.3, 0.7)
+        seen, products, rank_tests = [], [], []
+        for module, name, log, record in (
+                (jordan_ip, "curvature_operators", seen, lambda tensor, planes: list(planes)),
+                (jordan_ip, "apply_pairs", products, lambda tensor, xs, ys: len(xs)),
+                (pseudo_linalg, "_rank_sequences", rank_tests, lambda c, rows, *_: len(rows))):
+            def spy(*args, _original=getattr(module, name), _log=log, _record=record):
+                _log.append(_record(*args))
+                return _original(*args)
+            monkeypatch.setattr(module, name, spy)
         calls = self.spy(monkeypatch)
-        report = check_jordan_ip(r, J, n=100, seed=1)
-        anchors, blocks = len(report.invariants_by_type), -(-200 // jordan_ip._BLOCK)
-        assert report.constant and anchors == 2 and blocks == 4
-        assert calls["eigvals"] == [(8, 8)] * anchors
-        assert len(calls["svd"]) == 2 * anchors + blocks
-        # Two conjugate pairs of clusters, two blocks of C^8 each, on every line,
-        # and the scales of the anchors, each an SVD of one matrix.
-        assert {shape[-2:] for shape in calls["svd"]} == {(8, 8)}
-        assert sum(np.prod(shape[:-2], dtype=int) for shape in calls["svd"]) == anchors + 4 * 200
+        for sig in [(4, 4), (2, 6), (8, 8)]:
+            J = standard_complex_structure(BilinearSpace(*sig))
+            r, n = build_complex_pair_tensor(J, 1.3, 0.7), J.space.m // 2
+            want = [sample_complex_lines(J, t, 100, 1 + i)
+                    for i, t in enumerate((PlaneClass.SPACELIKE, PlaneClass.TIMELIKE))]
+            for log in (seen, products, rank_tests, *calls.values()):
+                log.clear()
+            report = check_jordan_ip(r, J, n=100, seed=1)
+            anchors, blocks = len(report.invariants_by_type), 2 * -(-100 // jordan_ip._BLOCK)
+            assert report.constant and anchors == 2 and blocks == 4
+            assert [[(p.x.tobytes(), p.y.tobytes(), p.det, p.plane_class) for p in lines]
+                    for lines in seen] == [[(p.x.tobytes(), p.y.tobytes(), p.det, p.plane_class)
+                                            for p in lines] for lines in want]
+            assert products == [64, 36] * 2
+            # Two conjugate pairs of clusters, two blocks of C^{m/2} each, on every line.
+            assert rank_tests == [4, 63 * 4, 36 * 4] * 2
+            assert calls["eigvals"] == [(n, n)] * anchors
+            assert len(calls["svd"]) == 2 * anchors + blocks
+            # The blocks of every line, and the scales of the anchors, each an SVD of one matrix.
+            assert {shape[-2:] for shape in calls["svd"]} == {(n, n)}
+            assert sum(np.prod(shape[:-2], dtype=int) for shape in calls["svd"]) == anchors + 4 * 200
 
     def test_real_check(self, monkeypatch):
         r = from_self_adjoint(BilinearSpace(4, 4), np.eye(8))

@@ -44,7 +44,7 @@ from curvlab.pseudo_linalg import (
     _rejection_sample,
 )
 from test_curvature import conjugated_structure
-from test_jordan_ip import boosted_structure, conjugation_map, random_J_invariant_tensor
+from test_jordan_ip import boosted_structure, conjugation_map, lines_by_type, random_J_invariant_tensor
 
 
 def e(m, i):
@@ -576,8 +576,9 @@ class TestRankSequenceEarlyStop:
                           sample_real_planes(space, PlaneClass.MIXED, 5, 0)))
         cases += [(pair, J._plus_i_basis, 5, (8, 8), "c", sample_complex_lines(J, c, 5, 0))
                   for c in line_types]
-        # The rank test of a stack against its fingerprints takes the k = 1 blocks
-        # of all its matrices in one SVD call, with no scales.
+        # The rank test of a stack of one causal type against the fingerprint of
+        # any of its matrices takes the k = 1 blocks of all of them in one SVD
+        # call, with no scales.
         calls = spy_on_svd(monkeypatch)
         for tensor, basis, expected, shape, kind, planes in cases:
             ops = np.array([curvature_operator(tensor, plane) for plane in planes])
@@ -586,9 +587,10 @@ class TestRankSequenceEarlyStop:
                 calls.clear()
                 anchors.append(jordan_invariants(op, OPERATOR_TOL, basis))
                 assert calls == [(shape, kind, 1), (shape, "c", expected - 1)]
-            calls.clear()
-            assert _matches_form(on_path(ops, basis), anchors, OPERATOR_TOL).all()
-            assert calls == [(shape, "c", (expected - 1) * len(ops))]
+            for anchor in anchors:
+                calls.clear()
+                assert _matches_form(on_path(ops, basis), anchor, OPERATOR_TOL).all()
+                assert calls == [(shape, "c", (expected - 1) * len(ops))]
 
     def test_conjugate_clusters_share_their_svds(self, monkeypatch):
         # a R_Id + b R_C on spacelike planes of (0, 16): clusters 0
@@ -607,9 +609,12 @@ class TestRankSequenceEarlyStop:
             assert calls == [((16, 16), "f", 1), ((16, 16), "c", 3)]
             assert sorted(zip((mult for _, mult in inv.clusters), inv.rank_sequences)) == \
                 [(1, (15,))] * 4 + [(12, (4,) * 12)]
-        calls.clear()
-        assert _matches_form(ops, anchors, OPERATOR_TOL).all()
-        assert calls == [((16, 16), "c", 15)]
+        # The operators move from plane to plane: each passes against its own
+        # fingerprint, in a rank test of the whole stack.
+        for i, anchor in enumerate(anchors):
+            calls.clear()
+            assert _matches_form(ops, anchor, OPERATOR_TOL)[i]
+            assert calls == [((16, 16), "c", 15)]
 
 
 def on_path(ops, basis):
@@ -623,14 +628,14 @@ def assert_each_matches_itself(ops, tol, basis=None):
     with the others of ops in one call."""
     c = on_path(ops, basis)
     anchors = [jordan_invariants(op, tol, basis) for op in ops]
-    assert all(_matches_form(x[None], [inv], tol)[0] for x, inv in zip(c, anchors))
-    assert _matches_form(c, anchors, tol).all()
+    assert all(_matches_form(x[None], inv, tol)[0] for x, inv in zip(c, anchors))
+    assert all(_matches_form(c, inv, tol)[i] for i, inv in enumerate(anchors))
 
 
 def complex_line_ops(r, J, n=10):
     """R(pi) of r on n lines of J of each causal type that exists."""
     return np.array([curvature_operator(r, line)
-                     for lines in jordan_ip._lines_by_type(J, n, 0) for line in lines])
+                     for lines in lines_by_type(J, n, 0) for line in lines])
 
 
 class TestFingerprintsMatchThemselves:
@@ -688,25 +693,28 @@ class TestFingerprintsMatchThemselves:
         assert_each_matches_itself(ops, OPERATOR_TOL)
 
     def test_each_power_level_takes_one_svd_call(self, monkeypatch):
-        # The rank test makes one SVD call per level, which holds every block that
-        # the fingerprints take at that level: the k = 1 blocks, then the blocks of
-        # the sequences still running at each k >= 2.  At tol 1e-4 the size-3
-        # blocks cluster, and sequences run to k = 2 and 3.
-        ops = np.array([t @ jordan @ np.linalg.inv(t) for jordan, _ in JORDAN_STRUCTURES.values()
-                        if jordan.shape[0] == 6 for seed in range(3)
-                        for t in [well_conditioned_map(6, np.random.default_rng(seed))]])
+        # The rank test of a stack against one fingerprint makes one SVD call per
+        # level, which holds every block that the stack's own fingerprints take at
+        # that level: the k = 1 blocks, then the blocks of the sequences still
+        # running at each k >= 2.  At tol 1e-4 the size-3 blocks cluster, and
+        # sequences run to k = 2 and 3.
         calls = spy_on_svd(monkeypatch)
-        alone, anchors = [], []
-        for op in ops:
+        levels = 0
+        for jordan in (jordan for jordan, _ in JORDAN_STRUCTURES.values() if jordan.shape[0] == 6):
+            ops = np.array([t @ jordan @ np.linalg.inv(t) for seed in range(3)
+                            for t in [well_conditioned_map(6, np.random.default_rng(seed))]])
+            alone, anchors = [], []
+            for op in ops:
+                calls.clear()
+                anchors.append(jordan_invariants(op, 1e-4))
+                alone.append([count for _, _, count in calls])
             calls.clear()
-            anchors.append(jordan_invariants(op, 1e-4))
-            alone.append([count for _, _, count in calls])
-        calls.clear()
-        assert _matches_form(ops, anchors, 1e-4).all()
-        levels = max(map(len, alone))
+            assert _matches_form(ops, anchors[0], 1e-4).all()
+            assert [count for _, _, count in calls] == [
+                sum(counts[level] for counts in alone if level < len(counts))
+                for level in range(1, max(map(len, alone)))]
+            levels = max(levels, *map(len, alone))
         assert levels == 4  # the scales, then k = 1, 2 and 3
-        assert [count for _, _, count in calls] == [
-            sum(counts[level] for counts in alone if level < len(counts)) for level in range(1, levels)]
 
 
 def reference_rank_sequences(c, blocks, tol):
@@ -877,11 +885,11 @@ class TestFingerprintMemory:
             r, basis = build_complex_pair_tensor(J, 1.5, 0.75), J._plus_i_basis
             planes = sample_complex_lines(J, PlaneClass.SPACELIKE, 64, 0)
         ops = np.array([curvature_operator(r, plane) for plane in planes])
-        c, anchors = on_path(ops, basis), [jordan_invariants(ops[0], OPERATOR_TOL, basis)] * len(ops)
-        _matches_form(c, anchors, OPERATOR_TOL)
+        c, anchor = on_path(ops, basis), jordan_invariants(ops[0], OPERATOR_TOL, basis)
+        _matches_form(c, anchor, OPERATOR_TOL)
         tracemalloc.start()
         try:
-            same = _matches_form(c, anchors, OPERATOR_TOL)
+            same = _matches_form(c, anchor, OPERATOR_TOL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
