@@ -49,7 +49,6 @@ from .curvature import (
     from_skew_adjoint,
 )
 from .jordan_ip import (
-    OPERATOR_TOL,
     OrientedPlane,
     PlaneClass,
     SpectrumModel,
@@ -219,7 +218,7 @@ def _gray(tensor, J, tol, **_) -> dict:
 
 
 def _jordan_ip_complex(tensor, J, samples, seed, tol, **_) -> dict:
-    report = check_jordan_ip(tensor, J, n=samples, seed=seed, tol=max(tol, OPERATOR_TOL))
+    report = check_jordan_ip(tensor, J, n=samples, seed=seed, tol=tol)
     out = {
         "pass": report.constant,
         "constant": report.constant,
@@ -234,7 +233,7 @@ def _jordan_ip_complex(tensor, J, samples, seed, tol, **_) -> dict:
 
 
 def _jordan_ip_real(tensor, samples, seed, tol, **_) -> dict:
-    report = check_jordan_ip_real(tensor, n=samples, seed=seed, tol=max(tol, OPERATOR_TOL))
+    report = check_jordan_ip_real(tensor, n=samples, seed=seed, tol=tol)
     out = {
         "pass": report.constant and report.rank_type_independent,
         "constant_by_type": report.constant_by_type,
@@ -253,7 +252,7 @@ def _jordan_ip_real(tensor, samples, seed, tol, **_) -> dict:
 def _spectrum(tensor, J, samples, seed, tol, **_) -> dict:
     try:
         _, lines = next(_planes_by_type(J.space, _LINE_TYPES, partial(sample_complex_lines, J), samples, seed))
-        spectra = [spectrum_of_JR(tensor, J, plane, max(tol, OPERATOR_TOL)) for plane in lines]
+        spectra = [spectrum_of_JR(tensor, J, plane, tol) for plane in lines]
     except ValueError as exc:
         return {"pass": False, "error": str(exc)}
     anchor = spectra[0]
@@ -297,9 +296,9 @@ def _solve_constants(tensor, J, quat, seed, tol, **_) -> dict:
     try:
         # The relations of solve_constants hold on spacelike lines only.
         plane = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed)[0]
-        measured = spectrum_of_JR(tensor, J, plane, max(tol, OPERATOR_TOL))
+        measured = spectrum_of_JR(tensor, J, plane, tol)
         coeffs = solve_constants(measured, model)
-        round_trip = spectrum_of_JR(rebuild(*coeffs), J, plane, max(tol, OPERATOR_TOL))
+        round_trip = spectrum_of_JR(rebuild(*coeffs), J, plane, tol)
         passed = measured.matches(round_trip, max(tol, DEFAULT_TOL))
     except ValueError as exc:
         return {"pass": False, "error": str(exc)}

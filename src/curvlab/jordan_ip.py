@@ -40,9 +40,9 @@ from .pseudo_linalg import (
     jordan_invariants,
 )
 
-# Nilpotent Jordan blocks of size 2 scatter their eigenvalues by about
-# sqrt(machine eps) times the operator norm (3e-8), while the eigenvalue gaps
-# of interest are order 0.1 and larger, so operator-level checks cluster at 1e-6.
+# Nilpotent Jordan blocks of size 2 scatter their eigenvalues by about sqrt(machine eps)
+# times the operator norm (3e-8), and the eigenvalue gaps of interest are 0.1 and larger,
+# so the Jordan and spectrum checks cluster at 1e-6 and read a smaller tol as this floor.
 OPERATOR_TOL = 1e-6
 # The one bound on max|J R(pi) - R(pi) J| / max|R| of the three commutation decisions:
 # check_almost_complex's default, check_jordan_ip's fingerprint path, spectrum_of_JR.
@@ -281,8 +281,9 @@ def check_jordan_ip(
     its own pass: every other line against the anchor of its type, also after
     a mismatch.  An anchor of a later type meets the first one in
     jordan_equivalent: pairing within a bound is not transitive, so each line
-    meets the first line's form.
+    meets the first line's form.  All of these read at max(tol, OPERATOR_TOL).
     """
+    tol = max(tol, OPERATOR_TOL)
     samples = list(_planes_by_type(J.space, _LINE_TYPES, partial(sample_complex_lines, J), n, seed))
     anchors, verdicts = {}, []
     for causal_type, lines in samples:
@@ -330,14 +331,14 @@ def check_jordan_ip_real(
     seed: int = 0,
     tol: float = OPERATOR_TOL,
 ) -> RealJordanIPReport:
-    """Jordan constancy over real oriented 2-planes, independently per causal type;
-    the i-th type that exists (spacelike, timelike, mixed) is sampled with seed + i."""
+    """Jordan constancy over real oriented 2-planes at max(tol, OPERATOR_TOL), per causal
+    type; the i-th type that exists (spacelike, timelike, mixed) is sampled with seed + i."""
     space = tensor.space
     invariants_by_type: dict[PlaneClass, JordanInvariants] = {}
     witnesses: dict[PlaneClass, tuple[OrientedPlane, OrientedPlane]] = {}
     types = (*_LINE_TYPES, PlaneClass.MIXED)
     for causal_type, planes in _planes_by_type(space, types, partial(sample_real_planes, space), n, seed):
-        invariants_by_type[causal_type], same = _fingerprints(tensor, planes, tol)
+        invariants_by_type[causal_type], same = _fingerprints(tensor, planes, max(tol, OPERATOR_TOL))
         offender = next((i for i, ok in enumerate(chain.from_iterable(same)) if not ok), None)
         if offender is not None:
             witnesses[causal_type] = (planes[0], planes[offender])
@@ -397,7 +398,7 @@ def spectrum_of_JR(
 ) -> SpectrumSpec:
     """Eigenvalues and complex multiplicities of the composition J R(pi), read
     from its fingerprint jordan_invariants(J R(pi), tol, J._plus_i_basis) on
-    C^{m/2}, A_c = Q^H J R(pi) Q.
+    C^{m/2}, A_c = Q^H J R(pi) Q, with tol raised to OPERATOR_TOL if below it.
 
     A plane that is not a complex line of J, as check_almost_complex decides,
     or that is degenerate raises ValueError.  An eigenstructure that no almost
@@ -409,7 +410,7 @@ def spectrum_of_JR(
     """
     if _first_non_line(J, [plane]) is not None:
         raise ValueError("spectrum_of_JR requires a non-degenerate complex line")
-    op = curvature_operator(tensor, plane)
+    op, tol = curvature_operator(tensor, plane), max(tol, OPERATOR_TOL)
     k = J.J @ op
     comm = float(np.max(np.abs(k - op @ J.J)))
     if comm > _ALMOST_COMPLEX_TOL * tensor.scale:

@@ -247,9 +247,8 @@ class JordanInvariants:
     reaches m - multiplicity; the tail repeats that last rank.  scale is
     sigma_max(A), the unit of every cutoff here and in jordan_equivalent.
 
-    _members, private and outside equality and repr, counts per cluster the
-    members that are eigenvalues of A_c for a fingerprint read on C^{m/2}, or
-    all of them; _ranks_at reads them when _matches_form tests an A_c.
+    _members, private and outside equality and repr, counts per cluster the members that are
+    eigenvalues of A_c on C^{m/2}, or all of them: _ranks_at makes only blocks with members.
     """
 
     dimension: int
@@ -278,23 +277,24 @@ def _cluster_eigenvalues(evals: np.ndarray, threshold: float | np.ndarray) -> tu
     return linked.argmax(axis=-1) if n else np.zeros(evals.shape, dtype=int), ambiguous
 
 
-def _rank_sequences(c: np.ndarray, rows: np.ndarray, mus: np.ndarray, members: np.ndarray,
-                    mults: np.ndarray, partner: np.ndarray, tol: float) -> np.ndarray:
-    """Rank sequences of the powers of B_t = c[rows[t]] - mus[t] I, for a non-empty
-    array of blocks t: one SVD call per power k, of the blocks still running.
+def _rank_sequences(c: np.ndarray, mus: np.ndarray, members: np.ndarray, mults: np.ndarray,
+                    partner: np.ndarray, tol: float) -> np.ndarray:
+    """Rank sequences of the powers of B_it = c[i] - mus[t] I, for every matrix c[i] and a
+    non-empty array of blocks t with members, one SVD call per power k: [i, t] of the
+    (len(c), blocks, max(mults)) result holds them for k = 1, 2, ..., the last repeated.
 
-    The cutoff of block t at power k is tol * anchor_t^k, anchor_t the larger
-    sigma_max of B_t and of B_partner[t], the other block of its cluster (or
-    itself).  A block with no members has full rank n.  A sequence stops at the
-    k where its rank is at most n - members, equals the rank at k - 1, or k
-    reaches mults; row t of the (blocks, max(mults)) result holds its ranks for
-    k = 1, 2, ..., the last one repeated to the end of the row."""
+    The cutoff of B_it at power k is tol * anchor^k, anchor the larger sigma_max of B_it and
+    of B_i,partner[t], the other block of its cluster or itself; for one that has no members
+    and is not made, partner[t] < 0, its bound sigma_max(B_it) + |mus[t] - conj(mus[t])|.  A
+    sequence stops at the k where its rank is at most n - members, equals the rank at k - 1,
+    or k reaches mults."""
     n = c.shape[-1]
-    shifted = mus[:, None, None] * np.eye(n)
-    np.subtract(c[rows], shifted, out=shifted)  # B_t, with no third stack
+    shifted = (c[:, None] - mus[:, None, None] * np.eye(n)).reshape(-1, n, n)  # B_it in row i * blocks + t
     s = np.linalg.svd(shifted, compute_uv=False)
-    top = np.maximum(s[:, 0], s[partner, 0])
-    first = np.where(members > 0, np.count_nonzero(s > tol * top[:, None], axis=1), n)
+    top = s[:, 0].reshape(len(c), -1)
+    top = np.where(partner < 0, top + 2 * np.abs(mus.imag), np.maximum(top, top[:, partner])).ravel()
+    first = np.count_nonzero(s > tol * top[:, None], axis=1)
+    members, mults = np.tile(members, len(c)), np.tile(mults, len(c))
     ranks = np.repeat(first[:, None], mults.max(), axis=1)
     anchors = top.tolist()
     running = np.flatnonzero((first > n - members) & (mults > 1))
@@ -311,7 +311,7 @@ def _rank_sequences(c: np.ndarray, rows: np.ndarray, mus: np.ndarray, members: n
         going = (rank > n - members[running]) & (rank != ranks[running, k - 2]) & (k < mults[running])
         ranks[running, k - 1:] = rank[:, None]
         running, power = running[going], power[going]
-    return ranks
+    return ranks.reshape(len(c), len(mus), -1)
 
 
 def jordan_invariants(
@@ -332,7 +332,7 @@ def jordan_invariants(
     complex structure J commuting with A.  Then A is diag(A_c, conj(A_c)) in
     the basis [Q, conj(Q)], A_c = Q^H A Q, and A's fingerprint is read from A_c
     at half the size: rank((A - lambda)^k) = rank_c((A_c - lambda)^k) + rank_c((A_c
-    - conj(lambda))^k), the second m/2 when conj(lambda) is no eigenvalue of A_c.
+    - conj(lambda))^k), a term m/2, with no SVD, when its shift is no eigenvalue of A_c.
     [Q, conj(Q)] is unitary only for an orthogonal J, else sigma_max(A_c) <= sigma_max(A).
     """
     a = np.asarray(a, dtype=float)
@@ -371,26 +371,26 @@ def _ranks_at(c: np.ndarray, lam: np.ndarray, mult: np.ndarray, own: np.ndarray,
     Jordan form, by one _rank_sequences call: a (len(c), clusters, width) array, width the
     largest multiplicity.
 
-    The multiplicities sum to m, so c of size n < m is read on C^{m/2}, with the blocks
-    A_c - lambda (the members, those of the cluster that are eigenvalues of A_c) and A_c -
-    conj(lambda) (the rest); else a cluster has one block, A - lambda.  Only the first
-    cluster of a conjugate pair, its partner nearest conj(lambda), has blocks."""
-    half, index = c.shape[-1] < mult.sum(), np.arange(len(lam))
-    own = own if half else mult
+    The multiplicities sum to m, so c of size n < m is read on C^{m/2}, with the blocks A_c -
+    lambda (the members, the cluster's eigenvalues of A_c) and A_c - conj(lambda) (the rest),
+    of rank n and not made where they have none; else a cluster has one block, A - lambda.
+    Only the first cluster of a conjugate pair, its partner nearest conj(lambda), has blocks."""
+    n, index = c.shape[-1], np.arange(len(lam))
+    half, own = (True, own) if n < mult.sum() else (False, mult)
     conj = np.abs(lam[:, None] - lam.conj()).argmin(axis=1)
-    # Blocks at lambda, and at conj(lambda) on C^{m/2}, for the first cluster of each pair, each with
-    # its members, multiplicity and step to its partner: the other block of its cluster, or itself.
-    take = np.array([conj >= index, (conj > index) & half]).T
+    # Slots at lambda, and at conj(lambda) on C^{m/2}, of each pair's first cluster; those with members
+    # have blocks, partnered with the block of the other slot (-1 if it has none) or with themselves.
+    slots, counts = np.array([conj >= index, (conj > index) & half]).T, np.array([own, mult - own]).T
+    take = slots & (counts > 0)
     cluster, second = take.nonzero()
-    at = np.arange(len(c) * len(cluster))
-    mus, members, mults, steps = (v[at % len(cluster)] for v in (
-        np.array([lam, lam.conj()]).T[take], np.array([own, mult - own]).T[take], mult[cluster],
-        np.where(second, -1, take[cluster, 1])))
-    ranks = _rank_sequences(c, at // len(cluster), mus, members, mults, at + steps, tol)
-    # A cluster's ranks sum its blocks', twice its one block's on C^{m/2}, or are its partner's.
-    first = np.where(take[:, 0], index, conj)
-    weights = (cluster == first[:, None]) * np.where(half & (conj == index), 2, 1)[cluster]
-    return weights @ ranks.reshape(len(c), len(cluster), -1)
+    made = np.where(take, take.cumsum().reshape(take.shape) - 1, -1)
+    made[:, 1] = np.where(slots[:, 1], made[:, 1], made[:, 0])
+    ranks = _rank_sequences(c, np.array([lam, lam.conj()]).T[take], counts[take], mult[cluster],
+                            made[cluster, 1 - second], tol)
+    # A cluster's ranks sum its slots' (n with no block), twice its one slot's on C^{m/2}, or its partner's.
+    first = np.where(slots[:, 0], index, conj)
+    weight, missing = np.where(half & (conj == index), 2, 1)[first], n * (slots & ~take).sum(axis=1)[first]
+    return weight[:, None] * ((cluster == first[:, None]) @ ranks + missing[:, None])
 
 
 def _matches_form(c: np.ndarray, anchor: JordanInvariants, tol: float) -> np.ndarray:

@@ -1334,6 +1334,40 @@ class TestNilpotentBranch:
         assert all(check_jordan_ip(r, J, n=30, seed=seed).constant for seed in range(3))
 
 
+class TestLibraryTolFloor:
+    """check_jordan_ip, check_jordan_ip_real and spectrum_of_JR read a tol below
+    OPERATOR_TOL as OPERATOR_TOL, so their reports equal the default's."""
+
+    @staticmethod
+    def nilpotent_pair(space):
+        """R_phi1 + R_phi2 for phi1 = nilpotent_null_pair and phi2 its partner: on every
+        line R(pi)^2 = 0 and R(pi) has rank 4, the rank sequence (4, 0) at 0."""
+        return combine([(1.0, from_self_adjoint(space, nilpotent_null_pair(space))),
+                        (1.0, from_skew_adjoint(space, nilpotent_null_pair_partner(space)))])
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-8, 3e-7])
+    def test_a_smaller_tol_gives_the_default_reports(self, tol):
+        space = BilinearSpace(4, 4)
+        J = standard_complex_structure(space)
+        r = self.nilpotent_pair(space)
+        assert repr(check_jordan_ip(r, J, n=30, seed=0, tol=tol)) == repr(check_jordan_ip(r, J, n=30, seed=0))
+        assert repr(check_jordan_ip_real(r, n=30, seed=0, tol=tol)) == repr(check_jordan_ip_real(r, n=30, seed=0))
+        pair = build_complex_pair_tensor(J, 1.5, 0.75)
+        for line in (line for lines in lines_by_type(J, 3, 0) for line in lines):
+            assert repr(spectrum_of_JR(pair, J, line, tol)) == repr(spectrum_of_JR(pair, J, line))
+
+    # A nilpotent block of size 2 scatters its eigenvalues by about sqrt(eps) sigma_max,
+    # far beyond tol sigma_max at tol 1e-10, where the anchor's cluster at 0 would split.
+    @pytest.mark.parametrize("sig", [(4, 4), (8, 8), (12, 12)], ids=str)
+    def test_nilpotent_pair_is_constant_at_a_tiny_tol(self, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        r = self.nilpotent_pair(space)
+        for seed in range(20):
+            report = check_jordan_ip(r, J, n=100, seed=seed, tol=1e-10)
+            assert report.constant and report.rank == 4
+
+
 class TestSpectrumSpecValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one eigenvalue"):
@@ -1615,7 +1649,7 @@ class TestLapackCalls:
         for module, name, log, record in (
                 (jordan_ip, "curvature_operators", seen, lambda tensor, planes: list(planes)),
                 (jordan_ip, "apply_pairs", products, lambda tensor, xs, ys: len(xs)),
-                (pseudo_linalg, "_rank_sequences", rank_tests, lambda c, rows, *_: len(rows))):
+                (pseudo_linalg, "_rank_sequences", rank_tests, lambda c, mus, *_: len(c) * len(mus))):
             def spy(*args, _original=getattr(module, name), _log=log, _record=record):
                 _log.append(_record(*args))
                 return _original(*args)
@@ -1635,13 +1669,14 @@ class TestLapackCalls:
                     for lines in seen] == [[(p.x.tobytes(), p.y.tobytes(), p.det, p.plane_class)
                                             for p in lines] for lines in want]
             assert products == [64, 36] * 2
-            # Two conjugate pairs of clusters, two blocks of C^{m/2} each, on every line.
-            assert rank_tests == [4, 63 * 4, 36 * 4] * 2
+            # Two conjugate pairs of clusters on every line, each with one block of C^{m/2}
+            # with members: A_c holds one eigenvalue of each pair.
+            assert rank_tests == [2, 63 * 2, 36 * 2] * 2
             assert calls["eigvals"] == [(n, n)] * anchors
             assert len(calls["svd"]) == 2 * anchors + blocks
             # The blocks of every line, and the scales of the anchors, each an SVD of one matrix.
             assert {shape[-2:] for shape in calls["svd"]} == {(n, n)}
-            assert sum(np.prod(shape[:-2], dtype=int) for shape in calls["svd"]) == anchors + 4 * 200
+            assert sum(np.prod(shape[:-2], dtype=int) for shape in calls["svd"]) == anchors + 2 * 200
 
     def test_real_check(self, monkeypatch):
         r = from_self_adjoint(BilinearSpace(4, 4), np.eye(8))

@@ -19,8 +19,10 @@ from curvlab import (
     build_quaternionic_tensor,
     check_admissible,
     check_admissible_pair,
+    check_jordan_ip,
     classify_plane,
     combine,
+    complex_line,
     curvature_operator,
     from_self_adjoint,
     inner,
@@ -29,6 +31,7 @@ from curvlab import (
     nilpotent_null_pair,
     nilpotent_null_pair_partner,
     numeric_rank,
+    pullback,
     sample_complex_lines,
     sample_real_planes,
     standard_complex_structure,
@@ -41,10 +44,12 @@ from curvlab.pseudo_linalg import (
     _matches_form,
     _plane_gram,
     _rank_from_singular_values,
+    _rank_sequences,
+    _ranks_at,
     _rejection_sample,
 )
 from test_curvature import conjugated_structure
-from test_jordan_ip import boosted_structure, conjugation_map, lines_by_type, random_J_invariant_tensor
+from test_jordan_ip import boost, boosted_structure, conjugation_map, lines_by_type, random_J_invariant_tensor
 
 
 def e(m, i):
@@ -561,7 +566,8 @@ class TestRankSequenceEarlyStop:
         # or timelike plane the eigenvalues are a conjugate pair, which shares
         # one SVD.  c0 R_Id + c1 R_J on complex lines, on J's +i eigenspace:
         # the scale, then two conjugate pairs of clusters, each exhausted at
-        # k = 1 by the SVDs of A_c - lambda and A_c - conj(lambda), all 8 x 8.
+        # k = 1 by the SVD of A_c - lambda, all 8 x 8.  A_c holds one eigenvalue
+        # of each pair, so A_c - conj(lambda) has no members and no SVD.
         # Every sequence stops at k = 1, so a stack takes two SVD calls: its
         # scales, then the shifted blocks of all its clusters.
         space = BilinearSpace(*sig)
@@ -574,7 +580,7 @@ class TestRankSequenceEarlyStop:
         if space.p:
             cases.append((identity, None, 4, (16, 16), "f",
                           sample_real_planes(space, PlaneClass.MIXED, 5, 0)))
-        cases += [(pair, J._plus_i_basis, 5, (8, 8), "c", sample_complex_lines(J, c, 5, 0))
+        cases += [(pair, J._plus_i_basis, 3, (8, 8), "c", sample_complex_lines(J, c, 5, 0))
                   for c in line_types]
         # The rank test of a stack of one causal type against the fingerprint of
         # any of its matrices takes the k = 1 blocks of all of them in one SVD
@@ -894,6 +900,172 @@ class TestFingerprintMemory:
         finally:
             tracemalloc.stop()
         assert same.all() and peak <= 1.1 * parent_peak
+
+
+def parent_rule_ranks(c, lam, mult, own, tol):
+    """_ranks_at by the rule that decomposed both blocks A_c - lambda and A_c -
+    conj(lambda) of a conjugate pair's first cluster on C^{m/2}, with members or not:
+    a block with none had rank n, and every block was cut at the larger sigma_max of
+    the two, through reference_rank_sequences.  Also the (sigma_max, bound) pairs of
+    the blocks with no members: the dropped block's own sigma_max, and the bound that
+    now stands for it, sigma_max of the other block plus |lambda - conj(lambda)|."""
+    n, half = c.shape[-1], c.shape[-1] < mult.sum()
+    own = own if half else mult
+    conj = [int(np.argmin(np.abs(lam - value.conjugate()))) for value in lam.tolist()]
+    blocks, spans = [], {}
+    for i in range(len(c)):
+        for j, (value, mu, members) in enumerate(zip(lam.tolist(), mult.tolist(), own.tolist())):
+            t = len(blocks)
+            if half and conj[j] > j:
+                blocks += [(i, value, members, mu, t + 1), (i, value.conjugate(), mu - members, mu, t)]
+            elif conj[j] == j or (conj[j] > j and not half):
+                blocks.append((i, value, members, mu, t))
+            spans[i, j] = range(t, len(blocks))
+    seqs = reference_rank_sequences(c, blocks, tol)
+    width = int(mult.max())
+    ranks = np.zeros((len(c), len(lam), width), dtype=int)
+    for (i, j), span in spans.items():
+        if span:
+            factor = 2 if half and len(span) == 1 else 1
+            seq = [factor * sum(r) for r in zip(*(seqs[t] for t in span))]
+            ranks[i, j] = seq + seq[-1:] * (width - len(seq))
+    for (i, j), span in spans.items():
+        if not span:
+            ranks[i, j] = ranks[i, conj[j]]
+    dropped = [(row, mu, blocks[partner][1]) for row, mu, members, _, partner in blocks if members == 0]
+    sigma = lambda row, mu: np.linalg.svd(c[row] - mu * np.eye(n), compute_uv=False)[0]
+    return ranks, [(sigma(row, mu), sigma(row, other) + abs(other - other.conjugate()))
+                   for row, mu, other in dropped]
+
+
+class TestMemberlessBlocksKeepTheParentRanks:
+    """On C^{m/2} the rank test decomposes A_c - lambda only where A_c has eigenvalues in
+    the cluster, and takes sigma_max(B_t) + |lambda - conj(lambda)| for the sigma_max of
+    a partner block with none.  The rule before decomposed both blocks of every cluster
+    and took the larger sigma_max: the bound never lies below the dropped block's
+    sigma_max, and the ranks and verdicts are that rule's, on the lines the Jordan
+    checks draw."""
+
+    TOL = OPERATOR_TOL
+
+    def assert_keeps_the_parent_rule(self, tensor, J, samples):
+        """Each causal type's lines, against their first line's fingerprint on the path that
+        _fingerprints takes; the number of blocks with no members."""
+        dropped = 0
+        for lines in samples:
+            ops = np.concatenate(list(jordan_ip.curvature_operators(tensor, lines)))
+            commuting = np.abs(J.J @ ops - ops @ J.J).max(axis=(1, 2)) <= (
+                jordan_ip._ALMOST_COMPLEX_TOL * tensor.scale)
+            basis = J._plus_i_basis if commuting[0] else None
+            anchor = jordan_invariants(ops[0], self.TOL, basis)
+            lam, mult = map(np.array, zip(*anchor.clusters))
+            own = np.array(anchor._members)
+            half = commuting if basis is not None else np.zeros(len(ops), dtype=bool)
+            for c in (on_path(ops[half], basis), ops[~half]):
+                if not len(c):
+                    continue
+                want, bounds = parent_rule_ranks(c, lam, mult, own, self.TOL)
+                assert np.array_equal(_ranks_at(c, lam, mult, own, self.TOL), want)
+                seqs = np.array([seq + seq[-1:] * (want.shape[-1] - len(seq)) for seq in anchor.rank_sequences])
+                assert np.array_equal(_matches_form(c, anchor, self.TOL), (want == seqs).all(axis=(1, 2)))
+                # The triangle inequality holds exactly.  It is an equality where A_c - lambda
+                # and A_c - conj(lambda) share a top singular vector, as for a normal A_c with
+                # its eigenvalues on the imaginary axis beyond lambda; there the two computed
+                # sides differ by the SVD's rounding, a few eps.
+                n = c.shape[-1]
+                assert all(bound >= sigma * (1 - n * np.finfo(float).eps) for sigma, bound in bounds)
+                dropped += len(bounds)
+        return dropped
+
+    def test_a_missing_partner_is_cut_at_the_bound(self):
+        # B = A_c - i = diag(1, 2e-6) has sigma_max 1.  Its partner A_c + i, with no
+        # members, has sigma_max |1 + 2i| = 2.24, which 1 + |i - conj(i)| = 3 bounds.  At
+        # tol 1e-6, 2e-6 lies above B's own cutoff and below the bound's.
+        c, mus, ones = np.diag([1.0 + 1j, 1j + 2e-6])[None], np.array([1j]), np.array([1])
+        assert _rank_sequences(c, mus, ones, ones, np.array([0]), 1e-6).tolist() == [[[2]]]
+        assert _rank_sequences(c, mus, ones, ones, np.array([-1]), 1e-6).tolist() == [[[1]]]
+
+    # The jordan_sweep complex configs, coefficients drawn in [0.5, 2] as the sweep draws
+    # them, and the J-invariant part of a random tensor, whose A_c holds one eigenvalue of
+    # each of m/2 conjugate pairs.
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (2, 6), (0, 16), (8, 8)], ids=str)
+    def test_sweep_configs(self, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        identity = from_self_adjoint(space, np.eye(space.m))
+        for seed in range(10):
+            c0, c1, a, b = np.random.default_rng([seed, *sig]).uniform(0.5, 2.0, 4)
+            samples = lines_by_type(J, 40, seed)
+            assert self.assert_keeps_the_parent_rule(build_complex_pair_tensor(J, c0, c1), J, samples) > 0
+            r = combine([(a, identity), (b, from_self_adjoint(space, conjugation_map(space.m)))])
+            self.assert_keeps_the_parent_rule(r, J, samples)
+            assert self.assert_keeps_the_parent_rule(random_J_invariant_tensor(J, seed), J, samples) > 0
+            if sig[0] % 4 == 0 and sig[0] * sig[1] == 0:
+                quat = standard_quaternion_structure(space)
+                structure = quat.as_complex
+                r = build_quaternionic_tensor(quat, 1, 2, 8, 0)
+                assert self.assert_keeps_the_parent_rule(r, structure, lines_by_type(structure, 40, seed)) > 0
+
+    # The boosted J of test_boost_keeps_the_spectrum: [Q, conj(Q)] is not unitary, so
+    # sigma_max(A_c) is not sigma_max(R(pi)).
+    @pytest.mark.parametrize("rapidity", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("tensor", ["pair", "quaternionic"])
+    def test_boosted_structure(self, tensor, rapidity):
+        space = BilinearSpace(4, 4)
+        quat = standard_quaternion_structure(space)
+        J, g = quat.as_complex, boost(space, rapidity)
+        moved = boosted_structure(space, rapidity)
+        r = {"pair": lambda: build_complex_pair_tensor(J, 1.0, 2.0),
+             "quaternionic": lambda: build_quaternionic_tensor(quat, 1, 2, 8, 0)}[tensor]()
+        samples = [[complex_line(moved, g @ line.x) for line in lines] for lines in lines_by_type(J, 30, 0)]
+        assert self.assert_keeps_the_parent_rule(pullback(r, np.linalg.inv(g)), moved, samples) > 0
+
+
+class TestOnlyBlocksWithMembersAreDecomposed:
+    """Every matrix that _rank_sequences decomposes in a complex Jordan check is A_c - mu
+    (or A - mu on the real path) for a mu at an eigenvalue of its anchor's A_c (or A): a
+    block with members.  On C^{m/2} there is one block per cluster of the anchor's A_c,
+    where both blocks of every conjugate pair were decomposed before."""
+
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (8, 8)], ids=str)
+    def test_complex_checks(self, sig, monkeypatch):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        # A_c of c0 R_Id + c1 R_J holds one eigenvalue of each of its two conjugate pairs
+        # (4 blocks before); that of a R_Id + b R_C both of a pair and 0 (3 before); that of
+        # the quaternionic tensor both of one pair and one of another (4 before).
+        cases = [(build_complex_pair_tensor(J, 1.3, 0.7), J, 2),
+                 (combine([(0.8, from_self_adjoint(space, np.eye(space.m))),
+                           (1.7, from_self_adjoint(space, conjugation_map(space.m)))]), J, 3)]
+        if sig == (0, 8):
+            quat = standard_quaternion_structure(space)
+            cases.append((build_quaternionic_tensor(quat, 1, 2, 8, 0), quat.as_complex, 3))
+        anchors, decomposed = [], []
+        fingerprint, rank_sequences = jordan_ip.jordan_invariants, pseudo_linalg._rank_sequences
+
+        def spy_fingerprint(a, tol, basis=None):
+            anchors.append((a, basis))
+            return fingerprint(a, tol, basis)
+
+        def spy_rank_sequences(c, mus, *args):
+            decomposed.append((anchors[-1], c, mus))
+            return rank_sequences(c, mus, *args)
+
+        monkeypatch.setattr(jordan_ip, "jordan_invariants", spy_fingerprint)
+        monkeypatch.setattr(pseudo_linalg, "_rank_sequences", spy_rank_sequences)
+        for tensor, structure, blocks in cases:
+            decomposed.clear()
+            check_jordan_ip(tensor, structure, n=100, seed=1)
+            # Per causal type: the anchor, then blocks of 63 and 36 lines.
+            assert len(decomposed) == 3 * (2 if space.p else 1)
+            for (a, basis), c, mus in decomposed:
+                a_c = a if basis is None else on_path(a[None], basis)[0]
+                evals = np.linalg.eigvals(a_c if c.shape[-1] == len(a_c) else a)
+                scale = np.linalg.svd(a_c, compute_uv=False)[0]
+                assert all(np.abs(evals - mu).min() <= OPERATOR_TOL * scale for mu in mus.tolist())
+                if c.shape[-1] < len(a):
+                    clusters, _ = union_find_clusters(evals, OPERATOR_TOL * scale)
+                    assert len(mus) == len(clusters) == blocks
 
 
 def spy_on_svd(monkeypatch):
