@@ -284,8 +284,8 @@ def _rank_sequences(c: np.ndarray, mus: np.ndarray, members: np.ndarray, mults: 
     (len(c), blocks, max(mults)) result holds them for k = 1, 2, ..., the last repeated.
 
     The cutoff of B_it at power k is tol * anchor^k, anchor the larger sigma_max of B_it and
-    of B_i,partner[t], the other block of its cluster or itself; for one that has no members
-    and is not made, partner[t] < 0, its bound sigma_max(B_it) + |mus[t] - conj(mus[t])|.  A
+    of B_i,partner[t], the other block of its cluster or itself.  A partner with no members
+    is not made, partner[t] < 0: sigma_max(B_it) + |mus[t] - conj(mus[t])| bounds its own.  A
     sequence stops at the k where its rank is at most n - members, equals the rank at k - 1,
     or k reaches mults."""
     n = c.shape[-1]

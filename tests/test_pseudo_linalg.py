@@ -966,7 +966,8 @@ class TestMemberlessBlocksKeepTheParentRanks:
                     continue
                 want, bounds = parent_rule_ranks(c, lam, mult, own, self.TOL)
                 assert np.array_equal(_ranks_at(c, lam, mult, own, self.TOL), want)
-                seqs = np.array([seq + seq[-1:] * (want.shape[-1] - len(seq)) for seq in anchor.rank_sequences])
+                width = want.shape[-1]
+                seqs = np.array([seq + seq[-1:] * (width - len(seq)) for seq in anchor.rank_sequences])
                 assert np.array_equal(_matches_form(c, anchor, self.TOL), (want == seqs).all(axis=(1, 2)))
                 # The triangle inequality holds exactly.  It is an equality where A_c - lambda
                 # and A_c - conj(lambda) share a top singular vector, as for a normal A_c with
