@@ -23,8 +23,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .complex_structures import ComplexStructure, QuaternionStructure
-from .curvature import (CurvatureTensor, _check_space, apply_pairs, combine, from_self_adjoint,
-                        from_skew_adjoint)
+from .curvature import (CurvatureTensor, _check_space, apply_pairs, check_J_invariance, combine,
+                        from_self_adjoint, from_skew_adjoint)
 from .pseudo_linalg import (
     BilinearSpace,
     JordanInvariants,
@@ -44,8 +44,8 @@ from .pseudo_linalg import (
 # times the operator norm (3e-8), and the eigenvalue gaps of interest are 0.1 and larger,
 # so the Jordan and spectrum checks cluster at 1e-6 and read a smaller tol as this floor.
 OPERATOR_TOL = 1e-6
-# The one bound on max|J R(pi) - R(pi) J| / max|R| of the three commutation decisions:
-# check_almost_complex's default, check_jordan_ip's fingerprint path, spectrum_of_JR.
+# The one bound, relative to max|R|, of the two commutation decisions: J*R = R by
+# check_J_invariance for the route of check_jordan_ip, and spectrum_of_JR's on its line.
 _ALMOST_COMPLEX_TOL = 1e-10
 
 # Planes per matrix product in curvature_operators: enough for one GEMM to
@@ -137,16 +137,6 @@ def sample_complex_lines(
     return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} lines")
 
 
-def _first_non_line(J: ComplexStructure, planes: Sequence[OrientedPlane]) -> int | None:
-    """Index of the first plane that is not a line of J, or None, by one stacked product:
-    a line lies in J's space and has max|y - J x| <= DEFAULT_TOL max|x|, J counting as 1."""
-    n = next((i for i, plane in enumerate(planes) if plane.space != J.space), len(planes))
-    head = planes[:n]
-    xs, ys = np.array([p.x for p in head] + [p.y for p in head]).reshape(2, n, J.space.m)
-    off = np.flatnonzero(np.abs(ys - xs @ J.J.T).max(axis=1) > J.space.tol * np.abs(xs).max(axis=1))
-    return int(off[0]) if off.size else (n if n < len(planes) else None)
-
-
 def _planes_by_type(space: BilinearSpace, types: Sequence[PlaneClass],
                     sample: Callable[[PlaneClass, int, int], list[OrientedPlane]],
                     n: int, seed: int) -> Iterator[tuple[PlaneClass, list[OrientedPlane]]]:
@@ -188,71 +178,20 @@ def curvature_operator(tensor: CurvatureTensor, plane: OrientedPlane) -> np.ndar
     return next(curvature_operators(tensor, [plane]))[0]
 
 
-@dataclass(frozen=True)
-class AlmostComplexReport:
-    passed: bool
-    max_commutator: float
-    witness: OrientedPlane | None
-
-
-def check_almost_complex(
-    tensor: CurvatureTensor,
-    J: ComplexStructure,
-    planes: list[OrientedPlane],
-    tol: float = _ALMOST_COMPLEX_TOL,
-) -> AlmostComplexReport:
-    """Whether J R(pi) = R(pi) J on every given complex line, up to
-    tol * max |R|, so the verdict does not depend on the tensor's scale.
-    On all lines at once this is check_J_invariance, which needs no lines.
-
-    A plane is a complex line when it is {x, J x} for this J up to
-    DEFAULT_TOL max|x|, not just a basis of one such as {x, 2 J x}.  The
-    witness is the first line of the largest commutator, when that exceeds
-    the bound.  An empty list raises ValueError, and so does a plane that is
-    not a complex line or is degenerate; the first such plane decides which.
-    """
-    if not planes:
-        raise ValueError("check_almost_complex needs at least one line")
-    # Only the planes ahead of the first non-line are assembled, so a degenerate
-    # plane among them raises first, as it would in a line-by-line check.
-    bad = _first_non_line(J, planes)
-    ops = curvature_operators(tensor, planes[:bad])
-    comms = [np.abs(J.J @ block - block @ J.J).max(axis=(1, 2)) for block in ops]
-    if bad is not None:
-        raise ValueError("check_almost_complex requires complex lines")
-    comms = np.concatenate(comms)
-    worst = float(comms.max())
-    passed = worst <= tol * tensor.scale
-    return AlmostComplexReport(passed, worst, None if passed else planes[int(comms.argmax())])
-
-
 def _fingerprints(tensor: CurvatureTensor, planes: list[OrientedPlane], tol: float,
-                  J: ComplexStructure | None = None) -> tuple[JordanInvariants, Iterator[np.ndarray]]:
+                  basis: np.ndarray | None = None) -> tuple[JordanInvariants, Iterator[np.ndarray]]:
     """The anchor of planes of one causal type, jordan_invariants of R(pi) on the first
-    plane, and whether each R(pi) has its Jordan form, lazily, one array per block of
-    curvature_operators: a consumer that stops early wastes at most one block.  The
-    anchor is read on C^{m/2} with J's +i basis when it commutes with J as
-    check_almost_complex tests it, else as a real matrix, and its own verdict is True.
-    No other R(pi) is fingerprinted: _matches_form tests each against the anchor, on
-    C^{m/2} when both commute with J, else as a real matrix, one call per block and path."""
-    basis = None if J is None else J._plus_i_basis
-    blocks = ((ops, np.zeros(len(ops), dtype=bool) if J is None else
-               np.abs(J.J @ ops - ops @ J.J).max(axis=(1, 2)) <= _ALMOST_COMPLEX_TOL * tensor.scale)
-              for ops in curvature_operators(tensor, planes))
-    ops, commuting = next(blocks)
-    on_basis = bool(commuting[0])
-    anchor = jordan_invariants(ops[0], tol, basis if on_basis else None)
-
-    def verdicts(ops: np.ndarray, commuting: np.ndarray) -> np.ndarray:
-        same, half = np.ones(len(ops), dtype=bool), commuting & on_basis
-        for path in (half, ~half):
-            if path.any():
-                c = basis.conj().T @ ops[path] @ basis if path is half else ops[path]
-                same[path] = _matches_form(c, anchor, tol)
-        return same
-
-    head = np.concatenate([[True], verdicts(ops[1:], commuting[1:])])
-    return anchor, chain([head], (verdicts(*block) for block in blocks))
+    plane, and whether each R(pi) has its Jordan form, lazily: the anchor's own verdict
+    True, then one array per block of curvature_operators, so that a consumer that stops
+    early wastes at most one block.  Every R(pi) takes one route: on C^{m/2} as basis^H
+    R(pi) basis when a +i basis is given, else as a real matrix.  No other R(pi) is
+    fingerprinted: _matches_form tests each against the anchor, one call per block."""
+    blocks = curvature_operators(tensor, planes)
+    ops = next(blocks)
+    anchor = jordan_invariants(ops[0], tol, basis)
+    rest = (_matches_form(c if basis is None else basis.conj().T @ c @ basis, anchor, tol)
+            for c in chain([ops[1:]], blocks) if len(c))
+    return anchor, chain([np.ones(1, dtype=bool)], rest)
 
 
 @dataclass(frozen=True)
@@ -276,6 +215,8 @@ def check_jordan_ip(
     """Sample n complex lines of each causal type that exists, the i-th of
     (spacelike, timelike) with seed + i, and test whether they share one Jordan form.
 
+    One check_J_invariance call decides the route of every line: on C^{m/2}
+    with J's +i basis when the tensor is almost complex, else as a real matrix.
     The first line of each causal type, its anchor, is fingerprinted, and
     invariants_by_type holds these fingerprints.  Each type is rank-tested in
     its own pass: every other line against the anchor of its type, also after
@@ -285,9 +226,10 @@ def check_jordan_ip(
     """
     tol = max(tol, OPERATOR_TOL)
     samples = list(_planes_by_type(J.space, _LINE_TYPES, partial(sample_complex_lines, J), n, seed))
+    basis = J._plus_i_basis if check_J_invariance(tensor, J, _ALMOST_COMPLEX_TOL).passed else None
     anchors, verdicts = {}, []
     for causal_type, lines in samples:
-        anchors[causal_type], same = _fingerprints(tensor, lines, tol, J)
+        anchors[causal_type], same = _fingerprints(tensor, lines, tol, basis)
         verdicts.append(np.concatenate(list(same)))
     first, *later = anchors.values()
     for same, anchor in zip(verdicts[1:], later):
@@ -400,15 +342,18 @@ def spectrum_of_JR(
     from its fingerprint jordan_invariants(J R(pi), tol, J._plus_i_basis) on
     C^{m/2}, A_c = Q^H J R(pi) Q, with tol raised to OPERATOR_TOL if below it.
 
-    A plane that is not a complex line of J, as check_almost_complex decides,
-    or that is degenerate raises ValueError.  An eigenstructure that no almost
-    complex tensor gives raises SpectrumStructureError: R(pi) not commuting
-    with J to _ALMOST_COMPLEX_TOL max|R|, tested before any eigen-analysis, an
-    eigenvalue over tol sigma_max(A_c) / 2 off the real line, or a defective one.
+    A plane that is not a complex line of J, {x, J x} in J's space up to
+    DEFAULT_TOL max|x| (J counting as 1), not just a basis of one such as
+    {x, 2 J x}, or that is degenerate raises ValueError.  An eigenstructure
+    that no almost complex tensor gives raises SpectrumStructureError: R(pi)
+    not commuting with J to _ALMOST_COMPLEX_TOL max|R|, tested before any
+    eigen-analysis, an eigenvalue over tol sigma_max(A_c) / 2 off the real
+    line, or a defective one.
     Clusters link at tol sigma_max(A_c), so a cluster within half that of the
     real line holds its members' conjugates: its real multiplicity is even.
     """
-    if _first_non_line(J, [plane]) is not None:
+    if plane.space != J.space or (
+            np.abs(plane.y - J.J @ plane.x).max() > J.space.tol * np.abs(plane.x).max()):
         raise ValueError("spectrum_of_JR requires a non-degenerate complex line")
     op, tol = curvature_operator(tensor, plane), max(tol, OPERATOR_TOL)
     k = J.J @ op

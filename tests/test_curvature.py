@@ -329,6 +329,14 @@ class TestCheckJInvariance:
         assert not report.passed
         assert report.max_violation > 1e-15
 
+    # At 1e4 the rounding of a conjugated J, 7e-11 on (4, 4), grows with the
+    # tensor, and the bound tol * max|R| grows with it.
+    @pytest.mark.parametrize("structure", ["standard", "conjugated"])
+    def test_large_pair_passes(self, structure):
+        space = BilinearSpace(4, 4)
+        J = (standard_complex_structure if structure == "standard" else conjugated_structure)(space)
+        assert check_J_invariance(build_complex_pair_tensor(J, 1e4, 2e4), J).passed
+
     # J*R = R is the almost complex condition on every line: R(x, Jx) commutes
     # with J for all x exactly when its polarisation R(e_a, Je_b) + R(e_b, Je_a)
     # does for all a <= b, and both linear conditions cut out the same subspace

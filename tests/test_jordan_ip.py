@@ -16,7 +16,6 @@ from curvlab import (
     build_complex_pair_tensor,
     build_quaternionic_tensor,
     check_J_invariance,
-    check_almost_complex,
     check_jordan_ip,
     check_jordan_ip_real,
     classify_plane,
@@ -233,6 +232,18 @@ class TestCurvatureOperator:
         b = curvature_operator(r, OrientedPlane(s, 2.0 * e(4, 0), e(4, 1)))
         assert np.allclose(a, b)
 
+    # The planes of a block are looked at before it is assembled, so a degenerate
+    # line among 150 raises wherever it lies in its block of 64.
+    @pytest.mark.parametrize("at", [0, 70, 149])
+    def test_degenerate_plane_raises(self, at):
+        space = BilinearSpace(2, 2)
+        J = standard_complex_structure(space)
+        planes = sample_complex_lines(J, PlaneClass.SPACELIKE, 150, seed=4)
+        null = e(4, 0) + e(4, 2)
+        planes[at] = OrientedPlane(space, null, J.J @ null)
+        with pytest.raises(ValueError, match="^degenerate plane: restricted Gram determinant"):
+            list(curvature_operators(build_complex_pair_tensor(J, 1.0, 0.5), planes))
+
     def test_orientation_reversal_negates(self):
         s = BilinearSpace(0, 4)
         r = random_algebraic_curvature_tensor(s, 2)
@@ -282,81 +293,20 @@ class TestCurvatureOperator:
                 )
 
 
-class TestCheckAlmostComplex:
-    def test_metric_tensor(self):
-        s = BilinearSpace(0, 4)
-        J = standard_complex_structure(s)
-        r = from_self_adjoint(s, np.eye(4))
-        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 20, seed=0)
-        report = check_almost_complex(r, J, lines)
-        assert report.passed and report.max_commutator <= 1e-12
-
-    def test_complex_pair_tensor(self):
-        s = BilinearSpace(0, 6)
-        J = standard_complex_structure(s)
-        r = build_complex_pair_tensor(J, 1.7, -0.4)
-        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 20, seed=1)
-        assert check_almost_complex(r, J, lines).passed
-
-    # The bound is tol * max|R|: at 1e4 the worst commutator, 2.3e-10, is
-    # rounding and passes; at 1e-12 a generic tensor still fails.
-    @pytest.mark.parametrize("case", ["large_pair", "small_generic"])
-    def test_verdict_does_not_depend_on_scale(self, case):
-        if case == "large_pair":
-            s = BilinearSpace(4, 4)
-            J = standard_complex_structure(s)
-            r, n, seed = build_complex_pair_tensor(J, 1e4, 2e4), 100, 0
-        else:
-            s = BilinearSpace(0, 6)
-            J = standard_complex_structure(s)
-            phi = np.random.default_rng(8).standard_normal((6, 6))
-            r = combine([(1e-12, from_self_adjoint(s, 0.5 * (phi + adjoint(s, phi))))])
-            n, seed = 50, 2
-        report = check_almost_complex(r, J, sample_complex_lines(J, PlaneClass.SPACELIKE, n, seed))
-        assert report.passed is (case == "large_pair")
-        assert (report.witness is None) is report.passed
-
-    def test_generic_generator_fails_on_some_line(self):
-        s = BilinearSpace(0, 6)
-        J = standard_complex_structure(s)
-        rng = np.random.default_rng(8)
-        phi = rng.standard_normal((6, 6))
-        phi = 0.5 * (phi + adjoint(s, phi))
-        r = from_self_adjoint(s, phi)
-        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 50, seed=2)
-        report = check_almost_complex(r, J, lines)
-        assert not report.passed
-        assert report.witness is not None
-
-    # e1 = J e0, so span{e0, e1} is a complex line; span{e0, e2} is not.
-    def test_rejects_non_complex_line(self):
-        s = BilinearSpace(0, 4)
-        J = standard_complex_structure(s)
-        r = from_self_adjoint(s, np.eye(4))
-        plane = OrientedPlane(s, e(4, 0), e(4, 2))
-        with pytest.raises(ValueError, match="complex line"):
-            check_almost_complex(r, J, [plane])
-
-
 class TestLinesOfTheGivenStructure:
-    """Both line checks decide from their own J whether a plane is a complex
-    line, however the plane was made: y must equal J x to DEFAULT_TOL max|x|."""
-
-    @staticmethod
-    def checks(r, J, plane):
-        return check_almost_complex(r, J, [plane]), spectrum_of_JR(r, J, plane)
+    """spectrum_of_JR decides from its own J whether a plane is a complex line,
+    however the plane was made: y must equal J x to DEFAULT_TOL max|x|."""
 
     def test_line_built_directly_is_accepted(self):
         s = BilinearSpace(2, 4)
         J = standard_complex_structure(s)
         r = build_complex_pair_tensor(J, 1.0, 0.5)
         x = np.array([0.5, -1.0, 2.0, 1.0, -1.5, 0.25])
-        report, spec = self.checks(r, J, OrientedPlane(s, x, J.J @ x))
-        assert report.passed
+        spec = spectrum_of_JR(r, J, OrientedPlane(s, x, J.J @ x))
         assert spec == spectrum_of_JR(r, J, complex_line(J, x))
         assert SpectrumSpec(((1.0, 2), (2.5, 1))).matches(spec, 1e-8)
 
-    # {x, 2 J x} spans the same line, but the checks accept only the form {x, J x}.
+    # {x, 2 J x} spans the same line, but spectrum_of_JR accepts only the form {x, J x}.
     @pytest.mark.parametrize("y", [lambda J, x: 2.0 * J.J @ x, lambda J, x: -(J.J @ x),
                                    lambda J, x: J.J @ x + 1e-6 * x], ids=["2Jx", "-Jx", "Jx+1e-6x"])
     def test_other_spanning_pairs_are_rejected(self, y):
@@ -364,8 +314,6 @@ class TestLinesOfTheGivenStructure:
         J = standard_complex_structure(s)
         r = from_self_adjoint(s, np.eye(4))
         x = np.array([1.0, 2.0, -0.5, 0.25])
-        with pytest.raises(ValueError, match="^check_almost_complex requires complex lines$"):
-            check_almost_complex(r, J, [OrientedPlane(s, x, y(J, x))])
         with pytest.raises(ValueError, match="^spectrum_of_JR requires a non-degenerate complex line$"):
             spectrum_of_JR(r, J, OrientedPlane(s, x, y(J, x)))
 
@@ -378,10 +326,8 @@ class TestLinesOfTheGivenStructure:
         j = ComplexStructure(s, quat.j)
         x = np.arange(1.0, 9.0)
         assert check_J_invariance(r, j).max_violation == 0.0
-        assert self.checks(r, j, complex_line(j, x))[0].passed
+        assert spectrum_of_JR(r, j, complex_line(j, x)).dimension == s.m
         i_line = complex_line(quat.as_complex, x)
-        with pytest.raises(ValueError, match="^check_almost_complex requires complex lines$"):
-            check_almost_complex(r, j, [i_line])
         with pytest.raises(ValueError, match="^spectrum_of_JR requires a non-degenerate complex line$"):
             spectrum_of_JR(r, j, i_line)
 
@@ -391,86 +337,8 @@ class TestLinesOfTheGivenStructure:
         line = complex_line(standard_complex_structure(BilinearSpace(*sig)), e(sig[0] + sig[1], 2))
         J = standard_complex_structure(BilinearSpace(0, 4))
         r = from_self_adjoint(J.space, np.eye(4))
-        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 3, seed=0)
-        with pytest.raises(ValueError, match="^check_almost_complex requires complex lines$"):
-            check_almost_complex(r, J, lines + [line])
         with pytest.raises(ValueError, match="^spectrum_of_JR requires a non-degenerate complex line$"):
             spectrum_of_JR(r, J, line)
-
-    def test_empty_line_list_raises(self):
-        J = standard_complex_structure(BilinearSpace(0, 4))
-        with pytest.raises(ValueError, match="^check_almost_complex needs at least one line$"):
-            check_almost_complex(from_self_adjoint(J.space, np.eye(4)), J, [])
-
-
-# check_almost_complex as a loop over the lines, one einsum contraction per
-# line: the form it had before the operators of a sample were assembled in
-# blocks by one matrix product each.
-def reference_line_commutators(tensor, J, planes):
-    comms = []
-    for plane in planes:
-        if plane.space != J.space or np.max(np.abs(plane.y - J.J @ plane.x)) > 1e-8 * np.max(np.abs(plane.x)):
-            raise ValueError("check_almost_complex requires complex lines")
-        det, plane_class = _plane_gram(tensor.space, plane.x, plane.y)
-        if plane_class is PlaneClass.DEGENERATE:
-            raise ValueError(f"degenerate plane: restricted Gram determinant {det:.3e}")
-        op = reference_apply_pair(tensor, plane.x, plane.y) / np.sqrt(abs(det))
-        comms.append(float(np.max(np.abs(J.J @ op - op @ J.J))))
-    return comms
-
-
-def reference_check_almost_complex(tensor, J, planes, tol):
-    worst, witness = 0.0, None
-    for plane, comm in zip(planes, reference_line_commutators(tensor, J, planes)):
-        if comm > worst:
-            worst, witness = comm, plane
-    return worst, witness if worst > tol * np.max(np.abs(tensor.coeffs)) else None
-
-
-class TestCheckAlmostComplexReference:
-    # 150 lines span three blocks of curvature_operators.
-    @pytest.mark.parametrize("sig", [(0, 6), (2, 4), (4, 4), (0, 32)], ids=str)
-    def test_same_maximum_and_witness(self, sig):
-        space = BilinearSpace(*sig)
-        J = standard_complex_structure(space)
-        rng = np.random.default_rng(sum(sig))
-        phi = rng.standard_normal((space.m, space.m))
-        r = from_self_adjoint(space, 0.5 * (phi + adjoint(space, phi)))
-        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 150, seed=sig[0])
-        comms = sorted(reference_line_commutators(r, J, lines))
-        # The maximum is unique by far more than rounding, so both must name one line.
-        assert comms[-2] < (1 - 1e-10) * comms[-1]
-        worst, witness = reference_check_almost_complex(r, J, lines, 1e-10)
-        report = check_almost_complex(r, J, lines)
-        assert not report.passed
-        assert abs(report.max_commutator - worst) <= 1e-14 * worst
-        assert report.witness is witness
-
-    def test_passing_tensor_passes_both(self):
-        quat = standard_quaternion_structure(BilinearSpace(0, 32))
-        r = build_quaternionic_tensor(quat, 1, 2, 8, 0)
-        lines = sample_complex_lines(quat.as_complex, PlaneClass.SPACELIKE, 150, seed=3)
-        worst, witness = reference_check_almost_complex(r, quat.as_complex, lines, 1e-10)
-        report = check_almost_complex(r, quat.as_complex, lines)
-        assert report.passed and witness is None and report.witness is None
-        assert max(worst, report.max_commutator) <= 1e-12
-
-    @pytest.mark.parametrize("non_complex_at, degenerate_at", [(70, 100), (100, 70), (0, 149), (149, 0)])
-    def test_first_bad_plane_decides_the_error(self, non_complex_at, degenerate_at):
-        space = BilinearSpace(2, 2)
-        J = standard_complex_structure(space)
-        r = build_complex_pair_tensor(J, 1.0, 0.5)
-        mixed = sample_complex_lines(J, PlaneClass.SPACELIKE, 150, seed=4)
-        mixed[non_complex_at] = OrientedPlane(space, e(4, 0), e(4, 2))
-        null = e(4, 0) + e(4, 2)
-        mixed[degenerate_at] = OrientedPlane(space, null, J.J @ null)
-        with pytest.raises(ValueError) as want:
-            reference_check_almost_complex(r, J, mixed, 1e-10)
-        expected = "complex lines" if non_complex_at < degenerate_at else "degenerate plane"
-        assert expected in str(want.value)
-        with pytest.raises(ValueError) as got:
-            check_almost_complex(r, J, mixed)
-        assert str(got.value) == str(want.value)
 
 
 class TestSampledLinesNeverRejected:
@@ -810,6 +678,22 @@ class TestComplexPathFingerprint:
             check_jordan_ip(r, J, n=5, seed=0)
             assert set(inputs) == {((space.m // 2, space.m // 2), "c")}
 
+    # (0, 8) has one causal type of line, (4, 4) two: one J*R = R decision routes them all.
+    @pytest.mark.parametrize("sig", [(0, 8), (4, 4)], ids=str)
+    def test_one_identity_call_per_check(self, sig, monkeypatch):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        calls, identity = [], jordan_ip.check_J_invariance
+        monkeypatch.setattr(jordan_ip, "check_J_invariance",
+                            lambda *args: calls.append(args) or identity(*args))
+        for r in (build_complex_pair_tensor(J, 1.5, 0.75), random_algebraic_curvature_tensor(space, 3)):
+            calls.clear()
+            check_jordan_ip(r, J, n=70, seed=0)
+            assert [(t, j) for t, j, _ in calls] == [(r, J)]
+            calls.clear()
+            check_jordan_ip_real(r, n=70, seed=0)
+            assert calls == []
+
     @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (8, 8)], ids=str)
     def test_other_operators_take_the_real_path(self, sig, monkeypatch):
         space = BilinearSpace(*sig)
@@ -840,9 +724,9 @@ class TestComplexPathFingerprint:
     def test_boosted_structure_takes_the_complex_path(self, monkeypatch):
         # The J of ComplexStructure's boosted-structure test is not orthogonal,
         # but it has a +i basis like every J, so J itself, which commutes with
-        # J, is fingerprinted on C^{m/2}.  Its lines all fail the plane test,
-        # so the operator stack is handed to _fingerprints directly, as the
-        # anchor of a plane made without that test.
+        # J, is fingerprinted on C^{m/2} when that basis is handed over.  Its
+        # lines all fail the plane test, so the operator stack is handed to
+        # _fingerprints directly, as the anchor of a plane made without that test.
         s = BilinearSpace(2, 2)
         r = from_self_adjoint(s, np.eye(4))
         inputs = self.spy_on_eigvals(monkeypatch)
@@ -850,7 +734,7 @@ class TestComplexPathFingerprint:
             monkeypatch.setattr(jordan_ip, "curvature_operators", lambda *_: iter([J.J[None]]))
             inputs.clear()
             plane = OrientedPlane(s, e(4, 0), J.J @ e(4, 0))
-            inv, (same,) = jordan_ip._fingerprints(r, [plane], jordan_ip.OPERATOR_TOL, J)
+            inv, (same,) = jordan_ip._fingerprints(r, [plane], jordan_ip.OPERATOR_TOL, J._plus_i_basis)
             assert same.tolist() == [True]
             assert inputs == [((2, 2), "c")]
             assert [mult for _, mult in inv.clusters] == [2, 2]
@@ -1057,15 +941,15 @@ def spectrum_or_error(tensor, J, line):
 
 
 class TestSpectrumOfJRPath:
-    """spectrum_of_JR rejects a line whose R(pi) does not commute with J at the
-    bound of check_almost_complex, before any eigen-analysis, and reads J R(pi)
-    on C^{m/2} for every J."""
+    """spectrum_of_JR rejects a line whose R(pi) does not commute with J at
+    _ALMOST_COMPLEX_TOL max|R|, the bound of check_jordan_ip's J*R = R route,
+    before any eigen-analysis, and reads J R(pi) on C^{m/2} for every J."""
 
     spy_on_eigvals = staticmethod(TestComplexPathFingerprint.spy_on_eigvals)
 
     # A perturbation far below OPERATOR_TOL leaves the spectrum of J R(pi)
-    # clean, but moves the commutator past 1e-10 max|R|: all three line
-    # decisions see a tensor that is not almost complex.
+    # clean, but moves J*R - R and every line's commutator past 1e-10 max|R|:
+    # both commutation decisions see a tensor that is not almost complex.
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-8, 1e-7])
     @pytest.mark.parametrize("sig", [(0, 8), (4, 4)], ids=str)
     def test_one_bound_decides_commutation(self, sig, eps, monkeypatch):
@@ -1073,9 +957,13 @@ class TestSpectrumOfJRPath:
         J = standard_complex_structure(space)
         pair = build_complex_pair_tensor(J, 1.0, 0.5)
         r = combine([(1.0, pair), (eps, random_algebraic_curvature_tensor(space, 3))])
+        bound = jordan_ip._ALMOST_COMPLEX_TOL * r.scale
+        invariant = check_J_invariance(r, J, jordan_ip._ALMOST_COMPLEX_TOL).passed
+        assert invariant is (eps == 1e-12)
         lines = [line for lines in lines_by_type(J, 5, 0) for line in lines]
-        commuting = [check_almost_complex(r, J, [line]).passed for line in lines]
-        assert commuting == [eps == 1e-12] * len(lines)
+        ops = [curvature_operator(r, line) for line in lines]
+        commuting = [bool(np.abs(J.J @ op - op @ J.J).max() <= bound) for op in ops]
+        assert commuting == [invariant] * len(lines)
         inputs = self.spy_on_eigvals(monkeypatch)
         tested = []
         matches_form = jordan_ip._matches_form
@@ -1087,11 +975,11 @@ class TestSpectrumOfJRPath:
         monkeypatch.setattr(jordan_ip, "_matches_form", spy)
         # The fingerprints cluster at OPERATOR_TOL, far above the perturbation.
         assert check_jordan_ip(r, J, n=5, seed=0).constant
-        paths = [((space.m // 2,) * 2, "c") if c else ((space.m,) * 2, "f") for c in commuting]
+        path = ((space.m // 2,) * 2, "c") if invariant else ((space.m,) * 2, "f")
         # The first line of each causal type is fingerprinted, the others rank-tested.
-        anchors = [0, 5] if space.p else [0]
-        assert inputs == [paths[i] for i in anchors]
-        assert tested == [path for i, path in enumerate(paths) if i not in anchors]
+        anchors = 2 if space.p else 1
+        assert inputs == [path] * anchors
+        assert tested == [path] * (len(lines) - anchors)
         for line, c in zip(lines, commuting):
             if c:
                 assert spectrum_of_JR(pair, J, line).matches(spectrum_of_JR(r, J, line), 1e-8)

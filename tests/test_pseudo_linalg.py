@@ -19,6 +19,7 @@ from curvlab import (
     build_quaternionic_tensor,
     check_admissible,
     check_admissible_pair,
+    check_J_invariance,
     check_jordan_ip,
     classify_plane,
     combine,
@@ -949,33 +950,29 @@ class TestMemberlessBlocksKeepTheParentRanks:
     TOL = OPERATOR_TOL
 
     def assert_keeps_the_parent_rule(self, tensor, J, samples):
-        """Each causal type's lines, against their first line's fingerprint on the path that
-        _fingerprints takes; the number of blocks with no members."""
+        """Each causal type's lines, against their first line's fingerprint on the route of
+        the identity J*R = R, as check_jordan_ip takes it; the number of blocks with no members."""
         dropped = 0
+        invariant = check_J_invariance(tensor, J, jordan_ip._ALMOST_COMPLEX_TOL).passed
+        basis = J._plus_i_basis if invariant else None
         for lines in samples:
             ops = np.concatenate(list(jordan_ip.curvature_operators(tensor, lines)))
-            commuting = np.abs(J.J @ ops - ops @ J.J).max(axis=(1, 2)) <= (
-                jordan_ip._ALMOST_COMPLEX_TOL * tensor.scale)
-            basis = J._plus_i_basis if commuting[0] else None
             anchor = jordan_invariants(ops[0], self.TOL, basis)
             lam, mult = map(np.array, zip(*anchor.clusters))
             own = np.array(anchor._members)
-            half = commuting if basis is not None else np.zeros(len(ops), dtype=bool)
-            for c in (on_path(ops[half], basis), ops[~half]):
-                if not len(c):
-                    continue
-                want, bounds = parent_rule_ranks(c, lam, mult, own, self.TOL)
-                assert np.array_equal(_ranks_at(c, lam, mult, own, self.TOL), want)
-                width = want.shape[-1]
-                seqs = np.array([seq + seq[-1:] * (width - len(seq)) for seq in anchor.rank_sequences])
-                assert np.array_equal(_matches_form(c, anchor, self.TOL), (want == seqs).all(axis=(1, 2)))
-                # The triangle inequality holds exactly.  It is an equality where A_c - lambda
-                # and A_c - conj(lambda) share a top singular vector, as for a normal A_c with
-                # its eigenvalues on the imaginary axis beyond lambda; there the two computed
-                # sides differ by the SVD's rounding, a few eps.
-                n = c.shape[-1]
-                assert all(bound >= sigma * (1 - n * np.finfo(float).eps) for sigma, bound in bounds)
-                dropped += len(bounds)
+            c = on_path(ops, basis)
+            want, bounds = parent_rule_ranks(c, lam, mult, own, self.TOL)
+            assert np.array_equal(_ranks_at(c, lam, mult, own, self.TOL), want)
+            width = want.shape[-1]
+            seqs = np.array([seq + seq[-1:] * (width - len(seq)) for seq in anchor.rank_sequences])
+            assert np.array_equal(_matches_form(c, anchor, self.TOL), (want == seqs).all(axis=(1, 2)))
+            # The triangle inequality holds exactly.  It is an equality where A_c - lambda
+            # and A_c - conj(lambda) share a top singular vector, as for a normal A_c with
+            # its eigenvalues on the imaginary axis beyond lambda; there the two computed
+            # sides differ by the SVD's rounding, a few eps.
+            n = c.shape[-1]
+            assert all(bound >= sigma * (1 - n * np.finfo(float).eps) for sigma, bound in bounds)
+            dropped += len(bounds)
         return dropped
 
     def test_a_missing_partner_is_cut_at_the_bound(self):
