@@ -341,6 +341,101 @@ class TestLinesOfTheGivenStructure:
             spectrum_of_JR(r, J, line)
 
 
+class TestRouteOfTheCheck:
+    """check_jordan_ip fingerprints its anchors on C^{m/2} exactly when the
+    tensor is almost complex, at a bound relative to max|R|."""
+
+    @staticmethod
+    def anchor_inputs(tensor, J, n, seed, monkeypatch):
+        inputs = TestComplexPathFingerprint.spy_on_eigvals(monkeypatch)
+        check_jordan_ip(tensor, J, n=n, seed=seed)
+        return set(inputs)
+
+    def test_metric_tensor(self, monkeypatch):
+        s = BilinearSpace(0, 4)
+        J = standard_complex_structure(s)
+        r = from_self_adjoint(s, np.eye(4))
+        assert check_J_invariance(r, J).max_violation <= 1e-12
+        assert self.anchor_inputs(r, J, 20, 0, monkeypatch) == {((2, 2), "c")}
+
+    def test_complex_pair_tensor(self, monkeypatch):
+        s = BilinearSpace(0, 6)
+        J = standard_complex_structure(s)
+        r = build_complex_pair_tensor(J, 1.7, -0.4)
+        assert self.anchor_inputs(r, J, 20, 1, monkeypatch) == {((3, 3), "c")}
+
+    # The bound is tol * max|R|: at 1e4 a pair still takes the complex route;
+    # at 1e-12 a generic tensor still takes the real one.
+    @pytest.mark.parametrize("case", ["large_pair", "small_generic"])
+    def test_verdict_does_not_depend_on_scale(self, case, monkeypatch):
+        if case == "large_pair":
+            s = BilinearSpace(4, 4)
+            J = standard_complex_structure(s)
+            r, n, seed = build_complex_pair_tensor(J, 1e4, 2e4), 100, 0
+        else:
+            s = BilinearSpace(0, 6)
+            J = standard_complex_structure(s)
+            phi = np.random.default_rng(8).standard_normal((6, 6))
+            r = combine([(1e-12, from_self_adjoint(s, 0.5 * (phi + adjoint(s, phi))))])
+            n, seed = 50, 2
+        path = ((s.m // 2,) * 2, "c") if case == "large_pair" else ((s.m,) * 2, "f")
+        assert self.anchor_inputs(r, J, n, seed, monkeypatch) == {path}
+
+    def test_generic_generator_takes_the_real_route(self, monkeypatch):
+        s = BilinearSpace(0, 6)
+        J = standard_complex_structure(s)
+        phi = np.random.default_rng(8).standard_normal((6, 6))
+        r = from_self_adjoint(s, 0.5 * (phi + adjoint(s, phi)))
+        assert not check_J_invariance(r, J).passed
+        assert self.anchor_inputs(r, J, 50, 2, monkeypatch) == {((6, 6), "f")}
+
+
+# The commutator of R(pi) with J on each line, one einsum contraction per line.
+def reference_line_commutators(tensor, J, planes):
+    comms = []
+    for plane in planes:
+        det, _ = _plane_gram(tensor.space, plane.x, plane.y)
+        op = reference_apply_pair(tensor, plane.x, plane.y) / np.sqrt(abs(det))
+        comms.append(float(np.max(np.abs(J.J @ op - op @ J.J))))
+    return comms
+
+
+class TestLineCommutatorsReference:
+    """The identity J*R = R and spectrum_of_JR's per-line commutator agree with
+    a per-line reference loop."""
+
+    # 150 lines of each signature; a generic tensor commutes with J on none.
+    @pytest.mark.parametrize("sig", [(0, 6), (2, 4), (4, 4), (0, 32)], ids=str)
+    def test_each_line_is_rejected_with_its_own_residual(self, sig):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        rng = np.random.default_rng(sum(sig))
+        phi = rng.standard_normal((space.m, space.m))
+        r = from_self_adjoint(space, 0.5 * (phi + adjoint(space, phi)))
+        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 150, seed=sig[0])
+        comms = reference_line_commutators(r, J, lines)
+        bound = jordan_ip._ALMOST_COMPLEX_TOL * r.scale
+        assert min(comms) > bound
+        assert not check_J_invariance(r, J, jordan_ip._ALMOST_COMPLEX_TOL).passed
+        # Each line is rejected before any eigen-analysis, with its own residual
+        # to the four digits the message prints.
+        for line, comm in zip(lines, comms):
+            with pytest.raises(SpectrumStructureError, match="^R\\(pi\\) does not commute with J") as err:
+                spectrum_of_JR(r, J, line)
+            residual = float(str(err.value).split("residual ")[1].split(")")[0])
+            assert abs(residual - comm) <= 1e-3 * comm
+
+    def test_almost_complex_tensor_passes_on_every_line(self):
+        quat = standard_quaternion_structure(BilinearSpace(0, 32))
+        r = build_quaternionic_tensor(quat, 1, 2, 8, 0)
+        J = quat.as_complex
+        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 150, seed=3)
+        assert max(reference_line_commutators(r, J, lines)) <= 1e-12 * r.scale
+        assert check_J_invariance(r, J, jordan_ip._ALMOST_COMPLEX_TOL).passed
+        for line in lines:
+            assert spectrum_of_JR(r, J, line).dimension == 32
+
+
 class TestSampledLinesNeverRejected:
     # The line samplers accept a line exactly when curvature_operator's
     # plane-Gram test does, so no sampled line may raise "degenerate plane".
