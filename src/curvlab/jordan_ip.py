@@ -190,7 +190,7 @@ def _fingerprints(tensor: CurvatureTensor, planes: list[OrientedPlane], tol: flo
     ops = next(blocks)
     anchor = jordan_invariants(ops[0], tol, basis)
     rest = (_matches_form(c if basis is None else basis.conj().T @ c @ basis, anchor, tol)
-            for c in chain([ops[1:]], blocks) if len(c))
+            for c in chain([ops[1:]], blocks))
     return anchor, chain([np.ones(1, dtype=bool)], rest)
 
 

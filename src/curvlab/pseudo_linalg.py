@@ -278,10 +278,12 @@ def _cluster_eigenvalues(evals: np.ndarray, threshold: float | np.ndarray) -> tu
 
 
 def _rank_sequences(c: np.ndarray, mus: np.ndarray, members: np.ndarray, mults: np.ndarray,
-                    partner: np.ndarray, tol: float) -> np.ndarray:
+                    partner: np.ndarray, tol: float, evals: np.ndarray | None = None) -> np.ndarray:
     """Rank sequences of the powers of B_it = c[i] - mus[t] I, for every matrix c[i] and a
     non-empty array of blocks t with members, one SVD call per power k: [i, t] of the
     (len(c), blocks, max(mults)) result holds them for k = 1, 2, ..., the last repeated.
+    evals, when given, holds the eigenvalues of normal c[i], row by row: then the singular
+    values of B_it are |evals[i] - mus[t]|, and k = 1 makes no SVD call.
 
     The cutoff of B_it at power k is tol * anchor^k, anchor the larger sigma_max of B_it and
     of B_i,partner[t], the other block of its cluster or itself.  A partner with no members
@@ -290,12 +292,16 @@ def _rank_sequences(c: np.ndarray, mus: np.ndarray, members: np.ndarray, mults: 
     or k reaches mults."""
     n = c.shape[-1]
     shifted = (c[:, None] - mus[:, None, None] * np.eye(n)).reshape(-1, n, n)  # B_it in row i * blocks + t
-    s = np.linalg.svd(shifted, compute_uv=False)
-    top = s[:, 0].reshape(len(c), -1)
+    if evals is None:
+        s = np.linalg.svd(shifted, compute_uv=False)
+    else:
+        s = np.sort(np.abs(evals[:, None] - mus[:, None]).reshape(-1, n))[:, ::-1]
+    top = s[:, 0].reshape(len(c), len(mus))
     top = np.where(partner < 0, top + 2 * np.abs(mus.imag), np.maximum(top, top[:, partner])).ravel()
     first = np.count_nonzero(s > tol * top[:, None], axis=1)
+    width = mults.max()
     members, mults = np.tile(members, len(c)), np.tile(mults, len(c))
-    ranks = np.repeat(first[:, None], mults.max(), axis=1)
+    ranks = np.repeat(first[:, None], width, axis=1)
     anchors = top.tolist()
     running = np.flatnonzero((first > n - members) & (mults > 1))
     power, k = shifted[running], 1
@@ -311,7 +317,7 @@ def _rank_sequences(c: np.ndarray, mus: np.ndarray, members: np.ndarray, mults: 
         going = (rank > n - members[running]) & (rank != ranks[running, k - 2]) & (k < mults[running])
         ranks[running, k - 1:] = rank[:, None]
         running, power = running[going], power[going]
-    return ranks.reshape(len(c), len(mus), -1)
+    return ranks.reshape(len(c), len(mus), width)
 
 
 def jordan_invariants(
@@ -323,10 +329,10 @@ def jordan_invariants(
     n scatters them by about eps^(1/n) sigma_max(A), so a nilpotent block of
     size <= 2 stays in one cluster, but one of size 3 can split at tol 1e-6.
     lambda is numpy's pairwise sum of a cluster's members in index order over
-    the multiplicity.  _ranks_at reads the ranks of (A - lambda I)^k as
-    _matches_form reads other matrices': one SVD call for the k = 1 blocks, one
-    per further power, up to the k where the rank is at most m - multiplicity or
-    repeats, constant from there on in exact arithmetic.  A stack raises ValueError.
+    the multiplicity.  _ranks_at reads the ranks of (A - lambda I)^k by SVD, as
+    _matches_form reads those of a stack that is not normal: one call for the k = 1
+    blocks, one per further power, up to the k where the rank is at most m - multiplicity
+    or repeats, constant from there on in exact arithmetic.  A stack raises ValueError.
 
     basis, when given, is an orthonormal basis Q of the +i eigenspace of a
     complex structure J commuting with A.  Then A is diag(A_c, conj(A_c)) in
@@ -366,10 +372,11 @@ def jordan_invariants(
                             total_rank, bool(ambiguous), scale, tuple(own[order].tolist()))
 
 
-def _ranks_at(c: np.ndarray, lam: np.ndarray, mult: np.ndarray, own: np.ndarray, tol: float) -> np.ndarray:
+def _ranks_at(c: np.ndarray, lam: np.ndarray, mult: np.ndarray, own: np.ndarray, tol: float,
+              evals: np.ndarray | None = None) -> np.ndarray:
     """Ranks of (c[i] - lambda I)^k at the clusters (lambda, multiplicity, members) of one
-    Jordan form, by one _rank_sequences call: a (len(c), clusters, width) array, width the
-    largest multiplicity.
+    Jordan form, by one _rank_sequences call, given evals if the c[i] are normal: a
+    (len(c), clusters, width) array, width the largest multiplicity.
 
     The multiplicities sum to m, so c of size n < m is read on C^{m/2}, with the blocks A_c -
     lambda (the members, the cluster's eigenvalues of A_c) and A_c - conj(lambda) (the rest),
@@ -386,7 +393,7 @@ def _ranks_at(c: np.ndarray, lam: np.ndarray, mult: np.ndarray, own: np.ndarray,
     made = np.where(take, take.cumsum().reshape(take.shape) - 1, -1)
     made[:, 1] = np.where(slots[:, 1], made[:, 1], made[:, 0])
     ranks = _rank_sequences(c, np.array([lam, lam.conj()]).T[take], counts[take], mult[cluster],
-                            made[cluster, 1 - second], tol)
+                            made[cluster, 1 - second], tol, evals)
     # A cluster's ranks sum its slots' (n with no block), twice its one slot's on C^{m/2}, or its partner's.
     first = np.where(slots[:, 0], index, conj)
     weight, missing = np.where(half & (conj == index), 2, 1)[first], n * (slots & ~take).sum(axis=1)[first]
@@ -399,9 +406,17 @@ def _matches_form(c: np.ndarray, anchor: JordanInvariants, tol: float) -> np.nda
     sequences.  The multiplicities sum to m, so equal sequences leave c[i] no other
     eigenvalue and give it the anchor's Jordan blocks.  c holds real m x m matrices,
     whichever path the anchor took, or the m/2 x m/2 blocks A_c of matrices that
-    commute with J, when the anchor was read on C^{m/2} too."""
+    commute with J, when the anchor was read on C^{m/2} too.  An empty c gives an
+    empty array.
+
+    R(pi), and A_c of an orthogonal J, are skew-Hermitian on a definite signature.  A
+    stack that is so to the bit is normal: one eigvalsh call gives the k = 1 singular
+    values |lambda(c[i]) - mu| of all its blocks.  Any other stack, one that rounding
+    left skew only to the last bit included, takes the SVD."""
     lam, mult = map(np.array, zip(*anchor.clusters))
-    ranks = _ranks_at(c, lam, mult, np.array(anchor._members), tol)
+    skew = np.array_equal(c.conj().swapaxes(-1, -2), -c)
+    evals = -1j * np.linalg.eigvalsh(1j * c) if skew else None
+    ranks = _ranks_at(c, lam, mult, np.array(anchor._members), tol, evals)
     want = np.array([seq + seq[-1:] * (ranks.shape[-1] - len(seq)) for seq in anchor.rank_sequences])
     return (ranks == want).all(axis=(1, 2))
 

@@ -684,6 +684,25 @@ class TestFingerprintCalls:
         assert tested == [(9, 4, 4), (9, 4, 4)]
         assert equivalent == [()]
 
+    # A sample of one plane per causal type: the head block holds only the anchor,
+    # and the rank test of its empty rest gives no verdict, on both routes.
+    @pytest.mark.parametrize("sig", [(0, 4), (2, 2)], ids=str)
+    def test_one_plane_sample(self, sig, monkeypatch):
+        s = BilinearSpace(*sig)
+        J = standard_complex_structure(s)
+        types = 1 if s.p == 0 else 2
+        tested = self.count(monkeypatch, "_matches_form")
+        # The pair tensor's lines are tested on C^2; a random tensor's, which do not
+        # commute with J, as real matrices, and its anchors differ between the types.
+        for r, n in ((build_complex_pair_tensor(J, 1.5, 0.75), 2), (random_algebraic_curvature_tensor(s, 0), 4)):
+            tested.clear()
+            report = check_jordan_ip(r, J, n=1, seed=0)
+            assert report.constant == (n == 2 or types == 1) and len(report.invariants_by_type) == types
+            assert tested == [(0, n, n)] * types
+        tested.clear()
+        report = check_jordan_ip_real(from_self_adjoint(s, np.eye(4)), n=1, seed=0)
+        assert report.constant and tested == [(0, 4, 4)] * len(report.invariants_by_type)
+
 
 def random_J_invariant_tensor(J, seed):
     """The J-invariant part of a random algebraic curvature tensor: its R(pi)
@@ -829,8 +848,8 @@ class TestComplexPathFingerprint:
             monkeypatch.setattr(jordan_ip, "curvature_operators", lambda *_: iter([J.J[None]]))
             inputs.clear()
             plane = OrientedPlane(s, e(4, 0), J.J @ e(4, 0))
-            inv, (same,) = jordan_ip._fingerprints(r, [plane], jordan_ip.OPERATOR_TOL, J._plus_i_basis)
-            assert same.tolist() == [True]
+            inv, same = jordan_ip._fingerprints(r, [plane], jordan_ip.OPERATOR_TOL, J._plus_i_basis)
+            assert np.concatenate(list(same)).tolist() == [True]
             assert inputs == [((2, 2), "c")]
             assert [mult for _, mult in inv.clusters] == [2, 2]
 
@@ -1610,12 +1629,14 @@ class TestLapackCalls:
     """Only anchors are fingerprinted: eigvals once per anchor, the SVD twice
     per anchor (scales and k = 1 blocks), and the rank test one SVD per power
     level per block of _BLOCK operators that it tests.  The forms here are
-    semisimple, so every sequence stops at k = 1: one level per block."""
+    semisimple, so every sequence stops at k = 1: one level per block.  On a
+    definite signature the blocks are skew-Hermitian, and one eigvalsh call per
+    block takes the place of the rank test's SVD."""
 
     @staticmethod
     def spy(monkeypatch):
-        """The shape of the input of every eigvals and svd call from now on."""
-        calls = {"eigvals": [], "svd": []}
+        """The shape of the input of every eigvals, eigvalsh and svd call from now on."""
+        calls = {"eigvals": [], "eigvalsh": [], "svd": []}
         for name, seen in calls.items():
             def spy(a, *args, _original=getattr(np.linalg, name), _seen=seen, **kwargs):
                 _seen.append(np.shape(a))
@@ -1655,7 +1676,7 @@ class TestLapackCalls:
             # Two conjugate pairs of clusters on every line, each with one block of C^{m/2}
             # with members: A_c holds one eigenvalue of each pair.
             assert rank_tests == [2, 63 * 2, 36 * 2] * 2
-            assert calls["eigvals"] == [(n, n)] * anchors
+            assert calls["eigvals"] == [(n, n)] * anchors and calls["eigvalsh"] == []
             assert len(calls["svd"]) == 2 * anchors + blocks
             # The blocks of every line, and the scales of the anchors, each an SVD of one matrix.
             assert {shape[-2:] for shape in calls["svd"]} == {(n, n)}
@@ -1667,9 +1688,28 @@ class TestLapackCalls:
         report = check_jordan_ip_real(r, n=100, seed=1)
         anchors, blocks = len(report.invariants_by_type), 3 * -(-100 // jordan_ip._BLOCK)
         assert report.constant and anchors == 3 and blocks == 6
-        assert calls["eigvals"] == [(8, 8)] * anchors
+        assert calls["eigvals"] == [(8, 8)] * anchors and calls["eigvalsh"] == []
         assert len(calls["svd"]) == 2 * anchors + blocks
         # Three clusters, -s, 0 and s on a mixed plane, s i, 0 and -s i on the
         # others, where the cluster at -s i takes the ranks of s i: 2 or 3 blocks
         # on every plane, and the scales of the anchors.
         assert sum(np.prod(shape[:-2], dtype=int) for shape in calls["svd"]) == anchors + (2 + 2 + 3) * 100
+
+    # The one causal type of a definite signature: the anchor's two SVDs, then one
+    # eigvalsh call per block of the rank test, the 63 lines of the anchor's block and
+    # the 36 of the next, with no SVD: (0, 8) on C^4, and (0, 16) as real matrices.
+    @pytest.mark.parametrize("check, sig", [("complex", (0, 8)), ("real", (0, 16))], ids=str)
+    def test_definite_checks(self, check, sig, monkeypatch):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        calls = self.spy(monkeypatch)
+        if check == "complex":
+            report, n = check_jordan_ip(build_complex_pair_tensor(J, 1.3, 0.7), J, n=100, seed=1), space.m // 2
+        else:
+            report, n = check_jordan_ip_real(from_self_adjoint(space, np.eye(space.m)), n=100, seed=1), space.m
+        assert report.constant and len(report.invariants_by_type) == 1
+        assert calls["eigvals"] == [(n, n)]
+        # Two conjugate pairs of clusters with members (spacelike complex lines), or the
+        # clusters 0 and +-s i, where -s i takes the ranks of s i (spacelike real planes).
+        assert calls["svd"] == [(n, n), (2, n, n)]
+        assert calls["eigvalsh"] == [(63, n, n), (36, n, n)]

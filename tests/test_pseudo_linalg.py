@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -280,7 +281,7 @@ class TestNumericRank:
 
 class TestJordanInvariants:
     def test_nonpositive_tol_raises_before_any_cluster_svd(self, monkeypatch):
-        calls = spy_on_svd(monkeypatch)
+        calls = spy_on_linalg(monkeypatch, "svd")
         with pytest.raises(ValueError, match="tolerance must be positive"):
             jordan_invariants(np.eye(4), 0.0)
         assert calls == [((4, 4), "f", 1)]
@@ -290,7 +291,7 @@ class TestJordanInvariants:
     # scale SVD, where it refuses tol <= 0, and before any clustering.
     @pytest.mark.parametrize("tol", [1e-310, 1e-17])
     def test_tol_below_machine_epsilon_raises_before_clustering(self, tol, monkeypatch):
-        calls = spy_on_svd(monkeypatch)
+        calls = spy_on_linalg(monkeypatch, "svd")
         clustered = []
         monkeypatch.setattr(pseudo_linalg, "_cluster_eigenvalues",
                             lambda *args: clustered.append(args) or _cluster_eigenvalues(*args))
@@ -569,8 +570,8 @@ class TestRankSequenceEarlyStop:
         # the scale, then two conjugate pairs of clusters, each exhausted at
         # k = 1 by the SVD of A_c - lambda, all 8 x 8.  A_c holds one eigenvalue
         # of each pair, so A_c - conj(lambda) has no members and no SVD.
-        # Every sequence stops at k = 1, so a stack takes two SVD calls: its
-        # scales, then the shifted blocks of all its clusters.
+        # Every sequence stops at k = 1, so a fingerprint takes two SVD calls:
+        # its scale, then the shifted blocks of all its clusters.
         space = BilinearSpace(*sig)
         J = standard_complex_structure(space)
         line_types = [PlaneClass.SPACELIKE] + ([PlaneClass.TIMELIKE] if space.p else [])
@@ -585,19 +586,26 @@ class TestRankSequenceEarlyStop:
                   for c in line_types]
         # The rank test of a stack of one causal type against the fingerprint of
         # any of its matrices takes the k = 1 blocks of all of them in one SVD
-        # call, with no scales.
-        calls = spy_on_svd(monkeypatch)
+        # call, with no scales.  On (0, 16) the real R(pi) are skew-symmetric to the
+        # bit, and one eigvalsh call of the stack takes that SVD call's place.  Their
+        # A_c = Q^H R(pi) Q are skew-Hermitian only to rounding under the pinned
+        # Haswell zgemm, so those stacks keep the SVD.
+        calls, eigh = spy_on_linalg(monkeypatch, "svd"), spy_on_linalg(monkeypatch, "eigvalsh")
         for tensor, basis, expected, shape, kind, planes in cases:
             ops = np.array([curvature_operator(tensor, plane) for plane in planes])
             anchors = []
             for op in ops:
                 calls.clear()
                 anchors.append(jordan_invariants(op, OPERATOR_TOL, basis))
-                assert calls == [(shape, kind, 1), (shape, "c", expected - 1)]
+                assert calls == [(shape, kind, 1), (shape, "c", expected - 1)] and eigh == []
             for anchor in anchors:
                 calls.clear()
                 assert _matches_form(on_path(ops, basis), anchor, OPERATOR_TOL).all()
-                assert calls == [(shape, "c", (expected - 1) * len(ops))]
+                if space.p or basis is not None:
+                    assert calls == [(shape, "c", (expected - 1) * len(ops))] and eigh == []
+                else:
+                    assert calls == [] and eigh == [(shape, "c", len(ops))]
+                eigh.clear()
 
     def test_conjugate_clusters_share_their_svds(self, monkeypatch):
         # a R_Id + b R_C on spacelike planes of (0, 16): clusters 0
@@ -606,22 +614,25 @@ class TestRankSequenceEarlyStop:
         space = BilinearSpace(0, 16)
         tensor = combine([(0.8, from_self_adjoint(space, np.eye(16))),
                           (1.7, from_self_adjoint(space, np.diag([1.0, -1.0] * 8)))])
-        calls = spy_on_svd(monkeypatch)
+        calls, eigh = spy_on_linalg(monkeypatch, "svd"), spy_on_linalg(monkeypatch, "eigvalsh")
         ops = np.array([curvature_operator(tensor, plane)
                         for plane in sample_real_planes(space, PlaneClass.SPACELIKE, 5, 0)])
         anchors = []
         for op in ops:
             calls.clear()
             anchors.append(inv := jordan_invariants(op, OPERATOR_TOL))
-            assert calls == [((16, 16), "f", 1), ((16, 16), "c", 3)]
+            assert calls == [((16, 16), "f", 1), ((16, 16), "c", 3)] and eigh == []
             assert sorted(zip((mult for _, mult in inv.clusters), inv.rank_sequences)) == \
                 [(1, (15,))] * 4 + [(12, (4,) * 12)]
         # The operators move from plane to plane: each passes against its own
-        # fingerprint, in a rank test of the whole stack.
+        # fingerprint, in a rank test of the whole stack.  They are skew-symmetric,
+        # so one eigvalsh call of the 5 takes the place of the SVD call of their
+        # 15 shifted blocks.
         for i, anchor in enumerate(anchors):
             calls.clear()
+            eigh.clear()
             assert _matches_form(ops, anchor, OPERATOR_TOL)[i]
-            assert calls == [((16, 16), "c", 15)]
+            assert calls == [] and eigh == [((16, 16), "c", 5)]
 
 
 def on_path(ops, basis):
@@ -705,7 +716,7 @@ class TestFingerprintsMatchThemselves:
         # that level: the k = 1 blocks, then the blocks of the sequences still
         # running at each k >= 2.  At tol 1e-4 the size-3 blocks cluster, and
         # sequences run to k = 2 and 3.
-        calls = spy_on_svd(monkeypatch)
+        calls = spy_on_linalg(monkeypatch, "svd")
         levels = 0
         for jordan in (jordan for jordan, _ in JORDAN_STRUCTURES.values() if jordan.shape[0] == 6):
             ops = np.array([t @ jordan @ np.linalg.inv(t) for seed in range(3)
@@ -1019,6 +1030,127 @@ class TestMemberlessBlocksKeepTheParentRanks:
         assert self.assert_keeps_the_parent_rule(pullback(r, np.linalg.inv(g)), moved, samples) > 0
 
 
+class TestSkewHermitianStacksTakeEigvalsh:
+    """_matches_form reads the k = 1 singular values of an exactly skew-Hermitian stack,
+    a normal one, as |lambda(c[i]) - mu| from one eigvalsh call; any other stack, and every
+    power k >= 2, takes the SVD.  The ranks are those of the SVD rule."""
+
+    TOL = OPERATOR_TOL
+
+    @staticmethod
+    def definite_stacks():
+        """R_Id on real planes and c0 R_Id + c1 R_J on the +i eigenspace of (0, 8), as
+        the Jordan checks test them, with the anchor of each."""
+        space = BilinearSpace(0, 8)
+        J = standard_complex_structure(space)
+        ops = [curvature_operator(from_self_adjoint(space, np.eye(8)), plane)
+               for plane in sample_real_planes(space, PlaneClass.SPACELIKE, 20, 0)]
+        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 20, 0)
+        pair = np.array([curvature_operator(build_complex_pair_tensor(J, 1.5, 0.75), line) for line in lines])
+        return [(np.array(ops), jordan_invariants(ops[0], OPERATOR_TOL)),
+                (on_path(pair, J._plus_i_basis), jordan_invariants(pair[0], OPERATOR_TOL, J._plus_i_basis))]
+
+    def test_exactly_skew_hermitian_stacks_take_eigvalsh(self, monkeypatch):
+        stacks = self.definite_stacks()
+        svd, eigh = spy_on_linalg(monkeypatch, "svd"), spy_on_linalg(monkeypatch, "eigvalsh")
+        for c, anchor in stacks:
+            assert c.dtype.kind == ("f" if c.shape[-1] == 8 else "c")
+            assert _matches_form(c, anchor, self.TOL).all()
+            assert svd == [] and eigh == [(c.shape[1:], "c", 20)]
+            eigh.clear()
+
+    def test_one_ulp_off_takes_the_svd(self, monkeypatch):
+        stacks = self.definite_stacks()
+        svd, eigh = spy_on_linalg(monkeypatch, "svd"), spy_on_linalg(monkeypatch, "eigvalsh")
+        for c, anchor in stacks:
+            # The real part of the largest entry of one operator, up by one ulp.
+            moved, index = c.copy(), (3, *np.unravel_index(np.abs(c[3]).argmax(), c.shape[1:]))
+            moved.real[index] = np.nextafter(moved.real[index], np.inf)
+            assert _matches_form(moved, anchor, self.TOL).all()
+            assert eigh == [] and [shape for shape, _, _ in svd] == [c.shape[1:]]
+            svd.clear()
+
+    # The lines of every causal type of (4, 4): R(pi) and A_c are skew-adjoint for the
+    # signature, so max|c + c^H| is of the order of max|c|.
+    def test_indefinite_stacks_take_the_svd(self, monkeypatch):
+        space = BilinearSpace(4, 4)
+        J = standard_complex_structure(space)
+        svd, eigh = spy_on_linalg(monkeypatch, "svd"), spy_on_linalg(monkeypatch, "eigvalsh")
+        identity = from_self_adjoint(space, np.eye(8))
+        for tensor, basis, sample in ((identity, None, partial(sample_real_planes, space)),
+                                      (build_complex_pair_tensor(J, 1.5, 0.75), J._plus_i_basis,
+                                       partial(sample_complex_lines, J))):
+            for causal_type in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE):
+                ops = np.array([curvature_operator(tensor, plane) for plane in sample(causal_type, 10, 0)])
+                anchor = jordan_invariants(ops[0], self.TOL, basis)
+                svd.clear()
+                assert _matches_form(on_path(ops, basis), anchor, self.TOL).all()
+                assert eigh == [] and len(svd) == 1
+
+    # An empty stack, such as the rest of the head block of a one-plane sample, gives no
+    # verdict on either route of the check, and its rank sequences have no rows on the SVD's.
+    def test_empty_stack(self):
+        space = BilinearSpace(0, 4)
+        J = standard_complex_structure(space)
+        for c, anchor in ((np.zeros((0, 4, 4)), jordan_invariants(J.J, 1e-6)),
+                          (np.zeros((0, 2, 2), dtype=complex), jordan_invariants(J.J, 1e-6, J._plus_i_basis))):
+            same = _matches_form(c, anchor, 1e-6)
+            assert same.dtype == bool and same.shape == (0,)
+        ones = np.array([1])
+        ranks = _rank_sequences(np.zeros((0, 2, 2)), np.array([1j]), ones, ones, np.array([0]), 1e-6)
+        assert ranks.shape == (0, 1, 1)
+
+    # The definite jordan_sweep signatures: R_Id on real planes; a R_Id + b R_C on complex
+    # lines, whose offender lines run the k >= 2 loop; and the J-invariant part of a
+    # random tensor, whose R(pi) is skew only to rounding, so that its stack takes the SVD
+    # and its exactly skew-Hermitian part (c - c^H) / 2 takes eigvalsh, at generic spectra.
+    @pytest.mark.parametrize("sig", [(0, 8), (0, 16)], ids=str)
+    def test_ranks_equal_the_svd_rule(self, sig, monkeypatch):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        identity = from_self_adjoint(space, np.eye(space.m))
+        ranks_at, seen = pseudo_linalg._ranks_at, []
+
+        def spy(c, lam, mult, own, tol, evals=None):
+            seen.append((evals is not None, ranks := ranks_at(c, lam, mult, own, tol, evals)))
+            return ranks
+
+        monkeypatch.setattr(pseudo_linalg, "_ranks_at", spy)
+        svd = spy_on_linalg(monkeypatch, "svd")
+        taken, powers = {}, 0
+        for seed in range(10):
+            a, b = np.random.default_rng([seed, *sig]).uniform(0.5, 2.0, 4)[2:]
+            id_plus_c = combine([(a, identity), (b, from_self_adjoint(space, conjugation_map(space.m)))])
+            for name, tensor, basis, planes in (
+                    ("R_Id", identity, None, sample_real_planes(space, PlaneClass.SPACELIKE, 40, seed)),
+                    ("a R_Id + b R_C", id_plus_c, J._plus_i_basis,
+                     sample_complex_lines(J, PlaneClass.SPACELIKE, 40, seed)),
+                    ("random", random_J_invariant_tensor(J, seed), J._plus_i_basis,
+                     sample_complex_lines(J, PlaneClass.SPACELIKE, 40, seed))):
+                ops = np.concatenate(list(jordan_ip.curvature_operators(tensor, planes)))
+                anchor = jordan_invariants(ops[0], self.TOL, basis)
+                lam, mult = map(np.array, zip(*anchor.clusters))
+                c = on_path(ops, basis)
+                for stack, part in ((c, False), ((c - c.conj().swapaxes(-1, -2)) / 2, True)):
+                    seen.clear()
+                    svd.clear()
+                    same = _matches_form(stack, anchor, self.TOL)
+                    (route, ranks), = seen
+                    want = ranks_at(stack, lam, mult, np.array(anchor._members), self.TOL)
+                    seqs = np.array([seq + seq[-1:] * (want.shape[-1] - len(seq))
+                                     for seq in anchor.rank_sequences])
+                    assert route == np.array_equal(stack.conj().swapaxes(-1, -2), -stack)
+                    assert np.array_equal(ranks, want) and np.array_equal(same, (want == seqs).all(axis=(1, 2)))
+                    taken[name, part] = taken.get((name, part), 0) + route
+                    powers += len(svd) if route else 0  # the SVDs of powers k >= 2
+        # Every skew-Hermitian part takes eigvalsh, and R_Id's real R(pi) is skew-symmetric to
+        # the bit.  So is A_c at m = 8, while at m = 16 the pinned Haswell zgemm rounds the
+        # (i, j) and (j, i) entries of Q^H A Q apart: those stacks take the SVD.
+        assert taken == {("R_Id", False): 10, ("R_Id", True): 10, ("random", False): 0, ("random", True): 10,
+                         ("a R_Id + b R_C", False): 10 if sig == (0, 8) else 0, ("a R_Id + b R_C", True): 10}
+        assert powers > 0
+
+
 class TestOnlyBlocksWithMembersAreDecomposed:
     """Every matrix that _rank_sequences decomposes in a complex Jordan check is A_c - mu
     (or A - mu on the real path) for a mu at an eigenvalue of its anchor's A_c (or A): a
@@ -1066,17 +1198,17 @@ class TestOnlyBlocksWithMembersAreDecomposed:
                     assert len(mus) == len(clusters) == blocks
 
 
-def spy_on_svd(monkeypatch):
-    """For every np.linalg.svd call from now on, the trailing shape and the
+def spy_on_linalg(monkeypatch, name):
+    """For every np.linalg.<name> call from now on, the trailing shape and the
     dtype kind of its matrices, and how many a stack holds (1 for one matrix)."""
-    svd = np.linalg.svd
+    original = getattr(np.linalg, name)
     calls = []
 
     def spy(a, *args, **kwargs):
         calls.append((a.shape[-2:], a.dtype.kind, int(np.prod(a.shape[:-2]))))
-        return svd(a, *args, **kwargs)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
     return calls
 
 
