@@ -43,10 +43,8 @@ from .curvature import (
     check_gray_identity,
     check_J_invariance,
     check_symmetries,
-    combine,
-    CurvatureTensor,
-    from_self_adjoint,
-    from_skew_adjoint,
+    _generator_rows,
+    _generator_sum,
 )
 from .jordan_ip import (
     OrientedPlane,
@@ -374,10 +372,9 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
     tensor_terms = _require(cfg, "tensor", list)
     if not tensor_terms:
         raise ConfigError("config.tensor: needs at least one term")
-    # Looked up per run, so that wrappers put on this module's names see the calls.
-    constructors = {"self_adjoint": from_self_adjoint, "skew_adjoint": from_skew_adjoint}
+    signs = {"self_adjoint": 1, "skew_adjoint": -1}
 
-    def tensor_term(idx: int, term: Any) -> tuple[float, CurvatureTensor]:
+    def tensor_term(idx: int, term: Any) -> tuple[float, np.ndarray, int]:
         where = f"config.tensor[{idx}]"
         if not isinstance(term, dict):
             raise ConfigError(f"{where}: expected an object")
@@ -388,14 +385,16 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
         constructor = _require(term, "constructor", str, where)
         if gen_name not in generators:
             raise ConfigError(f"{where}.generator: '{gen_name}' is not declared in generators")
-        if constructor not in constructors:
-            raise ConfigError(f"{where}.constructor: expected {' or '.join(constructors)}")
+        if constructor not in signs:
+            raise ConfigError(f"{where}.constructor: expected {' or '.join(signs)}")
+        sign = signs[constructor]
         try:
-            return float(coeff), constructors[constructor](space, generators[gen_name])
+            return float(coeff), _generator_rows(space, generators[gen_name], sign), sign
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
-    tensor = combine(tensor_term(idx, term) for idx, term in enumerate(tensor_terms))
+    # Every term is checked before the sum is built, slab by slab, with no term tensor.
+    tensor = _generator_sum(space, [tensor_term(idx, term) for idx, term in enumerate(tensor_terms)])
 
     check_names = _require(cfg, "checks", list)
     for name in check_names:

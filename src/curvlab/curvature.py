@@ -20,14 +20,14 @@ Coefficients are stored as a dense, C-contiguous m^4 array with no symmetry
 compression, which keeps every entry inspectable; at m = 32, the largest size
 audited so far, one tensor takes 8 MB.  C order makes the (m^2, m^2) view that
 operator assembly multiplies by, and the slot views of the pullback, free of
-copies.  :func:`combine` sums its terms one at a time, and `curvlab run` hands
-them over one at a time, so only the combined tensor is alive while checks run.
+copies.  `curvlab run` and the identity-plus-skew builders make their sums of
+generator tensors slab by slab in one array, so no term tensor is ever alive.
 
-Every pass over the m^4 entries (the generator builds, :func:`combine` and the
-three identity checks) runs over slabs of ``_SLAB`` values of the first index.
-A slab repeats the whole-array arithmetic on its entries, in the same order,
-so values, witnesses and signed zeros are those of the whole array, while only
-the output, or the slot-0 pullback of the J checks, is held whole.
+Every pass over the m^4 entries (generator builds and sums, :func:`combine` and
+the three identity checks) runs over slabs of about 2^14 entries, whole values
+of the first index.  A slab repeats the whole-array arithmetic on its entries,
+in the same order, so values, witnesses and signed zeros are those of the whole
+array, while only the output, or the slot-0 pullback of the J checks, is whole.
 """
 
 from __future__ import annotations
@@ -77,14 +77,12 @@ def _argmax_entry(a: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(abs(a[idx])), tuple(int(i) for i in idx)
 
 
-# First-index values per slab of an m^4 pass; m <= _SLAB is one slab.  Of the
-# widths 1, 2, 4 and 8, 4 is the fastest at m = 16; 1 and 2 are faster at
-# m = 32 but slower at m = 16 (README, "Numerical conventions").
-_SLAB = 4
-
-
+# First-index values per slab of an m^4 pass: slabs of about 2^14 entries, so
+# one slab up to m = 12, width 4 at m = 16 and 1 at m = 32, the fastest widths
+# measured at both sizes (README, "Numerical conventions").
 def _slabs(m: int) -> list[slice]:
-    return [slice(i, i + _SLAB) for i in range(0, m, _SLAB)]
+    width = max(1, 2**14 // m**3)
+    return [slice(i, i + width) for i in range(0, m, width)]
 
 
 def _fold_max(
@@ -99,9 +97,8 @@ def _fold_max(
     return best
 
 
-def _generator_tensor(space: BilinearSpace, phi: np.ndarray, sign: int) -> CurvatureTensor:
-    """R_phi for phi* = sign * phi, which is checked to DEFAULT_TOL * max |phi|;
-    the later outer products are subtracted in place, 2 (phi x, y)(phi z, w) last."""
+def _generator_rows(space: BilinearSpace, phi: np.ndarray, sign: int) -> np.ndarray:
+    """B[i, j] = (phi e_i, e_j) for phi* = sign * phi, which is checked to DEFAULT_TOL * max |phi|."""
     phi = _check_matrix(space, phi, "phi")
     worst, where = _argmax_entry(phi - sign * adjoint(space, phi))
     if worst > DEFAULT_TOL * float(np.max(np.abs(phi))):
@@ -109,14 +106,41 @@ def _generator_tensor(space: BilinearSpace, phi: np.ndarray, sign: int) -> Curva
         raise ValueError(
             f"phi is not {kind}-adjoint: |phi {op} phi*| = {worst:.3e} at entry {where}"
         )
-    b = phi.T * space.signs[None, :]  # B[i, j] = (phi e_i, e_j)
+    return phi.T * space.signs[None, :]
+
+
+def _generator_slab(b: np.ndarray, sign: int, sl: slice, out: np.ndarray) -> np.ndarray:
+    """Slab sl of R_phi, from B, into out; the later outer products are subtracted
+    in place, 2 (phi x, y)(phi z, w) last."""
+    np.einsum("bc,ad->abcd", b, b[sl], out=out)
+    out -= np.einsum("ac,bd->abcd", b[sl], b)
+    if sign < 0:
+        out -= 2.0 * np.einsum("ab,cd->abcd", b[sl], b)
+    return out
+
+
+def _generator_tensor(space: BilinearSpace, phi: np.ndarray, sign: int) -> CurvatureTensor:
+    b = _generator_rows(space, phi, sign)
     coeffs = np.empty((space.m,) * 4)
     for sl in _slabs(space.m):
-        c = coeffs[sl]
-        np.einsum("bc,ad->abcd", b, b[sl], out=c)
-        c -= np.einsum("ac,bd->abcd", b[sl], b)
-        if sign < 0:
-            c -= 2.0 * np.einsum("ab,cd->abcd", b[sl], b)
+        _generator_slab(b, sign, sl, coeffs[sl])
+    return CurvatureTensor(space, coeffs)
+
+
+def _generator_sum(space: BilinearSpace, terms: list[tuple[float, np.ndarray, int]]) -> CurvatureTensor:
+    """sum_i c_i R_phi_i over checked terms (c_i, B_i, sign_i) of _generator_rows.
+
+    Each slab of each term, in order, is made in one reused buffer, scaled in
+    place and added to a zero-initialised output: the operations of combine over
+    the constructors, so the same bits, -0.0 cleared alike, with no term tensor."""
+    coeffs = np.zeros((space.m,) * 4)
+    buf = np.empty_like(coeffs[_slabs(space.m)[0]])
+    for sl in _slabs(space.m):
+        out = coeffs[sl]
+        for c, b, sign in terms:
+            term = _generator_slab(b, sign, sl, buf[: len(out)])
+            term *= float(c)
+            out += term
     return CurvatureTensor(space, coeffs)
 
 

@@ -23,8 +23,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .complex_structures import ComplexStructure, QuaternionStructure
-from .curvature import (CurvatureTensor, _check_space, apply_pairs, check_J_invariance, combine,
-                        from_self_adjoint, from_skew_adjoint)
+from .curvature import (CurvatureTensor, _check_space, _generator_rows, _generator_sum, apply_pairs,
+                        check_J_invariance)
 from .pseudo_linalg import (
     BilinearSpace,
     JordanInvariants,
@@ -429,10 +429,9 @@ def solve_constants(spec: SpectrumSpec, model: SpectrumModel) -> tuple[float, ..
 def _identity_plus_skew(
     space: BilinearSpace, c0: float, units: list[tuple[float, np.ndarray]]
 ) -> CurvatureTensor:
-    """c0 R_Id + sum_i c_i R_{u_i} for skew-adjoint units u_i, one term at a time."""
-    terms = [(c0, from_self_adjoint, np.eye(space.m))]
-    terms += [(c, from_skew_adjoint, u) for c, u in units]
-    return combine((c, build(space, phi)) for c, build, phi in terms)
+    """c0 R_Id + sum_i c_i R_{u_i} for skew-adjoint units u_i, built slab by slab in one array."""
+    terms = [(c0, np.eye(space.m), 1)] + [(c, u, -1) for c, u in units]
+    return _generator_sum(space, [(c, _generator_rows(space, phi, sign), sign) for c, phi, sign in terms])
 
 
 def build_complex_pair_tensor(

@@ -291,9 +291,8 @@ def _rank_sequences(c: np.ndarray, mus: np.ndarray, members: np.ndarray, mults: 
     sequence stops at the k where its rank is at most n - members, equals the rank at k - 1,
     or k reaches mults."""
     n = c.shape[-1]
-    shifted = (c[:, None] - mus[:, None, None] * np.eye(n)).reshape(-1, n, n)  # B_it in row i * blocks + t
-    if evals is None:
-        s = np.linalg.svd(shifted, compute_uv=False)
+    if evals is None:  # B_it in row i * blocks + t
+        s = np.linalg.svd((c[:, None] - mus[:, None, None] * np.eye(n)).reshape(-1, n, n), compute_uv=False)
     else:
         s = np.sort(np.abs(evals[:, None] - mus[:, None]).reshape(-1, n))[:, ::-1]
     top = s[:, 0].reshape(len(c), len(mus))
@@ -304,10 +303,12 @@ def _rank_sequences(c: np.ndarray, mus: np.ndarray, members: np.ndarray, mults: 
     ranks = np.repeat(first[:, None], width, axis=1)
     anchors = top.tolist()
     running = np.flatnonzero((first > n - members) & (mults > 1))
-    power, k = shifted[running], 1
+    # B_it again, only for the sequences that run past k = 1: the eigvalsh route made none.
+    power = b = c[running // len(mus)] - mus[running % len(mus), None, None] * np.eye(n)
+    k = 1
     while running.size:
         k += 1
-        power = power @ shifted[running]
+        power = power @ b
         s = np.linalg.svd(power, compute_uv=False)
         # Python's float power (C pow), which numpy's vectorised power need not match to the last bit.
         cutoffs = np.array([tol * anchors[t] ** k for t in running.tolist()])
@@ -316,7 +317,7 @@ def _rank_sequences(c: np.ndarray, mus: np.ndarray, members: np.ndarray, mults: 
         # eigenspace is exhausted, or the nullity stopped growing.
         going = (rank > n - members[running]) & (rank != ranks[running, k - 2]) & (k < mults[running])
         ranks[running, k - 1:] = rank[:, None]
-        running, power = running[going], power[going]
+        running, power, b = running[going], power[going], b[going]
     return ranks.reshape(len(c), len(mus), width)
 
 

@@ -257,31 +257,55 @@ class TestRunExitCodes:
         assert main(["run", config]) == 2
         assert "self-adjoint" in capsys.readouterr().err
 
+    def test_bad_second_term_names_its_index(self, tmp_path, capsys):
+        # Every term is checked before the sum is built, each inside its own
+        # error context, so the message names the term and its entry.
+        cfg = quaternionic_config()
+        cfg["tensor"][1]["constructor"] = "self_adjoint"
+        assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config.tensor[1]: phi is not self-adjoint: "
+            "|phi - phi*| = 2.000e+00 at entry (0, 1)\n"
+        )
+
 
 class TestTermTensorsReleased:
-    def test_no_term_tensor_alive_while_checks_run(self, tmp_path, monkeypatch):
-        # Every constructor goes through _generator_tensor; a check patched
-        # into the table counts how many of its tensors are still alive.
-        refs, alive = [], []
-        build = curvature._generator_tensor
+    def test_one_sum_and_no_term_tensor(self, tmp_path, monkeypatch):
+        # curvlab run checks every term, then builds the sum slab by slab in one
+        # _generator_sum call, with no constructor call and so no term tensor.
+        # A check patched into the table sees every curvature tensor the run
+        # made: only the sum may still be alive.
+        terms, sums, made, alive = [], [], [], []
+        build, add = curvature._generator_tensor, cli._generator_sum
+        init = curvature.CurvatureTensor.__post_init__
 
-        def recording(*args):
-            tensor = build(*args)
-            refs.append(weakref.ref(tensor))
+        def term(*args):
+            terms.append(args)
+            return build(*args)
+
+        def total(*args):
+            tensor = add(*args)
+            sums.append(id(tensor))
             return tensor
+
+        def recording(self):
+            init(self)
+            made.append(weakref.ref(self))
 
         needs, symmetries = cli.CHECKS["symmetries"]
 
         def probe(**context):
-            alive.append(sum(ref() is not None for ref in refs))
+            alive.append([id(ref()) for ref in made if ref() is not None])
             return symmetries(**context)
 
-        monkeypatch.setattr(curvature, "_generator_tensor", recording)
+        monkeypatch.setattr(curvature, "_generator_tensor", term)
+        monkeypatch.setattr(cli, "_generator_sum", total)
+        monkeypatch.setattr(curvature.CurvatureTensor, "__post_init__", recording)
         monkeypatch.setitem(cli.CHECKS, "symmetries", (needs, probe))
         config = write_config(tmp_path, "cfg.json", quaternionic_config(checks=["symmetries"]))
         assert main(["run", config, "--quiet"]) == 0
-        assert len(refs) == 4
-        assert alive == [0]
+        assert terms == [] and len(sums) == 1
+        assert alive == [sums]
 
 
 class TestDeterminism:

@@ -425,10 +425,10 @@ class TestCheckGrayIdentity:
         assert report.max_violation == pytest.approx(12e-12, rel=1e-10)
 
     def test_slot_zero_once_then_five_contractions_per_slab(self, monkeypatch):
-        s = BilinearSpace(2, 6)
+        s = BilinearSpace(8, 8)
         J = standard_complex_structure(s)
         r = random_algebraic_curvature_tensor(s, 5)
-        slabs = len(curvature._slabs(s.m))
+        slabs, width = len(curvature._slabs(s.m)), slab_width(s.m)
         assert slabs > 1
         kernel, calls = curvature._pullback, []
 
@@ -437,7 +437,6 @@ class TestCheckGrayIdentity:
             return kernel(r, t, which)
 
         monkeypatch.setattr(curvature, "_pullback", spy)
-        width = curvature._SLAB
         check_gray_identity(r, J)
         per_slab = [((1,), width), ((1,), width), ((2,), width), ((2,), width), ((3,), width)]
         assert calls == [((0,), s.m)] + per_slab * slabs
@@ -446,15 +445,27 @@ class TestCheckGrayIdentity:
         assert calls == [((0,), s.m)] + [((1, 2, 3), width)] * slabs
 
 
+def slab_width(m):
+    """First-index values in a full slab of an m^4 pass at this m."""
+    return len(range(m)[curvature._slabs(m)[0]])
+
+
+@pytest.mark.parametrize("m, widths", [(4, [4]), (8, [8]), (12, [9, 3]), (16, [4] * 4),
+                                       (32, [1] * 32), (64, [1] * 64)])
+def test_slabs_hold_about_2_14_entries(m, widths):
+    assert [len(range(m)[sl]) for sl in curvature._slabs(m)] == widths
+
+
 # Peak traced memory of each m^4 pass at m = 32, in units of one tensor: one
-# whole array for the output or the slot-0 pullback, and slabs of
-# curvature._SLAB first-index values beside it.
+# whole array for the output or the slot-0 pullback, and slabs of one
+# first-index value beside it.
 PEAK_BOUNDS = {
     "check_symmetries": 0.5,
     "check_J_invariance": 1.5,
     "check_gray_identity": 1.5,
     "from_skew_adjoint": 1.25,
     "combine": 1.25,
+    "_generator_sum": 1.1,
 }
 
 
@@ -473,6 +484,7 @@ def test_peak_memory_of_each_pass(quaternionic_32, name):
         "check_gray_identity": lambda: check_gray_identity(r, quat.as_complex),
         "from_skew_adjoint": lambda: from_skew_adjoint(quat.space, quat.j),
         "combine": lambda: combine([(1.0, r), (2.0, r_j)]),
+        "_generator_sum": lambda: build_quaternionic_tensor(quat, 1, 2, 8, 0),
     }[name]
     tracemalloc.start()
     try:
@@ -602,7 +614,8 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("sig", [(0, 4), (2, 2), (4, 4), (0, 8), (8, 8), (0, 32)])
+@pytest.mark.parametrize("sig", [(0, 4), (2, 2), (4, 4), (0, 8), (8, 8), (0, 12), (0, 16),
+                                 (0, 32), (16, 16)])
 class TestBitwiseReferences:
     def test_constructors(self, sig):
         space = BilinearSpace(*sig)
@@ -644,6 +657,26 @@ class TestBitwiseReferences:
             for cs in ((1.0, 2.0, 8.0, 0.0), (-0.5, 0.0, -3.0, 1.25)):
                 want = combine([(cs[0], r_id)] + list(zip(cs[1:], units))).coeffs
                 assert_same_bits(build_quaternionic_tensor(quat, *cs).coeffs, want)
+
+    def test_generator_sum_is_combine_of_the_constructors(self, sig):
+        # Every generator takes every coefficient once over the rotations, in
+        # one sum of all the generators: the same values and signed zeros.
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        units = [J.J]
+        if sig[0] % 4 == 0:
+            quat = standard_quaternion_structure(space)
+            units += [quat.i, quat.j, quat.k]
+        generators = [(np.eye(space.m), 1)] + [(u, -1) for u in units] + [
+            (projected_generator(space, J, sign, sign, sum(sig)), sign) for sign in (1, -1)]
+        tensors = [(from_self_adjoint if sign > 0 else from_skew_adjoint)(space, phi)
+                   for phi, sign in generators]
+        rows = [(curvature._generator_rows(space, phi, sign), sign) for phi, sign in generators]
+        coefficients = [0.0, -1.5, 1e-12, 8.0]
+        for shift in range(len(coefficients)):
+            cs = [coefficients[(i + shift) % len(coefficients)] for i in range(len(generators))]
+            got = curvature._generator_sum(space, [(c, b, sign) for c, (b, sign) in zip(cs, rows)])
+            assert_same_bits(got.coeffs, combine(zip(cs, tensors)).coeffs)
 
 
 # The m^4 passes written on whole arrays, as they were before they ran slab by
@@ -762,8 +795,8 @@ def first_indices_of_max(d):
 def test_first_slab_wins_a_tie():
     # The same unit entry at first index 0 and at the first index of the
     # second slab: every check's largest violation ties across two slabs.
-    w = curvature._SLAB
-    m = 2 * w
+    m = 16
+    w = slab_width(m)
     tensor = tensor_with_entries(m, [((0, 1, 2, 3), 1.0), ((w, 1, 2, 3), 1.0)])
     J = standard_complex_structure(tensor.space)
     diffs = assert_reports_match_references(tensor, J)
@@ -779,8 +812,9 @@ def test_first_nan_wins():
     # A finite maximum in the first slab, then NaN entries whose symmetry
     # partners stay in their own slabs, the second slab and the third: the
     # symmetries report the NaN of the second slab, as np.argmax does.
-    w = curvature._SLAB
-    m = 3 * w
+    m = 16
+    w = slab_width(m)
+    assert m >= 3 * w
     tensor = tensor_with_entries(
         m, [((0, 1, 2, 3), 5.0), ((w,) * 4, np.nan), ((2 * w,) * 4, np.nan)]
     )

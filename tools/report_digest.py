@@ -1,11 +1,11 @@
-"""Print one sha256 per jordan_sweep and cli_reports report of a checkout.
+"""Print one sha256 per jordan_sweep, cli_reports and tensor_audit report of a checkout.
 
     python3 tools/report_digest.py CHECKOUT [SEEDS]
 
 CHECKOUT is the root of a curvlab checkout: its src/ is the program and its
 perfbench/workloads.py writes the configs.  SEEDS is a comma-separated list of
 workload seeds, 1,2,3 by default.  Every distinct config that
-perfbench.workloads.build makes for the two workloads is run through
+perfbench.workloads.build makes for the three workloads is run through
 curvlab.cli.main in this process, as `curvlab run CONFIG --report OUT --quiet`,
 and gives one line:
 
@@ -38,12 +38,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("jordan_sweep", "cli_reports")
+WORKLOADS = ("jordan_sweep", "cli_reports", "tensor_audit")
 
 
 def digests(checkout: Path, seeds: list[int]):
     """Yield (workload, seed, config name, sha256, key) for every distinct config
-    of the two workloads at each seed, in the order that build makes them."""
+    of the three workloads at each seed, in the order that build makes them."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
