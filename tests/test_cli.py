@@ -270,7 +270,7 @@ class TestRunExitCodes:
 
 
 class TestTermTensorsReleased:
-    def test_one_sum_and_no_term_tensor(self, tmp_path, monkeypatch):
+    def test_no_term_tensor_alive_while_checks_run(self, tmp_path, monkeypatch):
         # curvlab run checks every term, then builds the sum slab by slab in one
         # _generator_sum call, with no constructor call and so no term tensor.
         # A check patched into the table sees every curvature tensor the run

@@ -614,8 +614,8 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("sig", [(0, 4), (2, 2), (4, 4), (0, 8), (8, 8), (0, 12), (0, 16),
-                                 (0, 32), (16, 16)])
+@pytest.mark.parametrize("sig", [(0, 4), (2, 2), (4, 4), (0, 8), (8, 8), (0, 32), (0, 12),
+                                 (0, 16), (16, 16)])
 class TestBitwiseReferences:
     def test_constructors(self, sig):
         space = BilinearSpace(*sig)
