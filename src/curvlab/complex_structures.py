@@ -21,8 +21,9 @@ from .pseudo_linalg import (
     DEFAULT_TOL,
     BilinearSpace,
     _check_matrix,
+    _draws,
     _rank_from_singular_values,
-    _rejection_sample,
+    _stacked_dots,
     _unit_lines,
     adjoint,
     numeric_rank,
@@ -298,8 +299,9 @@ def check_admissible_pair(
 
     The line condition quantifies over the whole Grassmannian.  It is open, so
     the lines where it fails form a closed set, which can be null and missed by
-    seeded sampling; the verdict is reproducible and the report records the
-    minimum observed rank.  Non-admissible inputs are rejected first.
+    sampling: the report records the minimum rank over n_lines lines, made by
+    _unit_lines from the seed's draws, each draw g in the causal type of the
+    sign of its own (g, g).  Non-admissible inputs are rejected first.
     """
     space = J.space
     phi1 = _check_matrix(space, phi1, "phi1")
@@ -330,12 +332,8 @@ def check_admissible_pair(
     )
     if both_nilpotent:
         used_seed = seed
-        lines = _rejection_sample(
-            n_lines,
-            seed,
-            lambda rng, k: _unit_lines(space, J.J, rng.standard_normal((k, space.m))),
-            "while sampling complex lines",
-        )
+        g = _draws(n_lines, seed, space.m)
+        lines = _unit_lines(space, J.J, g, _stacked_dots(g, space.signs * g) > 0)
         # (n, m, 4) images [phi1 x, phi1 y, phi2 x, phi2 y], each bitwise those of its line alone.
         xs, ys = np.array([line.x for line in lines]), np.array([line.y for line in lines])
         images = np.concatenate([phi @ v[:, :, None] for phi in (phi1, phi2) for v in (xs, ys)], axis=2)

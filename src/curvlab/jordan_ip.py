@@ -26,14 +26,17 @@ from .complex_structures import ComplexStructure, QuaternionStructure
 from .curvature import (CurvatureTensor, _check_space, _generator_rows, _generator_sum, apply_pairs,
                         check_J_invariance)
 from .pseudo_linalg import (
+    _MINOR,
     BilinearSpace,
     JordanInvariants,
     OrientedPlane,
     PlaneClass,
     _check_vector,
+    _draws,
     _matches_form,
     _paired,
-    _rejection_sample,
+    _stacked_dots,
+    _typed_vectors,
     _unit_lines,
     classify_plane,
     jordan_equivalent,
@@ -92,22 +95,31 @@ def sample_real_planes(
     n: int,
     seed: int = 0,
 ) -> list[OrientedPlane]:
-    """n oriented 2-planes of the requested causal type, by seeded rejection
-    sampling of standard-normal spanning pairs: the first n accepted pairs in
-    draw order.  Each round of _rejection_sample is classified by one
-    classify_plane call on its stacks, bit for bit each draw classified
-    alone."""
+    """n oriented 2-planes of the requested causal type, each built in its type from one
+    standard-normal pair of the seed's (n, 2, m) draws, so the first k do not depend on n.
+
+    A mixed plane takes x spacelike and y timelike by _typed_vectors, so det < 0.  Any other
+    orthonormalises the pair's parts on the coordinates of its type and adds their other parts
+    W scaled by _MINOR / (1 + |W|_F): the graph of a contraction of norm below _MINOR, whose
+    Gram matrix is definite.  One classify_plane call gives every plane the det and type of
+    OrientedPlane(space, x, y); a plane of another type raises RuntimeError.
+    """
     if not _real_plane_realizable(space, causal_type):
         raise ValueError(f"no {causal_type.value} 2-plane exists in signature ({space.p}, {space.q})")
-
-    def draw(rng: np.random.Generator, k: int) -> list[OrientedPlane]:
-        pairs = rng.standard_normal((k, 2, space.m))  # per draw, x then y
-        dets, types = classify_plane(space, pairs[:, 0], pairs[:, 1])
-        accepted = np.flatnonzero(types == causal_type)
-        return [OrientedPlane._with_gram(space, x, y, det, causal_type)
-                for (x, y), det in zip(pairs[accepted], dets[accepted].tolist())]
-
-    return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} planes")
+    g = _draws(n, seed, 2, space.m)  # per plane, x's draw then y's
+    if causal_type is PlaneClass.MIXED:
+        planes = _typed_vectors(space, g, [True, False])
+    else:
+        major = (space.signs > 0) == (causal_type is PlaneClass.SPACELIKE)
+        a = np.where(major, g, 0.0)
+        u = a[:, 0] / np.linalg.norm(a[:, 0], axis=1, keepdims=True)
+        v = a[:, 1] - _stacked_dots(u, a[:, 1])[:, None] * u
+        w = _MINOR / (1.0 + np.linalg.norm(g - a, axis=(1, 2), keepdims=True))
+        planes = np.where(major, np.stack([u, v / np.linalg.norm(v, axis=1, keepdims=True)], axis=1), g * w)
+    dets, types = classify_plane(space, planes[:, 0], planes[:, 1])
+    if (types != causal_type).any():
+        raise RuntimeError(f"a {causal_type.value} plane was built as another type")
+    return [OrientedPlane._with_gram(space, x, y, det, causal_type) for (x, y), det in zip(planes, dets.tolist())]
 
 
 def sample_complex_lines(
@@ -116,15 +128,9 @@ def sample_complex_lines(
     n: int,
     seed: int = 0,
 ) -> list[OrientedPlane]:
-    """n non-degenerate complex lines span{x, Jx} of the requested causal type.
-
-    x is drawn standard-normal and rescaled to |(x, x)| = 1; a line is kept
-    when curvature_operator accepts it and (x, x) has the sign of the type,
-    which decides the type: (x, Jx) = 0 and (Jx, Jx) = (x, x), never mixed.
-    Each round of _rejection_sample draws its x as one stack and makes its
-    lines with _unit_lines; the first n lines in draw order are kept, bit for
-    bit the lines of one draw at a time.
-    """
+    """n non-degenerate complex lines span{x, Jx} of the requested causal type, made by
+    _unit_lines from the seed's standard-normal draws, so the first k do not depend on n.
+    The sign of (x, x) decides the type, as (x, Jx) = 0 and (Jx, Jx) = (x, x), never mixed."""
     space = J.space
     if causal_type not in _LINE_TYPES:
         raise ValueError(f"complex lines are never {causal_type.value}")
@@ -132,9 +138,7 @@ def sample_complex_lines(
         raise ValueError(
             f"no {causal_type.value} complex line exists in signature ({space.p}, {space.q})"
         )
-    positive = causal_type is PlaneClass.SPACELIKE
-    draw = lambda rng, k: _unit_lines(space, J.J, rng.standard_normal((k, space.m)), positive)
-    return _rejection_sample(n, seed, draw, f"sampling {causal_type.value} lines")
+    return _unit_lines(space, J.J, _draws(n, seed, space.m), causal_type is PlaneClass.SPACELIKE)
 
 
 def _planes_by_type(space: BilinearSpace, types: Sequence[PlaneClass],

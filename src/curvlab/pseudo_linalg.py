@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Any, Callable, ClassVar, Sequence
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -181,57 +181,40 @@ def numeric_rank(a: np.ndarray, tol: float) -> int:
     return int(_rank_from_singular_values(s, tol))
 
 
-def _unit_lines(
-    space: BilinearSpace, j: np.ndarray, xs: np.ndarray, positive: bool | None = None
-) -> list[OrientedPlane]:
-    """The non-degenerate complex lines span{x, j x} of the rows x of a (k, m)
-    stack of draws, in row order, each x rescaled to |(x, x)| = 1; a row is
-    dropped when (x, x) = 0, or when positive is given and the sign of (x, x)
-    disagrees with it.  (x, x), j x and _plane_gram are stacked BLAS calls that
-    make, row by row, the ddot or gemv of that row alone, so each line has the
-    bits of OrientedPlane(space, x, j @ x) made for its rescaled row."""
-    t = _stacked_dots(xs, space.signs * xs)
-    keep = t != 0.0 if positive is None else (t > 0.0) if positive else (t < 0.0)
-    xs = xs[keep] / np.sqrt(np.abs(t[keep]))[:, None]
-    ys = (j @ xs[:, :, None])[:, :, 0]
-    dets, types = _plane_gram(space, xs, ys)
-    rows = np.flatnonzero(types != PlaneClass.DEGENERATE)
-    return [OrientedPlane._with_gram(space, xs[i], ys[i], det, types[i])
-            for i, det in zip(rows.tolist(), dets[rows].tolist())]
+# The largest minor-to-major norm ratio of a sample: every sample then has kappa =
+# |x|^2 |y|^2 / |det| <= ((1 + 0.81) / (1 - 0.81))^2 < 91.
+_MINOR = 0.9
 
 
-# Most draws in one rejection round: large enough that 100 (2,6) timelike
-# planes, about 1 draw in 280 accepted, take about 30 rounds, and small enough
-# that a round's stacks stay within a few hundred kB at m <= 32.
-_ROUND = 1024
-
-
-def _rejection_sample(
-    n: int, seed: int, draw: Callable[[np.random.Generator, int], list], what: str
-) -> list:
-    """The first n samples by seeded rejection, in rounds: draw(rng, k) makes
-    k draws and returns the samples of those it accepts, at most one each, in
-    draw order.  Until a sample is accepted a round makes max(n, drawn) draws;
-    then the draws still expected at the acceptance seen so far, plus 25% and
-    8.  A round makes at most _ROUND draws and never passes 1000 n in all.
-    The generator is the call's own and gives one stream however it is
-    split, so the samples are those of one draw at a time; the samples that
-    follow the n-th are dropped.  Raises ValueError for n < 1 and
-    RuntimeError after 1000 n draws, as one draw at a time would."""
+def _draws(n: int, seed: int, *shape: int) -> np.ndarray:
+    """The seed's (n, *shape) standard-normal draws, the first k rows those of n = k; n < 1 raises ValueError."""
     if n < 1:
         raise ValueError("sample count must be at least 1")
-    rng = np.random.default_rng(seed)
-    samples = []
-    drawn = 0
-    while len(samples) < n:
-        accepted = len(samples)
-        k = 5 * (n - accepted) * drawn // (4 * accepted) + 8 if accepted else max(n, drawn)
-        k = min(k, _ROUND, 1000 * n - drawn)
-        if k == 0:
-            raise RuntimeError(f"rejection budget exceeded {what}")
-        drawn += k
-        samples += draw(rng, k)
-    return samples[:n]
+    return np.random.default_rng(seed).standard_normal((n, *shape))
+
+
+def _typed_vectors(space: BilinearSpace, g: np.ndarray, spacelike: Any) -> np.ndarray:
+    """The rows of draws g made spacelike where spacelike, a bool or one per row, else timelike:
+    each keeps its part a on the coordinates of its type, and its part b on the others, its minor
+    part, is scaled by _MINOR |a| / (|a| + |b|).  A row with no minor coordinates keeps its bits."""
+    major = (space.signs > 0) == np.asarray(spacelike)[..., None]
+    a, b = (np.linalg.norm(np.where(mask, g, 0.0), axis=-1, keepdims=True) for mask in (major, ~major))
+    return np.where(major, g, g * (_MINOR * a / (a + b)))
+
+
+def _unit_lines(space: BilinearSpace, j: np.ndarray, g: np.ndarray, spacelike: Any) -> list[OrientedPlane]:
+    """The complex lines span{x, j x}, in row order, of the rows x of _typed_vectors(space, g,
+    spacelike) rescaled to |(x, x)| = 1.  (x, x), j x and _plane_gram are stacked BLAS calls
+    that make, row by row, the ddot or gemv of that row alone, so each line has the bits of
+    OrientedPlane(space, x, j @ x) made for its x.  A degenerate line raises ValueError: a j
+    far from orthogonal gives one where |j x| |x| passes |(x, x)| / sqrt(DEFAULT_TOL)."""
+    xs = _typed_vectors(space, g, spacelike)
+    xs = xs / np.sqrt(np.abs(_stacked_dots(xs, space.signs * xs)))[:, None]
+    ys = (j @ xs[:, :, None])[:, :, 0]
+    dets, types = _plane_gram(space, xs, ys)
+    if (types == PlaneClass.DEGENERATE).any():
+        raise ValueError("this structure's complex lines are degenerate: span{x, Jx} fails the plane test")
+    return [OrientedPlane._with_gram(space, x, y, det, t) for x, y, det, t in zip(xs, ys, dets.tolist(), types)]
 
 
 @dataclass(frozen=True)

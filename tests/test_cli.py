@@ -632,6 +632,34 @@ class TestChecks:
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: internal failure" in err
 
+    # Valid configs whose samples are rare under standard-normal draws: (2,8) and (2,14)
+    # timelike planes, and (2,30) timelike lines.  They fail or pass, and never exit 3.
+    @pytest.mark.parametrize("sig, structure, terms, check", [
+        ((2, 8), "none", [("id", 1)], "jordan_ip_real"),
+        ((2, 14), "none", [("id", 1)], "jordan_ip_real"),
+        ((2, 30), "complex", [("id", 1), ("J", 2)], "jordan_ip_complex"),
+    ], ids=["real_2_8", "real_2_14", "complex_2_30"])
+    def test_rare_causal_types_never_exit_three(self, tmp_path, monkeypatch, sig, structure, terms, check):
+        kinds = {"id": ("identity", "self_adjoint"), "J": ("standard_J", "skew_adjoint")}
+        cfg = {
+            "signature": list(sig),
+            "structure": structure,
+            "generators": {name: {"builtin": kinds[name][0]} for name, _ in terms},
+            "tensor": [{"coefficient": c, "generator": name, "constructor": kinds[name][1]} for name, c in terms],
+            "checks": [check],
+            "samples": 100,
+            "seed": 0,
+            "tol": 1e-10,
+        }
+        config = write_config(tmp_path, "cfg.json", cfg)
+        codes = []
+        for seed in range(5):
+            monkeypatch.setattr("sys.argv", ["curvlab", "run", config, "--seed", str(seed), "--quiet"])
+            with pytest.raises(SystemExit) as exc:
+                entry()
+            codes.append(exc.value.code)
+        assert set(codes) <= {0, 1}
+
     def test_nilpotent_pair_builtins(self, tmp_path):
         cfg = {
             "signature": [4, 4],

@@ -473,14 +473,23 @@ class TestCheckAdmissiblePair:
 
             monkeypatch.setattr(complex_structures, name, recording)
 
-        spy("_rejection_sample")
+        spy("_unit_lines")
         spy("_rank_from_singular_values")
         report = check_admissible_pair(phi1, phi2, J, n_lines=200, seed=0)
-        (lines,), (ranks,) = calls["_rejection_sample"], calls["_rank_from_singular_values"]
+        (lines,), (ranks,) = calls["_unit_lines"], calls["_rank_from_singular_values"]
         want = [numeric_rank(np.column_stack([phi1 @ line.x, phi1 @ line.y, phi2 @ line.x,
                                               phi2 @ line.y]), DEFAULT_TOL) for line in lines]
         assert len(lines) == 200 and ranks.tolist() == want
         assert report.min_line_rank == min(want) == 4
+
+    # Each line takes the causal type of the sign of its own draw's (g, g).
+    @pytest.mark.parametrize("s", [4, 8])
+    def test_nilpotent_pair_spans_four_on_every_seed(self, s):
+        space = BilinearSpace(s, s)
+        phi1, phi2 = nilpotent_null_pair(space), nilpotent_null_pair_partner(space)
+        J = standard_complex_structure(space)
+        ranks = [check_admissible_pair(phi1, phi2, J, n_lines=100, seed=seed).min_line_rank for seed in range(20)]
+        assert ranks == [4] * 20
 
     def test_nilpotent_pair_rejects_zero_line_count(self):
         # With no line drawn, the line-span condition would pass untested.

@@ -133,20 +133,15 @@ class TestOrientedPlane:
         for module in (pseudo_linalg, jordan_ip):
             if hasattr(module, "_gram_rule"):
                 monkeypatch.setattr(module, "_gram_rule", spy)
-        draws = []
-        sample = jordan_ip._rejection_sample
-        monkeypatch.setattr(jordan_ip, "_rejection_sample", lambda n, seed, draw, what: sample(
-            n, seed, lambda rng, k: draws.append(k) or draw(rng, k), what))
         space = BilinearSpace(2, 4)
         J = standard_complex_structure(space)
         r = build_complex_pair_tensor(J, 1.0, 0.5)
-        lines = sample_complex_lines(J, PlaneClass.TIMELIKE, 100, seed=0)
-        # One row per drawn x with (x, x) < 0, the candidates of a timelike line,
-        # including those drawn after the 100th line in its round.
-        xs = np.random.default_rng(0).standard_normal((sum(draws), space.m))
-        assert len(lines) == 100 and sum(rows) == np.count_nonzero((xs * xs) @ space.signs < 0)
+        # One stacked call per sampler call, with one row per plane or line.
+        lines = sample_real_planes(space, PlaneClass.TIMELIKE, 100, seed=0) + sample_complex_lines(
+            J, PlaneClass.TIMELIKE, 100, seed=0)
+        assert rows == [100, 100]
         rows.clear()
-        assert sum(len(ops) for ops in curvature_operators(r, lines)) == 100
+        assert sum(len(ops) for ops in curvature_operators(r, lines)) == 200
         assert rows == []
 
 

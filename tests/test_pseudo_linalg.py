@@ -30,8 +30,6 @@ from curvlab import (
     inner,
     jordan_equivalent,
     jordan_invariants,
-    nilpotent_null_pair,
-    nilpotent_null_pair_partner,
     numeric_rank,
     pullback,
     sample_complex_lines,
@@ -39,7 +37,7 @@ from curvlab import (
     standard_complex_structure,
     standard_quaternion_structure,
 )
-from curvlab import complex_structures, jordan_ip, pseudo_linalg
+from curvlab import jordan_ip, pseudo_linalg
 from curvlab.pseudo_linalg import (
     JordanInvariants,
     _cluster_eigenvalues,
@@ -48,7 +46,6 @@ from curvlab.pseudo_linalg import (
     _rank_from_singular_values,
     _rank_sequences,
     _ranks_at,
-    _rejection_sample,
 )
 from test_curvature import conjugated_structure
 from test_jordan_ip import boost, boosted_structure, conjugation_map, lines_by_type, random_J_invariant_tensor
@@ -1309,125 +1306,6 @@ class TestClusterEigenvalues:
         assert ambiguous
 
 
-def test_rejection_sample_budget():
-    with pytest.raises(RuntimeError, match="rejection budget exceeded while testing"):
-        _rejection_sample(2, 0, lambda rng, k: [], "while testing")
-
-
-class TestRejectionRounds:
-    """The rejection loop asks draw(rng, k) for the samples of k draws at a time."""
-
-    @staticmethod
-    def counting(accept):
-        """A draw that accepts draw i (counted from 0 across rounds) when accept(i),
-        with the sample i, and records the k of every round."""
-        rounds = []
-
-        def draw(rng, k):
-            first = sum(rounds)
-            rounds.append(k)
-            return [i for i in range(first, first + k) if accept(i)]
-        return draw, rounds
-
-    def test_budget_is_exactly_1000_n_draws(self):
-        draw, rounds = self.counting(lambda i: False)
-        with pytest.raises(RuntimeError, match="^rejection budget exceeded while testing$"):
-            _rejection_sample(3, 0, draw, "while testing")
-        assert sum(rounds) == 3000
-
-    def test_last_sample_may_be_the_last_draw_of_the_budget(self):
-        draw, rounds = self.counting(lambda i: i in (0, 1999))
-        assert _rejection_sample(2, 0, draw, "while testing") == [0, 1999]
-        assert sum(rounds) == 2000
-
-    def test_first_n_samples_in_draw_order(self):
-        # Every third draw is accepted, so the 10th sample is draw 29; the
-        # samples of the draws after it are dropped.
-        draw, rounds = self.counting(lambda i: i % 3 == 2)
-        assert _rejection_sample(10, 0, draw, "while testing") == list(range(2, 30, 3))
-        assert 30 <= sum(rounds) <= 1000 * 10
-        assert rounds[0] == 10 and rounds[-1] > rounds[0]
-
-    def test_rounds_grow_up_to_the_cap(self):
-        # One draw in 500 is accepted: the rounds grow from n to the cap, so
-        # the 5000 draws take about a dozen rounds, not one per sample missing.
-        draw, rounds = self.counting(lambda i: i % 500 == 499)
-        assert _rejection_sample(10, 0, draw, "while testing") == list(range(499, 5000, 500))
-        assert 5000 <= sum(rounds) <= 1000 * 10
-        assert max(rounds) == pseudo_linalg._ROUND
-        growing = rounds[:rounds.index(pseudo_linalg._ROUND) + 1]
-        assert rounds[0] == 10 and growing == sorted(growing)
-        assert len(rounds) <= 15
-
-    def test_zero_samples_raise_before_any_draw(self):
-        draw, rounds = self.counting(lambda i: True)
-        with pytest.raises(ValueError, match="^sample count must be at least 1$"):
-            _rejection_sample(0, 0, draw, "while testing")
-        assert rounds == []
-
-    # The traced accept_ratio of the benchmark divides the planes returned by
-    # the classify_plane calls: one call per rejection round, with one row per
-    # draw of the round, so every draw is classified once and a round of up
-    # to _ROUND draws is one call.  A (2,6) timelike plane is about 1 draw in
-    # 280, so 100 of them take about 30 rounds.
-    @pytest.mark.parametrize("sig, causal_type, max_rounds", [
-        ((2, 6), PlaneClass.TIMELIKE, 40),
-        ((4, 4), PlaneClass.SPACELIKE, 3),
-        ((8, 8), PlaneClass.MIXED, 3),
-    ])
-    def test_real_planes_classify_each_draw_once(self, monkeypatch, sig, causal_type, max_rounds):
-        rows, rounds = [], []
-        classify, sample = jordan_ip.classify_plane, jordan_ip._rejection_sample
-
-        def spy(space, x, y):
-            rows.append(len(x))
-            return classify(space, x, y)
-
-        def sampling(n, seed, draw, what):
-            return sample(n, seed, lambda rng, k: rounds.append(k) or draw(rng, k), what)
-
-        space = BilinearSpace(*sig)
-        want = reference_planes(space, causal_type, 100, 0)
-        monkeypatch.setattr(jordan_ip, "classify_plane", spy)
-        monkeypatch.setattr(jordan_ip, "_rejection_sample", sampling)
-        assert_same_lines(sample_real_planes(space, causal_type, 100, 0), want)
-        assert rows == rounds and len(rounds) <= max_rounds
-
-
-def reference_lines(J, n, seed, positive=None):
-    """n complex lines of J drawn one at a time: t = (x, x) of each standard-normal
-    draw x, a wrong sign or t = 0 rejected, x / sqrt|t| and its image made a plane,
-    and a degenerate plane rejected."""
-    space = J.space
-    rng = np.random.default_rng(seed)
-    lines = []
-    while len(lines) < n:
-        x = rng.standard_normal(space.m)
-        t = x.dot(space.signs * x)
-        if t == 0.0 or (positive is not None and (t > 0) != positive):
-            continue
-        x = x / np.sqrt(abs(t))
-        line = OrientedPlane(space, x, J.J @ x)
-        if line.plane_class is not PlaneClass.DEGENERATE:
-            lines.append(line)
-    return lines
-
-
-def reference_planes(space, causal_type, n, seed):
-    """n real planes drawn one at a time: a standard-normal pair x, y per draw,
-    jordan_ip.classify_plane on the pair, and OrientedPlane(space, x, y) made of
-    a pair of the type; the sampler's RuntimeError after 1000 n draws."""
-    rng = np.random.default_rng(seed)
-    planes = []
-    for _ in range(1000 * n):
-        x, y = rng.standard_normal((2, space.m))
-        if jordan_ip.classify_plane(space, x, y) is causal_type:
-            planes.append(OrientedPlane(space, x, y))
-            if len(planes) == n:
-                return planes
-    raise RuntimeError(f"rejection budget exceeded sampling {causal_type.value} planes")
-
-
 def assert_same_lines(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -1448,88 +1326,87 @@ def dense_structure(space):
     return ComplexStructure(space, d @ conjugated_structure(space).J @ adjoint(space, d))
 
 
-class TestBatchedPlanesAreBitwise:
-    """A round of real-plane draws is classified by one classify_plane call on its
-    stacks, and each accepted plane has the bits of the draw classified alone."""
+def kappa(planes):
+    """|x|^2 |y|^2 / |det| of each plane: at most 91 for every constructed sample."""
+    return np.array([p.x.dot(p.x) * p.y.dot(p.y) / abs(p.det) for p in planes])
 
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("sig", [(0, 8), (4, 4), (2, 6), (6, 2), (8, 8)])
-    def test_sampled_planes(self, sig, seed):
+
+def samplers(J):
+    """(causal type, sample(n, seed)) for every type that exists in J's space: real
+    planes of each type, then complex lines of J of each type."""
+    space = J.space
+    real = [(t, partial(sample_real_planes, space, t))
+            for t in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE, PlaneClass.MIXED)]
+    lines = [(t, partial(sample_complex_lines, J, t)) for t in jordan_ip._LINE_TYPES]
+    return [(t, sample) for t, sample in real + lines if jordan_ip._real_plane_realizable(space, t)]
+
+
+# (2,8), (2,14) and (4,12) timelike planes and (2,30) timelike lines are about one
+# standard-normal pair or draw in thousands, or fewer.
+CONSTRUCTED = [(0, 8), (2, 6), (4, 4), (2, 8), (2, 14), (4, 12), (2, 30)]
+
+
+class TestConstructedSamples:
+    """Each sample is built in its causal type from its own standard-normal draw."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("sig", CONSTRUCTED, ids=str)
+    def test_samples_have_their_type_and_bounded_kappa(self, sig, seed):
         space = BilinearSpace(*sig)
-        for causal_type in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE, PlaneClass.MIXED):
-            if jordan_ip._real_plane_realizable(space, causal_type):
-                assert_same_lines(sample_real_planes(space, causal_type, 20, seed),
-                                  reference_planes(space, causal_type, 20, seed))
+        for causal_type, sample in samplers(standard_complex_structure(space)):
+            planes = sample(100, seed)
+            assert len(planes) == 100 and all(p.plane_class is causal_type for p in planes)
+            assert kappa(planes).max() <= 91
+            # The stacked Gram test gives each plane the det and type of the plane made alone.
+            assert_same_lines(planes, [OrientedPlane(space, p.x, p.y) for p in planes])
 
-    # The rare types take rounds that grow to the cap: about 5500 draws for 20
-    # planes, where the common types above finish in a round or two.
-    @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("sig, causal_type", [
-        ((2, 6), PlaneClass.TIMELIKE),
-        ((6, 2), PlaneClass.SPACELIKE),
-    ])
-    def test_rare_planes_over_seeds(self, sig, causal_type, seed):
-        space = BilinearSpace(*sig)
-        assert_same_lines(sample_real_planes(space, causal_type, 20, seed),
-                          reference_planes(space, causal_type, 20, seed))
+    @pytest.mark.parametrize("sig", CONSTRUCTED, ids=str)
+    def test_first_k_samples_do_not_depend_on_n(self, sig):
+        for _, sample in samplers(standard_complex_structure(BilinearSpace(*sig))):
+            for seed in range(20):
+                assert_same_lines(sample(7, seed), sample(100, seed)[:7])
 
-    def test_budget_spent_after_the_same_draws(self, monkeypatch):
-        rows = []
-        original = jordan_ip.classify_plane
+    # The stacked gemv makes, row by row, J @ x of that row alone; einsum, a row sum
+    # or xs @ J.T would move bits of the dense J here.
+    @pytest.mark.parametrize("sig", [(0, 16), (8, 8), (2, 30)], ids=str)
+    def test_lines_of_a_dense_structure(self, sig):
+        J = dense_structure(BilinearSpace(*sig))
+        for causal_type in jordan_ip._LINE_TYPES:
+            if jordan_ip._real_plane_realizable(J.space, causal_type):
+                lines = sample_complex_lines(J, causal_type, 1000, 3)
+                assert_same_lines(lines, [OrientedPlane(J.space, p.x, J.J @ p.x) for p in lines])
+                assert all(p.plane_class is causal_type for p in lines)
 
-        def spy(space, x, y):
-            rows.append(len(x) if np.ndim(x) == 2 else 1)
-            return original(space, x, y)
+    def test_definite_lines_are_the_raw_draws_rescaled(self):
+        J = standard_complex_structure(BilinearSpace(0, 8))
+        xs = np.random.default_rng(5).standard_normal((50, 8))
+        lines = sample_complex_lines(J, PlaneClass.SPACELIKE, 50, 5)
+        assert all(line.x.tobytes() == (x / np.sqrt(x.dot(x))).tobytes() for line, x in zip(lines, xs))
 
-        monkeypatch.setattr(jordan_ip, "classify_plane", spy)
-        for sampler in (sample_real_planes, reference_planes):
-            rows.clear()
-            with pytest.raises(RuntimeError, match="^rejection budget exceeded sampling timelike planes$"):
-                sampler(BilinearSpace(2, 10), PlaneClass.TIMELIKE, 20, 0)
-            assert sum(rows) == 20000
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_sample_count_below_one(self, n):
+        for _, sample in samplers(standard_complex_structure(BilinearSpace(2, 2))):
+            with pytest.raises(ValueError, match="^sample count must be at least 1$"):
+                sample(n, 0)
 
+    # For a J that is not orthogonal, |Jx| / |x| reaches ||J||_2, so the bound on
+    # |x|^4 / (x, x)^2 bounds kappa by 91 ||J||_2^2: 91 itself only for an orthogonal J.
+    @pytest.mark.parametrize("rapidity", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("sig", [(2, 2), (4, 4), (2, 6)], ids=str)
+    def test_boosted_structure_samples_lines_of_each_type(self, sig, rapidity):
+        J = boosted_structure(BilinearSpace(*sig), rapidity)
+        for causal_type in jordan_ip._LINE_TYPES:
+            lines = sample_complex_lines(J, causal_type, 100, 0)
+            assert len(lines) == 100 and all(p.plane_class is causal_type for p in lines)
+            assert kappa(lines).max() <= 91 * np.linalg.norm(J.J, 2) ** 2
 
-class TestBatchedLinesAreBitwise:
-    """A round of line draws is made with stacked BLAS calls that make, row by
-    row, the calls of one draw; einsum, a row sum or xs @ J.T would move bits here."""
-
-    @pytest.mark.parametrize("structure", [standard_complex_structure, dense_structure])
-    @pytest.mark.parametrize("sig, causal_type", [
-        ((0, 16), PlaneClass.SPACELIKE),
-        ((8, 8), PlaneClass.SPACELIKE),
-        ((8, 8), PlaneClass.TIMELIKE),
-        ((0, 32), PlaneClass.SPACELIKE),
-        ((16, 16), PlaneClass.SPACELIKE),
-        ((16, 16), PlaneClass.TIMELIKE),
-    ])
-    def test_sampled_lines(self, structure, sig, causal_type):
-        J = structure(BilinearSpace(*sig))
-        positive = causal_type is PlaneClass.SPACELIKE
-        assert_same_lines(sample_complex_lines(J, causal_type, 1000, 3),
-                          reference_lines(J, 1000, 3, positive))
-
-    @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("sig", [(2, 6), (6, 2)])
-    def test_lines_of_both_types_over_seeds(self, sig, seed):
-        J = standard_complex_structure(BilinearSpace(*sig))
-        for causal_type in (PlaneClass.SPACELIKE, PlaneClass.TIMELIKE):
-            positive = causal_type is PlaneClass.SPACELIKE
-            assert_same_lines(sample_complex_lines(J, causal_type, 100, seed),
-                              reference_lines(J, 100, seed, positive))
-
-    @pytest.mark.parametrize("s", [8, 16])
-    def test_lines_of_the_pair_check(self, monkeypatch, s):
-        space = BilinearSpace(s, s)
-        J = standard_complex_structure(space)
-        drawn = []
-        original = complex_structures._rejection_sample
-
-        def spy(*args):
-            drawn.extend(original(*args))
-            return drawn
-
-        monkeypatch.setattr(complex_structures, "_rejection_sample", spy)
-        report = check_admissible_pair(nilpotent_null_pair(space), nilpotent_null_pair_partner(space), J,
-                                       n_lines=1000, seed=4)
-        assert report.min_line_rank == 4
-        assert_same_lines(drawn, reference_lines(J, 1000, 4))
+    # At rapidity 10, |Jx| reaches about 1e4 |x|, and span{x, Jx} fails the plane test.
+    @pytest.mark.parametrize("sig", [(2, 2), (4, 4), (2, 6)], ids=str)
+    def test_degenerate_lines_of_a_boosted_structure_raise(self, sig):
+        J = boosted_structure(BilinearSpace(*sig), 10.0)
+        message = "^this structure's complex lines are degenerate: "
+        for causal_type in jordan_ip._LINE_TYPES:
+            with pytest.raises(ValueError, match=message):
+                sample_complex_lines(J, causal_type, 100, 0)
+        with pytest.raises(ValueError, match=message):
+            check_jordan_ip(from_self_adjoint(J.space, np.eye(J.space.m)), J, n=100, seed=0)

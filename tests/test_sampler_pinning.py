@@ -3,8 +3,8 @@ these digests were taken.
 
 Reports echo the sampled witness planes, and the benchmark recounts consumed
 planes by redrawing ``sample_real_planes`` with the same seed, so a change to
-the draw order, the acceptance predicates or the rescaling of complex lines
-must show here.  Each digest is the SHA-256 of the causal type tags and the
+the draw order, the construction of each causal type or the rescaling of
+complex lines must show here.  Each digest is the SHA-256 of the causal type tags and the
 raw float64 bytes of every x and y, in order.
 """
 
