@@ -1016,7 +1016,7 @@ class TestSpectrumOfJR:
         r = random_algebraic_curvature_tensor(s, 0)
         r = combine([(0.5, r), (0.5, pullback(r, J.J))])
         line = sample_complex_lines(J, PlaneClass.SPACELIKE, 1, seed=0)[0]
-        with pytest.raises(SpectrumStructureError, match="non-real .* imaginary part 7.276e-01"):
+        with pytest.raises(SpectrumStructureError, match="non-real .* imaginary part 6.836e-01"):
             spectrum_of_JR(r, J, line)
 
 
