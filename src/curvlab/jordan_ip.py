@@ -128,9 +128,9 @@ def sample_complex_lines(
     n: int,
     seed: int = 0,
 ) -> list[OrientedPlane]:
-    """n non-degenerate complex lines span{x, Jx} of the requested causal type, made by
-    _unit_lines from the seed's standard-normal draws, so the first k do not depend on n.
-    The sign of (x, x) decides the type, as (x, Jx) = 0 and (Jx, Jx) = (x, x), never mixed."""
+    """n complex lines span{x, Jx} of the requested causal type, made by _unit_lines from the
+    seed's standard-normal draws, so the first k do not depend on n.  The sign of (x, x) is the
+    type, as (x, Jx) = 0 and (Jx, Jx) = (x, x); a J whose lines are degenerate raises ValueError."""
     space = J.space
     if causal_type not in _LINE_TYPES:
         raise ValueError(f"complex lines are never {causal_type.value}")

@@ -194,9 +194,9 @@ def _draws(n: int, seed: int, *shape: int) -> np.ndarray:
 
 
 def _typed_vectors(space: BilinearSpace, g: np.ndarray, spacelike: Any) -> np.ndarray:
-    """The rows of draws g made spacelike where spacelike, a bool or one per row, else timelike:
-    each keeps its part a on the coordinates of its type, and its part b on the others, its minor
-    part, is scaled by _MINOR |a| / (|a| + |b|).  A row with no minor coordinates keeps its bits."""
+    """The rows of draws g made spacelike where spacelike, a bool or a mask over the rows, else
+    timelike: each keeps its major part a, on the coordinates of its type, and scales its minor
+    part b, on the others, by _MINOR |a| / (|a| + |b|).  A row with no minor part keeps its bits."""
     major = (space.signs > 0) == np.asarray(spacelike)[..., None]
     a, b = (np.linalg.norm(np.where(mask, g, 0.0), axis=-1, keepdims=True) for mask in (major, ~major))
     return np.where(major, g, g * (_MINOR * a / (a + b)))
