@@ -20,12 +20,12 @@ Coefficients are stored as a dense, C-contiguous m^4 array with no symmetry
 compression, which keeps every entry inspectable; at m = 32, the largest size
 audited so far, one tensor takes 8 MB.  C order makes the (m^2, m^2) view that
 operator assembly multiplies by, and the slot views of the pullback, free of
-copies.  `curvlab run` and the identity-plus-skew builders make their sums of
-generator tensors slab by slab in one array, so no term tensor is ever alive.
+copies.  The constructors, `curvlab run` and the identity-plus-skew builders all
+build through one slab-by-slab sum of generator tensors, so no term tensor is alive.
 
-Every pass over the m^4 entries (generator builds and sums, :func:`combine` and
-the three identity checks) runs over slabs of about 2^14 entries, whole values
-of the first index.  A slab repeats the whole-array arithmetic on its entries,
+Every pass over the m^4 entries (generator sums, :func:`combine` and the three
+identity checks) runs over slabs of about 2^14 entries, whole values of the
+first index.  A slab repeats the whole-array arithmetic on its entries,
 in the same order, so values, witnesses and signed zeros are those of the whole
 array, while only the output, or the slot-0 pullback of the J checks, is whole.
 """
@@ -119,20 +119,13 @@ def _generator_slab(b: np.ndarray, sign: int, sl: slice, out: np.ndarray) -> np.
     return out
 
 
-def _generator_tensor(space: BilinearSpace, phi: np.ndarray, sign: int) -> CurvatureTensor:
-    b = _generator_rows(space, phi, sign)
-    coeffs = np.empty((space.m,) * 4)
-    for sl in _slabs(space.m):
-        _generator_slab(b, sign, sl, coeffs[sl])
-    return CurvatureTensor(space, coeffs)
-
-
 def _generator_sum(space: BilinearSpace, terms: list[tuple[float, np.ndarray, int]]) -> CurvatureTensor:
-    """sum_i c_i R_phi_i over checked terms (c_i, B_i, sign_i) of _generator_rows.
+    """sum_i c_i R_phi_i over checked terms (c_i, B_i, sign_i) of _generator_rows: the one
+    build path of the constructors (one term, c = 1), of `curvlab run` and of the builders.
 
-    Each slab of each term, in order, is made in one reused buffer, scaled in
-    place and added to a zero-initialised output: the operations of combine over
-    the constructors, so the same bits, -0.0 cleared alike, with no term tensor."""
+    Each slab of each term, in order, is made in one reused buffer, scaled in place and added
+    to a zero-initialised output, so -0.0 is cleared and a sum has the bits of combine over its
+    constructors, which run this same code, with no term tensor."""
     coeffs = np.zeros((space.m,) * 4)
     buf = np.empty_like(coeffs[_slabs(space.m)[0]])
     for sl in _slabs(space.m):
@@ -151,12 +144,12 @@ def from_self_adjoint(space: BilinearSpace, phi: np.ndarray) -> CurvatureTensor:
     pseudo-sphere; more generally this is the Gauss-equation tensor of a
     hypersurface with shape operator phi.
     """
-    return _generator_tensor(space, phi, 1)
+    return _generator_sum(space, [(1.0, _generator_rows(space, phi, 1), 1)])
 
 
 def from_skew_adjoint(space: BilinearSpace, phi: np.ndarray) -> CurvatureTensor:
     """Curvature tensor (phi y, z)(phi x, w) - (phi x, z)(phi y, w) - 2 (phi x, y)(phi z, w)."""
-    return _generator_tensor(space, phi, -1)
+    return _generator_sum(space, [(1.0, _generator_rows(space, phi, -1), -1)])
 
 
 def combine(terms: Iterable[tuple[float, CurvatureTensor]]) -> CurvatureTensor:

@@ -243,21 +243,19 @@ class JordanInvariants:
     _members: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
 
-def _cluster_eigenvalues(evals: np.ndarray, threshold: float | np.ndarray) -> tuple[np.ndarray, Any]:
-    """Single-linkage clusters of each row of eigenvalues (last axis) at its row's
-    distance as roots, roots[..., i] the index of the first member of the cluster of
-    evals[..., i], and whether any gap of the row lies within a factor of 10 of the
-    threshold, where the clustering would flip under a small change of it."""
-    n = evals.shape[-1]
-    gaps = np.abs(evals[..., :, None] - evals[..., None, :])
-    threshold = np.asarray(threshold, dtype=float)[..., None, None]
-    linked = gaps <= np.maximum(threshold, 0.0)
+def _cluster_eigenvalues(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, bool]:
+    """Single-linkage clusters of a row of eigenvalues at distance threshold as roots,
+    roots[i] the index of the first member of the cluster of evals[i], and whether any
+    gap lies within a factor of 10 of the threshold, where the clustering would flip
+    under a small change of it."""
+    gaps = np.abs(evals[:, None] - evals[None, :])
+    linked = gaps <= threshold
     # Gap 0 links each eigenvalue to itself, so each squaring doubles the chains
     # covered, until a squaring changes nothing.
-    while n and not np.array_equal(closure := linked @ linked, linked):
+    while not np.array_equal(closure := linked @ linked, linked):
         linked = closure
-    ambiguous = np.any((threshold / 10.0 < gaps) & (gaps < threshold * 10.0), axis=(-2, -1))
-    return linked.argmax(axis=-1) if n else np.zeros(evals.shape, dtype=int), ambiguous
+    ambiguous = bool(np.any((threshold / 10.0 < gaps) & (gaps < threshold * 10.0)))
+    return linked.argmax(axis=1) if len(evals) else np.zeros(0, dtype=int), ambiguous
 
 
 def _rank_sequences(c: np.ndarray, mus: np.ndarray, members: np.ndarray, mults: np.ndarray,
@@ -310,8 +308,8 @@ def jordan_invariants(
     """Eigenvalue clusters plus rank sequences of shifted powers of one real (m, m) matrix.
 
     Eigenvalues cluster at distance tol * sigma_max(A).  A Jordan block of size
-    n scatters them by about eps^(1/n) sigma_max(A), so a nilpotent block of
-    size <= 2 stays in one cluster, but one of size 3 can split at tol 1e-6.
+    n scatters them by about eps^(1/n) sigma_max(A), so at tol 1e-6 a nilpotent
+    block of size <= 2 stays in one cluster, but one of size 3 can split.
     lambda is numpy's pairwise sum of a cluster's members in index order over
     the multiplicity.  _ranks_at reads the ranks of (A - lambda I)^k by SVD, as
     _matches_form reads those of a stack that is not normal: one call for the k = 1
@@ -324,6 +322,14 @@ def jordan_invariants(
     at half the size: rank((A - lambda)^k) = rank_c((A_c - lambda)^k) + rank_c((A_c
     - conj(lambda))^k), a term m/2, with no SVD, when its shift is no eigenvalue of A_c.
     [Q, conj(Q)] is unitary only for an orthogonal J, else sigma_max(A_c) <= sigma_max(A).
+
+    The default DEFAULT_TOL = 1e-8 is below the floor OPERATOR_TOL = 1e-6 of jordan_ip's
+    Jordan and spectrum checks, which know that their operators' eigenvalue gaps are 0.1
+    sigma_max and larger; a direct call knows nothing of A, so it keeps eigenvalues 1e-8
+    sigma_max apart distinct.  The cost: a size-2 block, scattered by about 1.5e-8 sigma_max,
+    can split.  The nilpotent pair R_phi1 + R_phi2 on (4, 4), 50 complex lines of each type
+    at seed 0, splits its cluster at 0 on 7 of the 100 operators on the real path and 18 on
+    C^{m/2}, and on none at OPERATOR_TOL, which reads R(pi) as the checks do.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -353,7 +359,7 @@ def jordan_invariants(
     mults = mult[order].tolist()
     return JordanInvariants(m, tuple(zip(lam[order].tolist(), mults)),
                             tuple(tuple(row[:mu]) for row, mu in zip(ranks[order].tolist(), mults)),
-                            total_rank, bool(ambiguous), scale, tuple(own[order].tolist()))
+                            total_rank, ambiguous, scale, tuple(own[order].tolist()))
 
 
 def _ranks_at(c: np.ndarray, lam: np.ndarray, mult: np.ndarray, own: np.ndarray, tol: float,

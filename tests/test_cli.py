@@ -272,16 +272,12 @@ class TestRunExitCodes:
 class TestTermTensorsReleased:
     def test_no_term_tensor_alive_while_checks_run(self, tmp_path, monkeypatch):
         # curvlab run checks every term, then builds the sum slab by slab in one
-        # _generator_sum call, with no constructor call and so no term tensor.
-        # A check patched into the table sees every curvature tensor the run
-        # made: only the sum may still be alive.
-        terms, sums, made, alive = [], [], [], []
-        build, add = curvature._generator_tensor, cli._generator_sum
+        # _generator_sum call, with no term tensor.  A check patched into the
+        # table sees every curvature tensor the run made: the run makes exactly
+        # one, the sum, however a term tensor would have been built.
+        sums, made, alive = [], [], []
+        add = cli._generator_sum
         init = curvature.CurvatureTensor.__post_init__
-
-        def term(*args):
-            terms.append(args)
-            return build(*args)
 
         def total(*args):
             tensor = add(*args)
@@ -298,13 +294,12 @@ class TestTermTensorsReleased:
             alive.append([id(ref()) for ref in made if ref() is not None])
             return symmetries(**context)
 
-        monkeypatch.setattr(curvature, "_generator_tensor", term)
         monkeypatch.setattr(cli, "_generator_sum", total)
         monkeypatch.setattr(curvature.CurvatureTensor, "__post_init__", recording)
         monkeypatch.setitem(cli.CHECKS, "symmetries", (needs, probe))
         config = write_config(tmp_path, "cfg.json", quaternionic_config(checks=["symmetries"]))
         assert main(["run", config, "--quiet"]) == 0
-        assert terms == [] and len(sums) == 1
+        assert len(made) == 1 and len(sums) == 1
         assert alive == [sums]
 
 

@@ -1364,6 +1364,26 @@ class TestLibraryTolFloor:
             report = check_jordan_ip(r, J, n=100, seed=seed, tol=1e-10)
             assert report.constant and report.rank == 4
 
+    # The figures of jordan_invariants' docstring: at its default DEFAULT_TOL the pair's
+    # cluster at 0 splits on 7 and 18 of these 100 (4, 4) lines; at the checks' floor on none.
+    @pytest.mark.parametrize("sig", [(4, 4), (8, 8)], ids=str)
+    @pytest.mark.parametrize("path", ["real", "complex"])
+    def test_nilpotent_pair_fingerprint_at_the_floor(self, sig, path):
+        space = BilinearSpace(*sig)
+        J = standard_complex_structure(space)
+        basis = J._plus_i_basis if path == "complex" else None
+        r = self.nilpotent_pair(space)
+        lines = [line for t in jordan_ip._LINE_TYPES for line in sample_complex_lines(J, t, 50, seed=0)]
+        ops = [curvature_operator(r, line) for line in lines]
+        for op in ops:
+            inv = jordan_invariants(op, jordan_ip.OPERATOR_TOL, basis)
+            ((lam, mult),) = inv.clusters
+            assert mult == space.m and abs(lam) <= jordan_ip.OPERATOR_TOL * inv.scale
+            assert inv.rank_sequences[0][:2] == (4, 0)
+        if sig == (4, 4):
+            splits = sum(len(jordan_invariants(op, basis=basis).clusters) > 1 for op in ops)
+            assert splits == {"real": 7, "complex": 18}[path]
+
 
 class TestSpectrumSpecValidation:
     def test_rejects_empty(self):

@@ -771,7 +771,9 @@ def reference_invariants(a, tol, basis=None):
     scales = svals[:, 0].tolist() if n else [0.0] * len(c)
     total_ranks = (1 if n == m else 2) * _rank_from_singular_values(svals, tol)
     evals = evals if n == m else np.concatenate([evals, evals.conj()], axis=1)
-    roots, ambiguous = _cluster_eigenvalues(evals, tol * np.array(scales))
+    clustered = [_cluster_eigenvalues(row, tol * scale) for row, scale in zip(evals, scales)]
+    roots = np.array([row for row, _ in clustered]).reshape(len(c), m)
+    ambiguous = [flag for _, flag in clustered]
     conj_roots = roots[np.arange(len(c))[:, None], np.argmax(
         evals.conj()[:, :, None] == evals[:, None, :], axis=2)] if m else roots
     members_at = roots[:, :, None] == np.arange(m)
