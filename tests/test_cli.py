@@ -236,6 +236,25 @@ class TestRunExitCodes:
         assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_zero_term_that_would_overflow_is_skipped(self, tmp_path):
+        # 0.0 R_phi for phi = 1e200 Id: its products overflow to inf, and
+        # 0.0 * inf would make the sum NaN and the run exit 3.  A zero term
+        # is never built, so the run reports R_Id to the byte.
+        identity = {"coefficient": 1.0, "generator": "id", "constructor": "self_adjoint"}
+        cfg = {
+            "signature": [0, 4],
+            "generators": {"id": {"builtin": "identity"},
+                           "big": {"matrix": (1e200 * np.eye(4)).tolist()}},
+            "tensor": [identity],
+            "checks": ["symmetries"],
+        }
+        want, got = tmp_path / "want.json", tmp_path / "got.json"
+        assert main(["run", write_config(tmp_path, "id.json", cfg), "--report", str(want)]) == 0
+        cfg["tensor"] = [identity, {"coefficient": 0.0, "generator": "big",
+                                    "constructor": "self_adjoint"}]
+        assert main(["run", write_config(tmp_path, "cfg.json", cfg), "--report", str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes()
+
     def test_unwritable_report_exits_two(self, tmp_path, capsys):
         config = write_config(tmp_path, "cfg.json", quaternionic_config(checks=["symmetries"]))
         report = tmp_path / "no" / "such" / "dir" / "out.json"

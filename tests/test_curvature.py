@@ -679,6 +679,24 @@ class TestBitwiseReferences:
             assert_same_bits(got.coeffs, combine(zip(cs, tensors)).coeffs)
 
 
+def test_zero_coefficient_term_makes_no_slab(monkeypatch):
+    # c3 = 0 in the quaternionic (1, 2, 8, 0) tensor: R_k is never built, in any slab.
+    quat = standard_quaternion_structure(BilinearSpace(0, 16))
+    made = []
+    slab = curvature._generator_slab
+
+    def spy(b, sign, sl, out):
+        made.append(b)
+        return slab(b, sign, sl, out)
+
+    monkeypatch.setattr(curvature, "_generator_slab", spy)
+    build_quaternionic_tensor(quat, 1, 2, 8, 0)
+    assert len(made) == 3 * len(curvature._slabs(16))
+    assert len({id(b) for b in made}) == 3
+    k_rows = curvature._generator_rows(quat.space, quat.k, -1)
+    assert not any(np.array_equal(b, k_rows) for b in made)
+
+
 # The m^4 passes written on whole arrays, as they were before they ran slab by
 # slab.  The library must match them to the bit: values, witnesses and the sign
 # of zeros.
@@ -806,6 +824,29 @@ def test_first_slab_wins_a_tie():
     for at in (sym.antisymmetry_witness, sym.pair_symmetry_witness, sym.bianchi_witness,
                check_J_invariance(tensor, J).witness, check_gray_identity(tensor, J).witness):
         assert at[0] < w
+
+
+@pytest.mark.parametrize("sig", [(0, 32), (8, 8)], ids=str)
+@pytest.mark.parametrize("plants", [("across",), ("within",), ("across", "within")],
+                         ids=["across", "within", "both"])
+def test_pair_witness_ties_go_to_the_first_in_c_order(sig, plants):
+    # A unit entry R[a,b,c,d] violates pair symmetry equally at (a,b,c,d) and
+    # (c,d,a,b).  "across" puts the two in slabs 1 and 2; "within" puts both in
+    # slab 2 and is planted at the later one in C order, which tests the
+    # transposed operand of the pair term.  Slabs are 1 wide at (0,32), 4 at (8,8).
+    space = BilinearSpace(*sig)
+    w = slab_width(space.m)
+    entries = {"across": (w, 0, 2 * w, 1), "within": (3 * w - 1, 3, 2 * w, 2)}
+    coeffs = np.zeros((space.m,) * 4)
+    for plant in plants:
+        coeffs[entries[plant]] = 1.0
+    tensor = CurvatureTensor(space, coeffs)
+    pair = assert_reports_match_references(tensor, standard_complex_structure(space))["pair_symmetry"]
+    firsts = first_indices_of_max(pair)
+    assert len(firsts) == 2 * len(plants)
+    assert set(firsts // w) == {2} | ({1} if "across" in plants else set())
+    want = entries["across"] if "across" in plants else (2 * w, 2, 3 * w - 1, 3)
+    assert check_symmetries(tensor).pair_symmetry_witness == want
 
 
 def test_first_nan_wins():
