@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from typing import Any
 
 import numpy as np
@@ -111,9 +111,12 @@ def _require(cfg: dict, field: str, kind, where: str = "config") -> Any:
     return value
 
 
+@cache
 def _build_structures(
     space: BilinearSpace, structure: str
 ) -> tuple[ComplexStructure | None, QuaternionStructure | None]:
+    """The immutable structures of one (signature, structure), made once per process;
+    a call that raises is not cached, so every run reports its config error."""
     if structure == "none":
         return None, None
     try:
@@ -445,7 +448,9 @@ def run(config_path: str, args: argparse.Namespace) -> tuple[int, dict]:
     return (0 if all_pass else 1), report
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and reused by every later main call."""
     parser = argparse.ArgumentParser(prog="curvlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
     run_parser = sub.add_parser("run", help="run the check suite described by a JSON config")
@@ -456,7 +461,11 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--report", default=None, help="write the JSON report to this path")
     run_parser.add_argument("--quiet", action="store_true", help="suppress per-check summary lines")
     sub.add_parser("list-builtins", help="list generator builders and check names")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

@@ -48,14 +48,16 @@ class ComplexStructure:
 
     Both p and q must be even: pairing a timelike with a spacelike direction
     can never be an isometry squaring to -Id.  Every J caches an orthonormal
-    basis of its +i eigenspace.
+    basis of its +i eigenspace.  J keeps a read-only copy of the given matrix,
+    and the basis is read-only too, so the basis stays the basis of J.
     """
 
     space: BilinearSpace
     J: np.ndarray
 
     def __post_init__(self) -> None:
-        J = _check_matrix(self.space, self.J, "J")
+        J = _check_matrix(self.space, self.J, "J").copy()
+        J.setflags(write=False)
         object.__setattr__(self, "J", J)
         if self.space.p % 2 != 0 or self.space.q % 2 != 0:
             raise ValueError(
@@ -81,7 +83,9 @@ class ComplexStructure:
             v = rest[:, np.argmax((rest * (metric @ rest)).sum(axis=0))]
             v = v / np.sqrt(v @ metric @ v)
             u = np.column_stack([u, v, J @ v])
-        return (u[:, 0::2] - 1j * u[:, 1::2]) / np.sqrt(2.0)
+        q = (u[:, 0::2] - 1j * u[:, 1::2]) / np.sqrt(2.0)
+        q.setflags(write=False)
+        return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +98,7 @@ class QuaternionStructure:
     skew-adjoint, as u* = u^-1 = -u.  The sign convention is right-handed;
     any consistent choice works, fixing one keeps golden values reproducible.
     as_complex is the complex structure J = i of the triple, the one that
-    validated i, with its +i basis.
+    validated i, with its +i basis; i, j and k are the units' read-only J.
     """
 
     space: BilinearSpace

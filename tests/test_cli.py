@@ -734,3 +734,89 @@ class TestListBuiltins:
 
     def test_no_command_exits_two(self, capsys):
         assert main([]) == 2
+        assert capsys.readouterr().err.startswith("usage: curvlab ")
+
+
+def complex_config(signature, **overrides):
+    cfg = {
+        "signature": signature,
+        "structure": "complex",
+        "generators": {"id": {"builtin": "identity"}, "J": {"builtin": "standard_J"}},
+        "tensor": [
+            {"coefficient": 1, "generator": "id", "constructor": "self_adjoint"},
+            {"coefficient": 2, "generator": "J", "constructor": "skew_adjoint"},
+        ],
+        "checks": ["almost_complex"],
+        "samples": 10,
+        "seed": 3,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+class TestRepeatedMain:
+    """main may be called many times in one process: the parser and the
+    structures of each (signature, structure) are made once and reused, and
+    no run depends on the runs before it."""
+
+    def test_three_runs_build_one_parser(self, tmp_path):
+        config = write_config(tmp_path, "cfg.json", complex_config([0, 8]))
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert main(["run", config, "--quiet"]) == 0
+        assert cli._parser.cache_info().misses == 1
+
+    def test_each_structure_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        original = cli.standard_complex_structure
+
+        def spy(space):
+            built.append((space.p, space.q))
+            return original(space)
+
+        monkeypatch.setattr(cli, "standard_complex_structure", spy)
+        cli._build_structures.cache_clear()
+        for signature in ([0, 8], [0, 8], [4, 4]):
+            config = write_config(tmp_path, "cfg.json", complex_config(signature))
+            assert main(["run", config, "--quiet"]) == 0
+        assert built == [(0, 8), (4, 4)]
+
+    def test_report_does_not_depend_on_the_cache(self, tmp_path):
+        checks = ["jordan_ip_complex", "spectrum"]
+        config = write_config(tmp_path, "cfg.json", complex_config([4, 4], checks=checks))
+        other = write_config(tmp_path, "other.json", complex_config([4, 4], checks=checks, seed=11))
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        cli._build_structures.cache_clear()
+        assert main(["run", config, "--report", str(cold), "--quiet"]) == 0
+        assert main(["run", other, "--quiet"]) == 0
+        assert main(["run", config, "--report", str(warm), "--quiet"]) == 0
+        assert cli._build_structures.cache_info().hits == 2
+        assert cold.read_bytes() == warm.read_bytes()
+
+    def test_structure_error_is_reported_on_every_run(self, tmp_path, capsys):
+        config = write_config(tmp_path, "cfg.json", complex_config([1, 3]))
+        errors = []
+        for _ in range(3):
+            assert main(["run", config]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("config error: config.structure: ")
+        assert errors == errors[:1] * 3
+
+    def test_usage_error_is_reported_on_every_run(self, capsys):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["run"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("usage: curvlab run ")
+        assert errors[1] == errors[0]
+
+    def test_list_builtins_between_runs(self, tmp_path, capsys):
+        config = write_config(tmp_path, "cfg.json", complex_config([0, 8]))
+        printed = []
+        for _ in range(2):
+            assert main(["run", config, "--quiet"]) == 0
+            assert main(["list-builtins"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed == [list_builtins() + "\n"] * 2

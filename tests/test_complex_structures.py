@@ -151,6 +151,23 @@ class TestPlusIBasis:
         assert np.abs(q.T @ q).max() > 0.1
         assert np.linalg.matrix_rank(np.column_stack([q, q.conj()])) == 4
 
+    # One structure serves every run of a process, so nothing may change J
+    # or its basis after construction: not the caller's array, not a write.
+    def test_structure_keeps_a_read_only_copy(self):
+        s = BilinearSpace(2, 2)
+        a = standard_complex_structure(s).J.copy()
+        J = ComplexStructure(s, a)
+        q = J._plus_i_basis
+        want_J, want_q = J.J.copy(), q.copy()
+        a[:] = -a
+        assert np.array_equal(J.J, want_J) and J._plus_i_basis is q
+        assert np.array_equal(q, want_q)
+        assert np.abs(J.J @ q - 1j * q).max() <= 1e-15
+        quat = standard_quaternion_structure(BilinearSpace(0, 4))
+        for target in (J.J, quat.j, q):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0, 0] = 1.0
+
 
 class TestStandardQuaternionStructure:
     def test_left_multiplication_relations(self):
